@@ -2,10 +2,14 @@
 
 One row per dataset (simulation replication or permutation draw).  The
 formulas mirror the scalar modules exactly, including the degenerate-sample
-handling; tests assert row-wise agreement with the scalar path.  The
-permutation engine funnels both the observed arrangement and the permuted
-ones through these kernels so that tie comparisons between statistics are
-exact.
+handling; tests assert row-wise agreement with the scalar path.
+
+`moments_from_values` ranks each simulated dataset.  `moments_from_perm`
+takes relabellings of one pooled sample and derives every moment from the
+per-tie-run count of arm-1 members, as integer sums divided once; tie-free
+data is the case where every run has size one.  Both share the tail that
+turns (p, tau1, tau2, beta) into variances, so the permutation engine can
+compare permuted statistics with the observed one exactly.
 """
 from __future__ import annotations
 
@@ -80,10 +84,7 @@ class BatchMoments:
         return np.maximum(raw, 1.0 / (n1 * n1 * n2 * n2))
 
 
-def _assemble(f2_at_x1, f1_at_x2, beta, var_wmw_raw, all_tied, sep_high, sep_low, n1, n2):
-    p = f1_at_x2.mean(axis=1)
-    tau1 = ((1.0 - f2_at_x1) ** 2).mean(axis=1)
-    tau2 = (f1_at_x2**2).mean(axis=1)
+def _assemble(p, tau1, tau2, beta, var_wmw_raw, all_tied, sep_high, sep_low, n1, n2):
     tau0 = p - 0.25 * beta
     p2 = p * p
     sigma1_sq = n1 / (n1 - 1) * np.maximum(0.0, tau1 - p2)
@@ -121,50 +122,48 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> BatchMoments:
     all_tied = pooled.max(axis=1) == pooled.min(axis=1)
     sep_high = x1.max(axis=1) < x2.min(axis=1)
     sep_low = x2.max(axis=1) < x1.min(axis=1)
-    return _assemble(f2_at_x1, f1_at_x2, beta, var_wmw_raw, all_tied, sep_high, sep_low, n1, n2)
+    p = f1_at_x2.mean(axis=1)
+    tau1 = ((1.0 - f2_at_x1) ** 2).mean(axis=1)
+    tau2 = (f1_at_x2**2).mean(axis=1)
+    return _assemble(p, tau1, tau2, beta, var_wmw_raw, all_tied, sep_high, sep_low, n1, n2)
 
 
-def moments_from_perm(
-    ravg: np.ndarray,
-    rmin: np.ndarray,
-    rmax: np.ndarray,
-    n1: int,
-    has_ties: bool,
-    all_tied: bool,
-    var_wmw_raw: float,
-) -> BatchMoments:
-    """Moments for permuted arrangements given their pooled rank rows.
+def moments_from_perm(arm1: np.ndarray, run_of: np.ndarray, sizes: np.ndarray) -> BatchMoments:
+    """Moments for relabellings of one pooled sample, one row of arm-1 indices each.
 
-    Pooled ranks are permutation-equivariant, so the caller ranks the pooled
-    sample once and gathers rows; only the within-arm ranks change per draw.
-    The rank-test variance and the all-tied flag are multiset invariants and
-    are broadcast.
+    `run_of` maps each pooled index to its tie run and `sizes` lists the run
+    sizes in increasing value order.  A row's moments depend only on `a`,
+    its count of arm-1 members per run (`b = sizes - a` in arm 2).  With A
+    and B the counts in lower runs, an arm-2 value in run r sits at
+    2*n1*F1 = 2A + a and an arm-1 value at 2*n2*(1 - F2) = 2*n2 - 2B - b,
+    so p, tau1, tau2 and beta are integer sums over runs, divided once:
+    rows with the same arm-1 multiset get bit-identical moments.
     """
-    m, n = ravg.shape
+    m, n1 = arm1.shape
+    n_runs = sizes.size
+    n = int(sizes.sum())
     n2 = n - n1
-    r1, r2 = ravg[:, :n1], ravg[:, n1:]
-    if has_ties:
-        i1min = rankdata(r1, method="min", axis=1)
-        i1max = rankdata(r1, method="max", axis=1)
-        i2min = rankdata(r2, method="min", axis=1)
-        i2max = rankdata(r2, method="max", axis=1)
-        i1avg = 0.5 * (i1min + i1max)
-        i2avg = 0.5 * (i2min + i2max)
-        cross = (rmax[:, :n1] - rmin[:, :n1]) - (i1max - i1min)
-        beta = cross.sum(axis=1) / (n1 * n2)
-        sep_high = rmin[:, n1:].min(axis=1) > rmax[:, :n1].max(axis=1)
-        sep_low = rmin[:, :n1].min(axis=1) > rmax[:, n1:].max(axis=1)
-    else:
-        i1avg = rankdata(r1, method="average", axis=1)
-        i2avg = rankdata(r2, method="average", axis=1)
-        beta = np.zeros(m)
-        sep_high = r2.min(axis=1) > r1.max(axis=1)
-        sep_low = r1.min(axis=1) > r2.max(axis=1)
-    f2_at_x1 = (r1 - i1avg) / n2
-    f1_at_x2 = (r2 - i2avg) / n1
-    wmw = np.full(m, var_wmw_raw)
-    tied = np.full(m, all_tied)
-    return _assemble(f2_at_x1, f1_at_x2, beta, wmw, tied, sep_high, sep_low, n1, n2)
+    if 4 * n1 * n2 * max(n1, n2) >= 2**63:  # bounds every sum below
+        raise ValueError(f"arms of {n1} and {n2} overflow the int64 permutation moments")
+    keys = run_of[arm1.T] + np.arange(m) * n_runs  # arm1.T is contiguous as relabelled
+    a = np.bincount(keys.ravel(), minlength=m * n_runs).reshape(m, n_runs)
+    b = sizes - a
+    below = np.cumsum(sizes) - sizes
+    f1 = np.cumsum(a, axis=1)
+    f1 *= 2
+    f1 -= a
+    g2 = f1 + (2 * (n2 - below) - sizes)
+    s_p = np.einsum("ij,ij->i", b, f1)
+    s_tau1 = np.einsum("ij,ij,ij->i", a, g2, g2)
+    s_tau2 = np.einsum("ij,ij,ij->i", b, f1, f1)
+    s_beta = np.einsum("ij,ij->i", a, b)
+    # pooled mid-rank of run r is below + (size + 1) / 2
+    var_wmw_raw = float(np.sum(sizes * (2 * below + sizes - n) ** 2)) / (4.0 * (n - 1) * n * n1 * n2)
+    return _assemble(
+        s_p / (2 * n1 * n2), s_tau1 / (4 * n1 * n2 * n2), s_tau2 / (4 * n1 * n1 * n2),
+        s_beta / (n1 * n2), np.full(m, var_wmw_raw), np.full(m, n_runs == 1),
+        s_p == 2 * n1 * n2, s_p == 0, n1, n2,
+    )
 
 
 def _df_arrays(m: BatchMoments, kind: DfKind) -> np.ndarray:

@@ -1,26 +1,29 @@
 """Studentized permutation versions of the non-WMW tests.
 
-The pooled sample is randomly relabelled (first n1 positions -> arm 1, rest
--> arm 2), the studentized statistic is recomputed for every draw with the
-same degenerate-sample handling as on real data, and the two-sided p-value
-is 2*min(p1, p2) where p1/p2 are the fractions of permuted statistics <= /
->= the observed one (exact ties count in both tallies).
+The pooled sample is randomly relabelled (first n1 positions of a
+Fisher-Yates shuffle -> arm 1, rest -> arm 2), the studentized statistic is
+recomputed for every draw with the same degenerate-sample handling as on
+real data, and the two-sided p-value is 2*min(p1, p2) where p1/p2 are the
+fractions of permuted statistics <= / >= the observed one (exact ties count
+in both tallies).
 
 Draw k of a run is generated from a counter-based stream that depends only
 on (seed, k), so results are bit-identical for any number of worker lanes
-and for any chunking of the draws.  The observed statistic used in the
-tallies is evaluated through the same vectorized kernel as the permuted
-ones, which makes tie comparisons exact.
+and for any chunking of the draws.  The pooled sample is split into tie runs
+once; a draw only decides how many arm-1 members each run holds, and the
+moments are exact integer sums over those counts.  The observed arrangement
+goes through the same kernel, so a draw with the observed arm-1 multiset
+reproduces the observed statistic bit for bit and ties are exact by
+construction.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._batch import moments_from_perm, stat_arrays
+from ._pool import map_tasks
 from .errors import InvalidKind
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_uniforms
@@ -50,67 +53,48 @@ def shuffle(values, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-def _batch_permutations(u: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise Fisher-Yates index permutations driven by uniform rows.
+def _batch_permutations(u: np.ndarray, n: int, n1: int) -> np.ndarray:
+    """Arm-1 index sets of row-wise Fisher-Yates shuffles driven by uniform rows.
 
-    Row k applies exactly the swaps `shuffle` would perform with the same
-    uniform stream, so both paths realise identical permutations.
+    Row k makes the first n - n1 swaps that `shuffle` makes with the same
+    uniform stream.  They settle positions n1..n-1, and the later swaps only
+    reorder arm 1, so row k holds the indices `shuffle` leaves in its first
+    n1 positions, in some order.
     """
     m = u.shape[0]
-    perm = np.tile(np.arange(n), (m, 1))
-    rows = np.arange(m)
-    for step, i in enumerate(range(n - 1, 0, -1)):
-        j = (u[:, step] * (i + 1)).astype(np.int64)
-        tmp = perm[rows, i].copy()
-        perm[rows, i] = perm[rows, j]
-        perm[rows, j] = tmp
-    return perm
+    # column-major working array: perm[i * m + k] is position i of row k
+    perm = np.repeat(np.arange(n), m)
+    flat_j = (u[:, : n - n1] * np.arange(n, n1, -1)).astype(np.int64).T * m + np.arange(m)
+    for step, i in enumerate(range(n - 1, n1 - 1, -1)):
+        at_i = perm[i * m : (i + 1) * m]
+        tmp = at_i.copy()
+        at_i[:] = perm[flat_j[step]]
+        perm[flat_j[step]] = tmp
+    return perm[: n1 * m].reshape(n1, m).T
 
 
 @dataclass
 class PermContext:
-    """Pooled-rank quantities shared by every permutation draw."""
+    """Tie runs of the pooled sample, shared by every permutation draw."""
 
-    ravg: np.ndarray
-    rmin: np.ndarray
-    rmax: np.ndarray
+    run_of: np.ndarray
+    sizes: np.ndarray
     n1: int
-    has_ties: bool
-    all_tied: bool
-    var_wmw_raw: float
 
     @classmethod
     def from_pooled(cls, pooled: np.ndarray, n1: int) -> "PermContext":
-        n = pooled.size
-        rmin = rankdata(pooled, method="min")
-        rmax = rankdata(pooled, method="max")
-        ravg = 0.5 * (rmin + rmax)
-        var_wmw_raw = float(
-            np.sum((ravg - (n + 1) / 2.0) ** 2) / (n - 1) / (n * n1 * (n - n1))
-        )
-        return cls(
-            ravg=ravg,
-            rmin=rmin,
-            rmax=rmax,
-            n1=n1,
-            has_ties=bool(np.any(rmin != rmax)),
-            all_tied=bool(np.all(pooled == pooled[0])),
-            var_wmw_raw=var_wmw_raw,
-        )
+        order = np.argsort(pooled, kind="stable")
+        ordered = pooled[order]
+        run_sorted = np.cumsum(np.concatenate([[0], ordered[1:] != ordered[:-1]]))
+        run_of = np.empty(pooled.size, dtype=np.intp)
+        run_of[order] = run_sorted
+        return cls(run_of=run_of, sizes=np.bincount(run_sorted), n1=n1)
 
-    def moments_for(self, perm_rows: np.ndarray):
-        ravg = self.ravg[perm_rows]
-        if self.has_ties:
-            rmin, rmax = self.rmin[perm_rows], self.rmax[perm_rows]
-        else:
-            rmin = rmax = ravg
-        return moments_from_perm(
-            ravg, rmin, rmax, self.n1, self.has_ties, self.all_tied, self.var_wmw_raw
-        )
+    def moments_for(self, arm1: np.ndarray):
+        return moments_from_perm(arm1, self.run_of, self.sizes)
 
     def observed_stats(self, kinds) -> np.ndarray:
-        identity = np.arange(self.ravg.size)[None, :]
-        mm = self.moments_for(identity)
+        mm = self.moments_for(np.arange(self.n1)[None, :])
         return np.array([stat_arrays(mm, k)[0][0] for k in kinds])
 
 
@@ -123,15 +107,14 @@ def tally_draws(
     n_draws: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts of permuted statistics <= / >= the observed one, per kind."""
-    n = ctx.ravg.size
+    n = ctx.run_of.size
     n_le = np.zeros(len(kinds), dtype=np.int64)
     n_ge = np.zeros(len(kinds), dtype=np.int64)
     done = 0
     while done < n_draws:
         m = min(_CHUNK_DRAWS, n_draws - done)
         u = perm_uniforms(seed, first_draw + done, m, n)
-        perm_rows = _batch_permutations(u[:, : n - 1], n)
-        mm = ctx.moments_for(perm_rows)
+        mm = ctx.moments_for(_batch_permutations(u, n, ctx.n1))
         for idx, kind in enumerate(kinds):
             stat = stat_arrays(mm, kind)[0]
             n_le[idx] += int(np.count_nonzero(stat <= observed[idx]))
@@ -141,10 +124,7 @@ def tally_draws(
 
 
 def _lane_worker(args):
-    pooled, n1, labels, observed, seed, first, count = args
-    ctx = PermContext.from_pooled(pooled, n1)
-    kinds = [TestKind.parse(s) for s in labels]
-    return tally_draws(ctx, kinds, observed, seed, first, count)
+    return tally_draws(*args)
 
 
 def permutation_test(
@@ -168,7 +148,8 @@ def permutation_test(
         Stream seed; identical (data, kind, n_perm, seed) give bit-identical
         results regardless of `threads`.
     threads : int
-        Worker processes for the draw loop.
+        Worker processes for the draw loop, >= 1; the pool never has more
+        workers than 2048-draw chunks or CPUs.
     """
     if kind.family == "wmw":
         raise InvalidKind("the permutation approach is defined for the non-WMW statistics")
@@ -176,21 +157,13 @@ def permutation_test(
         raise ValueError("n_perm must be >= 1")
     data.require_min_size(2)
     observed_result = run_test(data, kind)
-    pooled = data.pooled()
-    ctx = PermContext.from_pooled(pooled, data.n1)
+    ctx = PermContext.from_pooled(data.pooled(), data.n1)
     observed = ctx.observed_stats([kind])
-    if threads > 1 and n_perm > _CHUNK_DRAWS:
-        bounds = list(range(0, n_perm, _CHUNK_DRAWS)) + [n_perm]
-        tasks = [
-            (pooled, data.n1, [kind.label()], observed, seed, a, b - a)
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_lane_worker, tasks))
-        n_le = sum(p[0] for p in parts)
-        n_ge = sum(p[1] for p in parts)
-    else:
-        n_le, n_ge = tally_draws(ctx, [kind], observed, seed, 0, n_perm)
+    bounds = list(range(0, n_perm, _CHUNK_DRAWS)) + [n_perm]
+    tasks = [(ctx, [kind], observed, seed, a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    parts = map_tasks(_lane_worker, tasks, threads)
+    n_le = sum(p[0] for p in parts)
+    n_ge = sum(p[1] for p in parts)
     p1 = float(n_le[0]) / n_perm
     p2 = float(n_ge[0]) / n_perm
     return PermutationResult(

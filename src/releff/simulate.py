@@ -13,13 +13,13 @@ report them.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._batch import moments_from_values, p_value_arrays, stat_arrays
+from ._pool import map_tasks
 from .distributions import DistSpec, dist_label, parse_dist, population_variance, sample
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
@@ -130,8 +130,9 @@ def _chunk_worker(args) -> _Tally:
 def run_scenario(sc: Scenario, threads: int = 1) -> SimulationSummary:
     """Run every replication of a scenario and aggregate the tallies.
 
-    `threads` only changes wall-clock time: chunk boundaries and the
+    `threads` (>= 1) only changes wall-clock time: chunk boundaries and the
     reduction order are fixed, so the summary is identical for any value.
+    The pool never has more workers than chunks or CPUs.
     """
     bounds = list(range(0, sc.n_reps, CHUNK_REPS)) + [sc.n_reps]
     tasks = [(sc, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -139,13 +140,8 @@ def run_scenario(sc: Scenario, threads: int = 1) -> SimulationSummary:
         rejections=np.zeros(len(sc.tests), dtype=np.int64),
         var_sums=np.zeros(len(_MEAN_VARIANCE_KINDS)),
     )
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_chunk_worker, tasks):
-                total.add(part)
-    else:
-        for task in tasks:
-            total.add(_simulate_chunk(*task))
+    for part in map_tasks(_chunk_worker, tasks, threads):
+        total.add(part)
     try:
         true_var = population_variance(sc.dist1, sc.dist2, sc.n1, sc.n2)
     except UnsupportedPair:

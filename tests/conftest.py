@@ -12,16 +12,3 @@ settings.load_profile("suite")
 def rng():
     return np.random.default_rng(20240817)
 
-
-def random_two_samples(rng, n1=None, n2=None, tie_free=False, lo=5, hi=30):
-    """A random dataset; integer-valued (tied) unless tie_free is set."""
-    n1 = n1 or int(rng.integers(lo, hi + 1))
-    n2 = n2 or int(rng.integers(lo, hi + 1))
-    if tie_free:
-        pooled = rng.normal(size=n1 + n2)
-        while np.unique(pooled).size < n1 + n2:  # pragma: no cover
-            pooled = rng.normal(size=n1 + n2)
-        return pooled[:n1], pooled[n1:]
-    x1 = rng.integers(0, 8, size=n1).astype(float)
-    x2 = rng.integers(0, 8, size=n2).astype(float)
-    return x1, x2

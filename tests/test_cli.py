@@ -143,6 +143,19 @@ class TestCmdSimulate:
             outs[t] = out_path.read_bytes()
         assert outs["1"] == outs["2"]
 
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(json.dumps([{
+            "dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10,
+        }]))
+        data = tmp_path / "d.csv"
+        data.write_text(TOY_CSV)
+        for argv in (["simulate", str(cfg)], ["tables", "t1", "--scale", "0.0001"],
+                     ["test", str(data), "--n-perm", "10"]):
+            for t in ("0", "-3"):
+                assert main([*argv, "--threads", t]) == 2
+                assert "--threads" in capsys.readouterr().err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("{]")

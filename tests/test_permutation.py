@@ -7,7 +7,7 @@ from scipy.stats import chi2
 
 from releff import InvalidKind, TwoSamples, permutation_test, run_test, shuffle
 from releff import TestKind as TK
-from releff._batch import stat_arrays
+from releff._batch import moments_from_perm, stat_arrays
 from releff.permutation import PermContext, _batch_permutations, tally_draws
 from releff.rng import perm_draw_stream, perm_uniforms
 from tests_util import random_dataset
@@ -37,13 +37,16 @@ class TestShuffle:
         assert stat < chi2.ppf(0.999, df=5)
 
     def test_batch_matches_scalar_path(self):
+        # the truncated relabel leaves arm 1 holding what the full shuffle
+        # puts in its first n1 positions, for every split of the same stream
         n = 12
         u = perm_uniforms(555, 0, 20, n)
-        batch = _batch_permutations(u[:, : n - 1], n)
         values = np.arange(float(n))
-        for k in range(20):
-            scalar = shuffle(values, perm_draw_stream(555, k, n))
-            assert np.array_equal(values[batch[k]], scalar)
+        scalar = [shuffle(values, perm_draw_stream(555, k, n)) for k in range(20)]
+        for n1 in range(1, n):
+            batch = _batch_permutations(u, n, n1)
+            for k in range(20):
+                assert set(values[batch[k]]) == set(scalar[k][:n1])
 
     def test_draw_streams_tile_the_sequential_run(self):
         # lanes that regenerate [a, b) reproduce the same uniform rows
@@ -70,6 +73,12 @@ class TestPermutationTest:
         seq = permutation_test(d, TK.parse("bm"), n_perm=5000, seed=5, threads=1)
         par = permutation_test(d, TK.parse("bm"), n_perm=5000, seed=5, threads=2)
         assert (seq.p1, seq.p2, seq.p_value) == (par.p1, par.p2, par.p_value)
+
+    def test_threads_below_one_rejected(self):
+        d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
+        for t in (0, -2):
+            with pytest.raises(ValueError, match="threads"):
+                permutation_test(d, TK.parse("pm"), n_perm=10, seed=1, threads=t)
 
     def test_tie_counting_identity(self):
         # heavy ties: many permuted statistics equal the observed one, and
@@ -113,14 +122,15 @@ class TestBatchStatisticPath:
             pooled = d.pooled()
             ctx = PermContext.from_pooled(pooled, d.n1)
             u = perm_uniforms(17, 0, 6, d.n)
-            perms = _batch_permutations(u[:, : d.n - 1], d.n)
-            mm = ctx.moments_for(perms)
+            arm1_sets = _batch_permutations(u, d.n, d.n1)
+            mm = ctx.moments_for(arm1_sets)
             for kind in KINDS:
                 stats = stat_arrays(mm, kind)[0]
-                for row, perm in enumerate(perms):
-                    arranged = pooled[perm]
+                for row, arm1 in enumerate(arm1_sets):
+                    in_arm1 = np.zeros(d.n, dtype=bool)
+                    in_arm1[arm1] = True
                     scalar = run_test(
-                        TwoSamples(arranged[: d.n1], arranged[d.n1 :]), kind
+                        TwoSamples(pooled[in_arm1], pooled[~in_arm1]), kind
                     ).statistic
                     assert stats[row] == pytest.approx(scalar, abs=1e-12)
 
@@ -132,6 +142,33 @@ class TestBatchStatisticPath:
             obs = ctx.observed_stats(KINDS)
             for kind, got in zip(KINDS, obs):
                 assert got == pytest.approx(run_test(d, kind).statistic, abs=1e-12)
+
+    @pytest.mark.parametrize("n1,n2", [(15, 15), (15, 45), (7, 10)])
+    def test_exact_ties_count_in_both_tallies(self, n1, n2):
+        """A draw with the observed arm-1 multiset ties the observed statistic exactly."""
+        rng = np.random.default_rng(1000 * n1 + n2)
+        pooled = rng.choice(5, size=n1 + n2, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
+        n, n_draws, seed = n1 + n2, 2048, 9
+        ctx = PermContext.from_pooled(pooled, n1)
+        observed = ctx.observed_stats(KINDS)
+        target = np.sort(pooled[:n1])
+        same = np.array([
+            np.array_equal(np.sort(shuffle(pooled, perm_draw_stream(seed, k, n))[:n1]), target)
+            for k in range(n_draws)
+        ])
+        assert same.sum() > 0
+        n_le, n_ge = tally_draws(ctx, KINDS, observed, seed, 0, n_draws)
+        assert np.all(n_le + n_ge - n_draws >= same.sum())
+        mm = ctx.moments_for(_batch_permutations(perm_uniforms(seed, 0, n_draws, n), n, n1))
+        for idx, kind in enumerate(KINDS):
+            stats = stat_arrays(mm, kind)[0]
+            assert np.all(stats[same] == observed[idx]), kind.label()
+
+    def test_moments_reject_int64_overflow(self):
+        n1 = 1_400_000  # 4 * n1**3 exceeds 2**63
+        arm1 = np.broadcast_to(np.intp(0), (1, n1))
+        with pytest.raises(ValueError, match="overflow"):
+            moments_from_perm(arm1, np.zeros(2 * n1, dtype=np.intp), np.array([2 * n1]))
 
     def test_lane_split_reproduces_full_tally(self, rng):
         x1, x2 = random_dataset(rng, lo=6, hi=10)

@@ -80,6 +80,12 @@ class TestDeterminism:
                       tests=(TK.parse("pm"),), n_perm=200, master_seed=11)
         assert run_scenario(sc, threads=1) == run_scenario(sc, threads=2)
 
+    def test_threads_below_one_rejected(self):
+        sc = Scenario(Normal(0, 1), Normal(0, 1), 5, 6, n_reps=10, master_seed=5)
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                run_scenario(sc, threads=t)
+
     def test_draws_depend_only_on_rep_index(self):
         sc = Scenario(Normal(0, 1), Normal(0, 1), 5, 6, n_reps=100, master_seed=5)
         x1a, x2a = _draw_chunk(sc, 40, 60)
