@@ -1,10 +1,11 @@
 """Two-sample relative-effect estimation, testing and simulation.
 
-The relative effect p = P(X1 < X2) + P(X1 = X2)/2 is estimated from all
-pairwise comparisons; the package provides the family of variance estimators
-for it, small-sample t-approximations with five degrees-of-freedom variants,
-logit-transformed and studentized-permutation tests, and a reproducible
-Monte Carlo harness for type-I-error, power and mean-variance studies.
+The relative effect p = P(X1 < X2) + P(X1 = X2)/2 is estimated over all
+cross pairs, counted through the tie runs of the pooled sample; the package
+provides the family of variance estimators for it, small-sample
+t-approximations with five degrees-of-freedom variants, logit-transformed
+and studentized-permutation tests, and a reproducible Monte Carlo harness
+for type-I-error, power and mean-variance studies.
 """
 from .distributions import (
     BetaLatent,

@@ -9,16 +9,20 @@ When both per-arm variance components vanish (all pooled values tied, or
 completely separated arms) the displays are 0/0; the convention then is to
 substitute equal positive variances, which collapses each formula to a
 data-free fallback.
+
+`df_arrays` evaluates each display once over the moment fields, for a batch
+of rows or one `EffectSummary`; `degrees_of_freedom` is its scalar form.
 """
 from __future__ import annotations
 
 import enum
-import math
+
+import numpy as np
 
 from .effect import EffectSummary
 from .errors import SizeTooSmall
 
-__all__ = ["DfKind", "degrees_of_freedom", "MIN_ARM_SIZE"]
+__all__ = ["DfKind", "degrees_of_freedom", "df_arrays", "MIN_ARM_SIZE"]
 
 
 class DfKind(str, enum.Enum):
@@ -39,13 +43,23 @@ MIN_ARM_SIZE = {
 }
 
 
-def _satterthwaite(s1, s2, w1, w2, c1, c2) -> float:
-    """(s1/w1 + s2/w2)^2 / (s1^2/(w1^2 c1) + s2^2/(w2^2 c2)); NaN on 0/0."""
-    num = (s1 / w1 + s2 / w2) ** 2
-    den = s1 * s1 / (w1 * w1 * c1) + s2 * s2 / (w2 * w2 * c2)
-    if den == 0.0:
-        return math.nan
-    return num / den
+def _display(kind: DfKind, n1, n2, s1, s2, v1, v2):
+    """The display of `kind` over the per-arm variances (s1, s2) or the split (v1, v2).
+
+    Each display reads (a1 + a2)^2 / (a1^2/c1 + a2^2/c2).  It is evaluated
+    over the shares a_i / (a1 + a2), so squares of tiny variances cannot
+    underflow; it is NaN or infinite where a1 + a2 vanishes.
+    """
+    if kind is DfKind.DF4:
+        a1, a2, c1, c2 = v1, v2, n1 - 1, n2 - 1
+    else:
+        shift = {DfKind.DF: 0, DfKind.DF1: 1, DfKind.DF2: 2}[kind]
+        w1, w2 = n1 - shift, n2 - shift
+        a1, a2, c1, c2 = s1 / w1, s2 / w2, w1 - 1, w2 - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = a1 + a2
+        r1, r2 = np.divide(a1, total), np.divide(a2, total)
+        return np.divide(1.0, r1 * r1 / c1 + r2 * r2 / c2)
 
 
 def fallback_df(n1: int, n2: int, kind: DfKind) -> float:
@@ -54,10 +68,8 @@ def fallback_df(n1: int, n2: int, kind: DfKind) -> float:
         return (n1 + n2) ** 2 * (n1 - 1) * (n2 - 1) / (
             n1 * n1 * (n1 - 1) + n2 * n2 * (n2 - 1)
         )
-    if kind is DfKind.DF1:
-        return _satterthwaite(1.0, 1.0, n1 - 1, n2 - 1, n1 - 2, n2 - 2)
-    if kind is DfKind.DF2:
-        return _satterthwaite(1.0, 1.0, n1 - 2, n2 - 2, n1 - 3, n2 - 3)
+    if kind in (DfKind.DF1, DfKind.DF2):
+        return float(_display(kind, n1, n2, 1.0, 1.0, 1.0, 1.0))
     if kind is DfKind.DF3:
         return 2.0 / (1.0 / (n1 - 1) + 1.0 / (n2 - 1))
     if kind is DfKind.DF4:
@@ -65,28 +77,22 @@ def fallback_df(n1: int, n2: int, kind: DfKind) -> float:
     raise ValueError(f"unknown df kind: {kind!r}")
 
 
-def degrees_of_freedom(es: EffectSummary, kind: DfKind) -> float:
-    """Evaluate the chosen degrees-of-freedom display for the given summary."""
+def df_arrays(m, kind: DfKind):
+    """Degrees of freedom of `kind` from moments: a batch of rows or one `EffectSummary`."""
     kind = DfKind(kind)
-    n1, n2 = es.n1, es.n2
+    n1, n2 = m.n1, m.n2
     need = MIN_ARM_SIZE[kind]
     if min(n1, n2) < need:
         raise SizeTooSmall(
             f"{kind.value} needs at least {need} observations per arm, got ({n1}, {n2})"
         )
-    s1, s2 = es.sigma1_sq, es.sigma2_sq
-    if kind is DfKind.DF:
-        df = _satterthwaite(s1, s2, n1, n2, n1 - 1, n2 - 1)
-    elif kind is DfKind.DF1:
-        df = _satterthwaite(s1, s2, n1 - 1, n2 - 1, n1 - 2, n2 - 2)
-    elif kind is DfKind.DF2:
-        df = _satterthwaite(s1, s2, n1 - 2, n2 - 2, n1 - 3, n2 - 3)
-    elif kind is DfKind.DF3:
-        return 2.0 / (1.0 / (n1 - 1) + 1.0 / (n2 - 1))
-    else:  # DF4
-        v1, v2 = es.sigma1_given_n_sq, es.sigma2_given_n_sq
-        den = v1 * v1 / (n1 - 1) + v2 * v2 / (n2 - 1)
-        df = (v1 + v2) ** 2 / den if den > 0.0 else math.nan
-    if not math.isfinite(df) or df <= 0.0:
-        return fallback_df(n1, n2, kind)
-    return df
+    if kind is DfKind.DF3:
+        return np.full(np.shape(m.p_hat), fallback_df(n1, n2, kind))
+    df = _display(kind, n1, n2, m.sigma1_sq, m.sigma2_sq, m.sigma1_given_n_sq, m.sigma2_given_n_sq)
+    ok = np.isfinite(df) & (df > 0.0)
+    return df if ok.all() else np.where(ok, df, fallback_df(n1, n2, kind))
+
+
+def degrees_of_freedom(es: EffectSummary, kind: DfKind) -> float:
+    """Evaluate the chosen degrees-of-freedom display for the given summary."""
+    return float(df_arrays(es, kind))

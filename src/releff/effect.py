@@ -1,6 +1,6 @@
 """Relative-effect estimate and the moment quantities all variances consume.
 
-`estimate_effect` returns every plug-in moment in one pass:
+`estimate_effect` returns every plug-in moment of one dataset:
 
 * ``p_hat``     -- P(X1 < X2) + P(X1 = X2)/2 estimated over all cross pairs,
 * ``beta_hat``  -- fraction of cross pairs exactly tied,
@@ -9,27 +9,21 @@
 * ``sigma1_given_n_sq, sigma2_given_n_sq`` -- the symmetric split of the
   unbiased variance estimator used by the trace-type degrees of freedom.
 
-Two computation paths exist: the quadratic-cost pairwise definition (clear,
-default for small data) and an equivalent rank-based path selected
-automatically for large pooled sizes.
+The values are the one row of `TwoSamples.moments`, which the tie-run count
+kernel computes once per instance in O(N log N) time and O(N) memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-import numpy as np
-from scipy.stats import rankdata
-
+from ._batch import MomentFlags
 from .ranks import TwoSamples, mid_ranks
 
-__all__ = ["EffectSummary", "estimate_effect", "p_hat_via_ranks", "RANK_PATH_THRESHOLD"]
-
-# pooled size above which the O(N log N) rank path replaces the pairwise path
-RANK_PATH_THRESHOLD = 2000
+__all__ = ["EffectSummary", "estimate_effect", "p_hat_via_ranks"]
 
 
 @dataclass(frozen=True)
-class EffectSummary:
+class EffectSummary(MomentFlags):
     n1: int
     n2: int
     p_hat: float
@@ -42,110 +36,18 @@ class EffectSummary:
     sigma1_given_n_sq: float
     sigma2_given_n_sq: float
 
-    @property
-    def all_tied(self) -> bool:
-        """True iff every pooled observation has the same value."""
-        return self.beta_hat == 1.0
 
-    @property
-    def separated(self) -> bool:
-        """True iff one arm lies strictly above the other (p_hat is 0 or 1)."""
-        return self.p_hat == 0.0 or self.p_hat == 1.0
-
-    @property
-    def p_hat_adjusted(self) -> float:
-        """Effect estimate with the separated-sample adjustment applied.
-
-        For completely separated arms the estimate is moved off the boundary
-        to 1 - 1/(n1*n2) (or 1/(n1*n2)), as if one observation of the pair of
-        arms interleaved; otherwise p_hat is returned unchanged.
-        """
-        if self.p_hat == 1.0:
-            return 1.0 - 1.0 / (self.n1 * self.n2)
-        if self.p_hat == 0.0:
-            return 1.0 / (self.n1 * self.n2)
-        return self.p_hat
+_MOMENTS = [f.name for f in fields(EffectSummary)][2:]
 
 
-def _pairwise_moments(x1: np.ndarray, x2: np.ndarray):
-    # c[j, i] = count(x2[j], x1[i])
-    c = (x2[:, None] > x1[None, :]) + 0.5 * (x2[:, None] == x1[None, :])
-    p = float(c.mean())
-    beta = float((x2[:, None] == x1[None, :]).mean())
-    f1_at_x2 = c.mean(axis=1)          # F1-hat evaluated at arm-2 points
-    s2_at_x1 = c.mean(axis=0)          # S2-hat evaluated at arm-1 points
-    tau1 = float(np.mean(s2_at_x1**2))
-    tau2 = float(np.mean(f1_at_x2**2))
-    return p, beta, tau1, tau2
-
-
-def _rank_moments(x1: np.ndarray, x2: np.ndarray):
-    n1, n2 = x1.size, x2.size
-    pooled = np.concatenate([x1, x2])
-    rmin = rankdata(pooled, method="min")
-    rmax = rankdata(pooled, method="max")
-    ravg = 0.5 * (rmin + rmax)
-    g1min = rankdata(x1, method="min")
-    g1max = rankdata(x1, method="max")
-    g2avg = mid_ranks(x2)
-    g1avg = 0.5 * (g1min + g1max)
-    # placement identities: n2*F2(x1i) = R_1i - R^(1)_1i, n1*F1(x2j) = R_2j - R^(2)_2j
-    f2_at_x1 = (ravg[:n1] - g1avg) / n2
-    f1_at_x2 = (ravg[n1:] - g2avg) / n1
-    p = float(np.mean(f1_at_x2))
-    tau1 = float(np.mean((1.0 - f2_at_x1) ** 2))
-    tau2 = float(np.mean(f1_at_x2**2))
-    # cross ties at arm-1 points = pooled tie-run length minus own-arm run length
-    cross_ties = (rmax[:n1] - rmin[:n1] + 1.0) - (g1max - g1min + 1.0)
-    beta = float(cross_ties.sum() / (n1 * n2))
-    return p, beta, tau1, tau2
-
-
-def estimate_effect(data: TwoSamples, method: str = "auto") -> EffectSummary:
+def estimate_effect(data: TwoSamples) -> EffectSummary:
     """Estimate the relative effect and all moment quantities from two arms.
 
-    Parameters
-    ----------
-    data : TwoSamples
-        The two arms; each needs at least 2 observations.
-    method : {"auto", "pairwise", "ranks"}
-        "pairwise" evaluates the O(n1*n2) definitions, "ranks" the equivalent
-        rank identities; "auto" switches to ranks above a pooled size of
-        ``RANK_PATH_THRESHOLD``.
+    Each arm needs at least 2 observations.
     """
     data.require_min_size(2)
-    n1, n2 = data.n1, data.n2
-    x1, x2 = data.s1.values, data.s2.values
-    if method == "auto":
-        method = "ranks" if n1 + n2 > RANK_PATH_THRESHOLD else "pairwise"
-    if method == "pairwise":
-        p, beta, tau1, tau2 = _pairwise_moments(x1, x2)
-    elif method == "ranks":
-        p, beta, tau1, tau2 = _rank_moments(x1, x2)
-    else:
-        raise ValueError(f"unknown method: {method!r}")
-
-    tau0 = p - 0.25 * beta
-    # The centered moments are variances of placements, hence >= 0 up to
-    # floating-point rounding; clip so downstream sqrt/df never see -1e-17.
-    sigma1_sq = n1 / (n1 - 1) * max(0.0, tau1 - p * p)
-    sigma2_sq = n2 / (n2 - 1) * max(0.0, tau2 - p * p)
-    denom = (n1 - 1) * (n2 - 1)
-    sigma1n = (n2 * tau1 - 0.5 * tau0 - (n2 - 0.5) * p * p) / denom
-    sigma2n = (n1 * tau2 - 0.5 * tau0 - (n1 - 0.5) * p * p) / denom
-    return EffectSummary(
-        n1=n1,
-        n2=n2,
-        p_hat=p,
-        beta_hat=beta,
-        tau0_hat=tau0,
-        tau1_hat=tau1,
-        tau2_hat=tau2,
-        sigma1_sq=sigma1_sq,
-        sigma2_sq=sigma2_sq,
-        sigma1_given_n_sq=sigma1n,
-        sigma2_given_n_sq=sigma2n,
-    )
+    m = data.moments
+    return EffectSummary(data.n1, data.n2, *(float(getattr(m, name)[0]) for name in _MOMENTS))
 
 
 def p_hat_via_ranks(data: TwoSamples) -> float:

@@ -11,10 +11,10 @@ Draw k of a run is generated from a counter-based stream that depends only
 on (seed, k), so results are bit-identical for any number of worker lanes
 and for any chunking of the draws.  The pooled sample is split into tie runs
 once; a draw only decides how many arm-1 members each run holds, and the
-moments are exact integer sums over those counts.  The observed arrangement
-goes through the same kernel, so a draw with the observed arm-1 multiset
-reproduces the observed statistic bit for bit and ties are exact by
-construction.
+moments are exact integer sums over those counts.  `run_test` scores the
+observed data through the same kernel and formulas, and its statistic is
+the one the draws are tallied against, so a draw with the observed arm-1
+multiset reproduces it bit for bit and ties are exact by construction.
 """
 from __future__ import annotations
 
@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import moments_from_perm, stat_arrays
+from ._batch import moments_from_perm, tie_runs
 from ._pool import map_tasks
 from .errors import InvalidKind
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_uniforms
-from .stat_tests import TestKind, TestResult, run_test
+from .stat_tests import TestKind, TestResult, run_test, stat_arrays
 
 __all__ = ["PermutationResult", "permutation_test", "shuffle"]
 
@@ -84,8 +84,7 @@ class PermContext:
     @classmethod
     def from_pooled(cls, pooled: np.ndarray, n1: int) -> "PermContext":
         order = np.argsort(pooled, kind="stable")
-        ordered = pooled[order]
-        run_sorted = np.cumsum(np.concatenate([[0], ordered[1:] != ordered[:-1]]))
+        run_sorted = tie_runs(pooled[order])
         run_of = np.empty(pooled.size, dtype=np.intp)
         run_of[order] = run_sorted
         return cls(run_of=run_of, sizes=np.bincount(run_sorted), n1=n1)
@@ -158,7 +157,7 @@ def permutation_test(
     data.require_min_size(2)
     observed_result = run_test(data, kind)
     ctx = PermContext.from_pooled(data.pooled(), data.n1)
-    observed = ctx.observed_stats([kind])
+    observed = np.array([observed_result.statistic])
     bounds = list(range(0, n_perm, _CHUNK_DRAWS)) + [n_perm]
     tasks = [(ctx, [kind], observed, seed, a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
     parts = map_tasks(_lane_worker, tasks, threads)

@@ -1,18 +1,22 @@
-"""Tie-aware counting kernel: samples, count functions, empirical CDFs, mid-ranks.
+"""Samples, count functions, empirical CDFs and mid-ranks.
 
-Everything downstream (effect estimates, variances, tests, the simulation
-harness) is expressed in terms of the three count functions and the mid-ranks
-defined here.  Equality of observations is exact floating-point equality;
+`TwoSamples` sorts its pooled values into tie runs and keeps the moments
+the count kernel (`_batch`) derives from them, so every estimator and test
+run on the same instance shares one sort.  The count functions,
+the ECDF flavours and the mid-ranks are the definitions the estimators
+are written in.  Equality of observations is exact floating-point equality;
 ordinal categories must be encoded upstream as exactly representable reals
 (small integers), otherwise tie handling silently changes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import rankdata
 
+from ._batch import BatchMoments, moments_from_counts, run_counts
 from .errors import SizeTooSmall
 
 __all__ = [
@@ -85,6 +89,18 @@ class TwoSamples:
 
     def pooled(self) -> np.ndarray:
         return np.concatenate([self.s1.values, self.s2.values])
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arm-1 counts and sizes of the pooled tie runs, as one (1, runs) row each."""
+        return run_counts(self.s1.values[None, :], self.s2.values[None, :])
+
+    @cached_property
+    def moments(self) -> BatchMoments:
+        """Every plug-in moment, as a batch of one row.
+
+        Computed once per instance and kept; the runs, O(N) in size, are not.
+        """
+        return moments_from_counts(*self.runs(), self.n1, self.n2)
 
     def require_min_size(self, k: int) -> None:
         if min(self.n1, self.n2) < k:

@@ -18,15 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._batch import moments_from_values, p_value_arrays, stat_arrays
+from ._batch import moments_from_values
 from ._pool import map_tasks
 from .distributions import DistSpec, dist_label, parse_dist, population_variance, sample
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
 from .permutation import PermContext, tally_draws
 from .rng import DEFAULT_SEED, rep_permutation_seed, replication_stream
-from .stat_tests import DEFAULT_BATTERY, TestKind
-from .variance import VarianceKind
+from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays
+from .variance import VarianceKind, variance_raw
 
 __all__ = ["Scenario", "SimulationSummary", "run_scenario", "load_scenarios", "CHUNK_REPS"]
 
@@ -103,7 +103,7 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
     m = moments_from_values(x1, x2)
     tally = _Tally(
         rejections=np.zeros(len(sc.tests), dtype=np.int64),
-        var_sums=np.array([m.variance_raw(k).sum() for k in _MEAN_VARIANCE_KINDS]),
+        var_sums=np.array([variance_raw(m, k).sum() for k in _MEAN_VARIANCE_KINDS]),
         sep=int(np.count_nonzero(m.separated)),
         n=stop - start,
     )

@@ -9,24 +9,42 @@ Degenerate inputs never produce NaN: for completely separated arms the
 effect estimate is moved off the boundary and the floored variance is used,
 so the statistics stay finite (and the logit stays defined); for all-tied
 data every statistic is exactly zero.
+
+The statistic and the p-value are written once, over arrays: `stat_arrays`
+and `p_value_arrays` score a batch of rows, and `run_test` applies the same
+functions to one dataset's `EffectSummary`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
+import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
-from .dof import DfKind, degrees_of_freedom
+from ._batch import BatchMoments
+from .dof import DfKind, degrees_of_freedom, df_arrays
 from .effect import EffectSummary, estimate_effect
 from .errors import DomainError
 from .ranks import TwoSamples
-from .variance import Degeneracy, VarianceEstimate, var_bm, var_pm, var_unbiased, var_wmw
+from .variance import (
+    Degeneracy,
+    VarianceKind,
+    floored,
+    var_bm,
+    var_pm,
+    var_unbiased,
+    var_wmw,
+    variance_raw,
+)
 
 __all__ = [
     "TestKind",
     "TestResult",
     "run_test",
+    "stat_arrays",
+    "p_value_arrays",
     "normal_cdf",
     "t_cdf",
     "normal_quantile",
@@ -66,6 +84,10 @@ class TestKind:
     @property
     def is_logit(self) -> bool:
         return self.family in LOGIT_FAMILIES
+
+    @property
+    def variance_kind(self) -> VarianceKind:
+        return VarianceKind(self.family.removesuffix("_logit"))
 
     def label(self) -> str:
         if self.uses_t:
@@ -120,29 +142,39 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-def _variance_for(data: TwoSamples, es: EffectSummary, family: str) -> VarianceEstimate:
-    if family == "wmw":
-        return var_wmw(data)
-    if family in ("n", "n_logit"):
-        return var_unbiased(es)
-    if family in ("bm", "bm_logit"):
-        return var_bm(es)
-    return var_pm(es)
+_SUMMARY_VARIANCES = {VarianceKind.N: var_unbiased, VarianceKind.BM: var_bm, VarianceKind.PM: var_pm}
 
 
-def statistic_value(es: EffectSummary, variance_value: float, kind: TestKind) -> float:
-    """Assemble the statistic from an effect summary and a (positive) variance.
+def _statistic(m, variance_value, kind: TestKind):
+    """The statistic from moments and a positive variance, for a batch or one summary.
 
     The rank-test statistic uses the untouched effect estimate; the others use
     the boundary-adjusted estimate so that separated arms give finite values.
     """
-    sd = math.sqrt(variance_value)
+    sd = np.sqrt(variance_value)
     if kind.family == "wmw":
-        return (es.p_hat - 0.5) / sd
-    p = es.p_hat_adjusted
+        return (m.p_hat - 0.5) / sd
+    p = m.p_hat_adjusted
     if kind.is_logit:
-        return p * (1.0 - p) * math.log(p / (1.0 - p)) / sd
+        return p * (1.0 - p) * np.log(p / (1.0 - p)) / sd
     return (p - 0.5) / sd
+
+
+def stat_arrays(m: BatchMoments, kind: TestKind) -> tuple[np.ndarray, np.ndarray | None]:
+    """Statistic (and df array for t families) for every row of the batch."""
+    vk = kind.variance_kind
+    stat = _statistic(m, floored(m, vk, variance_raw(m, vk)), kind)
+    return stat, df_arrays(m, kind.df_kind) if kind.uses_t else None
+
+
+def p_value_arrays(stat, df, alternative: str = "two-sided"):
+    """p-values against the normal (df None) or t reference, for arrays or scalars."""
+    cdf = ndtr if df is None else partial(stdtr, df)
+    if alternative == "greater":
+        return cdf(-stat)
+    if alternative == "less":
+        return cdf(stat)
+    return np.minimum(1.0, 2.0 * cdf(-np.abs(stat)))
 
 
 def run_test(data: TwoSamples, kind: TestKind, alternative: str = "two-sided") -> TestResult:
@@ -160,24 +192,14 @@ def run_test(data: TwoSamples, kind: TestKind, alternative: str = "two-sided") -
     if alternative not in ("two-sided", "greater", "less"):
         raise ValueError(f"unknown alternative: {alternative!r}")
     es = estimate_effect(data)
-    ve = _variance_for(data, es, kind.family)
-    stat = statistic_value(es, ve.value, kind)
+    vk = kind.variance_kind
+    ve = var_wmw(data) if vk is VarianceKind.WMW else _SUMMARY_VARIANCES[vk](es)
+    stat = float(_statistic(es, ve.value, kind))
     df = degrees_of_freedom(es, kind.df_kind) if kind.uses_t else None
-
-    def cdf(t: float) -> float:
-        return t_cdf(t, df) if df is not None else normal_cdf(t)
-
-    if alternative == "two-sided":
-        p_value = 2.0 * cdf(-abs(stat))
-    elif alternative == "greater":
-        p_value = cdf(-stat)
-    else:
-        p_value = cdf(stat)
-    p_value = min(1.0, max(0.0, p_value))
     return TestResult(
-        statistic=float(stat),
+        statistic=stat,
         df=df,
-        p_value=float(p_value),
+        p_value=float(p_value_arrays(stat, df, alternative)),
         kind=kind,
         degenerate=ve.degenerate,
         effect=es,

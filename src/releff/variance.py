@@ -14,6 +14,11 @@ Degenerate inputs are handled the same way throughout:
 * otherwise a raw estimate below the floor is lifted to the floor.
 
 The returned ``value`` is therefore always strictly positive.
+
+`variance_raw` and `floored` are written once over the moment fields, so
+they take a batch of rows (`_batch.BatchMoments`) or one `EffectSummary`
+alike; the `var_*` functions wrap them for one dataset and add the
+degeneracy flag.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from .effect import EffectSummary, estimate_effect
 from .errors import SizeTooSmall, TiesInReducedForm
-from .ranks import TwoSamples, mid_ranks
+from .ranks import TwoSamples
 
 __all__ = [
     "VarianceKind",
@@ -39,6 +44,8 @@ __all__ = [
     "var_bm",
     "var_pm",
     "var_shirahata",
+    "variance_raw",
+    "floored",
 ]
 
 
@@ -85,18 +92,44 @@ def generic_floor(n1: int, n2: int) -> float:
     return 1.0 / (n1 * n1 * n2 * n2)
 
 
-def _finish(kind, raw, n1, n2, all_tied, separated) -> VarianceEstimate:
-    floor = generic_floor(n1, n2)
-    value = max(raw, floor)
-    if all_tied:
+def variance_raw(m, kind: VarianceKind):
+    """Raw estimate of `kind` from moments: a batch of rows or one `EffectSummary`.
+
+    The rank-test variance needs the batch field ``var_wmw_raw``.
+    """
+    n1, n2 = m.n1, m.n2
+    if kind is VarianceKind.WMW:
+        return m.var_wmw_raw
+    if kind is VarianceKind.N:
+        # Shirahata's U display in its tie-aware reduced form
+        return _shirahata_display(ShirahataKind.U, n1, n2, m.tau1_hat, m.tau2_hat, m.tau0_hat, m.p_hat)
+    if kind is VarianceKind.BM:
+        return m.sigma1_sq / n1 + m.sigma2_sq / n2
+    if kind is VarianceKind.PM:
+        p = m.p_hat
+        return (p * (1.0 - p) + (n2 - 1) * m.sigma1_sq + (n1 - 1) * m.sigma2_sq) / (n1 * n2)
+    raise ValueError(f"no moment formula for variance kind {kind!r}")
+
+
+def floored(m, kind: VarianceKind, raw):
+    """The raw estimate with the degenerate-sample floors applied; always > 0."""
+    if kind is VarianceKind.WMW:
+        return np.where(m.all_tied, 1.0 / (4.0 * m.n1 * m.n2), raw)
+    return np.maximum(raw, generic_floor(m.n1, m.n2))
+
+
+def _estimate(kind: VarianceKind, raw, es: EffectSummary) -> VarianceEstimate:
+    if es.all_tied:
         flag = Degeneracy.ALL_TIED
-    elif separated:
+    elif kind is VarianceKind.WMW:
+        flag = Degeneracy.NONE
+    elif es.separated:
         flag = Degeneracy.SEPARATED
-    elif raw < floor:
+    elif raw < generic_floor(es.n1, es.n2):
         flag = Degeneracy.FLOORED
     else:
         flag = Degeneracy.NONE
-    return VarianceEstimate(kind=kind, raw=float(raw), value=float(value), degenerate=flag)
+    return VarianceEstimate(kind=kind, raw=float(raw), value=float(floored(es, kind, raw)), degenerate=flag)
 
 
 def var_wmw(data: TwoSamples) -> VarianceEstimate:
@@ -107,20 +140,8 @@ def var_wmw(data: TwoSamples) -> VarianceEstimate:
     pattern.  If all N values coincide the raw estimate is zero and the value
     1/(4*n1*n2) is substituted.
     """
-    data.require_min_size(2)
-    n1, n2 = data.n1, data.n2
-    pooled = data.pooled()
-    n = n1 + n2
-    r = mid_ranks(pooled)
-    raw = float(np.sum((r - (n + 1) / 2.0) ** 2) / (n - 1) / (n * n1 * n2))
-    if np.all(pooled == pooled[0]):
-        return VarianceEstimate(
-            kind=VarianceKind.WMW,
-            raw=0.0,
-            value=1.0 / (4.0 * n1 * n2),
-            degenerate=Degeneracy.ALL_TIED,
-        )
-    return VarianceEstimate(kind=VarianceKind.WMW, raw=raw, value=raw)
+    es = estimate_effect(data)
+    return _estimate(VarianceKind.WMW, data.moments.var_wmw_raw[0], es)
 
 
 def _check_summary(es: EffectSummary) -> None:
@@ -128,27 +149,16 @@ def _check_summary(es: EffectSummary) -> None:
         raise SizeTooSmall("variance estimation needs at least 2 observations per arm")
 
 
-def unbiased_raw(es: EffectSummary) -> float:
-    n1, n2 = es.n1, es.n2
-    return (
-        n2 * es.tau1_hat
-        + n1 * es.tau2_hat
-        - es.tau0_hat
-        - (n1 + n2 - 1) * es.p_hat**2
-    ) / ((n1 - 1) * (n2 - 1))
-
-
 def var_unbiased(es: EffectSummary) -> VarianceEstimate:
     """Unbiased variance estimator, consistent for arbitrary distributions."""
     _check_summary(es)
-    return _finish(VarianceKind.N, unbiased_raw(es), es.n1, es.n2, es.all_tied, es.separated)
+    return _estimate(VarianceKind.N, variance_raw(es, VarianceKind.N), es)
 
 
 def var_bm(es: EffectSummary) -> VarianceEstimate:
     """Brunner-Munzel (equivalently DeLong) variance: s1^2/n1 + s2^2/n2."""
     _check_summary(es)
-    raw = es.sigma1_sq / es.n1 + es.sigma2_sq / es.n2
-    return _finish(VarianceKind.BM, raw, es.n1, es.n2, es.all_tied, es.separated)
+    return _estimate(VarianceKind.BM, variance_raw(es, VarianceKind.BM), es)
 
 
 def var_pm(es: EffectSummary) -> VarianceEstimate:
@@ -160,11 +170,7 @@ def var_pm(es: EffectSummary) -> VarianceEstimate:
     construction).
     """
     _check_summary(es)
-    p = es.p_hat
-    raw = (p * (1.0 - p) + (es.n2 - 1) * es.sigma1_sq + (es.n1 - 1) * es.sigma2_sq) / (
-        es.n1 * es.n2
-    )
-    return _finish(VarianceKind.PM, raw, es.n1, es.n2, es.all_tied, es.separated)
+    return _estimate(VarianceKind.PM, variance_raw(es, VarianceKind.PM), es)
 
 
 _SHIRAHATA_TO_VARIANCE = {
@@ -175,40 +181,19 @@ _SHIRAHATA_TO_VARIANCE = {
 }
 
 
-def _shirahata_general_raw(data: TwoSamples, kind: ShirahataKind) -> float:
-    x1, x2 = data.s1.values, data.s2.values
-    n1, n2 = data.n1, data.n2
-    # plus-function placements: F1+(x2j) = P1(X <= x2j), S2+(x1i) = P2(X >= x1i)
-    ge = x2[:, None] >= x1[None, :]      # [j, i]: x2j >= x1i
-    f1p_at_x2 = ge.mean(axis=1)
-    s2p_at_x1 = ge.mean(axis=0)
-    a = float(np.mean(s2p_at_x1**2))     # int (S2+)^2 dF1  ==  int (1 - F2-)^2 dF1
-    b = float(np.mean(f1p_at_x2**2))     # int (F1+)^2 dF2
-    t = float(ge.mean())                 # int F1+ dF2
+def _shirahata_display(kind: ShirahataKind, n1, n2, s1, s2, t, u):
+    """Shirahata's four displays over int (S2+)^2 dF1 = s1, int (F1+)^2 dF2 = s2
+    and int F1+ dF2 = t, with u = t; the reduced form reads (tau1, tau2, tau0, p)."""
     n = n1 + n2
+    u2 = u * u
     if kind is ShirahataKind.U:
-        return (n2 * a + n1 * b - t - (n - 1) * t * t) / ((n1 - 1) * (n2 - 1))
+        return (n2 * s1 + n1 * s2 - t - (n - 1) * u2) / ((n1 - 1) * (n2 - 1))
     if kind is ShirahataKind.B:
-        return ((n2 - 1) * a + (n1 - 1) * b + t - (n - 1) * t * t) / (n1 * n2)
+        return ((n2 - 1) * s1 + (n1 - 1) * s2 + t - (n - 1) * u2) / (n1 * n2)
     if kind is ShirahataKind.FP:
-        return a / n1 + b / n2 - (t + (n + 1) * t * t) / (n1 * n2)
+        return s1 / n1 + s2 / n2 - (t + (n + 1) * u2) / (n1 * n2)
     if kind is ShirahataKind.J:
-        return a / (n1 - 1) + b / (n2 - 1) - (n - 2) * t * t / ((n1 - 1) * (n2 - 1))
-    raise ValueError(f"unknown Shirahata kind: {kind!r}")
-
-
-def _shirahata_reduced_raw(es: EffectSummary, kind: ShirahataKind) -> float:
-    n1, n2 = es.n1, es.n2
-    n = n1 + n2
-    t0, t1, t2, p2 = es.tau0_hat, es.tau1_hat, es.tau2_hat, es.p_hat**2
-    if kind is ShirahataKind.U:
-        return (n2 * t1 + n1 * t2 - t0 - (n - 1) * p2) / ((n1 - 1) * (n2 - 1))
-    if kind is ShirahataKind.B:
-        return ((n2 - 1) * t1 + (n1 - 1) * t2 + t0 - (n - 1) * p2) / (n1 * n2)
-    if kind is ShirahataKind.FP:
-        return t1 / n1 + t2 / n2 - (t0 + (n + 1) * p2) / (n1 * n2)
-    if kind is ShirahataKind.J:
-        return t1 / (n1 - 1) + t2 / (n2 - 1) - (n - 2) * p2 / ((n1 - 1) * (n2 - 1))
+        return s1 / (n1 - 1) + s2 / (n2 - 1) - (n - 2) * u2 / ((n1 - 1) * (n2 - 1))
     raise ValueError(f"unknown Shirahata kind: {kind!r}")
 
 
@@ -220,26 +205,35 @@ def var_shirahata(
     """Shirahata-family variance estimator.
 
     The general form evaluates the plus/minus-ECDF displays verbatim and is
-    valid for any tie pattern.  The continuity-reduced form substitutes the
-    tau moments and is only equivalent on tie-free data; requesting it on
-    tied data emits a ``TiesInReducedForm`` warning.  On tie-free data the
-    general U form coincides with the unbiased estimator and the general J
-    form with the Brunner-Munzel estimator.
+    valid for any tie pattern; its integrals are sums over the tie runs, with
+    F1+ = (A + a)/n1 at an arm-2 value and S2+ = (n2 - B)/n2 at an arm-1
+    value (a, b a run's arm counts and A, B those of lower runs).  The
+    continuity-reduced form substitutes the tau moments and is only
+    equivalent on tie-free data; requesting it on tied data emits a
+    ``TiesInReducedForm`` warning.  On tie-free data the general U form
+    coincides with the unbiased estimator and the general J form with the
+    Brunner-Munzel estimator.
     """
-    data.require_min_size(2)
     kind = ShirahataKind(kind)
     form = ShirahataForm(form)
     es = estimate_effect(data)
+    n1, n2 = data.n1, data.n2
+    (a,), (sizes,) = data.runs()
     if form is ShirahataForm.GENERAL:
-        raw = _shirahata_general_raw(data, kind)
+        a = a.astype(float)
+        b = sizes - a
+        f1p = np.cumsum(a)                  # A + a
+        s2p = n2 - (np.cumsum(b) - b)       # n2 - B
+        s1 = np.dot(a, s2p * s2p) / (n1 * n2 * n2)
+        s2 = np.dot(b, f1p * f1p) / (n2 * n1 * n1)
+        t = np.dot(b, f1p) / (n1 * n2)
+        raw = _shirahata_display(kind, n1, n2, s1, s2, t, t)
     else:
-        if es.beta_hat > 0.0 or np.unique(data.pooled()).size < data.n:
+        if sizes.size < data.n:
             warnings.warn(
                 "continuity-reduced Shirahata form evaluated on tied data",
                 TiesInReducedForm,
                 stacklevel=2,
             )
-        raw = _shirahata_reduced_raw(es, kind)
-    return _finish(
-        _SHIRAHATA_TO_VARIANCE[kind], raw, data.n1, data.n2, es.all_tied, es.separated
-    )
+        raw = _shirahata_display(kind, n1, n2, es.tau1_hat, es.tau2_hat, es.tau0_hat, es.p_hat)
+    return _estimate(_SHIRAHATA_TO_VARIANCE[kind], raw, es)

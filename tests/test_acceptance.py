@@ -74,7 +74,7 @@ def test_criterion_2_identity_suite():
     for _ in range(1000):
         x1, x2 = random_dataset(rng, lo=5, hi=30, tie_free=True)
         d = TwoSamples(x1, x2)
-        es = estimate_effect(d, method="pairwise")
+        es = estimate_effect(d)
         gaps = []
         gaps.append(abs(var_shirahata(d, ShirahataKind.U, ShirahataForm.GENERAL).raw
                         - var_unbiased(es).raw))

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from releff import DfKind, SizeTooSmall, TwoSamples, degrees_of_freedom, estimate_effect
@@ -79,6 +79,7 @@ def test_scale_invariance(s1, s2, lam):
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=0.0, max_value=1.0),
 )
+@example(n1=17, n2=17, s1=3.1890754461944966e-156, s2=3.1890754461944966e-156)
 def test_df_bounds(n1, n2, s1, s2):
     es = summary_with(n1, n2, s1, s2)
     df = degrees_of_freedom(es, DfKind.DF)

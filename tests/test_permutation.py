@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from scipy.stats import chi2
 
 from releff import InvalidKind, TwoSamples, permutation_test, run_test, shuffle
 from releff import TestKind as TK
-from releff._batch import moments_from_perm, stat_arrays
+from releff import permutation
+from releff._batch import EXACT_SUMS_BELOW, moments_from_counts
 from releff.permutation import PermContext, _batch_permutations, tally_draws
 from releff.rng import perm_draw_stream, perm_uniforms
+from releff.stat_tests import stat_arrays
+from releff.tables import PERM_BATTERY
 from tests_util import random_dataset
 
 KINDS = [TK.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")]
@@ -106,6 +110,27 @@ class TestPermutationTest:
         res = permutation_test(d, TK.parse("pm:df"), n_perm=2000, seed=21)
         assert res.p_value > 0.3
 
+    def test_observed_statistic_is_the_tallied_one(self, rng, monkeypatch):
+        """The reported observed statistic is the one the draws are tallied
+        against, and the count kernel scores the observed arrangement to the
+        same bits, so a draw with the observed arm-1 values ties it."""
+        seen = []
+
+        def spy(ctx, kinds, observed, *args):
+            seen.append((ctx, observed.copy()))
+            return tally_draws(ctx, kinds, observed, *args)
+
+        monkeypatch.setattr(permutation, "tally_draws", spy)
+        for i in range(200):
+            x1, x2 = random_dataset(rng, tie_free=i % 2 == 0)
+            d = TwoSamples(x1, x2)
+            for kind in PERM_BATTERY:
+                seen.clear()
+                res = permutation_test(d, kind, n_perm=1, seed=i)
+                (ctx, observed), = seen
+                assert res.observed.statistic == observed[0], kind.label()
+                assert ctx.observed_stats([kind])[0] == observed[0], kind.label()
+
     def test_observed_result_matches_run_test(self, rng):
         x1, x2 = random_dataset(rng)
         d = TwoSamples(x1, x2)
@@ -164,11 +189,29 @@ class TestBatchStatisticPath:
             stats = stat_arrays(mm, kind)[0]
             assert np.all(stats[same] == observed[idx]), kind.label()
 
-    def test_moments_reject_int64_overflow(self):
-        n1 = 1_400_000  # 4 * n1**3 exceeds 2**63
-        arm1 = np.broadcast_to(np.intp(0), (1, n1))
-        with pytest.raises(ValueError, match="overflow"):
-            moments_from_perm(arm1, np.zeros(2 * n1, dtype=np.intp), np.array([2 * n1]))
+    @pytest.mark.parametrize("a,sizes", [
+        ([1_999_999, 1], [2_000_000, 2_000_000]),
+        ([700_000, 1_000_000, 300_000], [1_000_000, 1_500_000, 1_500_000]),
+        ([2_000_000, 0, 0], [2_000_001, 1_999_998, 1]),
+    ], ids=["two_runs", "three_runs", "arm1_lowest"])
+    def test_float_sums_past_int64_bound(self, a, sizes):
+        """Arms of 2e6 each, past the int64 bound: float sums, still accurate."""
+        n1 = n2 = 2_000_000
+        assert n1 + n2 >= EXACT_SUMS_BELOW
+        mm = moments_from_counts(np.array([a]), np.array(sizes), n1, n2)
+        b = [s - x for s, x in zip(sizes, a)]
+        lower1 = [sum(a[:r]) for r in range(len(a))]
+        lower2 = [sum(b[:r]) for r in range(len(b))]
+        # F1 at an arm-2 value of run r and S2 at an arm-1 value, tie-normalised
+        f1 = [Fraction(2 * lo + x, 2 * n1) for lo, x in zip(lower1, a)]
+        s2 = [1 - Fraction(2 * lo + y, 2 * n2) for lo, y in zip(lower2, b)]
+        p = sum(y * f for y, f in zip(b, f1)) / n2
+        tau1 = sum(x * s * s for x, s in zip(a, s2)) / n1
+        tau2 = sum(y * f * f for y, f in zip(b, f1)) / n2
+        beta = Fraction(sum(x * y for x, y in zip(a, b)), n1 * n2)
+        got = (mm.p_hat[0], mm.tau1_hat[0], mm.tau2_hat[0], mm.beta_hat[0])
+        for g, want in zip(got, (p, tau1, tau2, beta)):
+            assert g == pytest.approx(float(want), rel=1e-12, abs=1e-15)
 
     def test_lane_split_reproduces_full_tally(self, rng):
         x1, x2 = random_dataset(rng, lo=6, hi=10)

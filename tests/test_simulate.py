@@ -12,31 +12,35 @@ from releff import (
     Scenario,
     SizeTooSmall,
     TwoSamples,
-    estimate_effect,
     load_scenarios,
     run_scenario,
     run_test,
     population_variance,
 )
 from releff import TestKind as TK
-from releff._batch import moments_from_values, p_value_arrays, stat_arrays
+from releff._batch import moments_from_values
+from releff.stat_tests import p_value_arrays, stat_arrays
 from releff.simulate import _draw_chunk, scenario_from_dict
+from oracles import pairwise_moments
 from tests_util import random_dataset
 
 BATTERY = tuple(TK.parse(s) for s in ("wmw", "n:df2", "bm:df2", "pm:df2", "n_logit"))
 
 
 class TestBatchKernel:
-    def test_moments_match_scalar_path(self, rng):
+    def test_moments_match_pairwise_oracle(self, rng):
         for _ in range(30):
             x1, x2 = random_dataset(rng)
+            n1, n2 = x1.size, x2.size
             m = moments_from_values(x1[None, :], x2[None, :])
-            es = estimate_effect(TwoSamples(x1, x2))
-            assert m.p_hat[0] == pytest.approx(es.p_hat, abs=1e-12)
-            assert m.beta_hat[0] == pytest.approx(es.beta_hat, abs=1e-12)
-            assert m.tau1[0] == pytest.approx(es.tau1_hat, abs=1e-12)
-            assert m.tau2[0] == pytest.approx(es.tau2_hat, abs=1e-12)
-            assert m.sigma1n_sq[0] == pytest.approx(es.sigma1_given_n_sq, abs=1e-12)
+            p, beta, tau1, tau2 = pairwise_moments(x1, x2)
+            tau0 = p - beta / 4
+            sigma1n = (n2 * tau1 - tau0 / 2 - (n2 - 0.5) * p * p) / ((n1 - 1) * (n2 - 1))
+            assert m.p_hat[0] == pytest.approx(p, abs=1e-12)
+            assert m.beta_hat[0] == pytest.approx(beta, abs=1e-12)
+            assert m.tau1_hat[0] == pytest.approx(tau1, abs=1e-12)
+            assert m.tau2_hat[0] == pytest.approx(tau2, abs=1e-12)
+            assert m.sigma1_given_n_sq[0] == pytest.approx(sigma1n, abs=1e-12)
 
     def test_statistics_and_pvalues_match_run_test(self, rng):
         x1 = np.vstack([random_dataset(rng, lo=6, hi=6)[0] for _ in range(60)])
@@ -59,7 +63,7 @@ class TestBatchKernel:
         assert m.all_tied.tolist() == [True, False, False]
         assert m.sep_high.tolist() == [False, True, False]
         assert m.sep_low.tolist() == [False, False, True]
-        assert m.p_eff.tolist() == [0.5, 1 - 1 / 9, 1 / 9]
+        assert m.p_hat_adjusted.tolist() == [0.5, 1 - 1 / 9, 1 / 9]
 
 
 class TestDeterminism:
