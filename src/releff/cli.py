@@ -217,6 +217,10 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if getattr(args, "n_perm", None) is not None and args.n_perm < 1:
+            raise ConfigError(f"--n-perm must be >= 1, got {args.n_perm}")
+        if getattr(args, "alpha", None) is not None and not 0.0 < args.alpha < 1.0:
+            raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
         if args.command == "test":
             return _cmd_test(args)
         if args.command == "simulate":

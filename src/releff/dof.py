@@ -10,8 +10,8 @@ completely separated arms) the displays are 0/0; the convention then is to
 substitute equal positive variances, which collapses each formula to a
 data-free fallback.
 
-`df_arrays` evaluates each display once over the moment fields, for a batch
-of rows or one `EffectSummary`; `degrees_of_freedom` is its scalar form.
+`degrees_of_freedom` evaluates each display once over the fields of an
+`EffectSummary`: an array for a batch, a float for one dataset.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 from .effect import EffectSummary
 from .errors import SizeTooSmall
 
-__all__ = ["DfKind", "degrees_of_freedom", "df_arrays", "MIN_ARM_SIZE"]
+__all__ = ["DfKind", "degrees_of_freedom", "MIN_ARM_SIZE"]
 
 
 class DfKind(str, enum.Enum):
@@ -77,8 +77,8 @@ def fallback_df(n1: int, n2: int, kind: DfKind) -> float:
     raise ValueError(f"unknown df kind: {kind!r}")
 
 
-def df_arrays(m, kind: DfKind):
-    """Degrees of freedom of `kind` from moments: a batch of rows or one `EffectSummary`."""
+def degrees_of_freedom(m: EffectSummary, kind: DfKind):
+    """Degrees of freedom of `kind`: an array for a batch, a float for one dataset."""
     kind = DfKind(kind)
     n1, n2 = m.n1, m.n2
     need = MIN_ARM_SIZE[kind]
@@ -87,12 +87,7 @@ def df_arrays(m, kind: DfKind):
             f"{kind.value} needs at least {need} observations per arm, got ({n1}, {n2})"
         )
     if kind is DfKind.DF3:
-        return np.full(np.shape(m.p_hat), fallback_df(n1, n2, kind))
+        return np.full(np.shape(m.p_hat), fallback_df(n1, n2, kind))[()]
     df = _display(kind, n1, n2, m.sigma1_sq, m.sigma2_sq, m.sigma1_given_n_sq, m.sigma2_given_n_sq)
     ok = np.isfinite(df) & (df > 0.0)
-    return df if ok.all() else np.where(ok, df, fallback_df(n1, n2, kind))
-
-
-def degrees_of_freedom(es: EffectSummary, kind: DfKind) -> float:
-    """Evaluate the chosen degrees-of-freedom display for the given summary."""
-    return float(df_arrays(es, kind))
+    return df if ok.all() else np.where(ok, df, fallback_df(n1, n2, kind))[()]

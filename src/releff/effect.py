@@ -7,37 +7,21 @@
 * ``tau0/1/2``  -- the second-moment integrals of the empirical CDFs,
 * ``sigma1_sq, sigma2_sq``          -- per-arm variances of the placements,
 * ``sigma1_given_n_sq, sigma2_given_n_sq`` -- the symmetric split of the
-  unbiased variance estimator used by the trace-type degrees of freedom.
+  unbiased variance estimator used by the trace-type degrees of freedom,
+* ``var_wmw_raw`` -- the rank-test variance before its all-tied floor.
 
-The values are the one row of `TwoSamples.moments`, which the tie-run count
-kernel computes once per instance in O(N log N) time and O(N) memory.
+The summary is `TwoSamples.moments`, which the tie-run count kernel
+computes once per instance in O(N log N) time and O(N) memory.  A batch of
+datasets gets the same `EffectSummary` type with one array row per dataset
+(`_batch.moments_from_values`); the variance, df and statistic formulas read
+either.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-from ._batch import MomentFlags
+from ._batch import EffectSummary
 from .ranks import TwoSamples, mid_ranks
 
 __all__ = ["EffectSummary", "estimate_effect", "p_hat_via_ranks"]
-
-
-@dataclass(frozen=True)
-class EffectSummary(MomentFlags):
-    n1: int
-    n2: int
-    p_hat: float
-    beta_hat: float
-    tau0_hat: float
-    tau1_hat: float
-    tau2_hat: float
-    sigma1_sq: float
-    sigma2_sq: float
-    sigma1_given_n_sq: float
-    sigma2_given_n_sq: float
-
-
-_MOMENTS = [f.name for f in fields(EffectSummary)][2:]
 
 
 def estimate_effect(data: TwoSamples) -> EffectSummary:
@@ -46,8 +30,7 @@ def estimate_effect(data: TwoSamples) -> EffectSummary:
     Each arm needs at least 2 observations.
     """
     data.require_min_size(2)
-    m = data.moments
-    return EffectSummary(data.n1, data.n2, *(float(getattr(m, name)[0]) for name in _MOMENTS))
+    return data.moments
 
 
 def p_hat_via_ranks(data: TwoSamples) -> float:

@@ -89,13 +89,6 @@ class PermContext:
         run_of[order] = run_sorted
         return cls(run_of=run_of, sizes=np.bincount(run_sorted), n1=n1)
 
-    def moments_for(self, arm1: np.ndarray):
-        return moments_from_perm(arm1, self.run_of, self.sizes)
-
-    def observed_stats(self, kinds) -> np.ndarray:
-        mm = self.moments_for(np.arange(self.n1)[None, :])
-        return np.array([stat_arrays(mm, k)[0][0] for k in kinds])
-
 
 def tally_draws(
     ctx: PermContext,
@@ -113,7 +106,7 @@ def tally_draws(
     while done < n_draws:
         m = min(_CHUNK_DRAWS, n_draws - done)
         u = perm_uniforms(seed, first_draw + done, m, n)
-        mm = ctx.moments_for(_batch_permutations(u, n, ctx.n1))
+        mm = moments_from_perm(_batch_permutations(u, n, ctx.n1), ctx.run_of, ctx.sizes)
         for idx, kind in enumerate(kinds):
             stat = stat_arrays(mm, kind)[0]
             n_le[idx] += int(np.count_nonzero(stat <= observed[idx]))

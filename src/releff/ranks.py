@@ -1,12 +1,13 @@
 """Samples, count functions, empirical CDFs and mid-ranks.
 
-`TwoSamples` sorts its pooled values into tie runs and keeps the moments
-the count kernel (`_batch`) derives from them, so every estimator and test
-run on the same instance shares one sort.  The count functions,
-the ECDF flavours and the mid-ranks are the definitions the estimators
-are written in.  Equality of observations is exact floating-point equality;
-ordinal categories must be encoded upstream as exactly representable reals
-(small integers), otherwise tie handling silently changes.
+`TwoSamples` sorts its pooled values into tie runs and keeps the
+`EffectSummary` the count kernel (`_batch`) derives from them, so every
+estimator and test run on the same instance shares one sort.  The count
+functions, the ECDF flavours and the mid-ranks are the definitions the
+estimators are written in.  Equality of observations is exact
+floating-point equality; ordinal categories must be encoded upstream as
+exactly representable reals (small integers), otherwise tie handling
+silently changes.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.stats import rankdata
 
-from ._batch import BatchMoments, moments_from_counts, run_counts
+from ._batch import EffectSummary, moments_from_counts, run_counts
 from .errors import SizeTooSmall
 
 __all__ = [
@@ -91,12 +92,13 @@ class TwoSamples:
         return np.concatenate([self.s1.values, self.s2.values])
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arm-1 counts and sizes of the pooled tie runs, as one (1, runs) row each."""
-        return run_counts(self.s1.values[None, :], self.s2.values[None, :])
+        """Arm-1 counts and sizes of the pooled tie runs, in increasing value order."""
+        (a,), (sizes,) = run_counts(self.s1.values[None, :], self.s2.values[None, :])
+        return a, sizes
 
     @cached_property
-    def moments(self) -> BatchMoments:
-        """Every plug-in moment, as a batch of one row.
+    def moments(self) -> EffectSummary:
+        """Every plug-in moment of this dataset, as floats.
 
         Computed once per instance and kept; the runs, O(N) in size, are not.
         """

@@ -53,6 +53,8 @@ class Scenario:
             raise ValueError("n_reps must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.n_perm is not None and self.n_perm < 1:
+            raise ValueError("n_perm must be >= 1")
         if min(self.n1, self.n2) < 2:
             raise SizeTooSmall("scenarios need at least 2 observations per arm")
         for kind in self.tests:
@@ -107,15 +109,17 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         sep=int(np.count_nonzero(m.separated)),
         n=stop - start,
     )
+    scored = [stat_arrays(m, kind) for kind in sc.tests]
     if sc.n_perm is None:
-        for idx, kind in enumerate(sc.tests):
-            stat, df = stat_arrays(m, kind)
+        for idx, (stat, df) in enumerate(scored):
             p = p_value_arrays(stat, df)
             tally.rejections[idx] += int(np.count_nonzero(p <= sc.alpha))
         return tally
+    # each replication's observed statistics are its row of the batch
+    observed_all = np.array([stat for stat, _ in scored])
     for i, r in enumerate(range(start, stop)):
         ctx = PermContext.from_pooled(np.concatenate([x1[i], x2[i]]), sc.n1)
-        observed = ctx.observed_stats(sc.tests)
+        observed = observed_all[:, i]
         seed_r = rep_permutation_seed(sc.master_seed, r)
         n_le, n_ge = tally_draws(ctx, sc.tests, observed, seed_r, 0, sc.n_perm)
         p = np.minimum(1.0, 2.0 * np.minimum(n_le, n_ge) / sc.n_perm)

@@ -10,9 +10,10 @@ effect estimate is moved off the boundary and the floored variance is used,
 so the statistics stay finite (and the logit stays defined); for all-tied
 data every statistic is exactly zero.
 
-The statistic and the p-value are written once, over arrays: `stat_arrays`
-and `p_value_arrays` score a batch of rows, and `run_test` applies the same
-functions to one dataset's `EffectSummary`.
+The statistic and the p-value are written once, over the fields of an
+`EffectSummary`: `stat_arrays` and `p_value_arrays` score a batch (arrays)
+or one dataset (floats), and `run_test` is those two calls on the dataset's
+cached summary plus the `degeneracy` flag of its variance.
 """
 from __future__ import annotations
 
@@ -23,21 +24,11 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
-from ._batch import BatchMoments
-from .dof import DfKind, degrees_of_freedom, df_arrays
+from .dof import DfKind, degrees_of_freedom
 from .effect import EffectSummary, estimate_effect
 from .errors import DomainError
 from .ranks import TwoSamples
-from .variance import (
-    Degeneracy,
-    VarianceKind,
-    floored,
-    var_bm,
-    var_pm,
-    var_unbiased,
-    var_wmw,
-    variance_raw,
-)
+from .variance import Degeneracy, VarianceKind, degeneracy, floored, variance_raw
 
 __all__ = [
     "TestKind",
@@ -142,11 +133,8 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-_SUMMARY_VARIANCES = {VarianceKind.N: var_unbiased, VarianceKind.BM: var_bm, VarianceKind.PM: var_pm}
-
-
-def _statistic(m, variance_value, kind: TestKind):
-    """The statistic from moments and a positive variance, for a batch or one summary.
+def _statistic(m: EffectSummary, variance_value, kind: TestKind):
+    """The statistic from moments and a positive variance, for a batch or one dataset.
 
     The rank-test statistic uses the untouched effect estimate; the others use
     the boundary-adjusted estimate so that separated arms give finite values.
@@ -160,11 +148,11 @@ def _statistic(m, variance_value, kind: TestKind):
     return (p - 0.5) / sd
 
 
-def stat_arrays(m: BatchMoments, kind: TestKind) -> tuple[np.ndarray, np.ndarray | None]:
-    """Statistic (and df array for t families) for every row of the batch."""
+def stat_arrays(m: EffectSummary, kind: TestKind):
+    """Statistic and df (None for normal references): arrays for a batch, floats for one dataset."""
     vk = kind.variance_kind
     stat = _statistic(m, floored(m, vk, variance_raw(m, vk)), kind)
-    return stat, df_arrays(m, kind.df_kind) if kind.uses_t else None
+    return stat, degrees_of_freedom(m, kind.df_kind) if kind.uses_t else None
 
 
 def p_value_arrays(stat, df, alternative: str = "two-sided"):
@@ -192,15 +180,13 @@ def run_test(data: TwoSamples, kind: TestKind, alternative: str = "two-sided") -
     if alternative not in ("two-sided", "greater", "less"):
         raise ValueError(f"unknown alternative: {alternative!r}")
     es = estimate_effect(data)
+    stat, df = stat_arrays(es, kind)
     vk = kind.variance_kind
-    ve = var_wmw(data) if vk is VarianceKind.WMW else _SUMMARY_VARIANCES[vk](es)
-    stat = float(_statistic(es, ve.value, kind))
-    df = degrees_of_freedom(es, kind.df_kind) if kind.uses_t else None
     return TestResult(
-        statistic=stat,
-        df=df,
+        statistic=float(stat),
+        df=None if df is None else float(df),
         p_value=float(p_value_arrays(stat, df, alternative)),
         kind=kind,
-        degenerate=ve.degenerate,
+        degenerate=degeneracy(es, vk, variance_raw(es, vk)),
         effect=es,
     )

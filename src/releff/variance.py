@@ -15,10 +15,10 @@ Degenerate inputs are handled the same way throughout:
 
 The returned ``value`` is therefore always strictly positive.
 
-`variance_raw` and `floored` are written once over the moment fields, so
-they take a batch of rows (`_batch.BatchMoments`) or one `EffectSummary`
-alike; the `var_*` functions wrap them for one dataset and add the
-degeneracy flag.
+`variance_raw` and `floored` are written once over the fields of an
+`EffectSummary`, so they take a batch (arrays) or one dataset (floats)
+alike; the `var_*` functions wrap them for one dataset and add the flag
+`degeneracy` reads off the summary, the same flag `run_test` reports.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ __all__ = [
     "var_shirahata",
     "variance_raw",
     "floored",
+    "degeneracy",
 ]
 
 
@@ -92,11 +93,8 @@ def generic_floor(n1: int, n2: int) -> float:
     return 1.0 / (n1 * n1 * n2 * n2)
 
 
-def variance_raw(m, kind: VarianceKind):
-    """Raw estimate of `kind` from moments: a batch of rows or one `EffectSummary`.
-
-    The rank-test variance needs the batch field ``var_wmw_raw``.
-    """
+def variance_raw(m: EffectSummary, kind: VarianceKind):
+    """Raw estimate of `kind` from the moments of a batch or of one dataset."""
     n1, n2 = m.n1, m.n2
     if kind is VarianceKind.WMW:
         return m.var_wmw_raw
@@ -111,25 +109,35 @@ def variance_raw(m, kind: VarianceKind):
     raise ValueError(f"no moment formula for variance kind {kind!r}")
 
 
-def floored(m, kind: VarianceKind, raw):
+def floored(m: EffectSummary, kind: VarianceKind, raw):
     """The raw estimate with the degenerate-sample floors applied; always > 0."""
     if kind is VarianceKind.WMW:
         return np.where(m.all_tied, 1.0 / (4.0 * m.n1 * m.n2), raw)
     return np.maximum(raw, generic_floor(m.n1, m.n2))
 
 
-def _estimate(kind: VarianceKind, raw, es: EffectSummary) -> VarianceEstimate:
+def degeneracy(es: EffectSummary, kind: VarianceKind, raw: float) -> Degeneracy:
+    """Which degenerate-sample rule, if any, sets one dataset's estimate of `kind`."""
     if es.all_tied:
-        flag = Degeneracy.ALL_TIED
-    elif kind is VarianceKind.WMW:
-        flag = Degeneracy.NONE
-    elif es.separated:
-        flag = Degeneracy.SEPARATED
-    elif raw < generic_floor(es.n1, es.n2):
-        flag = Degeneracy.FLOORED
-    else:
-        flag = Degeneracy.NONE
-    return VarianceEstimate(kind=kind, raw=float(raw), value=float(floored(es, kind, raw)), degenerate=flag)
+        return Degeneracy.ALL_TIED
+    if kind is VarianceKind.WMW:
+        return Degeneracy.NONE
+    if es.separated:
+        return Degeneracy.SEPARATED
+    if raw < generic_floor(es.n1, es.n2):
+        return Degeneracy.FLOORED
+    return Degeneracy.NONE
+
+
+def _estimate(kind: VarianceKind, raw, es: EffectSummary) -> VarianceEstimate:
+    return VarianceEstimate(kind=kind, raw=float(raw), value=float(floored(es, kind, raw)),
+                            degenerate=degeneracy(es, kind, raw))
+
+
+def _main_estimate(es: EffectSummary, kind: VarianceKind) -> VarianceEstimate:
+    if min(es.n1, es.n2) < 2:
+        raise SizeTooSmall("variance estimation needs at least 2 observations per arm")
+    return _estimate(kind, variance_raw(es, kind), es)
 
 
 def var_wmw(data: TwoSamples) -> VarianceEstimate:
@@ -140,25 +148,17 @@ def var_wmw(data: TwoSamples) -> VarianceEstimate:
     pattern.  If all N values coincide the raw estimate is zero and the value
     1/(4*n1*n2) is substituted.
     """
-    es = estimate_effect(data)
-    return _estimate(VarianceKind.WMW, data.moments.var_wmw_raw[0], es)
-
-
-def _check_summary(es: EffectSummary) -> None:
-    if min(es.n1, es.n2) < 2:
-        raise SizeTooSmall("variance estimation needs at least 2 observations per arm")
+    return _main_estimate(estimate_effect(data), VarianceKind.WMW)
 
 
 def var_unbiased(es: EffectSummary) -> VarianceEstimate:
     """Unbiased variance estimator, consistent for arbitrary distributions."""
-    _check_summary(es)
-    return _estimate(VarianceKind.N, variance_raw(es, VarianceKind.N), es)
+    return _main_estimate(es, VarianceKind.N)
 
 
 def var_bm(es: EffectSummary) -> VarianceEstimate:
     """Brunner-Munzel (equivalently DeLong) variance: s1^2/n1 + s2^2/n2."""
-    _check_summary(es)
-    return _estimate(VarianceKind.BM, variance_raw(es, VarianceKind.BM), es)
+    return _main_estimate(es, VarianceKind.BM)
 
 
 def var_pm(es: EffectSummary) -> VarianceEstimate:
@@ -169,8 +169,7 @@ def var_pm(es: EffectSummary) -> VarianceEstimate:
     documented stand-in for the original authors' unspecified interval
     construction).
     """
-    _check_summary(es)
-    return _estimate(VarianceKind.PM, variance_raw(es, VarianceKind.PM), es)
+    return _main_estimate(es, VarianceKind.PM)
 
 
 _SHIRAHATA_TO_VARIANCE = {
@@ -218,7 +217,7 @@ def var_shirahata(
     form = ShirahataForm(form)
     es = estimate_effect(data)
     n1, n2 = data.n1, data.n2
-    (a,), (sizes,) = data.runs()
+    a, sizes = data.runs()
     if form is ShirahataForm.GENERAL:
         a = a.astype(float)
         b = sizes - a

@@ -94,6 +94,14 @@ class TestCmdTest:
                             "--n-perm", "200", "--seed", "6"])
         assert again == out
 
+    def test_n_perm_below_one_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "toy.csv"
+        path.write_text(TOY_CSV)
+        for n_perm in ("0", "-3"):
+            code, out = run_cli(["test", str(path), "--tests", "pm_logit", "--n-perm", n_perm])
+            assert code == 2 and out == ""
+            assert "--n-perm" in capsys.readouterr().err
+
     def test_markdown_format(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text(TOY_CSV)
@@ -156,6 +164,16 @@ class TestCmdSimulate:
                 assert main([*argv, "--threads", t]) == 2
                 assert "--threads" in capsys.readouterr().err
 
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(json.dumps([{
+            "dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10,
+        }]))
+        for alpha in ("1.5", "1", "0", "-0.1", "nan"):
+            code, out = run_cli(["simulate", str(cfg), "--alpha", alpha])
+            assert code == 2 and out == ""
+            assert "--alpha" in capsys.readouterr().err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("{]")
@@ -193,3 +211,10 @@ class TestCmdTables:
         rows = parse_csv(out)
         assert len(rows) == 20
         assert rows[0]["n_perm"] == "30"
+
+    def test_n_perm_below_one_exits_2(self, capsys):
+        for table in ("perm1", "t1"):
+            for n_perm in ("0", "-5"):
+                code, out = run_cli(["tables", table, "--scale", "0.0002", "--n-perm", n_perm])
+                assert code == 2 and out == ""
+                assert "--n-perm" in capsys.readouterr().err

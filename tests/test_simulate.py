@@ -18,9 +18,12 @@ from releff import (
     population_variance,
 )
 from releff import TestKind as TK
+from releff import simulate
 from releff._batch import moments_from_values
+from releff.permutation import tally_draws
 from releff.stat_tests import p_value_arrays, stat_arrays
-from releff.simulate import _draw_chunk, scenario_from_dict
+from releff.simulate import _draw_chunk, _simulate_chunk, scenario_from_dict
+from releff.tables import PERM_BATTERY
 from oracles import pairwise_moments
 from tests_util import random_dataset
 
@@ -64,6 +67,33 @@ class TestBatchKernel:
         assert m.sep_high.tolist() == [False, True, False]
         assert m.sep_low.tolist() == [False, False, True]
         assert m.p_hat_adjusted.tolist() == [0.5, 1 - 1 / 9, 1 / 9]
+
+
+class TestPermutationObserved:
+    @pytest.mark.parametrize("dist1,dist2,n1,n2,tied", [
+        (Normal(0, 1), Normal(0, 3), 7, 10, False),
+        (BetaLatent(5, 4, 5), BetaLatent(2, 3, 5), 15, 12, True),
+    ], ids=["tie_free", "tied"])
+    def test_observed_statistics_equal_run_test(self, monkeypatch, dist1, dist2, n1, n2, tied):
+        """The statistics a permutation chunk tallies against, read off its
+        batch of moments, are each replication's `run_test` statistics."""
+        seen = []
+
+        def spy(ctx, kinds, observed, *args):
+            seen.append(observed.copy())
+            return tally_draws(ctx, kinds, observed, *args)
+
+        monkeypatch.setattr(simulate, "tally_draws", spy)
+        sc = Scenario(dist1, dist2, n1, n2, n_reps=80, tests=PERM_BATTERY,
+                      n_perm=1, master_seed=21)
+        _simulate_chunk(sc, 0, sc.n_reps)
+        x1, x2 = _draw_chunk(sc, 0, sc.n_reps)
+        assert len(seen) == sc.n_reps
+        for i, observed in enumerate(seen):
+            d = TwoSamples(x1[i], x2[i])
+            assert (np.unique(d.pooled()).size < d.n) == tied
+            for idx, kind in enumerate(PERM_BATTERY):
+                assert observed[idx] == run_test(d, kind).statistic, (i, kind.label())
 
 
 class TestDeterminism:
@@ -143,6 +173,15 @@ class TestScenarioConfig:
                      tests=(TK.parse("wmw"),), n_perm=100)
         with pytest.raises(ValueError):
             Scenario(Normal(0, 1), Normal(0, 1), 9, 9, n_reps=0)
+
+    def test_n_perm_below_one_rejected(self):
+        for n_perm in (0, -5):
+            with pytest.raises(ValueError, match="n_perm"):
+                Scenario(Normal(0, 1), Normal(0, 1), 9, 9, n_reps=10,
+                         tests=(TK.parse("pm"),), n_perm=n_perm)
+            with pytest.raises(ConfigError, match="n_perm"):
+                scenario_from_dict({"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 9, "n2": 9,
+                                    "n_reps": 10, "tests": ["pm"], "n_perm": n_perm})
 
     def test_from_dict_and_file(self, tmp_path):
         entry = {"dist1": "N(0,1)", "dist2": "BL(5,4,5)", "n1": 8, "n2": 9,
