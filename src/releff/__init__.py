@@ -36,7 +36,7 @@ from .errors import (
 from .permutation import PermutationResult, permutation_test, shuffle
 from .ranks import Sample, TwoSamples, count, count_minus, count_plus, ecdf, internal_ranks, mid_ranks
 from .rng import DEFAULT_SEED
-from .simulate import Scenario, SimulationSummary, load_scenarios, run_scenario
+from .simulate import Scenario, SimulationSummary, load_scenarios, run_scenario, run_scenarios
 from .stat_tests import (
     DEFAULT_BATTERY,
     TestKind,

@@ -15,7 +15,7 @@ def worker_count(threads: int, n_tasks: int) -> int:
 def map_tasks(fn, tasks: list, threads: int) -> list:
     """fn over tasks, results in task order, in a pool when it has >1 worker."""
     workers = worker_count(threads, len(tasks))
-    if workers == 1:
+    if workers <= 1:
         return [fn(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))

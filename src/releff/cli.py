@@ -26,7 +26,7 @@ from .errors import ConfigError, SizeTooSmall
 from .permutation import permutation_test
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED
-from .simulate import load_scenarios, run_scenario, scenario_row_meta
+from .simulate import load_scenarios, run_scenarios, scenario_row_meta
 from .stat_tests import DEFAULT_BATTERY, T_FAMILIES, TestKind, run_test
 from .tables import TABLE_IDS, build_table
 
@@ -130,7 +130,8 @@ def _cmd_test(args) -> int:
                 perm = permutation_test(
                     data, kind, n_perm=args.n_perm, seed=args.seed, threads=args.threads
                 )
-                row.append(format(perm.p_value, ".12g"))
+                p = {"two-sided": perm.p_value, "greater": perm.p2, "less": perm.p1}
+                row.append(format(p[args.alternative], ".12g"))
         rows.append(row)
     _emit(header, rows, args.format, args.output)
     return 0
@@ -140,11 +141,10 @@ def _cmd_simulate(args) -> int:
     scenarios = load_scenarios(args.config, seed_override=args.seed)
     header = ["n1", "n2", "dist1", "dist2", "test", "df_kind",
               "rejection_rate", "mc_se", "n_reps", "seed"]
+    if args.alpha is not None:
+        scenarios = [dataclasses.replace(sc, alpha=args.alpha) for sc in scenarios]
     rows = []
-    for sc in scenarios:
-        if args.alpha is not None:
-            sc = dataclasses.replace(sc, alpha=args.alpha)
-        summary = run_scenario(sc, threads=args.threads)
+    for sc, summary in zip(scenarios, run_scenarios(scenarios, threads=args.threads)):
         meta = scenario_row_meta(sc)
         for kind in sc.tests:
             rows.append([
@@ -184,7 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["two-sided", "greater", "less"])
     p_test.add_argument("--n-perm", type=int, default=None,
                         help="also report studentized-permutation p-values "
-                             "(non-WMW kinds) from this many draws")
+                             "(non-WMW kinds, same tail as --alternative) "
+                             "from this many draws")
     p_test.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_test.add_argument("--threads", type=int, default=1)
     p_test.add_argument("--format", default="csv", choices=["csv", "markdown"])

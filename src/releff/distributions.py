@@ -5,16 +5,20 @@ exponential, binomial (Bernoulli via one trial) and the latent-Beta K-point
 ordinal distribution (a Beta variate cut at an equally spaced grid into K
 categories, encoded as 1.0..K).
 
-Besides sampling, the module computes the exact relative effect p and the
-exact moment integrals (tau0, tau1, tau2) of a pair of specs -- by closed
-form where available, by finite sums for discrete pairs and by adaptive
-quadrature for continuous pairs -- plus the population variance of the
-effect estimate, and calibrates a free parameter to hit a target effect.
+`sample(spec, u)` maps open uniforms to values by inverse CDF: `ndtri` for
+the normal, `-log(u)/rate` for the exponential and a search over the
+cumulative masses for the two discrete families.  Besides sampling, the
+module computes the exact relative effect p and the exact moment integrals
+(tau0, tau1, tau2) of a pair of specs -- by closed form where available, by
+finite sums for discrete pairs and by adaptive quadrature for continuous
+pairs -- plus the population variance of the effect estimate, and
+calibrates a free parameter to hit a target effect.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -131,21 +135,14 @@ def is_continuous(spec: DistSpec) -> bool:
     return isinstance(spec, (Normal, Exponential))
 
 
-def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    # 53-bit uniforms strictly inside (0, 1): safe for inverse-CDF tails
-    return (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
-
-
-def sample(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid values; continuous families use inverse-CDF on the uniform stream."""
+def sample(spec: DistSpec, u: np.ndarray) -> np.ndarray:
+    """Values of the spec at open uniforms u (any shape), by inverse CDF."""
     if isinstance(spec, Normal):
-        return spec.mean + spec.sd * ndtri(_uniform_open(rng, n))
+        return spec.mean + spec.sd * ndtri(u)
     if isinstance(spec, Exponential):
-        return -np.log(_uniform_open(rng, n)) / spec.rate
-    if isinstance(spec, Binomial):
-        return rng.binomial(spec.trials, spec.prob, size=n).astype(float)
-    y = rng.beta(spec.alpha, spec.beta, size=n)
-    return np.minimum(np.floor(y * spec.k), spec.k - 1) + 1.0
+        return -np.log(u) / spec.rate
+    values, probs = discrete_masses(spec)
+    return values[np.searchsorted(np.cumsum(probs)[:-1], u, side="right")]
 
 
 def discrete_masses(spec: DistSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +204,13 @@ def _continuous_moments(d1: DistSpec, d2: DistSpec):
     return float(p), 0.0, float(tau1), float(tau2)
 
 
+@lru_cache(maxsize=256)
 def exact_moments(d1: DistSpec, d2: DistSpec):
-    """Exact (p, beta, tau0, tau1, tau2) for a pair of specs."""
+    """Exact (p, beta, tau0, tau1, tau2) for a pair of specs.
+
+    Cached per pair (specs are frozen, hence hashable), so a table
+    integrates each distinct pair once however many sizes it runs.
+    """
     if is_continuous(d1) and is_continuous(d2):
         p, beta, tau1, tau2 = _continuous_moments(d1, d2)
     elif not is_continuous(d1) and not is_continuous(d2):

@@ -27,9 +27,8 @@ __all__ = ["EffectSummary", "estimate_effect", "p_hat_via_ranks"]
 def estimate_effect(data: TwoSamples) -> EffectSummary:
     """Estimate the relative effect and all moment quantities from two arms.
 
-    Each arm needs at least 2 observations.
+    Each arm needs at least 2 observations (`SizeTooSmall` otherwise).
     """
-    data.require_min_size(2)
     return data.moments
 
 

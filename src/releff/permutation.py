@@ -7,14 +7,16 @@ real data, and the two-sided p-value is 2*min(p1, p2) where p1/p2 are the
 fractions of permuted statistics <= / >= the observed one (exact ties count
 in both tallies).
 
-Draw k of a run is generated from a counter-based stream that depends only
-on (seed, k), so results are bit-identical for any number of worker lanes
-and for any chunking of the draws.  The pooled sample is split into tie runs
-once; a draw only decides how many arm-1 members each run holds, and the
-moments are exact integer sums over those counts.  `run_test` scores the
-observed data through the same kernel and formulas, and its statistic is
-the one the draws are tallied against, so a draw with the observed arm-1
-multiset reproduces it bit for bit and ties are exact by construction.
+Draw k of a run is row k of the uniform matrix keyed by the seed
+(`rng.uniforms`), with one column per relabelling swap (n2 of them), so it
+depends only on (seed, k) and results are bit-identical for any number of
+worker lanes and for any chunking of the draws.  The pooled sample is split
+into tie runs once; a draw only decides how many arm-1 members each run
+holds, and the moments are exact integer sums over those counts.
+`run_test` scores the observed data through the same kernel and formulas,
+and its statistic is the one the draws are tallied against, so a draw with
+the observed arm-1 multiset reproduces it bit for bit and ties are exact by
+construction.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from ._batch import moments_from_perm, tie_runs
 from ._pool import map_tasks
 from .errors import InvalidKind
 from .ranks import TwoSamples
-from .rng import DEFAULT_SEED, perm_uniforms
+from .rng import DEFAULT_SEED, perm_key, uniforms
 from .stat_tests import TestKind, TestResult, run_test, stat_arrays
 
 __all__ = ["PermutationResult", "permutation_test", "shuffle"]
@@ -44,11 +46,11 @@ class PermutationResult:
     seed: int
 
 
-def shuffle(values, rng: np.random.Generator) -> np.ndarray:
-    """Uniform Fisher-Yates shuffle consuming one double per swap step."""
+def shuffle(values, u) -> np.ndarray:
+    """Fisher-Yates shuffle: step s swaps position i = n-1-s with floor(u[s]*(i+1))."""
     v = np.array(values, dtype=float)
-    for i in range(v.size - 1, 0, -1):
-        j = int(rng.random() * (i + 1))
+    for step, i in enumerate(range(v.size - 1, 0, -1)):
+        j = int(u[step] * (i + 1))
         v[i], v[j] = v[j], v[i]
     return v
 
@@ -56,15 +58,15 @@ def shuffle(values, rng: np.random.Generator) -> np.ndarray:
 def _batch_permutations(u: np.ndarray, n: int, n1: int) -> np.ndarray:
     """Arm-1 index sets of row-wise Fisher-Yates shuffles driven by uniform rows.
 
-    Row k makes the first n - n1 swaps that `shuffle` makes with the same
-    uniform stream.  They settle positions n1..n-1, and the later swaps only
-    reorder arm 1, so row k holds the indices `shuffle` leaves in its first
-    n1 positions, in some order.
+    Row k of u holds n - n1 uniforms and makes the first n - n1 swaps that
+    `shuffle` makes with them.  Those swaps settle positions n1..n-1, and
+    the later swaps only reorder arm 1, so row k holds the indices
+    `shuffle` leaves in its first n1 positions, in some order.
     """
     m = u.shape[0]
     # column-major working array: perm[i * m + k] is position i of row k
     perm = np.repeat(np.arange(n), m)
-    flat_j = (u[:, : n - n1] * np.arange(n, n1, -1)).astype(np.int64).T * m + np.arange(m)
+    flat_j = (u * np.arange(n, n1, -1)).astype(np.int64).T * m + np.arange(m)
     for step, i in enumerate(range(n - 1, n1 - 1, -1)):
         at_i = perm[i * m : (i + 1) * m]
         tmp = at_i.copy()
@@ -105,7 +107,7 @@ def tally_draws(
     done = 0
     while done < n_draws:
         m = min(_CHUNK_DRAWS, n_draws - done)
-        u = perm_uniforms(seed, first_draw + done, m, n)
+        u = uniforms(perm_key(seed), first_draw + done, m, n - ctx.n1)
         mm = moments_from_perm(_batch_permutations(u, n, ctx.n1), ctx.run_of, ctx.sizes)
         for idx, kind in enumerate(kinds):
             stat = stat_arrays(mm, kind)[0]

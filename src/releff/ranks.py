@@ -101,7 +101,9 @@ class TwoSamples:
         """Every plug-in moment of this dataset, as floats.
 
         Computed once per instance and kept; the runs, O(N) in size, are not.
+        Each arm needs at least 2 observations.
         """
+        self.require_min_size(2)
         return moments_from_counts(*self.runs(), self.n1, self.n2)
 
     def require_min_size(self, k: int) -> None:

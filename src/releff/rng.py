@@ -1,15 +1,19 @@
-"""Deterministic stream derivation on top of the Philox counter-based generator.
+"""Every random number of the package: counter-addressed blocks of uniforms.
 
-Two kinds of streams are needed:
+`uniforms(key, first_row, n_rows, n_cols)` reads rows of open uniforms off
+one Philox4x64-10 bit generator (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11).  Row r is the output of counter blocks
+r*b+1 .. r*b+b, b = ceil(n_cols/4), under the given key, so it depends only
+on (key, r, n_cols): any split of the rows into chunks, lanes or worker
+processes regenerates the same values.  Two keys are in use:
 
-* one independent stream per Monte Carlo replication, keyed by
-  (master_seed, replication_index) -- `replication_stream`;
-* one independent stream per permutation draw inside a permutation test,
-  realised as a fixed counter offset into a single keyed Philox sequence --
-  `perm_uniforms` / `perm_draw_stream`.  Because the offset of draw k depends
-  only on (seed, k), any partition of the draws across worker lanes
-  regenerates bit-identical uniforms, which keeps tallies independent of the
-  degree of parallelism.
+* `data_key(master_seed)` -- Monte Carlo data, one row per replication and
+  one column per observation (arm 1 first);
+* `perm_key(seed)` -- permutation draws, one row per draw and one column per
+  relabelling swap.
+
+Samplers turn the uniforms into data by inverse CDF, so the realised
+numbers do not depend on numpy's non-uniform sampling algorithms.
 """
 from __future__ import annotations
 
@@ -19,10 +23,10 @@ __all__ = [
     "DEFAULT_SEED",
     "mix64",
     "derived_seed",
-    "replication_stream",
-    "perm_budget",
-    "perm_uniforms",
-    "perm_draw_stream",
+    "data_key",
+    "perm_key",
+    "rep_permutation_seed",
+    "uniforms",
 ]
 
 DEFAULT_SEED = 123456789
@@ -46,14 +50,14 @@ def derived_seed(master_seed: int, index: int, salt: int = 0) -> int:
     return mix64(mix64(master_seed ^ salt) + index * _GOLDEN)
 
 
-def _philox(key0: int, key1: int) -> np.random.Philox:
-    key = np.array([key0 & _M64, key1 & _M64], dtype=np.uint64)
-    return np.random.Philox(key=key)
+def data_key(master_seed: int) -> tuple[int, int]:
+    """Key of a scenario's data stream; row r is replication r."""
+    return master_seed, _DATA_TAG
 
 
-def replication_stream(master_seed: int, rep_index: int) -> np.random.Generator:
-    """The data-generation stream of one simulation replication."""
-    return np.random.Generator(_philox(master_seed, _DATA_TAG | rep_index))
+def perm_key(seed: int) -> tuple[int, int]:
+    """Key of a permutation run's stream; row k is draw k."""
+    return mix64(seed ^ _PERM_SALT), seed
 
 
 def rep_permutation_seed(master_seed: int, rep_index: int) -> int:
@@ -61,35 +65,23 @@ def rep_permutation_seed(master_seed: int, rep_index: int) -> int:
     return derived_seed(master_seed, rep_index, _PERM_SALT)
 
 
-def perm_budget(n_pooled: int) -> int:
-    """Uniform doubles reserved per permutation draw (multiple of 4).
+def uniforms(key: tuple[int, int], first_row: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """Rows [first_row, first_row + n_rows) of the key's uniform matrix."""
+    blocks = -(-n_cols // 4)
+    bg = np.random.Philox(key=np.array([key[0] & _M64, key[1] & _M64], dtype=np.uint64))
+    bg.advance(first_row * blocks)
+    raw = bg.random_raw(n_rows * blocks * 4).reshape(n_rows, blocks * 4)
+    return _open_unit(raw[:, :n_cols])
 
-    A Fisher-Yates pass over N elements consumes N-1 doubles; rounding the
-    budget up to a multiple of 4 aligns draws with Philox counter blocks so
-    that `advance` can jump to any draw exactly.
+
+def _open_unit(raw: np.ndarray) -> np.ndarray:
+    """((w >> 12) + 0.5) * 2**-52 for raw 64-bit words w; overwrites raw.
+
+    Exact in float64 and strictly inside (0, 1) for every word, so inverse
+    CDFs stay finite.
     """
-    need = max(n_pooled - 1, 1)
-    return -(-need // 4) * 4
-
-
-def _perm_base(seed: int) -> np.random.Philox:
-    return _philox(mix64(seed ^ _PERM_SALT), seed)
-
-
-def perm_draw_stream(seed: int, draw_index: int, n_pooled: int) -> np.random.Generator:
-    """Generator positioned at the start of one permutation draw's block."""
-    bg = _perm_base(seed)
-    bg.advance(draw_index * perm_budget(n_pooled) // 4)
-    return np.random.Generator(bg)
-
-
-def perm_uniforms(seed: int, first_draw: int, n_draws: int, n_pooled: int) -> np.ndarray:
-    """Uniforms for draws [first_draw, first_draw + n_draws), one row per draw.
-
-    Row k equals what `perm_draw_stream(seed, first_draw + k, n_pooled)`
-    would generate, so lanes covering disjoint draw ranges tile the same
-    matrix.
-    """
-    budget = perm_budget(n_pooled)
-    gen = perm_draw_stream(seed, first_draw, n_pooled)
-    return gen.random(n_draws * budget).reshape(n_draws, budget)
+    raw >>= np.uint64(12)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return u

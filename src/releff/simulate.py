@@ -1,10 +1,13 @@
 """Monte Carlo engine for type-I-error, power and mean-variance studies.
 
 A scenario fixes the two generating distributions, the arm sizes, the test
-battery and a master seed.  Replication r draws its data from a stream keyed
-by (master_seed, r) and the replications are processed in fixed-size chunks,
+battery and a master seed.  Replication r's data is row r of the uniform
+matrix keyed by the master seed (`rng.uniforms`, n1 + n2 columns, arm 1
+first), mapped through each arm's inverse CDF, so a chunk of replications
+is drawn in one call.  The replications are processed in fixed-size chunks,
 reduced in chunk order, so results are bit-identical for any number of
-worker processes.
+worker processes.  `run_scenarios` runs the chunks of many scenarios in one
+pool.
 
 Rejection uses p <= alpha.  Mean variance estimates accumulate the *raw*
 (unfloored) estimator values, matching the way the reproduction tables
@@ -24,11 +27,12 @@ from .distributions import DistSpec, dist_label, parse_dist, population_variance
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
 from .permutation import PermContext, tally_draws
-from .rng import DEFAULT_SEED, rep_permutation_seed, replication_stream
+from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
 from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays
 from .variance import VarianceKind, variance_raw
 
-__all__ = ["Scenario", "SimulationSummary", "run_scenario", "load_scenarios", "CHUNK_REPS"]
+__all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "load_scenarios",
+           "CHUNK_REPS"]
 
 CHUNK_REPS = 1024
 
@@ -91,13 +95,8 @@ class _Tally:
 
 
 def _draw_chunk(sc: Scenario, start: int, stop: int):
-    x1 = np.empty((stop - start, sc.n1))
-    x2 = np.empty((stop - start, sc.n2))
-    for i, r in enumerate(range(start, stop)):
-        g = replication_stream(sc.master_seed, r)
-        x1[i] = sample(sc.dist1, sc.n1, g)
-        x2[i] = sample(sc.dist2, sc.n2, g)
-    return x1, x2
+    u = uniforms(data_key(sc.master_seed), start, stop - start, sc.n1 + sc.n2)
+    return sample(sc.dist1, u[:, : sc.n1]), sample(sc.dist2, u[:, sc.n1 :])
 
 
 def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
@@ -131,21 +130,32 @@ def _chunk_worker(args) -> _Tally:
     return _simulate_chunk(*args)
 
 
-def run_scenario(sc: Scenario, threads: int = 1) -> SimulationSummary:
-    """Run every replication of a scenario and aggregate the tallies.
+def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[SimulationSummary]:
+    """Run every replication of every scenario; one summary per scenario.
 
-    `threads` (>= 1) only changes wall-clock time: chunk boundaries and the
-    reduction order are fixed, so the summary is identical for any value.
-    The pool never has more workers than chunks or CPUs.
+    All chunks of all scenarios go through one pool.  `threads` (>= 1) only
+    changes wall-clock time: chunk boundaries and the reduction order are
+    fixed, so the summaries are identical for any value.  The pool never has
+    more workers than chunks or CPUs.
     """
-    bounds = list(range(0, sc.n_reps, CHUNK_REPS)) + [sc.n_reps]
-    tasks = [(sc, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    total = _Tally(
-        rejections=np.zeros(len(sc.tests), dtype=np.int64),
-        var_sums=np.zeros(len(_MEAN_VARIANCE_KINDS)),
-    )
-    for part in map_tasks(_chunk_worker, tasks, threads):
-        total.add(part)
+    tasks, owner = [], []
+    for i, sc in enumerate(scenarios):
+        bounds = list(range(0, sc.n_reps, CHUNK_REPS)) + [sc.n_reps]
+        tasks += [(sc, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        owner += [i] * (len(bounds) - 1)
+    totals = [_Tally(np.zeros(len(sc.tests), dtype=np.int64), np.zeros(len(_MEAN_VARIANCE_KINDS)))
+              for sc in scenarios]
+    for i, part in zip(owner, map_tasks(_chunk_worker, tasks, threads)):
+        totals[i].add(part)
+    return [_summary(sc, total) for sc, total in zip(scenarios, totals)]
+
+
+def run_scenario(sc: Scenario, threads: int = 1) -> SimulationSummary:
+    """Run every replication of one scenario; see `run_scenarios`."""
+    return run_scenarios([sc], threads)[0]
+
+
+def _summary(sc: Scenario, total: _Tally) -> SimulationSummary:
     try:
         true_var = population_variance(sc.dist1, sc.dist2, sc.n1, sc.n2)
     except UnsupportedPair:

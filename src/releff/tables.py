@@ -18,7 +18,7 @@ from .distributions import (
 )
 from .errors import ConfigError
 from .rng import DEFAULT_SEED, derived_seed
-from .simulate import Scenario, run_scenario
+from .simulate import Scenario, run_scenarios
 from .stat_tests import DEFAULT_BATTERY, TestKind
 
 __all__ = ["TABLE_IDS", "BASE_REPS", "build_table"]
@@ -49,6 +49,16 @@ SIZES_PERM = [
 PERM_BATTERY = tuple(
     TestKind.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")
 )
+
+_PARAMS = {
+    "t1": ("sigma1", "sigma2"),
+    "app_var": ("sigma1", "sigma2"),
+    "perm1": ("sigma1", "sigma2"),
+    "t2": ("alpha1", "beta1"),
+    "perm2": ("alpha1", "beta1"),
+    "power_p07": ("dist1", "dist2"),
+}
+_APP_VAR_CELLS = ("true_var", "var_n", "var_wmw", "var_bm", "var_pm", "sep")
 
 _TABLE_SALT = {tid: 0x7AB1E000 + i for i, tid in enumerate(TABLE_IDS)}
 
@@ -100,6 +110,14 @@ def _rate_cells(summary, kinds) -> list[str]:
     return [f"{summary.rejection_rate[k.label()]:.5f}" for k in kinds]
 
 
+def _mean_variance_cells(summary, sc: Scenario) -> list[str]:
+    return [
+        f"{population_variance(sc.dist1, sc.dist2, sc.n1, sc.n2):.8f}",
+        *(f"{summary.mean_variance[k]:.8f}" for k in ("n", "wmw", "bm", "pm")),
+        f"{summary.separation_frequency:.5f}",
+    ]
+
+
 def build_table(
     table_id: str,
     scale: float = 1.0,
@@ -107,77 +125,46 @@ def build_table(
     n_perm: int | None = None,
     threads: int = 1,
 ) -> tuple[list[str], list[list[str]]]:
-    """Simulate one table; returns (header, rows) of formatted cells."""
+    """Simulate one table; returns (header, rows) of formatted cells.
+
+    The scenarios of all rows run in one `run_scenarios` call, so the whole
+    table shares one worker pool.
+    """
     if table_id not in TABLE_IDS:
         raise ConfigError(f"unknown table id {table_id!r}; choose from {', '.join(TABLE_IDS)}")
     n_reps = _reps(table_id, scale)
-    rows: list[list[str]] = []
-    row_idx = 0
-
-    def next_seed() -> int:
-        nonlocal row_idx
-        s = _row_seed(seed, table_id, row_idx)
-        row_idx += 1
-        return s
-
     if table_id in ("t1", "t2", "app_var"):
-        pairs = _normal_pairs() if table_id != "t2" else _beta_pairs()
-        if table_id == "app_var":
-            header = ["n1", "n2", "sigma1", "sigma2", "true_var",
-                      "var_n", "var_wmw", "var_bm", "var_pm", "sep", "n_reps", "seed"]
+        blocks = _beta_pairs() if table_id == "t2" else _normal_pairs()
+        sizes, perms = SIZES_MAIN, None
+        tests = () if table_id == "app_var" else DEFAULT_BATTERY
+    else:
+        if table_id == "perm1":
+            blocks = [(("1", format(sd2, "g")), Normal(0.0, 1.0), Normal(0.0, sd2))
+                      for sd2 in (1.0, 3.0)]
+        elif table_id == "perm2":
+            blocks = _beta_pairs()
         else:
-            params = ["sigma1", "sigma2"] if table_id == "t1" else ["alpha1", "beta1"]
-            header = ["n1", "n2", *params,
-                      *[k.label() for k in DEFAULT_BATTERY], "n_reps", "seed"]
-        for (p1, p2), d1, d2 in pairs:
-            for n1, n2 in SIZES_MAIN:
-                s = next_seed()
-                tests = () if table_id == "app_var" else DEFAULT_BATTERY
-                sc = Scenario(d1, d2, n1, n2, n_reps, tests=tests, master_seed=s)
-                summary = run_scenario(sc, threads=threads)
-                if table_id == "app_var":
-                    cells = [
-                        f"{population_variance(d1, d2, n1, n2):.8f}",
-                        f"{summary.mean_variance['n']:.8f}",
-                        f"{summary.mean_variance['wmw']:.8f}",
-                        f"{summary.mean_variance['bm']:.8f}",
-                        f"{summary.mean_variance['pm']:.8f}",
-                        f"{summary.separation_frequency:.5f}",
-                    ]
-                else:
-                    cells = _rate_cells(summary, DEFAULT_BATTERY)
-                rows.append([str(n1), str(n2), p1, p2, *cells, str(n_reps), str(s)])
-        return header, rows
+            blocks = [((dist_label(d1), dist_label(d2)), d1, d2) for d1, d2 in _power_blocks()]
+        sizes, tests = SIZES_PERM, PERM_BATTERY
+        perms = BASE_N_PERM if n_perm is None else n_perm
+    cells = _APP_VAR_CELLS if table_id == "app_var" else [k.label() for k in tests]
+    counts = ["n_reps"] if perms is None else ["n_reps", "n_perm"]
+    header = ["n1", "n2", *_PARAMS[table_id], *cells, *counts, "seed"]
 
-    perms = BASE_N_PERM if n_perm is None else n_perm
-    if table_id in ("perm1", "perm2"):
-        pairs = (
-            [(("1", format(sd2, "g")), Normal(0.0, 1.0), Normal(0.0, sd2)) for sd2 in (1.0, 3.0)]
-            if table_id == "perm1"
-            else list(_beta_pairs())
-        )
-        params = ["sigma1", "sigma2"] if table_id == "perm1" else ["alpha1", "beta1"]
-        header = ["n1", "n2", *params,
-                  *[k.label() for k in PERM_BATTERY], "n_reps", "n_perm", "seed"]
-        for (p1, p2), d1, d2 in pairs:
-            for n1, n2 in SIZES_PERM:
-                s = next_seed()
-                sc = Scenario(d1, d2, n1, n2, n_reps, tests=PERM_BATTERY,
-                              n_perm=perms, master_seed=s)
-                summary = run_scenario(sc, threads=threads)
-                rows.append([str(n1), str(n2), p1, p2,
-                             *_rate_cells(summary, PERM_BATTERY), str(n_reps), str(perms), str(s)])
-        return header, rows
-
-    # power_p07
-    header = ["n1", "n2", "dist1", "dist2",
-              *[k.label() for k in PERM_BATTERY], "n_reps", "n_perm", "seed"]
-    for d1, d2 in _power_blocks():
-        for n1, n2 in SIZES_PERM:
-            s = next_seed()
-            sc = Scenario(d1, d2, n1, n2, n_reps, tests=PERM_BATTERY,
-                          n_perm=perms, master_seed=s)
-            summary = run_scenario(sc, threads=threads)
-            rows.append([str(n1), str(n2), dist_label(d1), dist_label(d2),
-                         *_rate_cells(summary, PERM_BATTERY), str(n_reps), str(perms), str(s)])
+    params, scenarios = [], []
+    for (p1, p2), d1, d2 in blocks:
+        for n1, n2 in sizes:
+            s = _row_seed(seed, table_id, len(scenarios))
+            params.append((p1, p2))
+            scenarios.append(Scenario(d1, d2, n1, n2, n_reps, tests=tests,
+                                      n_perm=perms, master_seed=s))
+    count_cells = [str(n_reps)] if perms is None else [str(n_reps), str(perms)]
+    rows = []
+    for (p1, p2), sc, summary in zip(params, scenarios, run_scenarios(scenarios, threads)):
+        if table_id == "app_var":
+            values = _mean_variance_cells(summary, sc)
+        else:
+            values = _rate_cells(summary, tests)
+        rows.append([str(sc.n1), str(sc.n2), p1, p2, *values, *count_cells,
+                     str(sc.master_seed)])
     return header, rows

@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from releff import TwoSamples, run_test
+from releff import TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
 from releff.cli import main
 
@@ -93,6 +93,22 @@ class TestCmdTest:
         _, again = run_cli(["test", str(path), "--tests", "wmw,pm:df",
                             "--n-perm", "200", "--seed", "6"])
         assert again == out
+
+    def test_permutation_p_value_takes_the_alternative_tail(self, tmp_path):
+        # 5/5 with arm 2 clearly higher: greater is p2, less is p1
+        x1, x2 = [1, 2, 3, 4, 6], [5, 7, 8, 9, 10]
+        path = tmp_path / "five.csv"
+        path.write_text("group,value\n" + "".join(f"1,{v}\n" for v in x1)
+                        + "".join(f"2,{v}\n" for v in x2))
+        perm = permutation_test(TwoSamples(x1, x2), TK.parse("pm:df2"), n_perm=2000, seed=4)
+        assert perm.p2 < 0.5 < perm.p1
+        tails = {"two-sided": perm.p_value, "greater": perm.p2, "less": perm.p1}
+        for alternative, want in tails.items():
+            code, out = run_cli(["test", str(path), "--tests", "pm", "--n-perm", "2000",
+                                 "--seed", "4", "--alternative", alternative])
+            assert code == 0
+            (row,) = parse_csv(out)
+            assert float(row["perm_p_value"]) == pytest.approx(want, abs=1e-12), alternative
 
     def test_n_perm_below_one_exits_2(self, tmp_path, capsys):
         path = tmp_path / "toy.csv"

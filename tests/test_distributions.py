@@ -20,6 +20,7 @@ from releff import (
     sample,
     solve_target_effect,
 )
+from releff.rng import uniforms
 
 
 class TestSpecsAndParsing:
@@ -50,26 +51,30 @@ class TestSpecsAndParsing:
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def open_uniforms(n, seed=20240817):
+    return uniforms((seed, 0), 0, 1, n)[0]
+
+
 class TestSampling:
-    def test_normal_moments_at_scale(self, rng):
-        x = sample(Normal(0, 1), 1_000_000, rng)
+    def test_normal_moments_at_scale(self):
+        x = sample(Normal(0, 1), open_uniforms(1_000_000))
         assert abs(x.mean()) < 4e-3
         assert abs(x.std() - 1.0) < 4e-3
 
-    def test_exponential_tail(self, rng):
-        x = sample(Exponential(1.0), 200_000, rng)
+    def test_exponential_tail(self):
+        x = sample(Exponential(1.0), open_uniforms(200_000))
         target = math.exp(-1)
         se = math.sqrt(target * (1 - target) / x.size)
         assert abs((x > 1.0).mean() - target) < 3 * se
 
-    def test_binomial_support(self, rng):
-        x = sample(Binomial(5, 0.6), 10_000, rng)
+    def test_binomial_support(self):
+        x = sample(Binomial(5, 0.6), open_uniforms(10_000))
         assert set(np.unique(x)) <= set(float(k) for k in range(6))
         assert abs(x.mean() - 3.0) < 0.05
 
-    def test_beta_latent_category_masses(self, rng):
+    def test_beta_latent_category_masses(self):
         spec = BetaLatent(5, 4, 5)
-        x = sample(spec, 400_000, rng)
+        x = sample(spec, open_uniforms(400_000))
         grid = np.arange(6) / 5
         masses = np.diff(betainc(5, 4, grid))
         for k in range(1, 6):
@@ -77,9 +82,25 @@ class TestSampling:
             se = math.sqrt(masses[k - 1] * (1 - masses[k - 1]) / x.size)
             assert abs(freq - masses[k - 1]) < 4 * se
 
-    def test_beta_latent_values_in_range(self, rng):
-        x = sample(BetaLatent(0.3, 0.2, 5), 50_000, rng)
+    def test_beta_latent_values_in_range(self):
+        x = sample(BetaLatent(0.3, 0.2, 5), open_uniforms(50_000))
         assert x.min() >= 1.0 and x.max() <= 5.0
+
+    def test_extreme_uniforms_stay_finite(self):
+        """The open-uniform map keeps every inverse CDF finite at both ends."""
+        lo, hi = (0.5 * 2.0**-52, (2.0**52 - 0.5) * 2.0**-52)
+        u = np.array([lo, hi])
+        for spec in (Normal(0, 1), Exponential(2.0)):
+            assert np.all(np.isfinite(sample(spec, u)))
+        assert sample(Binomial(5, 0.6), u).tolist() == [0.0, 5.0]
+        assert sample(BetaLatent(5, 4, 5), u).tolist() == [1.0, 5.0]
+
+    def test_sample_keeps_the_shape_of_u(self):
+        u = open_uniforms(24).reshape(4, 6)
+        for spec in (Normal(1, 2), Exponential(1.0), Binomial(3, 0.4), BetaLatent(2, 3, 4)):
+            x = sample(spec, u)
+            assert x.shape == (4, 6)
+            assert np.array_equal(x[2], sample(spec, u[2]))
 
 
 def brute_discrete_p(d1, d2):

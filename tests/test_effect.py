@@ -64,6 +64,12 @@ def test_size_guard():
         estimate_effect(TwoSamples([1.0, 2.0], [3.0]))
 
 
+def test_moments_size_guard():
+    for x1, x2 in (([1.0], [2.0, 3.0]), ([1.0, 2.0], [3.0])):
+        with pytest.raises(SizeTooSmall):
+            TwoSamples(x1, x2).moments
+
+
 @given(arm, arm)
 def test_moments_match_brute_force(x1, x2):
     es = estimate_effect(TwoSamples(x1, x2))

@@ -11,7 +11,7 @@ from releff import TestKind as TK
 from releff import permutation
 from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm
 from releff.permutation import PermContext, _batch_permutations, tally_draws
-from releff.rng import perm_draw_stream, perm_uniforms
+from releff.rng import perm_key, uniforms
 from releff.stat_tests import stat_arrays
 from releff.tables import PERM_BATTERY
 from tests_util import random_dataset
@@ -27,42 +27,47 @@ def observed_stats(ctx, kinds):
 
 class TestShuffle:
     def test_single_element_is_identity(self):
-        g = perm_draw_stream(7, 0, 1)
-        assert shuffle([42.0], g).tolist() == [42.0]
+        assert shuffle([42.0], []).tolist() == [42.0]
 
-    def test_golden_values(self):
-        # regression-locked stream outputs for seed 2024
-        out0 = shuffle(np.arange(10.0), perm_draw_stream(2024, 0, 10))
-        out1 = shuffle(np.arange(10.0), perm_draw_stream(2024, 1, 10))
-        assert out0.astype(int).tolist() == [2, 1, 7, 5, 0, 6, 8, 9, 3, 4]
-        assert out1.astype(int).tolist() == [2, 3, 7, 0, 5, 1, 6, 4, 9, 8]
+    def test_exact_chi_square_over_arm1_subsets(self, monkeypatch):
+        """Every one of the C(6, 3) = 20 arm-1 sets is equally likely under
+        the stream `tally_draws` reads."""
+        drawn = []
 
-    def test_chi_square_uniformity_n3(self):
-        counts = {p: 0 for p in itertools.permutations((0, 1, 2))}
-        for k in range(60_000):
-            out = shuffle(np.arange(3.0), perm_draw_stream(99, k, 3))
-            counts[tuple(int(v) for v in out)] += 1
-        expected = 60_000 / 6
-        stat = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert stat < chi2.ppf(0.999, df=5)
+        def spy(u, n, n1):
+            arm1 = _batch_permutations(u, n, n1)
+            drawn.append(np.sort(arm1, axis=1))
+            return arm1
+
+        monkeypatch.setattr(permutation, "_batch_permutations", spy)
+        ctx = PermContext.from_pooled(np.arange(6.0), 3)
+        n_draws = 60_000
+        tally_draws(ctx, [TK.parse("n_logit")], np.zeros(1), 99, 0, n_draws)
+        arm1 = np.concatenate(drawn)
+        assert arm1.shape == (n_draws, 3)
+        subsets, counts = np.unique(arm1, axis=0, return_counts=True)
+        assert [tuple(s) for s in subsets] == list(itertools.combinations(range(6), 3))
+        expected = n_draws / 20
+        stat = ((counts - expected) ** 2 / expected).sum()
+        assert stat < chi2.ppf(0.999, df=19)
 
     def test_batch_matches_scalar_path(self):
         # the truncated relabel leaves arm 1 holding what the full shuffle
-        # puts in its first n1 positions, for every split of the same stream
+        # puts in its first n1 positions, for every split of the same uniforms
         n = 12
-        u = perm_uniforms(555, 0, 20, n)
+        u = uniforms(perm_key(555), 0, 20, n - 1)
         values = np.arange(float(n))
-        scalar = [shuffle(values, perm_draw_stream(555, k, n)) for k in range(20)]
+        scalar = [shuffle(values, u[k]) for k in range(20)]
         for n1 in range(1, n):
-            batch = _batch_permutations(u, n, n1)
+            batch = _batch_permutations(u[:, : n - n1], n, n1)
             for k in range(20):
                 assert set(values[batch[k]]) == set(scalar[k][:n1])
 
     def test_draw_streams_tile_the_sequential_run(self):
         # lanes that regenerate [a, b) reproduce the same uniform rows
-        full = perm_uniforms(31, 0, 50, 9)
+        full = uniforms(perm_key(31), 0, 50, 9)
         for a, b in [(0, 10), (10, 35), (35, 50)]:
-            assert np.array_equal(perm_uniforms(31, a, b - a, 9), full[a:b])
+            assert np.array_equal(uniforms(perm_key(31), a, b - a, 9), full[a:b])
 
 
 class TestPermutationTest:
@@ -152,7 +157,7 @@ class TestBatchStatisticPath:
             d = TwoSamples(x1, x2)
             pooled = d.pooled()
             ctx = PermContext.from_pooled(pooled, d.n1)
-            u = perm_uniforms(17, 0, 6, d.n)
+            u = uniforms(perm_key(17), 0, 6, d.n2)
             arm1_sets = _batch_permutations(u, d.n, d.n1)
             mm = moments_from_perm(arm1_sets, ctx.run_of, ctx.sizes)
             for kind in KINDS:
@@ -182,17 +187,13 @@ class TestBatchStatisticPath:
         n, n_draws, seed = n1 + n2, 2048, 9
         ctx = PermContext.from_pooled(pooled, n1)
         observed = observed_stats(ctx, KINDS)
-        target = np.sort(pooled[:n1])
-        same = np.array([
-            np.array_equal(np.sort(shuffle(pooled, perm_draw_stream(seed, k, n))[:n1]), target)
-            for k in range(n_draws)
-        ])
+        # the draws tally_draws makes: row k of its stream, n2 swaps each
+        arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2), n, n1)
+        same = np.all(np.sort(pooled[arm1], axis=1) == np.sort(pooled[:n1]), axis=1)
         assert same.sum() > 0
         n_le, n_ge = tally_draws(ctx, KINDS, observed, seed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
-        mm = moments_from_perm(
-            _batch_permutations(perm_uniforms(seed, 0, n_draws, n), n, n1), ctx.run_of, ctx.sizes
-        )
+        mm = moments_from_perm(arm1, ctx.run_of, ctx.sizes)
         for idx, kind in enumerate(KINDS):
             stats = stat_arrays(mm, kind)[0]
             assert np.all(stats[same] == observed[idx]), kind.label()

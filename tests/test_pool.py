@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from releff._pool import worker_count
+from releff._pool import map_tasks, worker_count
 
 
 class TestWorkerCount:
@@ -21,3 +21,7 @@ class TestWorkerCount:
     def test_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
             worker_count(threads, 4)
+
+
+def test_no_tasks_start_no_pool():
+    assert map_tasks(abs, [], 4) == []

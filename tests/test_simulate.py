@@ -14,6 +14,7 @@ from releff import (
     TwoSamples,
     load_scenarios,
     run_scenario,
+    run_scenarios,
     run_test,
     population_variance,
 )
@@ -119,6 +120,27 @@ class TestDeterminism:
         for t in (0, -1):
             with pytest.raises(ValueError, match="threads"):
                 run_scenario(sc, threads=t)
+
+    def test_run_scenarios_shares_one_pool(self, monkeypatch):
+        scenarios = [
+            Scenario(Normal(0, 1), Normal(0, 3), 8, 12, n_reps=1500, tests=BATTERY, master_seed=3),
+            Scenario(BetaLatent(5, 4, 5), BetaLatent(5, 4, 5), 7, 9, n_reps=900, tests=(),
+                     master_seed=4),
+            Scenario(Normal(0, 1), Normal(0, 1), 7, 7, n_reps=30, tests=(TK.parse("pm"),),
+                     n_perm=50, master_seed=5),
+        ]
+        alone = [run_scenario(sc) for sc in scenarios]
+        pools = []
+        map_tasks = simulate.map_tasks
+
+        def spy(fn, tasks, threads):
+            pools.append(len(tasks))
+            return map_tasks(fn, tasks, threads)
+
+        monkeypatch.setattr(simulate, "map_tasks", spy)
+        assert run_scenarios(scenarios, threads=2) == alone
+        assert pools == [2 + 1 + 1]
+        assert run_scenarios([], threads=2) == []
 
     def test_draws_depend_only_on_rep_index(self):
         sc = Scenario(Normal(0, 1), Normal(0, 1), 5, 6, n_reps=100, master_seed=5)

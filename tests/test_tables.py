@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from releff import ConfigError, build_table
+from releff import ConfigError, build_table, distributions
 from releff.tables import BASE_REPS, SIZES_MAIN, SIZES_PERM
 
 
@@ -69,3 +71,18 @@ def test_rows_are_deterministic():
     a = build_table("t2", scale=5 / BASE_REPS["t2"], seed=11)
     b = build_table("t2", scale=5 / BASE_REPS["t2"], seed=11)
     assert a == b
+
+
+def test_t1_integrates_each_distribution_pair_once(monkeypatch):
+    calls = Counter()
+    integrate = distributions._continuous_moments
+
+    def spy(d1, d2):
+        calls[d1, d2] += 1
+        return integrate(d1, d2)
+
+    monkeypatch.setattr(distributions, "_continuous_moments", spy)
+    distributions.exact_moments.cache_clear()
+    build_table("t1", scale=1 / BASE_REPS["t1"], seed=3)
+    # the equal pair has a closed form; the two unequal pairs integrate once
+    assert len(calls) == 2 and set(calls.values()) == {1}
