@@ -23,7 +23,7 @@ from .distributions import (
     solve_target_effect,
 )
 from .dof import DfKind, degrees_of_freedom
-from .effect import EffectSummary, estimate_effect, p_hat_via_ranks
+from .effect import EffectSummary, estimate_effect
 from .errors import (
     ConfigError,
     DomainError,
@@ -33,8 +33,8 @@ from .errors import (
     TiesInReducedForm,
     UnsupportedPair,
 )
-from .permutation import PermutationResult, permutation_test, shuffle
-from .ranks import Sample, TwoSamples, count, count_minus, count_plus, ecdf, internal_ranks, mid_ranks
+from .permutation import PermutationResult, permutation_test
+from .ranks import Sample, TwoSamples
 from .rng import DEFAULT_SEED
 from .simulate import Scenario, SimulationSummary, load_scenarios, run_scenario, run_scenarios
 from .stat_tests import (

@@ -135,6 +135,10 @@ def is_continuous(spec: DistSpec) -> bool:
     return isinstance(spec, (Normal, Exponential))
 
 
+# largest discrete support `sample` indexes by comparisons, not `searchsorted`
+_COMPARE_MAX_VALUES = 8
+
+
 def sample(spec: DistSpec, u: np.ndarray) -> np.ndarray:
     """Values of the spec at open uniforms u (any shape), by inverse CDF."""
     if isinstance(spec, Normal):
@@ -142,7 +146,15 @@ def sample(spec: DistSpec, u: np.ndarray) -> np.ndarray:
     if isinstance(spec, Exponential):
         return -np.log(u) / spec.rate
     values, probs = discrete_masses(spec)
-    return values[np.searchsorted(np.cumsum(probs)[:-1], u, side="right")]
+    edges = np.cumsum(probs)[:-1]
+    if values.size > _COMPARE_MAX_VALUES:
+        return values[np.searchsorted(edges, u, side="right")]
+    # the number of edges <= u is searchsorted's index, found faster by
+    # comparisons when there are only a few edges
+    idx = np.zeros(np.shape(u), dtype=np.intp)
+    for edge in edges:
+        idx += u >= edge
+    return values[idx]
 
 
 def discrete_masses(spec: DistSpec) -> tuple[np.ndarray, np.ndarray]:

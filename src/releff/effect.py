@@ -19,9 +19,9 @@ either.
 from __future__ import annotations
 
 from ._batch import EffectSummary
-from .ranks import TwoSamples, mid_ranks
+from .ranks import TwoSamples
 
-__all__ = ["EffectSummary", "estimate_effect", "p_hat_via_ranks"]
+__all__ = ["EffectSummary", "estimate_effect"]
 
 
 def estimate_effect(data: TwoSamples) -> EffectSummary:
@@ -30,10 +30,3 @@ def estimate_effect(data: TwoSamples) -> EffectSummary:
     Each arm needs at least 2 observations (`SizeTooSmall` otherwise).
     """
     return data.moments
-
-
-def p_hat_via_ranks(data: TwoSamples) -> float:
-    """Effect estimate from pooled mid-rank means: (R2bar - R1bar)/N + 1/2."""
-    n1, n2 = data.n1, data.n2
-    r = mid_ranks(data.pooled())
-    return float((r[n1:].mean() - r[:n1].mean()) / (n1 + n2) + 0.5)

@@ -31,7 +31,7 @@ from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_key, uniforms
 from .stat_tests import TestKind, TestResult, run_test, stat_arrays
 
-__all__ = ["PermutationResult", "permutation_test", "shuffle"]
+__all__ = ["PermutationResult", "permutation_test"]
 
 _CHUNK_DRAWS = 2048
 
@@ -46,22 +46,14 @@ class PermutationResult:
     seed: int
 
 
-def shuffle(values, u) -> np.ndarray:
-    """Fisher-Yates shuffle: step s swaps position i = n-1-s with floor(u[s]*(i+1))."""
-    v = np.array(values, dtype=float)
-    for step, i in enumerate(range(v.size - 1, 0, -1)):
-        j = int(u[step] * (i + 1))
-        v[i], v[j] = v[j], v[i]
-    return v
-
-
 def _batch_permutations(u: np.ndarray, n: int, n1: int) -> np.ndarray:
     """Arm-1 index sets of row-wise Fisher-Yates shuffles driven by uniform rows.
 
-    Row k of u holds n - n1 uniforms and makes the first n - n1 swaps that
-    `shuffle` makes with them.  Those swaps settle positions n1..n-1, and
-    the later swaps only reorder arm 1, so row k holds the indices
-    `shuffle` leaves in its first n1 positions, in some order.
+    Row k of u holds n - n1 uniforms and makes the first n - n1 swaps of a
+    Fisher-Yates shuffle, where step s swaps position i = n-1-s with
+    floor(u[s]*(i+1)).  Those swaps settle positions n1..n-1, and the later
+    swaps only reorder arm 1, so row k holds the indices the full shuffle
+    leaves in its first n1 positions, in some order.
     """
     m = u.shape[0]
     # column-major working array: perm[i * m + k] is position i of row k

@@ -1,13 +1,11 @@
-"""Samples, count functions, empirical CDFs and mid-ranks.
+"""Samples and two-arm datasets.
 
 `TwoSamples` sorts its pooled values into tie runs and keeps the
 `EffectSummary` the count kernel (`_batch`) derives from them, so every
-estimator and test run on the same instance shares one sort.  The count
-functions, the ECDF flavours and the mid-ranks are the definitions the
-estimators are written in.  Equality of observations is exact
-floating-point equality; ordinal categories must be encoded upstream as
-exactly representable reals (small integers), otherwise tie handling
-silently changes.
+estimator and test run on the same instance shares one sort.  Equality of
+observations is exact floating-point equality; ordinal categories must be
+encoded upstream as exactly representable reals (small integers), otherwise
+tie handling silently changes.
 """
 from __future__ import annotations
 
@@ -15,21 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._batch import EffectSummary, moments_from_counts, run_counts
 from .errors import SizeTooSmall
 
-__all__ = [
-    "Sample",
-    "TwoSamples",
-    "count",
-    "count_plus",
-    "count_minus",
-    "mid_ranks",
-    "internal_ranks",
-    "ecdf",
-]
+__all__ = ["Sample", "TwoSamples"]
 
 
 @dataclass(frozen=True)
@@ -112,55 +100,3 @@ class TwoSamples:
                 f"need at least {k} observations per arm, got ({self.n1}, {self.n2})"
             )
 
-
-def count(x: float, y: float) -> float:
-    """Normalised count: 0 if x < y, 1/2 if x == y, 1 if x > y."""
-    if x < y:
-        return 0.0
-    if x > y:
-        return 1.0
-    return 0.5
-
-
-def count_plus(x: float, y: float) -> float:
-    """Right-continuous count: 1 iff x >= y."""
-    return 1.0 if x >= y else 0.0
-
-
-def count_minus(x: float, y: float) -> float:
-    """Left-continuous count: 1 iff x > y."""
-    return 1.0 if x > y else 0.0
-
-
-def _values(s) -> np.ndarray:
-    return s.values if isinstance(s, Sample) else np.asarray(s, dtype=float)
-
-
-def mid_ranks(pooled) -> np.ndarray:
-    """Mid-ranks R_i = 1/2 + sum_j count(x_i, x_j); ties share averaged positions.
-
-    Computed by sorting with tie-run averaging, O(N log N).  The pairwise
-    count definition is kept as a test oracle only.
-    """
-    return rankdata(_values(pooled), method="average")
-
-
-def internal_ranks(s) -> np.ndarray:
-    """Mid-ranks of a sample within itself (the within-arm ranks)."""
-    return mid_ranks(s)
-
-
-def ecdf(s, x: float, flavor: str = "normalized") -> float:
-    """Empirical CDF of the sample at x.
-
-    flavor: "normalized" averages the left/right versions at ties,
-    "left" counts strictly smaller values, "right" counts values <= x.
-    """
-    v = _values(s)
-    if flavor == "normalized":
-        return float(np.mean((v < x) + 0.5 * (v == x)))
-    if flavor == "left":
-        return float(np.mean(v < x))
-    if flavor == "right":
-        return float(np.mean(v <= x))
-    raise ValueError(f"unknown ecdf flavor: {flavor!r}")

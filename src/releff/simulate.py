@@ -9,9 +9,10 @@ reduced in chunk order, so results are bit-identical for any number of
 worker processes.  `run_scenarios` runs the chunks of many scenarios in one
 pool.
 
-Rejection uses p <= alpha.  Mean variance estimates accumulate the *raw*
-(unfloored) estimator values, matching the way the reproduction tables
-report them.
+Rejection uses p <= alpha.  A permutation replication stops drawing once no
+test's decision can change (`_perm_rejections`).  Mean variance estimates
+accumulate the *raw* (unfloored) estimator values, matching the way the
+reproduction tables report them.
 """
 from __future__ import annotations
 
@@ -35,6 +36,8 @@ __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "lo
            "CHUNK_REPS"]
 
 CHUNK_REPS = 1024
+# permutation draws tallied between two checks for a settled replication
+_PERM_STEP = 1024
 
 _MEAN_VARIANCE_KINDS = (VarianceKind.N, VarianceKind.WMW, VarianceKind.BM, VarianceKind.PM)
 
@@ -118,12 +121,37 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
     observed_all = np.array([stat for stat, _ in scored])
     for i, r in enumerate(range(start, stop)):
         ctx = PermContext.from_pooled(np.concatenate([x1[i], x2[i]]), sc.n1)
-        observed = observed_all[:, i]
         seed_r = rep_permutation_seed(sc.master_seed, r)
-        n_le, n_ge = tally_draws(ctx, sc.tests, observed, seed_r, 0, sc.n_perm)
-        p = np.minimum(1.0, 2.0 * np.minimum(n_le, n_ge) / sc.n_perm)
-        tally.rejections += (p <= sc.alpha).astype(np.int64)
+        tally.rejections += _perm_rejections(sc, ctx, observed_all[:, i], seed_r)
     return tally
+
+
+def _rejects(count: np.ndarray, sc: Scenario) -> np.ndarray:
+    """p <= alpha for p = min(1, 2 count / n_perm), per test."""
+    return np.minimum(1.0, 2.0 * count / sc.n_perm) <= sc.alpha
+
+
+def _perm_rejections(sc: Scenario, ctx: PermContext, observed: np.ndarray, seed: int) -> np.ndarray:
+    """p <= alpha per test, for one replication's permutation p-values.
+
+    Draws are tallied in steps of `_PERM_STEP`.  Both tallies only grow and
+    `_rejects` is monotone in them, so once neither tally of any test can
+    still reject, the remaining draws cannot change a decision and are
+    skipped.  Draw k depends only on (seed, k), so the decisions equal those
+    of one full tally.
+    """
+    n_le = np.zeros(len(sc.tests), dtype=np.int64)
+    n_ge = np.zeros(len(sc.tests), dtype=np.int64)
+    done = 0
+    while done < sc.n_perm:
+        step = min(_PERM_STEP, sc.n_perm - done)
+        le, ge = tally_draws(ctx, sc.tests, observed, seed, done, step)
+        n_le += le
+        n_ge += ge
+        done += step
+        if not np.any(_rejects(n_le, sc) | _rejects(n_ge, sc)):
+            break
+    return _rejects(np.minimum(n_le, n_ge), sc)
 
 
 def _chunk_worker(args) -> _Tally:

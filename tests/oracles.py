@@ -3,8 +3,12 @@
 `pairwise_moments` evaluates the effect moments from their pairwise
 definitions over the n2 x n1 matrix of counts.  It costs O(n1*n2) time and
 memory and shares no code with the library, which never builds that matrix.
+The count functions, ECDF flavours, mid-ranks, the rank form of the effect
+and the scalar Fisher-Yates `shuffle` are the textbook definitions the
+estimators and the permutation relabel are checked against.
 """
 import numpy as np
+from scipy.stats import rankdata
 
 
 def pairwise_moments(x1, x2):
@@ -20,3 +24,69 @@ def pairwise_moments(x1, x2):
     tau1 = float(np.mean(s2_at_x1**2))
     tau2 = float(np.mean(f1_at_x2**2))
     return p, beta, tau1, tau2
+
+
+def count(x: float, y: float) -> float:
+    """Normalised count: 0 if x < y, 1/2 if x == y, 1 if x > y."""
+    if x < y:
+        return 0.0
+    if x > y:
+        return 1.0
+    return 0.5
+
+
+def count_plus(x: float, y: float) -> float:
+    """Right-continuous count: 1 iff x >= y."""
+    return 1.0 if x >= y else 0.0
+
+
+def count_minus(x: float, y: float) -> float:
+    """Left-continuous count: 1 iff x > y."""
+    return 1.0 if x > y else 0.0
+
+
+def _values(s) -> np.ndarray:
+    """The observations of a `releff.Sample` or of any array-like."""
+    return np.asarray(getattr(s, "values", s), dtype=float)
+
+
+def mid_ranks(pooled) -> np.ndarray:
+    """Mid-ranks R_i = 1/2 + sum_j count(x_i, x_j); ties share averaged positions."""
+    return rankdata(_values(pooled), method="average")
+
+
+def internal_ranks(s) -> np.ndarray:
+    """Mid-ranks of a sample within itself (the within-arm ranks)."""
+    return mid_ranks(s)
+
+
+def ecdf(s, x: float, flavor: str = "normalized") -> float:
+    """Empirical CDF of the sample at x.
+
+    flavor: "normalized" averages the left/right versions at ties,
+    "left" counts strictly smaller values, "right" counts values <= x.
+    """
+    v = _values(s)
+    if flavor == "normalized":
+        return float(np.mean((v < x) + 0.5 * (v == x)))
+    if flavor == "left":
+        return float(np.mean(v < x))
+    if flavor == "right":
+        return float(np.mean(v <= x))
+    raise ValueError(f"unknown ecdf flavor: {flavor!r}")
+
+
+def p_hat_via_ranks(data) -> float:
+    """Effect estimate from pooled mid-rank means: (R2bar - R1bar)/N + 1/2."""
+    n1, n2 = data.n1, data.n2
+    r = mid_ranks(data.pooled())
+    return float((r[n1:].mean() - r[:n1].mean()) / (n1 + n2) + 0.5)
+
+
+def shuffle(values, u) -> np.ndarray:
+    """Fisher-Yates shuffle: step s swaps position i = n-1-s with floor(u[s]*(i+1))."""
+    v = np.array(values, dtype=float)
+    for step, i in enumerate(range(v.size - 1, 0, -1)):
+        j = int(u[step] * (i + 1))
+        v[i], v[j] = v[j], v[i]
+    return v

@@ -24,8 +24,6 @@ from releff import (
     TwoSamples,
     degrees_of_freedom,
     estimate_effect,
-    mid_ranks,
-    p_hat_via_ranks,
     run_scenario,
     run_test,
     solve_target_effect,
@@ -37,6 +35,7 @@ from releff import (
 )
 from releff import TestKind as TK
 from releff.cli import main as cli_main
+from oracles import mid_ranks, p_hat_via_ranks
 from tests_util import random_dataset
 
 SEED = 20260810

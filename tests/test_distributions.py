@@ -95,6 +95,19 @@ class TestSampling:
         assert sample(Binomial(5, 0.6), u).tolist() == [0.0, 5.0]
         assert sample(BetaLatent(5, 4, 5), u).tolist() == [1.0, 5.0]
 
+    @pytest.mark.parametrize("spec", [
+        Binomial(5, 0.6), BetaLatent(5, 4, 5), Binomial(7, 0.3), BetaLatent(2, 7, 8),
+        Binomial(8, 0.5), Binomial(200, 0.4),
+    ], ids=lambda spec: dist_label(spec))
+    def test_discrete_index_equals_searchsorted(self, spec):
+        """Small supports index by comparisons, large ones by `searchsorted`;
+        both give the inverse-CDF value, also for u exactly on a cumulative mass."""
+        values, probs = discrete_masses(spec)
+        edges = np.cumsum(probs)[:-1]
+        u = np.concatenate([open_uniforms(3000), edges, np.nextafter(edges, 0.0)]).reshape(-1, 2)
+        expected = values[np.searchsorted(edges, u, side="right")]
+        assert np.array_equal(sample(spec, u), expected)
+
     def test_sample_keeps_the_shape_of_u(self):
         u = open_uniforms(24).reshape(4, 6)
         for spec in (Normal(1, 2), Exponential(1.0), Binomial(3, 0.4), BetaLatent(2, 3, 4)):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from releff import SizeTooSmall, TwoSamples, count, estimate_effect, p_hat_via_ranks
-from oracles import pairwise_moments
+from releff import SizeTooSmall, TwoSamples, estimate_effect
+from oracles import count, p_hat_via_ranks, pairwise_moments
 
 arm = st.lists(st.integers(min_value=-5, max_value=5).map(float), min_size=2, max_size=20)
 

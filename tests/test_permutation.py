@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from releff import InvalidKind, TwoSamples, permutation_test, run_test, shuffle
+from releff import InvalidKind, TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
 from releff import permutation
 from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm
@@ -14,6 +14,7 @@ from releff.permutation import PermContext, _batch_permutations, tally_draws
 from releff.rng import perm_key, uniforms
 from releff.stat_tests import stat_arrays
 from releff.tables import PERM_BATTERY
+from oracles import shuffle
 from tests_util import random_dataset
 
 KINDS = [TK.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")]

@@ -21,7 +21,8 @@ from releff import (
 from releff import TestKind as TK
 from releff import simulate
 from releff._batch import moments_from_values
-from releff.permutation import tally_draws
+from releff.permutation import PermContext, tally_draws
+from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
 from releff.simulate import _draw_chunk, _simulate_chunk, scenario_from_dict
 from releff.tables import PERM_BATTERY
@@ -95,6 +96,91 @@ class TestPermutationObserved:
             assert (np.unique(d.pooled()).size < d.n) == tied
             for idx, kind in enumerate(PERM_BATTERY):
                 assert observed[idx] == run_test(d, kind).statistic, (i, kind.label())
+
+
+class TestCurtailedPermutation:
+    """A replication stops drawing once no test's decision can change."""
+
+    N_PERM, ALPHA, STEP = 200, 0.05, 50
+    C_STAR = 5  # min(1, 2 c / 200) <= 0.05 exactly for c <= 5
+
+    @staticmethod
+    def scripted_tally(le, ge, served):
+        """A `tally_draws` stand-in: draw k is <= / >= the observed statistic
+        of test t iff le[k, t] / ge[k, t]."""
+
+        def fake(ctx, kinds, observed, seed, first_draw, n_draws):
+            served.append((first_draw, n_draws))
+            window = slice(first_draw, first_draw + n_draws)
+            return le[window].sum(axis=0), ge[window].sum(axis=0)
+
+        return fake
+
+    @staticmethod
+    def full_decision(le, ge, n_perm, alpha):
+        c = np.minimum(le.sum(axis=0), ge.sum(axis=0))
+        return (np.minimum(1.0, 2.0 * c / n_perm) <= alpha).astype(np.int64)
+
+    @pytest.mark.parametrize("side", ["le", "ge"])
+    @pytest.mark.parametrize("final", [C_STAR, C_STAR + 1], ids=["reject", "keep"])
+    @pytest.mark.parametrize("deciding_draw", [149, 150, 199],
+                             ids=["end_of_step3", "start_of_step4", "last_draw"])
+    def test_boundary_decisions_match_full_tally(self, monkeypatch, side, final, deciding_draw):
+        n = self.N_PERM
+        tight = np.zeros(n, dtype=bool)  # the tally that decides test 0
+        tight[: final - 1] = True
+        tight[deciding_draw] = True
+        # test 0 sits at the threshold; test 1 is settled in the first step
+        # and the other tally of test 0 never can reject
+        wide = np.ones(n, dtype=bool)
+        le = np.stack([tight if side == "le" else wide, wide], axis=1)
+        ge = np.stack([wide if side == "le" else tight, wide], axis=1)
+        served = []
+        monkeypatch.setattr(simulate, "tally_draws", self.scripted_tally(le, ge, served))
+        monkeypatch.setattr(simulate, "_PERM_STEP", self.STEP)
+        sc = Scenario(Normal(0, 1), Normal(0, 1), 7, 7, n_reps=1,
+                      tests=(TK.parse("pm"), TK.parse("n")), alpha=self.ALPHA,
+                      n_perm=n, master_seed=3)
+        got = _simulate_chunk(sc, 0, 1).rejections
+        assert got.tolist() == self.full_decision(le, ge, n, self.ALPHA).tolist()
+        assert got.tolist() == [int(final == self.C_STAR), 0]
+        # steps tile [0, drawn) in order; only a 6th count before the last
+        # step settles the replication early
+        drawn = served[-1][0] + served[-1][1]
+        assert served == [(a, self.STEP) for a in range(0, drawn, self.STEP)]
+        assert drawn == (150 if (final, deciding_draw) == (self.C_STAR + 1, 149) else n)
+
+    @pytest.mark.parametrize("dist1,dist2,n1,n2", [
+        (Normal(0, 1), Normal(0, 3), 7, 7),
+        (BetaLatent(5, 4, 5), BetaLatent(5, 4, 5), 15, 45),
+    ], ids=["normal_7_7", "beta_latent_15_45"])
+    def test_rates_equal_full_tally_with_fewer_draws(self, monkeypatch, dist1, dist2, n1, n2):
+        n_reps, n_perm = 64, 2000
+        sc = Scenario(dist1, dist2, n1, n2, n_reps=n_reps, tests=PERM_BATTERY,
+                      n_perm=n_perm, master_seed=17)
+        x1, x2 = _draw_chunk(sc, 0, n_reps)
+        m = moments_from_values(x1, x2)
+        observed_all = np.array([stat_arrays(m, kind)[0] for kind in PERM_BATTERY])
+        reference = np.zeros(len(PERM_BATTERY), dtype=np.int64)
+        for r in range(n_reps):
+            ctx = PermContext.from_pooled(np.concatenate([x1[r], x2[r]]), n1)
+            seed_r = rep_permutation_seed(sc.master_seed, r)
+            n_le, n_ge = tally_draws(ctx, PERM_BATTERY, observed_all[:, r], seed_r, 0, n_perm)
+            reference += self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
+        drawn = []
+
+        def spy(ctx, kinds, observed, seed, first_draw, n_draws):
+            drawn.append(n_draws)
+            return tally_draws(ctx, kinds, observed, seed, first_draw, n_draws)
+
+        monkeypatch.setattr(simulate, "tally_draws", spy)
+        # below n_perm / 2, so a replication settled in its first step shows
+        monkeypatch.setattr(simulate, "_PERM_STEP", 250)
+        summary = run_scenario(sc)
+        assert summary.rejection_rate == {
+            kind.label(): float(reference[i]) / n_reps for i, kind in enumerate(PERM_BATTERY)
+        }
+        assert sum(drawn) / n_reps < n_perm / 2
 
 
 class TestDeterminism:

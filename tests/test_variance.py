@@ -13,13 +13,13 @@ from releff import (
     TiesInReducedForm,
     TwoSamples,
     estimate_effect,
-    mid_ranks,
     var_bm,
     var_pm,
     var_shirahata,
     var_unbiased,
     var_wmw,
 )
+from oracles import mid_ranks
 from tests_util import random_dataset
 
 arm = st.lists(st.integers(min_value=-5, max_value=5).map(float), min_size=2, max_size=15)
