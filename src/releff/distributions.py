@@ -13,6 +13,12 @@ module computes the exact relative effect p and the exact moment integrals
 finite sums for discrete pairs and by adaptive quadrature for continuous
 pairs -- plus the population variance of the effect estimate, and
 calibrates a free parameter to hit a target effect.
+
+Only numpy and `scipy.special` load with the module.  The heavier scipy
+modules load on first use: `discrete_masses` imports `scipy.stats` for a
+Binomial spec, `_continuous_moments` (the exact moments of an unequal
+continuous pair) imports `scipy.integrate`, and `solve_target_effect`
+imports `scipy.optimize`.
 """
 from __future__ import annotations
 
@@ -22,10 +28,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 from scipy.special import betainc, ndtr, ndtri
-from scipy.stats import binom as _binom
 
 from .errors import NoBracket, UnsupportedPair
 
@@ -160,8 +163,10 @@ def sample(spec: DistSpec, u: np.ndarray) -> np.ndarray:
 def discrete_masses(spec: DistSpec) -> tuple[np.ndarray, np.ndarray]:
     """Support values and probabilities of a discrete spec."""
     if isinstance(spec, Binomial):
+        from scipy.stats import binom
+
         values = np.arange(spec.trials + 1, dtype=float)
-        probs = _binom.pmf(np.arange(spec.trials + 1), spec.trials, spec.prob)
+        probs = binom.pmf(np.arange(spec.trials + 1), spec.trials, spec.prob)
         return values, probs
     if isinstance(spec, BetaLatent):
         grid = np.arange(spec.k + 1) / spec.k
@@ -205,6 +210,8 @@ def _discrete_moments(d1: DistSpec, d2: DistSpec):
 
 
 def _continuous_moments(d1: DistSpec, d2: DistSpec):
+    from scipy import integrate
+
     cdf1, pdf1 = _cdf_pdf(d1)
     cdf2, pdf2 = _cdf_pdf(d2)
     lo1, hi1 = _support(d1)
@@ -266,6 +273,8 @@ def solve_target_effect(
     monotone in the parameter there.  The returned parameter reproduces the
     target effect to within `tol`.
     """
+    from scipy.optimize import brentq
+
     def gap(theta: float) -> float:
         return exact_mw_parameter(make_dist(theta), reference) - target_p
 

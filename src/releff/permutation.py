@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batch import moments_from_perm, tie_runs
-from ._pool import map_tasks
+from ._pool import map_tasks, worker_count
 from .errors import InvalidKind
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_key, uniforms
@@ -106,6 +106,9 @@ def tally_draws(
             n_le[idx] += int(np.count_nonzero(stat <= observed[idx]))
             n_ge[idx] += int(np.count_nonzero(stat >= observed[idx]))
         done += m
+        # freed before the next chunk is drawn: a lane of many chunks then
+        # peaks at one chunk's memory, as a single-chunk call does
+        del u, mm
     return n_le, n_ge
 
 
@@ -134,8 +137,9 @@ def permutation_test(
         Stream seed; identical (data, kind, n_perm, seed) give bit-identical
         results regardless of `threads`.
     threads : int
-        Worker processes for the draw loop, >= 1; the pool never has more
-        workers than 2048-draw chunks or CPUs.
+        Worker processes for the draw loop, >= 1.  Each worker tallies one
+        contiguous lane of whole 2048-draw chunks, so the pool never has
+        more workers than chunks or CPUs.
     """
     if kind.family == "wmw":
         raise InvalidKind("the permutation approach is defined for the non-WMW statistics")
@@ -145,7 +149,9 @@ def permutation_test(
     observed_result = run_test(data, kind)
     ctx = PermContext.from_pooled(data.pooled(), data.n1)
     observed = np.array([observed_result.statistic])
-    bounds = list(range(0, n_perm, _CHUNK_DRAWS)) + [n_perm]
+    n_chunks = -(-n_perm // _CHUNK_DRAWS)
+    lanes = worker_count(threads, n_chunks)
+    bounds = [min(n_perm, n_chunks * i // lanes * _CHUNK_DRAWS) for i in range(lanes + 1)]
     tasks = [(ctx, [kind], observed, seed, a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
     parts = map_tasks(_lane_worker, tasks, threads)
     n_le = sum(p[0] for p in parts)

@@ -36,8 +36,10 @@ __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "lo
            "CHUNK_REPS"]
 
 CHUNK_REPS = 1024
-# permutation draws tallied between two checks for a settled replication
+# permutation draws tallied between two checks for a settled replication:
+# n_perm / 8, kept within [_PERM_STEP_MIN, _PERM_STEP]
 _PERM_STEP = 1024
+_PERM_STEP_MIN = 256
 
 _MEAN_VARIANCE_KINDS = (VarianceKind.N, VarianceKind.WMW, VarianceKind.BM, VarianceKind.PM)
 
@@ -134,7 +136,8 @@ def _rejects(count: np.ndarray, sc: Scenario) -> np.ndarray:
 def _perm_rejections(sc: Scenario, ctx: PermContext, observed: np.ndarray, seed: int) -> np.ndarray:
     """p <= alpha per test, for one replication's permutation p-values.
 
-    Draws are tallied in steps of `_PERM_STEP`.  Both tallies only grow and
+    Draws are tallied in steps of n_perm / 8 draws, at least
+    `_PERM_STEP_MIN` and at most `_PERM_STEP`.  Both tallies only grow and
     `_rejects` is monotone in them, so once neither tally of any test can
     still reject, the remaining draws cannot change a decision and are
     skipped.  Draw k depends only on (seed, k), so the decisions equal those
@@ -142,9 +145,10 @@ def _perm_rejections(sc: Scenario, ctx: PermContext, observed: np.ndarray, seed:
     """
     n_le = np.zeros(len(sc.tests), dtype=np.int64)
     n_ge = np.zeros(len(sc.tests), dtype=np.int64)
+    full_step = min(_PERM_STEP, max(_PERM_STEP_MIN, -(-sc.n_perm // 8)))
     done = 0
     while done < sc.n_perm:
-        step = min(_PERM_STEP, sc.n_perm - done)
+        step = min(full_step, sc.n_perm - done)
         le, ge = tally_draws(ctx, sc.tests, observed, seed, done, step)
         n_le += le
         n_ge += ge
@@ -166,6 +170,9 @@ def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[Simulatio
     fixed, so the summaries are identical for any value.  The pool never has
     more workers than chunks or CPUs.
     """
+    # before the pool forks, so the workers inherit whatever scipy module
+    # the exact variance loads (and `sample` needs for a Binomial spec)
+    true_vars = [_true_variance(sc) for sc in scenarios]
     tasks, owner = [], []
     for i, sc in enumerate(scenarios):
         bounds = list(range(0, sc.n_reps, CHUNK_REPS)) + [sc.n_reps]
@@ -175,7 +182,7 @@ def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[Simulatio
               for sc in scenarios]
     for i, part in zip(owner, map_tasks(_chunk_worker, tasks, threads)):
         totals[i].add(part)
-    return [_summary(sc, total) for sc, total in zip(scenarios, totals)]
+    return [_summary(sc, total, var) for sc, total, var in zip(scenarios, totals, true_vars)]
 
 
 def run_scenario(sc: Scenario, threads: int = 1) -> SimulationSummary:
@@ -183,11 +190,14 @@ def run_scenario(sc: Scenario, threads: int = 1) -> SimulationSummary:
     return run_scenarios([sc], threads)[0]
 
 
-def _summary(sc: Scenario, total: _Tally) -> SimulationSummary:
+def _true_variance(sc: Scenario) -> float | None:
     try:
-        true_var = population_variance(sc.dist1, sc.dist2, sc.n1, sc.n2)
+        return population_variance(sc.dist1, sc.dist2, sc.n1, sc.n2)
     except UnsupportedPair:
-        true_var = None
+        return None
+
+
+def _summary(sc: Scenario, total: _Tally, true_var: float | None) -> SimulationSummary:
     return SimulationSummary(
         rejection_rate={
             kind.label(): float(total.rejections[i]) / sc.n_reps

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,27 @@ class TestPermutationTest:
         seq = permutation_test(d, TK.parse("bm"), n_perm=5000, seed=5, threads=1)
         par = permutation_test(d, TK.parse("bm"), n_perm=5000, seed=5, threads=2)
         assert (seq.p1, seq.p2, seq.p_value) == (par.p1, par.p2, par.p_value)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_one_contiguous_lane_per_worker(self, rng, monkeypatch, threads):
+        x1, x2 = random_dataset(rng, lo=8, hi=12)
+        d = TwoSamples(x1, x2)
+        n_perm = 5000  # three 2048-draw chunks
+        reference = permutation_test(d, TK.parse("pm"), n_perm=n_perm, seed=5)
+        lanes = []
+
+        def spy(fn, tasks, threads):
+            lanes.extend((t[4], t[4] + t[5]) for t in tasks)
+            return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(permutation, "map_tasks", spy)
+        got = permutation_test(d, TK.parse("pm"), n_perm=n_perm, seed=5, threads=threads)
+        assert len(lanes) == min(threads, 3)
+        assert [a for a, _ in lanes] == [0] + [b for _, b in lanes[:-1]]
+        assert lanes[-1][1] == n_perm
+        assert all(a % 2048 == 0 for a, _ in lanes)
+        assert (got.p1, got.p2, got.p_value) == (reference.p1, reference.p2, reference.p_value)
 
     def test_threads_below_one_rejected(self):
         d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])

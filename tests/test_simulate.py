@@ -182,6 +182,21 @@ class TestCurtailedPermutation:
         }
         assert sum(drawn) / n_reps < n_perm / 2
 
+    def test_default_step_scales_with_n_perm(self, monkeypatch):
+        n_reps, n_perm = 64, 2000
+        sc = Scenario(Normal(0, 1), Normal(0, 3), 7, 7, n_reps=n_reps, tests=PERM_BATTERY,
+                      n_perm=n_perm, master_seed=17)
+        drawn = []
+
+        def spy(ctx, kinds, observed, seed, first_draw, n_draws):
+            drawn.append(n_draws)
+            return tally_draws(ctx, kinds, observed, seed, first_draw, n_draws)
+
+        monkeypatch.setattr(simulate, "tally_draws", spy)
+        run_scenario(sc)
+        assert max(drawn) == 256
+        assert sum(drawn) / n_reps < n_perm / 2
+
 
 class TestDeterminism:
     def test_same_seed_same_summary(self):
