@@ -5,10 +5,12 @@ runs of equal values, each with its size and its count of arm-1 members.
 With `a` and `b` a run's arm-1 and arm-2 counts and A, B the counts in lower
 runs, an arm-2 value sits at 2*n1*F1 = 2A + a and an arm-1 value at
 2*n2*(1 - F2) = 2*n2 - 2B - b, so p, tau1, tau2 and beta are integer sums
-over runs, divided once.  Datasets with the same runs and counts get
+over runs, divided once.  `tie_runs` is the one labeller: one argsort per
+row gives each pooled value its run label, and `arm1_counts` counts any
+subset of labels per run.  Datasets with the same runs and counts get
 bit-identical moments whichever entry point produced them: a simulated
-batch (`moments_from_values`), permutation draws (`moments_from_perm`) or
-one user dataset (`TwoSamples.moments`).  A batch's summary holds one row
+batch (`moments_from_values`), permutation draws of labelled pooled values
+(`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A batch's summary holds one row
 per dataset in each field; one dataset's holds floats, equal to the row the
 same dataset would fill in a batch.
 
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["EffectSummary", "tie_runs", "run_counts", "moments_from_counts",
+__all__ = ["EffectSummary", "tie_runs", "arm1_counts", "moments_from_counts",
            "moments_from_values", "moments_from_perm"]
 
 # pooled size from which int64 sums (bounded by N**3) could overflow
@@ -82,27 +84,31 @@ class EffectSummary:
         return np.where(self.sep_high, 1.0 - eps, np.where(self.sep_low, eps, self.p_hat))[()]
 
 
-def tie_runs(ordered: np.ndarray) -> np.ndarray:
-    """Run index of each value of sorted rows, counting from 0 in every row."""
-    start = np.zeros(ordered.shape[:-1] + (1,), dtype=np.intp)
-    return np.concatenate([start, np.cumsum(ordered[..., 1:] != ordered[..., :-1], axis=-1)], axis=-1)
+def tie_runs(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tie runs of each row of a (rows, N) block of pooled values.
 
-
-def run_counts(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arm-1 counts and sizes of each row's tie runs, both (rows, runs).
-
-    Runs are in increasing value order; a row with fewer runs than the
-    widest is padded with empty runs, which add nothing to any sum.
+    Returns each value's run label, (rows, N) in the values' own positions,
+    and each row's run sizes, (rows, runs).  A row's runs are labelled from
+    0 in increasing value order; a row with fewer runs than the widest is
+    padded with empty runs, which add nothing to any sum.
     """
-    pooled = np.concatenate([x1, x2], axis=1)
-    rows, n1 = x1.shape
     order = np.argsort(pooled, axis=1)
-    run = tie_runs(np.take_along_axis(pooled, order, axis=1))
-    width = int(run[:, -1].max()) + 1
-    run += np.arange(rows)[:, None] * width
-    sizes = np.bincount(run.ravel(), minlength=rows * width).reshape(rows, width)
-    a = np.bincount(run[order < n1], minlength=rows * width).reshape(rows, width)
-    return a, sizes
+    ordered = np.take_along_axis(pooled, order, axis=1)
+    run = np.zeros(pooled.shape, dtype=np.intp)
+    # a new run starts where a sorted value differs from its predecessor
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run[:, 1:])
+    np.cumsum(run, axis=1, out=run)
+    labels = np.empty_like(run)
+    np.put_along_axis(labels, order, run, axis=1)
+    return labels, arm1_counts(run, int(run[:, -1].max()) + 1)
+
+
+def arm1_counts(labels: np.ndarray, n_runs: int) -> np.ndarray:
+    """Members of each of n_runs runs among each row's labels: (rows, k) to (rows, n_runs)."""
+    rows = labels.shape[0]
+    keys = labels + np.arange(rows)[:, None] * n_runs
+    # order="K": a transposed block is read without a copy
+    return np.bincount(keys.ravel(order="K"), minlength=rows * n_runs).reshape(rows, n_runs)
 
 
 def moments_from_counts(a: np.ndarray, sizes: np.ndarray, n1: int, n2: int) -> EffectSummary:
@@ -148,17 +154,18 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
     """Moments for a batch of datasets given as (reps, n1) and (reps, n2)."""
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    return moments_from_counts(*run_counts(x1, x2), x1.shape[1], x2.shape[1])
+    n1 = x1.shape[1]
+    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=1))
+    return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, x2.shape[1])
 
 
-def moments_from_perm(arm1: np.ndarray, run_of: np.ndarray, sizes: np.ndarray) -> EffectSummary:
+def moments_from_perm(arm1: np.ndarray, labels: np.ndarray) -> EffectSummary:
     """Moments for relabellings of one pooled sample, one row of arm-1 indices each.
 
-    `run_of` maps each pooled index to its tie run and `sizes` lists the run
-    sizes in increasing value order.
+    `labels` holds the run label of each pooled value (`tie_runs`).
     """
-    m, n1 = arm1.shape
-    n_runs = sizes.size
-    keys = run_of[arm1.T] + np.arange(m) * n_runs  # arm1.T is contiguous as relabelled
-    a = np.bincount(keys.ravel(), minlength=m * n_runs).reshape(m, n_runs)
-    return moments_from_counts(a, sizes, n1, int(sizes.sum()) - n1)
+    n1 = arm1.shape[1]
+    sizes = np.bincount(labels)
+    # arm1.T is the contiguous layout the relabel builds
+    a = arm1_counts(labels[arm1.T].T, sizes.size)
+    return moments_from_counts(a, sizes, n1, labels.size - n1)

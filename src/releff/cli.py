@@ -21,12 +21,13 @@ import io
 import math
 import sys
 
+from .distributions import dist_label
 from .dof import DfKind
 from .errors import ConfigError, SizeTooSmall
 from .permutation import permutation_test
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED
-from .simulate import load_scenarios, run_scenarios, scenario_row_meta
+from .simulate import load_scenarios, run_scenarios
 from .stat_tests import DEFAULT_BATTERY, T_FAMILIES, TestKind, run_test
 from .tables import TABLE_IDS, build_table
 
@@ -58,10 +59,13 @@ def _parse_test_list(spec: str, default_df: str) -> tuple[TestKind, ...]:
         token = token.strip()
         if not token:
             continue
-        if ":" not in token and token in T_FAMILIES:
-            kinds.append(TestKind(token, DfKind(default_df)))
-        else:
-            kinds.append(TestKind.parse(token))
+        try:
+            if ":" not in token and token in T_FAMILIES:
+                kinds.append(TestKind(token, DfKind(default_df)))
+            else:
+                kinds.append(TestKind.parse(token))
+        except ValueError as exc:
+            raise ConfigError(f"bad test label {token!r}: {exc}") from None
     if not kinds:
         raise ConfigError("empty test list")
     return tuple(kinds)
@@ -145,10 +149,9 @@ def _cmd_simulate(args) -> int:
         scenarios = [dataclasses.replace(sc, alpha=args.alpha) for sc in scenarios]
     rows = []
     for sc, summary in zip(scenarios, run_scenarios(scenarios, threads=args.threads)):
-        meta = scenario_row_meta(sc)
         for kind in sc.tests:
             rows.append([
-                str(meta["n1"]), str(meta["n2"]), meta["dist1"], meta["dist2"],
+                str(sc.n1), str(sc.n2), dist_label(sc.dist1), dist_label(sc.dist2),
                 kind.family,
                 kind.df_kind.value if kind.df_kind is not None else "",
                 f"{summary.rejection_rate[kind.label()]:.5f}",

@@ -10,9 +10,13 @@ in both tallies).
 Draw k of a run is row k of the uniform matrix keyed by the seed
 (`rng.uniforms`), with one column per relabelling swap (n2 of them), so it
 depends only on (seed, k) and results are bit-identical for any number of
-worker lanes and for any chunking of the draws.  The pooled sample is split
-into tie runs once; a draw only decides how many arm-1 members each run
-holds, and the moments are exact integer sums over those counts.
+worker lanes and for any chunking of the draws.  The pooled sample is
+labelled by tie run once (`_batch.tie_runs`, the labeller every entry point
+shares); a draw only decides how many arm-1 members each run holds, and the
+moments are exact integer sums over those counts.  `tally_draws` scores one
+block of draws (relabel, counts, moments, statistics);
+`permutation_test` gives each worker one contiguous lane of whole
+2048-draw chunks and tallies them one chunk at a time.
 `run_test` scores the observed data through the same kernel and formulas,
 and its statistic is the one the draws are tallied against, so a draw with
 the observed arm-1 multiset reproduces it bit for bit and ties are exact by
@@ -67,53 +71,38 @@ def _batch_permutations(u: np.ndarray, n: int, n1: int) -> np.ndarray:
     return perm[: n1 * m].reshape(n1, m).T
 
 
-@dataclass
-class PermContext:
-    """Tie runs of the pooled sample, shared by every permutation draw."""
-
-    run_of: np.ndarray
-    sizes: np.ndarray
-    n1: int
-
-    @classmethod
-    def from_pooled(cls, pooled: np.ndarray, n1: int) -> "PermContext":
-        order = np.argsort(pooled, kind="stable")
-        run_sorted = tie_runs(pooled[order])
-        run_of = np.empty(pooled.size, dtype=np.intp)
-        run_of[order] = run_sorted
-        return cls(run_of=run_of, sizes=np.bincount(run_sorted), n1=n1)
-
-
 def tally_draws(
-    ctx: PermContext,
+    labels: np.ndarray,
+    n1: int,
     kinds,
     observed: np.ndarray,
     seed: int,
     first_draw: int,
     n_draws: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of permuted statistics <= / >= the observed one, per kind."""
-    n = ctx.run_of.size
-    n_le = np.zeros(len(kinds), dtype=np.int64)
-    n_ge = np.zeros(len(kinds), dtype=np.int64)
-    done = 0
-    while done < n_draws:
-        m = min(_CHUNK_DRAWS, n_draws - done)
-        u = uniforms(perm_key(seed), first_draw + done, m, n - ctx.n1)
-        mm = moments_from_perm(_batch_permutations(u, n, ctx.n1), ctx.run_of, ctx.sizes)
-        for idx, kind in enumerate(kinds):
-            stat = stat_arrays(mm, kind)[0]
-            n_le[idx] += int(np.count_nonzero(stat <= observed[idx]))
-            n_ge[idx] += int(np.count_nonzero(stat >= observed[idx]))
-        done += m
-        # freed before the next chunk is drawn: a lane of many chunks then
-        # peaks at one chunk's memory, as a single-chunk call does
-        del u, mm
+    """Counts of permuted statistics <= / >= the observed one, per kind, over one block.
+
+    The block is draws [first_draw, first_draw + n_draws) of the seed's
+    stream.  `labels` holds each pooled value's tie-run label (`tie_runs`);
+    the first n1 pooled values are arm 1.
+    """
+    n = labels.size
+    # nested, so the uniforms are freed once relabelled
+    mm = moments_from_perm(
+        _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws, n - n1), n, n1), labels
+    )
+    stats = [stat_arrays(mm, kind)[0] for kind in kinds]
+    n_le = np.array([np.count_nonzero(s <= o) for s, o in zip(stats, observed)], dtype=np.int64)
+    n_ge = np.array([np.count_nonzero(s >= o) for s, o in zip(stats, observed)], dtype=np.int64)
     return n_le, n_ge
 
 
 def _lane_worker(args):
-    return tally_draws(*args)
+    """(n_le, n_ge) over the draws [first, first + n_draws), one chunk at a time."""
+    labels, n1, kinds, observed, seed, first, n_draws = args
+    stop = first + n_draws
+    return np.sum([tally_draws(labels, n1, kinds, observed, seed, a, min(_CHUNK_DRAWS, stop - a))
+                   for a in range(first, stop, _CHUNK_DRAWS)], axis=0)
 
 
 def permutation_test(
@@ -145,19 +134,17 @@ def permutation_test(
         raise InvalidKind("the permutation approach is defined for the non-WMW statistics")
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
-    data.require_min_size(2)
     observed_result = run_test(data, kind)
-    ctx = PermContext.from_pooled(data.pooled(), data.n1)
+    labels = tie_runs(data.pooled()[None, :])[0][0]
     observed = np.array([observed_result.statistic])
     n_chunks = -(-n_perm // _CHUNK_DRAWS)
     lanes = worker_count(threads, n_chunks)
     bounds = [min(n_perm, n_chunks * i // lanes * _CHUNK_DRAWS) for i in range(lanes + 1)]
-    tasks = [(ctx, [kind], observed, seed, a, b - a) for a, b in zip(bounds[:-1], bounds[1:])]
-    parts = map_tasks(_lane_worker, tasks, threads)
-    n_le = sum(p[0] for p in parts)
-    n_ge = sum(p[1] for p in parts)
-    p1 = float(n_le[0]) / n_perm
-    p2 = float(n_ge[0]) / n_perm
+    tasks = [(labels, data.n1, [kind], observed, seed, a, b - a)
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    (n_le,), (n_ge,) = np.sum(map_tasks(_lane_worker, tasks, threads), axis=0)
+    p1 = float(n_le) / n_perm
+    p2 = float(n_ge) / n_perm
     return PermutationResult(
         observed=observed_result,
         p1=p1,

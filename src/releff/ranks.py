@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._batch import EffectSummary, moments_from_counts, run_counts
+from ._batch import EffectSummary, arm1_counts, moments_from_counts, tie_runs
 from .errors import SizeTooSmall
 
 __all__ = ["Sample", "TwoSamples"]
@@ -81,8 +81,8 @@ class TwoSamples:
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Arm-1 counts and sizes of the pooled tie runs, in increasing value order."""
-        (a,), (sizes,) = run_counts(self.s1.values[None, :], self.s2.values[None, :])
-        return a, sizes
+        labels, (sizes,) = tie_runs(self.pooled()[None, :])
+        return arm1_counts(labels[:, : self.n1], sizes.size)[0], sizes
 
     @cached_property
     def moments(self) -> EffectSummary:

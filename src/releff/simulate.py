@@ -9,7 +9,9 @@ reduced in chunk order, so results are bit-identical for any number of
 worker processes.  `run_scenarios` runs the chunks of many scenarios in one
 pool.
 
-Rejection uses p <= alpha.  A permutation replication stops drawing once no
+Rejection uses p <= alpha.  A permutation chunk labels the tie runs of all
+its replications with one batched `tie_runs` call, and each replication
+tallies its draws through `permutation.tally_draws`, stopping once no
 test's decision can change (`_perm_rejections`).  Mean variance estimates
 accumulate the *raw* (unfloored) estimator values, matching the way the
 reproduction tables report them.
@@ -22,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ._batch import moments_from_values
+from ._batch import moments_from_values, tie_runs
 from ._pool import map_tasks
-from .distributions import DistSpec, dist_label, parse_dist, population_variance, sample
+from .distributions import DistSpec, parse_dist, population_variance, sample
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
-from .permutation import PermContext, tally_draws
+from .permutation import tally_draws
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
 from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays
 from .variance import VarianceKind, variance_raw
@@ -121,10 +123,10 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         return tally
     # each replication's observed statistics are its row of the batch
     observed_all = np.array([stat for stat, _ in scored])
+    labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
     for i, r in enumerate(range(start, stop)):
-        ctx = PermContext.from_pooled(np.concatenate([x1[i], x2[i]]), sc.n1)
         seed_r = rep_permutation_seed(sc.master_seed, r)
-        tally.rejections += _perm_rejections(sc, ctx, observed_all[:, i], seed_r)
+        tally.rejections += _perm_rejections(sc, labels[i], observed_all[:, i], seed_r)
     return tally
 
 
@@ -133,7 +135,9 @@ def _rejects(count: np.ndarray, sc: Scenario) -> np.ndarray:
     return np.minimum(1.0, 2.0 * count / sc.n_perm) <= sc.alpha
 
 
-def _perm_rejections(sc: Scenario, ctx: PermContext, observed: np.ndarray, seed: int) -> np.ndarray:
+def _perm_rejections(
+    sc: Scenario, labels: np.ndarray, observed: np.ndarray, seed: int
+) -> np.ndarray:
     """p <= alpha per test, for one replication's permutation p-values.
 
     Draws are tallied in steps of n_perm / 8 draws, at least
@@ -149,7 +153,7 @@ def _perm_rejections(sc: Scenario, ctx: PermContext, observed: np.ndarray, seed:
     done = 0
     while done < sc.n_perm:
         step = min(full_step, sc.n_perm - done)
-        le, ge = tally_draws(ctx, sc.tests, observed, seed, done, step)
+        le, ge = tally_draws(labels, sc.n1, sc.tests, observed, seed, done, step)
         n_le += le
         n_ge += ge
         done += step
@@ -253,14 +257,3 @@ def load_scenarios(path: str | Path, seed_override: int | None = None) -> list[S
     if not isinstance(entries, list) or not entries:
         raise ConfigError("scenario file must contain a non-empty list of scenarios")
     return [scenario_from_dict(e, seed_override) for e in entries]
-
-
-def scenario_row_meta(sc: Scenario) -> dict:
-    return {
-        "n1": sc.n1,
-        "n2": sc.n2,
-        "dist1": dist_label(sc.dist1),
-        "dist2": dist_label(sc.dist2),
-        "n_reps": sc.n_reps,
-        "seed": sc.master_seed,
-    }

@@ -58,6 +58,13 @@ class TestCmdTest:
         assert code == 0
         assert all(float(r["p_value"]) == 1.0 for r in parse_csv(out))
 
+    @pytest.mark.parametrize("label", ["foo", "pm:dfx", "wmw:df2"])
+    def test_malformed_test_label_exits_2_naming_it(self, tmp_path, capsys, label):
+        path = tmp_path / "toy.csv"
+        path.write_text(TOY_CSV)
+        assert main(["test", str(path), "--tests", f"n,{label}"]) == 2
+        assert repr(label) in capsys.readouterr().err
+
     def test_non_numeric_value_exits_2_naming_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("group,value\n1,1\n1,oops\n1,3\n2,4\n2,5\n")

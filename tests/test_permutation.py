@@ -10,20 +10,25 @@ from scipy.stats import chi2
 from releff import InvalidKind, TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
 from releff import permutation
-from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm
-from releff.permutation import PermContext, _batch_permutations, tally_draws
+from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm, tie_runs
+from releff.permutation import _batch_permutations, tally_draws
 from releff.rng import perm_key, uniforms
 from releff.stat_tests import stat_arrays
-from releff.tables import PERM_BATTERY
+from releff.tables import PERM_BATTERY, build_table
 from oracles import shuffle
 from tests_util import random_dataset
 
 KINDS = [TK.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")]
 
 
-def observed_stats(ctx, kinds):
+def run_labels(pooled):
+    """The tie-run label of each pooled value."""
+    return tie_runs(np.asarray(pooled, dtype=float)[None, :])[0][0]
+
+
+def observed_stats(labels, n1, kinds):
     """The kernel's statistics for the observed relabelling (arm 1 = pooled[:n1])."""
-    mm = moments_from_perm(np.arange(ctx.n1)[None, :], ctx.run_of, ctx.sizes)
+    mm = moments_from_perm(np.arange(n1)[None, :], labels)
     return np.array([stat_arrays(mm, k)[0][0] for k in kinds])
 
 
@@ -42,9 +47,9 @@ class TestShuffle:
             return arm1
 
         monkeypatch.setattr(permutation, "_batch_permutations", spy)
-        ctx = PermContext.from_pooled(np.arange(6.0), 3)
         n_draws = 60_000
-        tally_draws(ctx, [TK.parse("n_logit")], np.zeros(1), 99, 0, n_draws)
+        labels = run_labels(np.arange(6.0))
+        tally_draws(labels, 3, [TK.parse("n_logit")], np.zeros(1), 99, 0, n_draws)
         arm1 = np.concatenate(drawn)
         assert arm1.shape == (n_draws, 3)
         subsets, counts = np.unique(arm1, axis=0, return_counts=True)
@@ -100,7 +105,7 @@ class TestPermutationTest:
         lanes = []
 
         def spy(fn, tasks, threads):
-            lanes.extend((t[4], t[4] + t[5]) for t in tasks)
+            lanes.extend((t[5], t[5] + t[6]) for t in tasks)
             return [fn(t) for t in tasks]
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -150,9 +155,9 @@ class TestPermutationTest:
         same bits, so a draw with the observed arm-1 values ties it."""
         seen = []
 
-        def spy(ctx, kinds, observed, *args):
-            seen.append((ctx, observed.copy()))
-            return tally_draws(ctx, kinds, observed, *args)
+        def spy(labels, n1, kinds, observed, *args):
+            seen.append((labels, n1, observed.copy()))
+            return tally_draws(labels, n1, kinds, observed, *args)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         for i in range(200):
@@ -161,9 +166,9 @@ class TestPermutationTest:
             for kind in PERM_BATTERY:
                 seen.clear()
                 res = permutation_test(d, kind, n_perm=1, seed=i)
-                (ctx, observed), = seen
+                (labels, n1, observed), = seen
                 assert res.observed.statistic == observed[0], kind.label()
-                assert observed_stats(ctx, [kind])[0] == observed[0], kind.label()
+                assert observed_stats(labels, n1, [kind])[0] == observed[0], kind.label()
 
     def test_observed_result_matches_run_test(self, rng):
         x1, x2 = random_dataset(rng)
@@ -179,10 +184,9 @@ class TestBatchStatisticPath:
             x1, x2 = random_dataset(rng, lo=4, hi=9)
             d = TwoSamples(x1, x2)
             pooled = d.pooled()
-            ctx = PermContext.from_pooled(pooled, d.n1)
             u = uniforms(perm_key(17), 0, 6, d.n2)
             arm1_sets = _batch_permutations(u, d.n, d.n1)
-            mm = moments_from_perm(arm1_sets, ctx.run_of, ctx.sizes)
+            mm = moments_from_perm(arm1_sets, run_labels(pooled))
             for kind in KINDS:
                 stats = stat_arrays(mm, kind)[0]
                 for row, arm1 in enumerate(arm1_sets):
@@ -197,8 +201,7 @@ class TestBatchStatisticPath:
         for _ in range(20):
             x1, x2 = random_dataset(rng)
             d = TwoSamples(x1, x2)
-            ctx = PermContext.from_pooled(d.pooled(), d.n1)
-            obs = observed_stats(ctx, KINDS)
+            obs = observed_stats(run_labels(d.pooled()), d.n1, KINDS)
             for kind, got in zip(KINDS, obs):
                 assert got == pytest.approx(run_test(d, kind).statistic, abs=1e-12)
 
@@ -208,15 +211,15 @@ class TestBatchStatisticPath:
         rng = np.random.default_rng(1000 * n1 + n2)
         pooled = rng.choice(5, size=n1 + n2, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
         n, n_draws, seed = n1 + n2, 2048, 9
-        ctx = PermContext.from_pooled(pooled, n1)
-        observed = observed_stats(ctx, KINDS)
+        labels = run_labels(pooled)
+        observed = observed_stats(labels, n1, KINDS)
         # the draws tally_draws makes: row k of its stream, n2 swaps each
         arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2), n, n1)
         same = np.all(np.sort(pooled[arm1], axis=1) == np.sort(pooled[:n1]), axis=1)
         assert same.sum() > 0
-        n_le, n_ge = tally_draws(ctx, KINDS, observed, seed, 0, n_draws)
+        n_le, n_ge = tally_draws(labels, n1, KINDS, observed, seed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
-        mm = moments_from_perm(arm1, ctx.run_of, ctx.sizes)
+        mm = moments_from_perm(arm1, labels)
         for idx, kind in enumerate(KINDS):
             stats = stat_arrays(mm, kind)[0]
             assert np.all(stats[same] == observed[idx]), kind.label()
@@ -248,17 +251,66 @@ class TestBatchStatisticPath:
     def test_lane_split_reproduces_full_tally(self, rng):
         x1, x2 = random_dataset(rng, lo=6, hi=10)
         d = TwoSamples(x1, x2)
-        ctx = PermContext.from_pooled(d.pooled(), d.n1)
-        obs = observed_stats(ctx, KINDS)
-        full_le, full_ge = tally_draws(ctx, KINDS, obs, seed=4, first_draw=0, n_draws=777)
+        labels = run_labels(d.pooled())
+        obs = observed_stats(labels, d.n1, KINDS)
+        full_le, full_ge = tally_draws(labels, d.n1, KINDS, obs, seed=4, first_draw=0, n_draws=777)
         le = np.zeros_like(full_le)
         ge = np.zeros_like(full_ge)
         for a, b in [(0, 123), (123, 500), (500, 777)]:
-            part_le, part_ge = tally_draws(ctx, KINDS, obs, seed=4, first_draw=a, n_draws=b - a)
+            part_le, part_ge = tally_draws(labels, d.n1, KINDS, obs, seed=4, first_draw=a,
+                                           n_draws=b - a)
             le += part_le
             ge += part_ge
         assert np.array_equal(le, full_le) and np.array_equal(ge, full_ge)
 
+
+# recorded from an earlier version of the engine:
+# build_table("perm2", scale=0.001, seed=42, n_perm=100), each row joined by spaces
+PERM2_ROWS = [
+    '7 7 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 4170492980373218430',
+    '7 10 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 3659287829122110447',
+    '10 7 5 4 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 925007801726648711',
+    '10 10 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 14847713579027254973',
+    '15 15 5 4 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 14168315109966962438',
+    '15 30 5 4 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 17232142080131057128',
+    '30 15 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 8903724595555609521',
+    '30 30 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 15182869409068974200',
+    '15 45 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 4725083638187773119',
+    '45 15 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 2130498498001839760',
+    '7 7 1.2071 1 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 13608195884056899081',
+    '7 10 1.2071 1 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 13271371182978825299',
+    '10 7 1.2071 1 0.10000 0.10000 0.10000 0.20000 0.20000 0.20000 10 100 3206657139904091225',
+    '10 10 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 11922736549646822116',
+    '15 15 1.2071 1 0.20000 0.20000 0.20000 0.20000 0.20000 0.20000 10 100 5673012778058664362',
+    '15 30 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 5149924088625639415',
+    '30 15 1.2071 1 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 15755023830699409647',
+    '30 30 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 17476412796576152081',
+    '15 45 1.2071 1 0.20000 0.20000 0.20000 0.10000 0.10000 0.20000 10 100 15110903158140782303',
+    '45 15 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 4453391775978098889',
+]
+
+TIE_FREE = TwoSamples([0.31, 1.72, -0.45, 2.24, 0.93, 1.18, -1.36, 0.05],
+                      [1.41, 2.87, 0.62, 3.35, 1.96, -0.27, 2.51, 4.08, 1.33, 0.79])
+TIED = TwoSamples([1, 2, 2, 3, 3, 3, 4, 2, 1, 3], [2, 3, 3, 4, 4, 5, 3, 4, 2, 5, 3, 4])
+
+
+class TestPinnedStream:
+    """Fixed outputs of the permutation stream; a change here is a stream change."""
+
+    def test_perm2_rows(self):
+        _, rows = build_table("perm2", scale=0.001, seed=42, n_perm=100, threads=1)
+        assert [" ".join(row) for row in rows] == PERM2_ROWS
+
+    @pytest.mark.parametrize("data,label,n_le,n_ge", [
+        (TIE_FREE, "pm", 2917, 84),
+        (TIE_FREE, "n_logit", 2931, 70),
+        (TIED, "pm", 2986, 33),
+        (TIED, "n_logit", 2986, 33),
+    ], ids=["tie_free_pm", "tie_free_n_logit", "tied_pm", "tied_n_logit"])
+    def test_permutation_test_tallies(self, data, label, n_le, n_ge):
+        # 3000 draws span a whole 2048-draw chunk and a partial one
+        res = permutation_test(data, TK.parse(label), n_perm=3000, seed=2024)
+        assert (res.p1, res.p2) == (n_le / 3000, n_ge / 3000)
 
 def test_exchangeability_calibration():
     """Under F1=F2 continuous at sizes (10,10) the permutation test holds level."""

@@ -20,8 +20,8 @@ from releff import (
 )
 from releff import TestKind as TK
 from releff import simulate
-from releff._batch import moments_from_values
-from releff.permutation import PermContext, tally_draws
+from releff._batch import moments_from_values, tie_runs
+from releff.permutation import tally_draws
 from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
 from releff.simulate import _draw_chunk, _simulate_chunk, scenario_from_dict
@@ -61,6 +61,23 @@ class TestBatchKernel:
                 if df is not None:
                     assert df[row] == pytest.approx(res.df, abs=1e-10)
 
+    def test_tie_runs_contract(self, rng):
+        """A batch labels each row as it would alone, pads with empty runs,
+        and orders labels as the values they label."""
+        rows = [np.repeat([3.0, 1.0, 2.0], 4), rng.normal(size=12),
+                rng.integers(0, 5, size=12).astype(float), np.full(12, 7.0)]
+        labels, sizes = tie_runs(np.array(rows))
+        assert sizes.shape == (4, 12)
+        for row, lab, size in zip(rows, labels, sizes):
+            (alone,), (alone_sizes,) = tie_runs(row[None, :])
+            assert np.array_equal(lab, alone)
+            n_runs = alone_sizes.size
+            assert np.array_equal(size[:n_runs], alone_sizes)
+            assert not size[n_runs:].any()
+            assert alone_sizes.all() and np.array_equal(alone_sizes, np.bincount(alone))
+            assert np.array_equal(np.sign(lab[:, None] - lab[None, :]),
+                                  np.sign(row[:, None] - row[None, :]))
+
     def test_degenerate_rows(self):
         x1 = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
         x2 = np.array([[1.0, 1.0, 1.0], [7.0, 8.0, 9.0], [1.0, 2.0, 3.0]])
@@ -81,9 +98,9 @@ class TestPermutationObserved:
         batch of moments, are each replication's `run_test` statistics."""
         seen = []
 
-        def spy(ctx, kinds, observed, *args):
+        def spy(labels, n1, kinds, observed, *args):
             seen.append(observed.copy())
-            return tally_draws(ctx, kinds, observed, *args)
+            return tally_draws(labels, n1, kinds, observed, *args)
 
         monkeypatch.setattr(simulate, "tally_draws", spy)
         sc = Scenario(dist1, dist2, n1, n2, n_reps=80, tests=PERM_BATTERY,
@@ -109,7 +126,7 @@ class TestCurtailedPermutation:
         """A `tally_draws` stand-in: draw k is <= / >= the observed statistic
         of test t iff le[k, t] / ge[k, t]."""
 
-        def fake(ctx, kinds, observed, seed, first_draw, n_draws):
+        def fake(labels, n1, kinds, observed, seed, first_draw, n_draws):
             served.append((first_draw, n_draws))
             window = slice(first_draw, first_draw + n_draws)
             return le[window].sum(axis=0), ge[window].sum(axis=0)
@@ -163,15 +180,16 @@ class TestCurtailedPermutation:
         observed_all = np.array([stat_arrays(m, kind)[0] for kind in PERM_BATTERY])
         reference = np.zeros(len(PERM_BATTERY), dtype=np.int64)
         for r in range(n_reps):
-            ctx = PermContext.from_pooled(np.concatenate([x1[r], x2[r]]), n1)
+            labels = tie_runs(np.concatenate([x1[r], x2[r]])[None, :])[0][0]
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(ctx, PERM_BATTERY, observed_all[:, r], seed_r, 0, n_perm)
+            n_le, n_ge = tally_draws(labels, n1, PERM_BATTERY, observed_all[:, r], seed_r, 0,
+                                     n_perm)
             reference += self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
         drawn = []
 
-        def spy(ctx, kinds, observed, seed, first_draw, n_draws):
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
             drawn.append(n_draws)
-            return tally_draws(ctx, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
 
         monkeypatch.setattr(simulate, "tally_draws", spy)
         # below n_perm / 2, so a replication settled in its first step shows
@@ -188,9 +206,9 @@ class TestCurtailedPermutation:
                       n_perm=n_perm, master_seed=17)
         drawn = []
 
-        def spy(ctx, kinds, observed, seed, first_draw, n_draws):
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
             drawn.append(n_draws)
-            return tally_draws(ctx, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
 
         monkeypatch.setattr(simulate, "tally_draws", spy)
         run_scenario(sc)
