@@ -9,10 +9,13 @@ over runs, divided once.  `tie_runs` is the one labeller: one argsort per
 row gives each pooled value its run label, and `arm1_counts` counts any
 subset of labels per run.  Datasets with the same runs and counts get
 bit-identical moments whichever entry point produced them: a simulated
-batch (`moments_from_values`), permutation draws of labelled pooled values
-(`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A batch's summary holds one row
-per dataset in each field; one dataset's holds floats, equal to the row the
-same dataset would fill in a batch.
+batch (`moments_from_values`), permutation draws (`moments_from_perm`) or
+one user dataset (`TwoSamples.moments`).  A permutation draw arrives as the
+run labels of its arm-1 values, which the relabel carries through the
+shuffle in place of indices, so its counts are one `bincount` with no
+gather.  A batch's summary holds one row per dataset in each field; one
+dataset's holds floats, equal to the row the same dataset would fill in a
+batch.
 
 Every sum is below N**3 for N pooled values, so it is exact in int64 while
 N < 2**21; larger samples accumulate in float64 instead.
@@ -159,13 +162,12 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
     return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, x2.shape[1])
 
 
-def moments_from_perm(arm1: np.ndarray, labels: np.ndarray) -> EffectSummary:
-    """Moments for relabellings of one pooled sample, one row of arm-1 indices each.
+def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSummary:
+    """Moments for relabellings of one pooled sample, one row of arm-1 run labels each.
 
-    `labels` holds the run label of each pooled value (`tie_runs`).
+    `labels` holds the run label of each pooled value (`tie_runs`); a row of
+    `arm1_labels` holds the labels of the values one relabelling puts in arm 1.
     """
-    n1 = arm1.shape[1]
+    n1 = arm1_labels.shape[1]
     sizes = np.bincount(labels)
-    # arm1.T is the contiguous layout the relabel builds
-    a = arm1_counts(labels[arm1.T].T, sizes.size)
-    return moments_from_counts(a, sizes, n1, labels.size - n1)
+    return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, labels.size - n1)

@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import sys
 
 from .distributions import dist_label
@@ -51,6 +52,17 @@ def _emit(header: list[str], rows: list[list[str]], fmt: str, out_path: str | No
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output(out_path: str) -> None:
+    """Refuse an --output whose directory is missing or not writable, before any work."""
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--output {out_path}: {parent} is not an existing directory")
+    if os.path.isdir(out_path):
+        raise ConfigError(f"--output {out_path} is a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"--output {out_path}: directory {parent} is not writable")
 
 
 def _parse_test_list(spec: str, default_df: str) -> tuple[TestKind, ...]:
@@ -225,6 +237,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--n-perm must be >= 1, got {args.n_perm}")
         if getattr(args, "alpha", None) is not None and not 0.0 < args.alpha < 1.0:
             raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
+        if args.output:
+            _check_output(args.output)
         if args.command == "test":
             return _cmd_test(args)
         if args.command == "simulate":

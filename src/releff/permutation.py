@@ -13,10 +13,14 @@ depends only on (seed, k) and results are bit-identical for any number of
 worker lanes and for any chunking of the draws.  The pooled sample is
 labelled by tie run once (`_batch.tie_runs`, the labeller every entry point
 shares); a draw only decides how many arm-1 members each run holds, and the
-moments are exact integer sums over those counts.  `tally_draws` scores one
-block of draws (relabel, counts, moments, statistics);
-`permutation_test` gives each worker one contiguous lane of whole
-2048-draw chunks and tallies them one chunk at a time.
+moments are exact integer sums over those counts.  The relabel carries the
+run labels themselves (int32) through the shuffle, one scatter per swap, so
+a draw's arm-1 labels are counted per run directly.  `tally_draws` scores
+one block of draws (relabel, counts, moments, statistics alone, no degrees
+of freedom); `permutation_test` gives each worker one contiguous lane of
+whole 2048-draw chunks and scores the lane in blocks of `_block_draws`
+draws, whose arrays stay near 1.5 MiB, inside a core's L2 cache.  Tallies
+are integer counts, so the blocking leaves them unchanged.
 `run_test` scores the observed data through the same kernel and formulas,
 and its statistic is the one the draws are tallied against, so a draw with
 the observed arm-1 multiset reproduces it bit for bit and ties are exact by
@@ -33,11 +37,14 @@ from ._pool import map_tasks, worker_count
 from .errors import InvalidKind
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_key, uniforms
-from .stat_tests import TestKind, TestResult, run_test, stat_arrays
+from .stat_tests import TestKind, TestResult, run_test, statistic
 
 __all__ = ["PermutationResult", "permutation_test"]
 
 _CHUNK_DRAWS = 2048
+# a block's working set: 1.5 MiB, below a typical core's 2 MiB L2 cache
+_BLOCK_BYTES = 3 * 2**19
+_MIN_BLOCK_DRAWS = 128
 
 
 @dataclass(frozen=True)
@@ -50,24 +57,40 @@ class PermutationResult:
     seed: int
 
 
-def _batch_permutations(u: np.ndarray, n: int, n1: int) -> np.ndarray:
-    """Arm-1 index sets of row-wise Fisher-Yates shuffles driven by uniform rows.
+def _block_draws(n: int, n_runs: int) -> int:
+    """Draws scored per block at n pooled values in n_runs tie runs.
+
+    A draw takes 4 bytes per pooled value in the relabel and 8 per run in
+    each (draws, runs) count and moment array, so a block of
+    3 * 2**19 // (4 n + 8 n_runs) draws keeps them near 1.5 MiB.  It is at
+    least 128 draws, so that each block's fixed cost stays small, and at
+    most one 2048-draw chunk.
+    """
+    return min(_CHUNK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // (4 * n + 8 * n_runs)))
+
+
+def _batch_permutations(u: np.ndarray, values: np.ndarray, n1: int) -> np.ndarray:
+    """The values a row-wise Fisher-Yates shuffle driven by uniform rows puts in arm 1.
 
     Row k of u holds n - n1 uniforms and makes the first n - n1 swaps of a
-    Fisher-Yates shuffle, where step s swaps position i = n-1-s with
-    floor(u[s]*(i+1)).  Those swaps settle positions n1..n-1, and the later
-    swaps only reorder arm 1, so row k holds the indices the full shuffle
-    leaves in its first n1 positions, in some order.
+    Fisher-Yates shuffle of `values`, where step s swaps position
+    i = n-1-s with floor(u[s]*(i+1)).  Those swaps settle positions
+    n1..n-1, and the later swaps only reorder arm 1, so row k holds the
+    values the full shuffle leaves in its first n1 positions, in some order.
+    Position i is never read after step i, so a step only copies position i
+    into the drawn one instead of swapping them.
     """
     m = u.shape[0]
+    n = values.size
     # column-major working array: perm[i * m + k] is position i of row k
-    perm = np.repeat(np.arange(n), m)
-    flat_j = (u * np.arange(n, n1, -1)).astype(np.int64).T * m + np.arange(m)
+    perm = np.repeat(values, m)
+    # flat_j[step, k] = floor(u[k, step] * (i + 1)) * m + k, built in one array
+    flat_j = np.empty((n - n1, m), dtype=np.intp)
+    np.multiply(u.T, np.arange(n, n1, -1)[:, None], out=flat_j, casting="unsafe")
+    flat_j *= m
+    flat_j += np.arange(m)
     for step, i in enumerate(range(n - 1, n1 - 1, -1)):
-        at_i = perm[i * m : (i + 1) * m]
-        tmp = at_i.copy()
-        at_i[:] = perm[flat_j[step]]
-        perm[flat_j[step]] = tmp
+        perm[flat_j[step]] = perm[i * m : (i + 1) * m]
     return perm[: n1 * m].reshape(n1, m).T
 
 
@@ -89,20 +112,23 @@ def tally_draws(
     n = labels.size
     # nested, so the uniforms are freed once relabelled
     mm = moments_from_perm(
-        _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws, n - n1), n, n1), labels
+        _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws, n - n1),
+                            labels.astype(np.int32), n1),
+        labels,
     )
-    stats = [stat_arrays(mm, kind)[0] for kind in kinds]
+    stats = [statistic(mm, kind) for kind in kinds]
     n_le = np.array([np.count_nonzero(s <= o) for s, o in zip(stats, observed)], dtype=np.int64)
     n_ge = np.array([np.count_nonzero(s >= o) for s, o in zip(stats, observed)], dtype=np.int64)
     return n_le, n_ge
 
 
 def _lane_worker(args):
-    """(n_le, n_ge) over the draws [first, first + n_draws), one chunk at a time."""
+    """(n_le, n_ge) over the draws [first, first + n_draws), one cache-sized block at a time."""
     labels, n1, kinds, observed, seed, first, n_draws = args
     stop = first + n_draws
-    return np.sum([tally_draws(labels, n1, kinds, observed, seed, a, min(_CHUNK_DRAWS, stop - a))
-                   for a in range(first, stop, _CHUNK_DRAWS)], axis=0)
+    block = _block_draws(labels.size, int(labels.max()) + 1)
+    return np.sum([tally_draws(labels, n1, kinds, observed, seed, a, min(block, stop - a))
+                   for a in range(first, stop, block)], axis=0)
 
 
 def permutation_test(

@@ -29,7 +29,7 @@ from ._pool import map_tasks
 from .distributions import DistSpec, parse_dist, population_variance, sample
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
-from .permutation import tally_draws
+from .permutation import _block_draws, tally_draws
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
 from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays
 from .variance import VarianceKind, variance_raw
@@ -141,7 +141,8 @@ def _perm_rejections(
     """p <= alpha per test, for one replication's permutation p-values.
 
     Draws are tallied in steps of n_perm / 8 draws, at least
-    `_PERM_STEP_MIN` and at most `_PERM_STEP`.  Both tallies only grow and
+    `_PERM_STEP_MIN` and at most `_PERM_STEP` or the cache-sized block of
+    `permutation_test` (`_block_draws`), whichever is smaller.  Both tallies only grow and
     `_rejects` is monotone in them, so once neither tally of any test can
     still reject, the remaining draws cannot change a decision and are
     skipped.  Draw k depends only on (seed, k), so the decisions equal those
@@ -149,7 +150,8 @@ def _perm_rejections(
     """
     n_le = np.zeros(len(sc.tests), dtype=np.int64)
     n_ge = np.zeros(len(sc.tests), dtype=np.int64)
-    full_step = min(_PERM_STEP, max(_PERM_STEP_MIN, -(-sc.n_perm // 8)))
+    full_step = min(_PERM_STEP, max(_PERM_STEP_MIN, -(-sc.n_perm // 8)),
+                    _block_draws(labels.size, int(labels.max()) + 1))
     done = 0
     while done < sc.n_perm:
         step = min(full_step, sc.n_perm - done)

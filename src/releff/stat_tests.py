@@ -13,7 +13,9 @@ data every statistic is exactly zero.
 The statistic and the p-value are written once, over the fields of an
 `EffectSummary`: `stat_arrays` and `p_value_arrays` score a batch (arrays)
 or one dataset (floats), and `run_test` is those two calls on the dataset's
-cached summary plus the `degeneracy` flag of its variance.
+cached summary plus the `degeneracy` flag of its variance.  `statistic` is
+the statistic alone, without degrees of freedom, for the permutation draws,
+which compare statistics and never read a df.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ __all__ = [
     "TestKind",
     "TestResult",
     "run_test",
+    "statistic",
     "stat_arrays",
     "p_value_arrays",
     "normal_cdf",
@@ -133,13 +136,15 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-def _statistic(m: EffectSummary, variance_value, kind: TestKind):
-    """The statistic from moments and a positive variance, for a batch or one dataset.
+def statistic(m: EffectSummary, kind: TestKind):
+    """The statistic alone: an array for a batch, a float for one dataset.
 
-    The rank-test statistic uses the untouched effect estimate; the others use
-    the boundary-adjusted estimate so that separated arms give finite values.
+    The variance is floored so that it is positive.  The rank-test statistic
+    uses the untouched effect estimate; the others use the boundary-adjusted
+    estimate so that separated arms give finite values.
     """
-    sd = np.sqrt(variance_value)
+    vk = kind.variance_kind
+    sd = np.sqrt(floored(m, vk, variance_raw(m, vk)))
     if kind.family == "wmw":
         return (m.p_hat - 0.5) / sd
     p = m.p_hat_adjusted
@@ -150,9 +155,7 @@ def _statistic(m: EffectSummary, variance_value, kind: TestKind):
 
 def stat_arrays(m: EffectSummary, kind: TestKind):
     """Statistic and df (None for normal references): arrays for a batch, floats for one dataset."""
-    vk = kind.variance_kind
-    stat = _statistic(m, floored(m, vk, variance_raw(m, vk)), kind)
-    return stat, degrees_of_freedom(m, kind.df_kind) if kind.uses_t else None
+    return statistic(m, kind), degrees_of_freedom(m, kind.df_kind) if kind.uses_t else None
 
 
 def p_value_arrays(stat, df, alternative: str = "two-sided"):

@@ -7,6 +7,7 @@ import pytest
 
 from releff import TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
+from releff import cli
 from releff.cli import main
 
 TOY_CSV = "group,value\n1,1\n1,2\n1,3\n2,2\n2,3\n2,4\n"
@@ -241,3 +242,27 @@ class TestCmdTables:
                 code, out = run_cli(["tables", table, "--scale", "0.0002", "--n-perm", n_perm])
                 assert code == 2 and out == ""
                 assert "--n-perm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "tables"])
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command):
+    ran = []
+    for name in ("run_test", "run_scenarios", "build_table"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+    data = tmp_path / "d.csv"
+    data.write_text(TOY_CSV)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(json.dumps([{
+        "dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10,
+    }]))
+    argv = {"test": ["test", str(data)], "simulate": ["simulate", str(cfg)],
+            "tables": ["tables", "t1", "--scale", "0.0001"]}[command]
+    out = tmp_path / "missing" / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert ran == []
+    assert str(out) in capsys.readouterr().err
+    assert not out.parent.exists()
+    # an existing directory is no output file either
+    assert main([*argv, "--output", str(tmp_path)]) == 2
+    assert ran == []
+    assert "is a directory" in capsys.readouterr().err

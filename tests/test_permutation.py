@@ -28,7 +28,7 @@ def run_labels(pooled):
 
 def observed_stats(labels, n1, kinds):
     """The kernel's statistics for the observed relabelling (arm 1 = pooled[:n1])."""
-    mm = moments_from_perm(np.arange(n1)[None, :], labels)
+    mm = moments_from_perm(labels[None, :n1], labels)
     return np.array([stat_arrays(mm, k)[0][0] for k in kinds])
 
 
@@ -41,8 +41,8 @@ class TestShuffle:
         the stream `tally_draws` reads."""
         drawn = []
 
-        def spy(u, n, n1):
-            arm1 = _batch_permutations(u, n, n1)
+        def spy(u, values, n1):
+            arm1 = _batch_permutations(u, values, n1)
             drawn.append(np.sort(arm1, axis=1))
             return arm1
 
@@ -66,9 +66,20 @@ class TestShuffle:
         values = np.arange(float(n))
         scalar = [shuffle(values, u[k]) for k in range(20)]
         for n1 in range(1, n):
-            batch = _batch_permutations(u[:, : n - n1], n, n1)
+            batch = _batch_permutations(u[:, : n - n1], np.arange(n), n1)
             for k in range(20):
                 assert set(values[batch[k]]) == set(scalar[k][:n1])
+
+    @pytest.mark.parametrize("n1", [1, 4, 9, 13])
+    def test_carried_labels_are_the_labels_of_the_carried_indices(self, n1):
+        """Carrying run labels puts in arm 1 exactly the labels of the index
+        sets that carrying the indices gives, in the same order."""
+        n = 14
+        labels = run_labels([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7]).astype(np.int32)
+        u = uniforms(perm_key(8), 0, 300, n - n1)
+        carried = _batch_permutations(u, labels, n1)
+        assert carried.dtype == np.int32
+        assert np.array_equal(carried, labels[_batch_permutations(u, np.arange(n), n1)])
 
     def test_draw_streams_tile_the_sequential_run(self):
         # lanes that regenerate [a, b) reproduce the same uniform rows
@@ -116,6 +127,34 @@ class TestPermutationTest:
         assert lanes[-1][1] == n_perm
         assert all(a % 2048 == 0 for a, _ in lanes)
         assert (got.p1, got.p2, got.p_value) == (reference.p1, reference.p2, reference.p_value)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
+    def test_cache_sized_blocks_reproduce_one_tally(self, monkeypatch, tied):
+        """At 300/300 a lane is scored in blocks under 2048 draws; the tallies
+        equal one tally over all the draws, at any thread count."""
+        rng = np.random.default_rng(300)
+        if tied:
+            pooled = rng.choice(5, size=600, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
+        else:
+            pooled = rng.normal(size=600)
+        d = TwoSamples(pooled[:300], pooled[300:])
+        pm = TK.parse("pm")
+        labels = run_labels(d.pooled())
+        block = permutation._block_draws(600, int(labels.max()) + 1)
+        assert block < 2048
+        observed = np.array([run_test(d, pm).statistic])
+        n_le, n_ge = tally_draws(labels, 300, [pm], observed, 6, 0, 5000)
+        blocks = []
+
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+            blocks.append(n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+
+        monkeypatch.setattr(permutation, "tally_draws", spy)
+        for threads in (1, 2):
+            res = permutation_test(d, pm, n_perm=5000, seed=6, threads=threads)
+            assert (res.p1, res.p2) == (n_le[0] / 5000, n_ge[0] / 5000)
+        assert max(blocks) == block and sum(blocks) >= 5000
 
     def test_threads_below_one_rejected(self):
         d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
@@ -185,8 +224,9 @@ class TestBatchStatisticPath:
             d = TwoSamples(x1, x2)
             pooled = d.pooled()
             u = uniforms(perm_key(17), 0, 6, d.n2)
-            arm1_sets = _batch_permutations(u, d.n, d.n1)
-            mm = moments_from_perm(arm1_sets, run_labels(pooled))
+            arm1_sets = _batch_permutations(u, np.arange(d.n), d.n1)
+            labels = run_labels(pooled)
+            mm = moments_from_perm(labels[arm1_sets], labels)
             for kind in KINDS:
                 stats = stat_arrays(mm, kind)[0]
                 for row, arm1 in enumerate(arm1_sets):
@@ -214,12 +254,12 @@ class TestBatchStatisticPath:
         labels = run_labels(pooled)
         observed = observed_stats(labels, n1, KINDS)
         # the draws tally_draws makes: row k of its stream, n2 swaps each
-        arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2), n, n1)
+        arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2), np.arange(n), n1)
         same = np.all(np.sort(pooled[arm1], axis=1) == np.sort(pooled[:n1]), axis=1)
         assert same.sum() > 0
         n_le, n_ge = tally_draws(labels, n1, KINDS, observed, seed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
-        mm = moments_from_perm(arm1, labels)
+        mm = moments_from_perm(labels[arm1], labels)
         for idx, kind in enumerate(KINDS):
             stats = stat_arrays(mm, kind)[0]
             assert np.all(stats[same] == observed[idx]), kind.label()

@@ -19,7 +19,7 @@ from releff import (
     population_variance,
 )
 from releff import TestKind as TK
-from releff import simulate
+from releff import permutation, simulate
 from releff._batch import moments_from_values, tie_runs
 from releff.permutation import tally_draws
 from releff.rng import rep_permutation_seed
@@ -199,6 +199,35 @@ class TestCurtailedPermutation:
             kind.label(): float(reference[i]) / n_reps for i, kind in enumerate(PERM_BATTERY)
         }
         assert sum(drawn) / n_reps < n_perm / 2
+
+    def test_step_capped_at_the_cache_sized_block(self, monkeypatch):
+        """At 150/150 tie-free the block is below the default step; every
+        tally stays within it and the decisions equal one full tally."""
+        n_reps, n_perm = 4, 4000
+        sc = Scenario(Normal(0, 1), Normal(0.25, 1), 150, 150, n_reps=n_reps,
+                      tests=PERM_BATTERY, n_perm=n_perm, master_seed=29)
+        block = permutation._block_draws(300, 300)
+        assert block < min(simulate._PERM_STEP, n_perm // 8)
+        x1, x2 = _draw_chunk(sc, 0, n_reps)
+        m = moments_from_values(x1, x2)
+        observed_all = np.array([stat_arrays(m, kind)[0] for kind in PERM_BATTERY])
+        labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
+        drawn = []
+
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+            drawn.append(n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+
+        for r in range(n_reps):
+            seed_r = rep_permutation_seed(sc.master_seed, r)
+            n_le, n_ge = tally_draws(labels[r], 150, PERM_BATTERY, observed_all[:, r], seed_r, 0,
+                                     n_perm)
+            with monkeypatch.context() as mp:
+                mp.setattr(simulate, "tally_draws", spy)
+                got = simulate._perm_rejections(sc, labels[r], observed_all[:, r], seed_r)
+            want = self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
+            assert got.astype(np.int64).tolist() == want.tolist()
+        assert drawn and max(drawn) <= block
 
     def test_default_step_scales_with_n_perm(self, monkeypatch):
         n_reps, n_perm = 64, 2000

@@ -17,6 +17,8 @@ from releff import (
     t_cdf,
 )
 from releff import TestKind as TK
+from releff._batch import moments_from_values
+from releff.stat_tests import stat_arrays, statistic
 from tests_util import random_dataset
 
 TOY = TwoSamples([1, 2, 3], [2, 3, 4])
@@ -212,3 +214,24 @@ class TestDegenerateInputs:
                 res = run_test(TwoSamples(x1, x2), kind)
                 assert math.isfinite(res.statistic)
                 assert math.isfinite(res.p_value)
+
+
+class TestStatisticAlone:
+    KINDS = ALL_KINDS + [TK("n", df) for df in DfKind] + [TK("bm", df) for df in DfKind] + [
+        TK("pm", df) for df in DfKind]
+
+    def test_bit_equal_to_stat_arrays(self, rng):
+        """`statistic` is the first half of `stat_arrays`, on a batch and on one dataset."""
+        x1 = rng.integers(0, 4, size=(40, 8)).astype(float)
+        x2 = rng.integers(0, 4, size=(40, 9)).astype(float)
+        x1[0], x2[0] = 2.0, 2.0  # all tied
+        x1[1], x2[1] = np.arange(8.0), np.arange(9.0) + 10.0  # separated
+        x1[2:20] = rng.normal(size=(18, 8))
+        x2[2:20] = rng.normal(size=(18, 9))
+        batch = moments_from_values(x1, x2)
+        scalars = [TwoSamples(a, b).moments for a, b in zip(x1, x2)]
+        for kind in self.KINDS:
+            stats = statistic(batch, kind)
+            assert np.array_equal(stats, stat_arrays(batch, kind)[0]), kind.label()
+            for es in scalars:
+                assert statistic(es, kind) == stat_arrays(es, kind)[0], kind.label()
