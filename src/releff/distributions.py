@@ -30,7 +30,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import betainc, ndtr, ndtri
 
-from .errors import NoBracket, UnsupportedPair
+from .errors import ConfigError, NoBracket, UnsupportedPair
 
 __all__ = [
     "Normal",
@@ -112,6 +112,8 @@ _PATTERNS = [
 
 def parse_dist(text: str) -> DistSpec:
     """Parse labels like "N(0,1)", "E(1)", "B(5,0.6)", "BL(5,4,5)"."""
+    if not isinstance(text, str):
+        raise ConfigError(f"distribution spec must be a string, got {text!r}")
     s = text.strip().replace(" ", "").upper()
     for pattern, build in _PATTERNS:
         m = pattern.match(s)

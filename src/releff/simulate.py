@@ -12,9 +12,9 @@ pool.
 Rejection uses p <= alpha.  A permutation chunk labels the tie runs of all
 its replications with one batched `tie_runs` call, and each replication
 tallies its draws through `permutation.tally_draws`, stopping once no
-test's decision can change (`_perm_rejections`).  Mean variance estimates
-accumulate the *raw* (unfloored) estimator values, matching the way the
-reproduction tables report them.
+test's decision can change (`_perm_rejections`); a scenario with no tests
+draws none.  Mean variance estimates accumulate the *raw* (unfloored)
+estimator values, matching the way the reproduction tables report them.
 """
 from __future__ import annotations
 
@@ -116,7 +116,7 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         n=stop - start,
     )
     scored = [stat_arrays(m, kind) for kind in sc.tests]
-    if sc.n_perm is None:
+    if sc.n_perm is None or not sc.tests:
         for idx, (stat, df) in enumerate(scored):
             p = p_value_arrays(stat, df)
             tally.rejections[idx] += int(np.count_nonzero(p <= sc.alpha))
@@ -222,6 +222,8 @@ def _summary(sc: Scenario, total: _Tally, true_var: float | None) -> SimulationS
 
 def scenario_from_dict(entry: dict, seed_override: int | None = None) -> Scenario:
     """Build a Scenario from one scenario-file entry."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"scenario entry must be an object, got {entry!r}")
     try:
         tests = entry.get("tests")
         kinds = (
@@ -245,7 +247,7 @@ def scenario_from_dict(entry: dict, seed_override: int | None = None) -> Scenari
         )
     except KeyError as exc:
         raise ConfigError(f"scenario entry is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario entry: {exc}") from exc
 
 

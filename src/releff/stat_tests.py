@@ -28,7 +28,7 @@ from scipy.special import ndtr, ndtri, stdtr
 
 from .dof import DfKind, degrees_of_freedom
 from .effect import EffectSummary, estimate_effect
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .ranks import TwoSamples
 from .variance import Degeneracy, VarianceKind, degeneracy, floored, variance_raw
 
@@ -91,6 +91,8 @@ class TestKind:
     @classmethod
     def parse(cls, text: str) -> "TestKind":
         """Parse labels like "wmw", "pm", "pm:df2", "bm_logit"."""
+        if not isinstance(text, str):
+            raise ConfigError(f"test label must be a string, got {text!r}")
         text = text.strip().lower()
         if ":" in text:
             family, df = text.split(":", 1)

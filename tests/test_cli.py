@@ -204,6 +204,29 @@ class TestCmdSimulate:
         assert main(["simulate", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"scenarios": [None]},
+        [{"dist1": 5, "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10}],
+        [{"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10, "tests": [5]}],
+        '[{"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 1e999}]',
+    ], ids=["non_object_entries", "null_entry", "numeric_dist", "numeric_test", "infinite_count"])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        code, out = run_cli(["simulate", str(cfg)])
+        assert code == 2 and out == ""
+        assert "error" in capsys.readouterr().err
+
+    def test_permutation_entry_without_tests_runs(self, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(json.dumps([{
+            "dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7,
+            "n_reps": 5, "tests": [], "n_perm": 50,
+        }]))
+        code, out = run_cli(["simulate", str(cfg)])
+        assert code == 0 and parse_csv(out) == []
+
     def test_quoted_dist_labels_round_trip(self, tmp_path):
         # dist labels contain commas; CSV quoting must survive a reparse
         cfg = tmp_path / "one.cfg"

@@ -353,6 +353,16 @@ class TestScenarioConfig:
                 scenario_from_dict({"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 9, "n2": 9,
                                     "n_reps": 10, "tests": ["pm"], "n_perm": n_perm})
 
+    def test_permutation_scenario_without_tests_draws_nothing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a scenario without tests drew permutations")
+
+        monkeypatch.setattr(simulate, "tally_draws", no_draws)
+        base = dict(dist1=Normal(0, 1), dist2=Normal(0, 1), n1=7, n2=7, n_reps=5, tests=())
+        summary = run_scenario(Scenario(**base, n_perm=50))
+        assert summary == run_scenario(Scenario(**base))
+        assert summary.rejection_rate == {}
+
     def test_from_dict_and_file(self, tmp_path):
         entry = {"dist1": "N(0,1)", "dist2": "BL(5,4,5)", "n1": 8, "n2": 9,
                  "n_reps": 12, "tests": ["wmw", "pm:df1"], "seed": 4}
