@@ -33,7 +33,7 @@ from .errors import (
     TiesInReducedForm,
     UnsupportedPair,
 )
-from .permutation import PermutationResult, permutation_test
+from .permutation import PermutationResult, permutation_test, permutation_tests
 from .ranks import Sample, TwoSamples
 from .rng import DEFAULT_SEED
 from .simulate import Scenario, SimulationSummary, load_scenarios, run_scenario, run_scenarios

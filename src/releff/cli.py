@@ -25,7 +25,7 @@ import sys
 from .distributions import dist_label
 from .dof import DfKind
 from .errors import ConfigError, SizeTooSmall
-from .permutation import permutation_test
+from .permutation import permutation_tests
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED
 from .simulate import load_scenarios, run_scenarios
@@ -86,7 +86,8 @@ def _parse_test_list(spec: str, default_df: str) -> tuple[TestKind, ...]:
 def _read_two_group_csv(path: str) -> TwoSamples:
     groups: dict[int, list[float]] = {1: [], 2: []}
     try:
-        fh = open(path, newline="")
+        # utf-8-sig also reads the byte-order mark that Excel and many editors write
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -129,6 +130,9 @@ def _cmd_test(args) -> int:
     header = ["test", "statistic", "df", "p_value", "degenerate"]
     if args.n_perm:
         header.append("perm_p_value")
+        # one pass over the draws tallies every non-wmw kind
+        perms = iter(permutation_tests(data, [kind for kind in kinds if kind.family != "wmw"],
+                                       n_perm=args.n_perm, seed=args.seed, threads=args.threads))
     rows = []
     for kind in kinds:
         res = run_test(data, kind, alternative=args.alternative)
@@ -143,9 +147,7 @@ def _cmd_test(args) -> int:
             if kind.family == "wmw":
                 row.append("")
             else:
-                perm = permutation_test(
-                    data, kind, n_perm=args.n_perm, seed=args.seed, threads=args.threads
-                )
+                perm = next(perms)
                 p = {"two-sided": perm.p_value, "greater": perm.p2, "less": perm.p1}
                 row.append(format(p[args.alternative], ".12g"))
         rows.append(row)
@@ -220,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replication-count multiplier in (0, 1]")
     p_tab.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_tab.add_argument("--n-perm", type=int, default=None,
-                       help="override the per-replication permutation count")
+                       help="override the per-replication permutation count "
+                            "(t1, t2 and app_var draw no permutations and ignore it)")
     p_tab.add_argument("--threads", type=int, default=1)
     p_tab.add_argument("--format", default="csv", choices=["csv", "markdown"])
     p_tab.add_argument("--output", default=None)

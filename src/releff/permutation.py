@@ -9,18 +9,16 @@ in both tallies).
 
 Draw k of a run is row k of the uniform matrix keyed by the seed
 (`rng.uniforms`), with one column per relabelling swap (n2 of them), so it
-depends only on (seed, k) and results are bit-identical for any number of
-worker lanes and for any chunking of the draws.  The pooled sample is
-labelled by tie run once (`_batch.tie_runs`, the labeller every entry point
-shares); a draw only decides how many arm-1 members each run holds, and the
-moments are exact integer sums over those counts.  The relabel carries the
-run labels themselves (int32) through the shuffle, one scatter per swap, so
-a draw's arm-1 labels are counted per run directly.  `tally_draws` scores
-one block of draws (relabel, counts, moments, statistics alone, no degrees
-of freedom); `permutation_test` gives each worker one contiguous lane of
-whole 2048-draw chunks and scores the lane in blocks of `_block_draws`
-draws, whose arrays stay near 1.5 MiB, inside a core's L2 cache.  Tallies
-are integer counts, so the blocking leaves them unchanged.
+depends only on (seed, k).  The pooled sample is labelled by tie run once
+(`_batch.tie_runs`); a draw only decides how many arm-1 members each run
+holds, and the moments are exact integer sums over those counts.  The
+relabel carries the run labels (int32) through the shuffle, one scatter per
+swap.  This module alone schedules draws: `tally_range`, the one draw loop,
+scores draws in cache-sized blocks (`tally_draws`; statistics alone, no
+degrees of freedom) for any set of kinds, and can stop once a decision is
+settled.  `permutation_tests` runs one lane of whole blocks per worker, and
+the Monte Carlo engine one call per replication.  Tallies are integer
+counts, so results are bit-identical for any lanes or blocking.
 `run_test` scores the observed data through the same kernel and formulas,
 and its statistic is the one the draws are tallied against, so a draw with
 the observed arm-1 multiset reproduces it bit for bit and ties are exact by
@@ -39,12 +37,15 @@ from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_key, uniforms
 from .stat_tests import TestKind, TestResult, run_test, statistic
 
-__all__ = ["PermutationResult", "permutation_test"]
+__all__ = ["PermutationResult", "permutation_test", "permutation_tests"]
 
-_CHUNK_DRAWS = 2048
 # a block's working set: 1.5 MiB, below a typical core's 2 MiB L2 cache
 _BLOCK_BYTES = 3 * 2**19
 _MIN_BLOCK_DRAWS = 128
+_MAX_BLOCK_DRAWS = 2048
+# a settling range is checked after every eighth of its draws, within these bounds
+_MIN_STEP_DRAWS = 256
+_MAX_STEP_DRAWS = 1024
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ def _block_draws(n: int, n_runs: int) -> int:
     each (draws, runs) count and moment array, so a block of
     3 * 2**19 // (4 n + 8 n_runs) draws keeps them near 1.5 MiB.  It is at
     least 128 draws, so that each block's fixed cost stays small, and at
-    most one 2048-draw chunk.
+    most 2048.
     """
-    return min(_CHUNK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // (4 * n + 8 * n_runs)))
+    return min(_MAX_BLOCK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // (4 * n + 8 * n_runs)))
 
 
 def _batch_permutations(u: np.ndarray, values: np.ndarray, n1: int) -> np.ndarray:
@@ -122,13 +123,60 @@ def tally_draws(
     return n_le, n_ge
 
 
-def _lane_worker(args):
-    """(n_le, n_ge) over the draws [first, first + n_draws), one cache-sized block at a time."""
-    labels, n1, kinds, observed, seed, first, n_draws = args
-    stop = first + n_draws
+def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: int,
+                first: int, stop: int, settle_above: int | None = None) -> np.ndarray:
+    """(n_le, n_ge) per kind over draws [first, stop), one `tally_draws` call per step.
+
+    A step is one cache-sized block (`_block_draws`).  With `settle_above`,
+    a step is also an eighth of the range, within [256, 1024], and the loop
+    stops once every kind's min(n_le, n_ge) is above `settle_above`: both
+    tallies only grow, so a decision "min(n_le, n_ge) <= settle_above" can
+    no longer change.
+    """
+    step = _block_draws(labels.size, int(labels.max()) + 1)
+    if settle_above is not None:
+        step = min(step, _MAX_STEP_DRAWS, max(_MIN_STEP_DRAWS, -(-(stop - first) // 8)))
+    counts = np.zeros((2, len(kinds)), dtype=np.int64)
+    for a in range(first, stop, step):
+        counts += tally_draws(labels, n1, kinds, observed, seed, a, min(step, stop - a))
+        if settle_above is not None and np.all(counts.min(axis=0) > settle_above):
+            break
+    return counts
+
+
+def _lane_worker(args) -> np.ndarray:
+    return tally_range(*args)
+
+
+def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int = DEFAULT_SEED,
+                      threads: int = 1) -> list[PermutationResult]:
+    """Studentized permutation tests for several statistics, one per kind.
+
+    Every kind is tallied over the same draws in one pass, so each result
+    equals `permutation_test` for its kind alone.  `threads` workers (>= 1)
+    each tally one contiguous lane of whole blocks, so the pool never has
+    more workers than blocks or CPUs.
+    """
+    kinds = list(kinds)
+    if any(kind.family == "wmw" for kind in kinds):
+        raise InvalidKind("the permutation approach is defined for the non-WMW statistics")
+    if n_perm < 1:
+        raise ValueError("n_perm must be >= 1")
+    if not kinds:
+        return []
+    observed_results = [run_test(data, kind) for kind in kinds]
+    labels = tie_runs(data.pooled()[None, :])[0][0]
+    observed = np.array([res.statistic for res in observed_results])
     block = _block_draws(labels.size, int(labels.max()) + 1)
-    return np.sum([tally_draws(labels, n1, kinds, observed, seed, a, min(block, stop - a))
-                   for a in range(first, stop, block)], axis=0)
+    n_blocks = -(-n_perm // block)
+    lanes = worker_count(threads, n_blocks)
+    bounds = [min(n_perm, n_blocks * i // lanes * block) for i in range(lanes + 1)]
+    tasks = [(labels, data.n1, kinds, observed, seed, a, b)
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    p1s, p2s = (np.sum(map_tasks(_lane_worker, tasks, threads), axis=0) / n_perm).tolist()
+    return [PermutationResult(observed=res, p1=p1, p2=p2, p_value=min(1.0, 2.0 * min(p1, p2)),
+                              n_perm=n_perm, seed=seed)
+            for res, p1, p2 in zip(observed_results, p1s, p2s)]
 
 
 def permutation_test(
@@ -152,30 +200,6 @@ def permutation_test(
         Stream seed; identical (data, kind, n_perm, seed) give bit-identical
         results regardless of `threads`.
     threads : int
-        Worker processes for the draw loop, >= 1.  Each worker tallies one
-        contiguous lane of whole 2048-draw chunks, so the pool never has
-        more workers than chunks or CPUs.
+        Worker processes for the draw loop, >= 1; see `permutation_tests`.
     """
-    if kind.family == "wmw":
-        raise InvalidKind("the permutation approach is defined for the non-WMW statistics")
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
-    observed_result = run_test(data, kind)
-    labels = tie_runs(data.pooled()[None, :])[0][0]
-    observed = np.array([observed_result.statistic])
-    n_chunks = -(-n_perm // _CHUNK_DRAWS)
-    lanes = worker_count(threads, n_chunks)
-    bounds = [min(n_perm, n_chunks * i // lanes * _CHUNK_DRAWS) for i in range(lanes + 1)]
-    tasks = [(labels, data.n1, [kind], observed, seed, a, b - a)
-             for a, b in zip(bounds[:-1], bounds[1:])]
-    (n_le,), (n_ge,) = np.sum(map_tasks(_lane_worker, tasks, threads), axis=0)
-    p1 = float(n_le) / n_perm
-    p2 = float(n_ge) / n_perm
-    return PermutationResult(
-        observed=observed_result,
-        p1=p1,
-        p2=p2,
-        p_value=min(1.0, 2.0 * min(p1, p2)),
-        n_perm=n_perm,
-        seed=seed,
-    )
+    return permutation_tests(data, [kind], n_perm, seed, threads)[0]

@@ -9,10 +9,13 @@ reduced in chunk order, so results are bit-identical for any number of
 worker processes.  `run_scenarios` runs the chunks of many scenarios in one
 pool.
 
-Rejection uses p <= alpha.  A permutation chunk labels the tie runs of all
-its replications with one batched `tie_runs` call, and each replication
-tallies its draws through `permutation.tally_draws`, stopping once no
-test's decision can change (`_perm_rejections`); a scenario with no tests
+Rejection uses p <= alpha.  A permutation p-value min(1, 2c / n_perm), with
+c the smaller of a test's two tallies, only grows with c, so a chunk turns
+alpha into one integer threshold c* (`_reject_threshold`) and a test
+rejects exactly when c <= c*.  A permutation chunk labels the tie runs of
+all its replications with one batched `tie_runs` call, and each replication
+tallies its draws through `permutation.tally_range` with settle_above=c*,
+which stops once no test's decision can change; a scenario with no tests
 draws none.  Mean variance estimates accumulate the *raw* (unfloored)
 estimator values, matching the way the reproduction tables report them.
 """
@@ -29,7 +32,7 @@ from ._pool import map_tasks
 from .distributions import DistSpec, parse_dist, population_variance, sample
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
-from .permutation import _block_draws, tally_draws
+from .permutation import tally_range
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
 from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays
 from .variance import VarianceKind, variance_raw
@@ -38,10 +41,6 @@ __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "lo
            "CHUNK_REPS"]
 
 CHUNK_REPS = 1024
-# permutation draws tallied between two checks for a settled replication:
-# n_perm / 8, kept within [_PERM_STEP_MIN, _PERM_STEP]
-_PERM_STEP = 1024
-_PERM_STEP_MIN = 256
 
 _MEAN_VARIANCE_KINDS = (VarianceKind.N, VarianceKind.WMW, VarianceKind.BM, VarianceKind.PM)
 
@@ -124,44 +123,23 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
     # each replication's observed statistics are its row of the batch
     observed_all = np.array([stat for stat, _ in scored])
     labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
+    c_star = _reject_threshold(sc.n_perm, sc.alpha)
     for i, r in enumerate(range(start, stop)):
         seed_r = rep_permutation_seed(sc.master_seed, r)
-        tally.rejections += _perm_rejections(sc, labels[i], observed_all[:, i], seed_r)
+        n_le, n_ge = tally_range(labels[i], sc.n1, sc.tests, observed_all[:, i], seed_r,
+                                 0, sc.n_perm, settle_above=c_star)
+        tally.rejections += np.minimum(n_le, n_ge) <= c_star
     return tally
 
 
-def _rejects(count: np.ndarray, sc: Scenario) -> np.ndarray:
-    """p <= alpha for p = min(1, 2 count / n_perm), per test."""
-    return np.minimum(1.0, 2.0 * count / sc.n_perm) <= sc.alpha
+def _reject_threshold(n_perm: int, alpha: float) -> int:
+    """The largest tally c in 0..n_perm with min(1, 2c / n_perm) <= alpha.
 
-
-def _perm_rejections(
-    sc: Scenario, labels: np.ndarray, observed: np.ndarray, seed: int
-) -> np.ndarray:
-    """p <= alpha per test, for one replication's permutation p-values.
-
-    Draws are tallied in steps of n_perm / 8 draws, at least
-    `_PERM_STEP_MIN` and at most `_PERM_STEP` or the cache-sized block of
-    `permutation_test` (`_block_draws`), whichever is smaller.  Both tallies only grow and
-    `_rejects` is monotone in them, so once neither tally of any test can
-    still reject, the remaining draws cannot change a decision and are
-    skipped.  Draw k depends only on (seed, k), so the decisions equal those
-    of one full tally.
+    The expression only grows with c, so the tallies that reject are
+    0..c*, and c = 0 always rejects for alpha > 0.
     """
-    n_le = np.zeros(len(sc.tests), dtype=np.int64)
-    n_ge = np.zeros(len(sc.tests), dtype=np.int64)
-    full_step = min(_PERM_STEP, max(_PERM_STEP_MIN, -(-sc.n_perm // 8)),
-                    _block_draws(labels.size, int(labels.max()) + 1))
-    done = 0
-    while done < sc.n_perm:
-        step = min(full_step, sc.n_perm - done)
-        le, ge = tally_draws(labels, sc.n1, sc.tests, observed, seed, done, step)
-        n_le += le
-        n_ge += ge
-        done += step
-        if not np.any(_rejects(n_le, sc) | _rejects(n_ge, sc)):
-            break
-    return _rejects(np.minimum(n_le, n_ge), sc)
+    c = np.arange(n_perm + 1)
+    return int(np.count_nonzero(np.minimum(1.0, 2.0 * c / n_perm) <= alpha)) - 1
 
 
 def _chunk_worker(args) -> _Tally:

@@ -3,11 +3,12 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
-from releff import TwoSamples, permutation_test, run_test
+from releff import DEFAULT_BATTERY, TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
-from releff import cli
+from releff import cli, permutation
 from releff.cli import main
 
 TOY_CSV = "group,value\n1,1\n1,2\n1,3\n2,2\n2,3\n2,4\n"
@@ -117,6 +118,52 @@ class TestCmdTest:
             assert code == 0
             (row,) = parse_csv(out)
             assert float(row["perm_p_value"]) == pytest.approx(want, abs=1e-12), alternative
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
+    def test_permutation_column_is_one_pass_over_the_draws(self, tmp_path, monkeypatch, tied):
+        """Every kind's perm_p_value equals its own `permutation_test`, at any
+        thread count, and each block of draws is tallied once for all kinds."""
+        rng = np.random.default_rng(71)
+        pooled = rng.integers(1, 6, size=300) if tied else rng.normal(size=300).round(6)
+        x1, x2 = pooled[:150].tolist(), pooled[150:].tolist()
+        path = tmp_path / "data.csv"
+        path.write_text("group,value\n" + "".join(f"1,{v}\n" for v in x1)
+                        + "".join(f"2,{v}\n" for v in x2))
+        data = TwoSamples(x1, x2)
+        argv = ["test", str(path), "--n-perm", "2000", "--seed", "8"]
+        blocks = []
+        tally_draws = permutation.tally_draws
+
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+            blocks.append((first_draw, n_draws))
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+
+        for threads in (1, 2):
+            want = [
+                "" if kind.family == "wmw" else format(
+                    permutation_test(data, kind, n_perm=2000, seed=8, threads=threads).p_value,
+                    ".12g")
+                for kind in DEFAULT_BATTERY
+            ]
+            with monkeypatch.context() as mp:
+                mp.setattr(permutation, "tally_draws", spy)
+                code, out = run_cli(argv + ["--threads", str(threads)])
+            assert code == 0
+            assert [row["perm_p_value"] for row in parse_csv(out)] == want, threads
+            if threads == 1:
+                # the blocks tile the 2000 draws once, not once per kind
+                assert [a for a, _ in blocks] == [0] + list(np.cumsum([n for _, n in blocks[:-1]]))
+                assert sum(n for _, n in blocks) == 2000 and len(blocks) > 1
+
+    def test_csv_with_byte_order_mark(self, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark, as Excel writes it, reads
+        like the same file without it."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(TOY_CSV)
+        marked.write_bytes(b"\xef\xbb\xbf" + TOY_CSV.encode())
+        code, out = run_cli(["test", str(marked), "--tests", "wmw,bm:df"])
+        assert code == 0
+        assert out == run_cli(["test", str(plain), "--tests", "wmw,bm:df"])[1]
 
     def test_n_perm_below_one_exits_2(self, tmp_path, capsys):
         path = tmp_path / "toy.csv"

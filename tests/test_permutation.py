@@ -111,12 +111,12 @@ class TestPermutationTest:
     def test_one_contiguous_lane_per_worker(self, rng, monkeypatch, threads):
         x1, x2 = random_dataset(rng, lo=8, hi=12)
         d = TwoSamples(x1, x2)
-        n_perm = 5000  # three 2048-draw chunks
+        n_perm = 5000  # three 2048-draw blocks at this size
         reference = permutation_test(d, TK.parse("pm"), n_perm=n_perm, seed=5)
         lanes = []
 
         def spy(fn, tasks, threads):
-            lanes.extend((t[5], t[5] + t[6]) for t in tasks)
+            lanes.extend((t[5], t[6]) for t in tasks)
             return [fn(t) for t in tasks]
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)

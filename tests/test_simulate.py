@@ -102,7 +102,7 @@ class TestPermutationObserved:
             seen.append(observed.copy())
             return tally_draws(labels, n1, kinds, observed, *args)
 
-        monkeypatch.setattr(simulate, "tally_draws", spy)
+        monkeypatch.setattr(permutation, "tally_draws", spy)
         sc = Scenario(dist1, dist2, n1, n2, n_reps=80, tests=PERM_BATTERY,
                       n_perm=1, master_seed=21)
         _simulate_chunk(sc, 0, sc.n_reps)
@@ -153,8 +153,8 @@ class TestCurtailedPermutation:
         le = np.stack([tight if side == "le" else wide, wide], axis=1)
         ge = np.stack([wide if side == "le" else tight, wide], axis=1)
         served = []
-        monkeypatch.setattr(simulate, "tally_draws", self.scripted_tally(le, ge, served))
-        monkeypatch.setattr(simulate, "_PERM_STEP", self.STEP)
+        monkeypatch.setattr(permutation, "tally_draws", self.scripted_tally(le, ge, served))
+        monkeypatch.setattr(permutation, "_MAX_STEP_DRAWS", self.STEP)
         sc = Scenario(Normal(0, 1), Normal(0, 1), 7, 7, n_reps=1,
                       tests=(TK.parse("pm"), TK.parse("n")), alpha=self.ALPHA,
                       n_perm=n, master_seed=3)
@@ -191,9 +191,9 @@ class TestCurtailedPermutation:
             drawn.append(n_draws)
             return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
 
-        monkeypatch.setattr(simulate, "tally_draws", spy)
+        monkeypatch.setattr(permutation, "tally_draws", spy)
         # below n_perm / 2, so a replication settled in its first step shows
-        monkeypatch.setattr(simulate, "_PERM_STEP", 250)
+        monkeypatch.setattr(permutation, "_MAX_STEP_DRAWS", 250)
         summary = run_scenario(sc)
         assert summary.rejection_rate == {
             kind.label(): float(reference[i]) / n_reps for i, kind in enumerate(PERM_BATTERY)
@@ -207,7 +207,7 @@ class TestCurtailedPermutation:
         sc = Scenario(Normal(0, 1), Normal(0.25, 1), 150, 150, n_reps=n_reps,
                       tests=PERM_BATTERY, n_perm=n_perm, master_seed=29)
         block = permutation._block_draws(300, 300)
-        assert block < min(simulate._PERM_STEP, n_perm // 8)
+        assert block < min(permutation._MAX_STEP_DRAWS, n_perm // 8)
         x1, x2 = _draw_chunk(sc, 0, n_reps)
         m = moments_from_values(x1, x2)
         observed_all = np.array([stat_arrays(m, kind)[0] for kind in PERM_BATTERY])
@@ -223,8 +223,8 @@ class TestCurtailedPermutation:
             n_le, n_ge = tally_draws(labels[r], 150, PERM_BATTERY, observed_all[:, r], seed_r, 0,
                                      n_perm)
             with monkeypatch.context() as mp:
-                mp.setattr(simulate, "tally_draws", spy)
-                got = simulate._perm_rejections(sc, labels[r], observed_all[:, r], seed_r)
+                mp.setattr(permutation, "tally_draws", spy)
+                got = _simulate_chunk(sc, r, r + 1).rejections
             want = self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
             assert got.astype(np.int64).tolist() == want.tolist()
         assert drawn and max(drawn) <= block
@@ -239,10 +239,20 @@ class TestCurtailedPermutation:
             drawn.append(n_draws)
             return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
 
-        monkeypatch.setattr(simulate, "tally_draws", spy)
+        monkeypatch.setattr(permutation, "tally_draws", spy)
         run_scenario(sc)
         assert max(drawn) == 256
         assert sum(drawn) / n_reps < n_perm / 2
+
+
+class TestRejectThreshold:
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.3, 0.5])
+    def test_threshold_is_the_final_decision(self, alpha):
+        """c <= c* is exactly the decision min(1, 2c / n_perm) <= alpha."""
+        for n_perm in range(1, 6001):
+            c = np.arange(n_perm + 1)
+            c_star = simulate._reject_threshold(n_perm, alpha)
+            assert np.array_equal(c <= c_star, np.minimum(1.0, 2.0 * c / n_perm) <= alpha), n_perm
 
 
 class TestDeterminism:
@@ -357,7 +367,7 @@ class TestScenarioConfig:
         def no_draws(*args):
             raise AssertionError("a scenario without tests drew permutations")
 
-        monkeypatch.setattr(simulate, "tally_draws", no_draws)
+        monkeypatch.setattr(permutation, "tally_draws", no_draws)
         base = dict(dist1=Normal(0, 1), dist2=Normal(0, 1), n1=7, n2=7, n_reps=5, tests=())
         summary = run_scenario(Scenario(**base, n_perm=50))
         assert summary == run_scenario(Scenario(**base))
