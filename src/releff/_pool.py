@@ -13,9 +13,9 @@ def worker_count(threads: int, n_tasks: int) -> int:
 
 
 def map_tasks(fn, tasks: list, threads: int) -> list:
-    """fn over tasks, results in task order, in a pool when it has >1 worker."""
+    """fn(*task) for each task, results in task order, in a pool when it has >1 worker."""
     workers = worker_count(threads, len(tasks))
     if workers <= 1:
-        return [fn(task) for task in tasks]
+        return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, *zip(*tasks)))

@@ -8,17 +8,18 @@ categories, encoded as 1.0..K).
 `sample(spec, u)` maps open uniforms to values by inverse CDF: `ndtri` for
 the normal, `-log(u)/rate` for the exponential and a search over the
 cumulative masses for the two discrete families.  Besides sampling, the
-module computes the exact relative effect p and the exact moment integrals
-(tau0, tau1, tau2) of a pair of specs -- by closed form where available, by
-finite sums for discrete pairs and by adaptive quadrature for continuous
-pairs -- plus the population variance of the effect estimate, and
+module computes the exact moments (p, beta, tau0, tau1, tau2) of a pair of
+specs (`exact_moments`: finite sums for discrete pairs, adaptive
+quadrature for continuous pairs, cached per pair), the exact relative
+effect p (closed forms for a normal or exponential pair, `exact_moments`
+otherwise) and the population variance of the effect estimate, and
 calibrates a free parameter to hit a target effect.
 
-Only numpy and `scipy.special` load with the module.  The heavier scipy
-modules load on first use: `discrete_masses` imports `scipy.stats` for a
-Binomial spec, `_continuous_moments` (the exact moments of an unequal
-continuous pair) imports `scipy.integrate`, and `solve_target_effect`
-imports `scipy.optimize`.
+Only numpy and `scipy.special` load with the module; Binomial masses are
+`binom(n, k) p^k (1 - p)^(n - k)` from `scipy.special`.  The heavier scipy
+modules load on first use: `_continuous_moments` (the exact moments of an
+unequal continuous pair) imports `scipy.integrate`, and
+`solve_target_effect` imports `scipy.optimize`.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import betainc, ndtr, ndtri
+from scipy.special import betainc, binom, ndtr, ndtri
 
 from .errors import ConfigError, NoBracket, UnsupportedPair
 
@@ -165,11 +166,9 @@ def sample(spec: DistSpec, u: np.ndarray) -> np.ndarray:
 def discrete_masses(spec: DistSpec) -> tuple[np.ndarray, np.ndarray]:
     """Support values and probabilities of a discrete spec."""
     if isinstance(spec, Binomial):
-        from scipy.stats import binom
-
-        values = np.arange(spec.trials + 1, dtype=float)
-        probs = binom.pmf(np.arange(spec.trials + 1), spec.trials, spec.prob)
-        return values, probs
+        n, p = spec.trials, spec.prob
+        k = np.arange(n + 1)
+        return k.astype(float), binom(n, k) * p**k * (1.0 - p) ** (n - k)
     if isinstance(spec, BetaLatent):
         grid = np.arange(spec.k + 1) / spec.k
         cdf = betainc(spec.alpha, spec.beta, grid)
@@ -242,16 +241,13 @@ def exact_moments(d1: DistSpec, d2: DistSpec):
 
 
 def exact_mw_parameter(d1: DistSpec, d2: DistSpec) -> float:
-    """Exact relative effect p = P(X1 < X2) + P(X1 = X2)/2."""
+    """Exact relative effect p = P(X1 < X2) + P(X1 = X2)/2: a closed form for a
+    normal or an exponential pair, `exact_moments` (cached) for any other."""
     if isinstance(d1, Normal) and isinstance(d2, Normal):
         return float(ndtr((d2.mean - d1.mean) / np.hypot(d1.sd, d2.sd)))
     if isinstance(d1, Exponential) and isinstance(d2, Exponential):
         return d1.rate / (d1.rate + d2.rate)
-    if not is_continuous(d1) and not is_continuous(d2):
-        return _discrete_moments(d1, d2)[0]
-    if is_continuous(d1) and is_continuous(d2):
-        return _continuous_moments(d1, d2)[0]
-    raise UnsupportedPair("mixed continuous/discrete pairs are not supported")
+    return exact_moments(d1, d2)[0]
 
 
 def population_variance(d1: DistSpec, d2: DistSpec, n1: int, n2: int) -> float:

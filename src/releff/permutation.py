@@ -144,10 +144,6 @@ def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: 
     return counts
 
 
-def _lane_worker(args) -> np.ndarray:
-    return tally_range(*args)
-
-
 def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int = DEFAULT_SEED,
                       threads: int = 1) -> list[PermutationResult]:
     """Studentized permutation tests for several statistics, one per kind.
@@ -173,7 +169,7 @@ def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int =
     bounds = [min(n_perm, n_blocks * i // lanes * block) for i in range(lanes + 1)]
     tasks = [(labels, data.n1, kinds, observed, seed, a, b)
              for a, b in zip(bounds[:-1], bounds[1:])]
-    p1s, p2s = (np.sum(map_tasks(_lane_worker, tasks, threads), axis=0) / n_perm).tolist()
+    p1s, p2s = (np.sum(map_tasks(tally_range, tasks, threads), axis=0) / n_perm).tolist()
     return [PermutationResult(observed=res, p1=p1, p2=p2, p_value=min(1.0, 2.0 * min(p1, p2)),
                               n_perm=n_perm, seed=seed)
             for res, p1, p2 in zip(observed_results, p1s, p2s)]

@@ -142,10 +142,6 @@ def _reject_threshold(n_perm: int, alpha: float) -> int:
     return int(np.count_nonzero(np.minimum(1.0, 2.0 * c / n_perm) <= alpha)) - 1
 
 
-def _chunk_worker(args) -> _Tally:
-    return _simulate_chunk(*args)
-
-
 def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[SimulationSummary]:
     """Run every replication of every scenario; one summary per scenario.
 
@@ -155,7 +151,7 @@ def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[Simulatio
     more workers than chunks or CPUs.
     """
     # before the pool forks, so the workers inherit whatever scipy module
-    # the exact variance loads (and `sample` needs for a Binomial spec)
+    # the exact variance loads (`scipy.integrate` for an unequal continuous pair)
     true_vars = [_true_variance(sc) for sc in scenarios]
     tasks, owner = [], []
     for i, sc in enumerate(scenarios):
@@ -164,7 +160,7 @@ def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[Simulatio
         owner += [i] * (len(bounds) - 1)
     totals = [_Tally(np.zeros(len(sc.tests), dtype=np.int64), np.zeros(len(_MEAN_VARIANCE_KINDS)))
               for sc in scenarios]
-    for i, part in zip(owner, map_tasks(_chunk_worker, tasks, threads)):
+    for i, part in zip(owner, map_tasks(_simulate_chunk, tasks, threads)):
         totals[i].add(part)
     return [_summary(sc, total, var) for sc, total, var in zip(scenarios, totals, true_vars)]
 
@@ -198,30 +194,36 @@ def _summary(sc: Scenario, total: _Tally, true_var: float | None) -> SimulationS
     )
 
 
+def _int_field(value, field: str) -> int:
+    """A count or seed field: a JSON integer, never a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"scenario field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def scenario_from_dict(entry: dict, seed_override: int | None = None) -> Scenario:
     """Build a Scenario from one scenario-file entry."""
     if not isinstance(entry, dict):
         raise ConfigError(f"scenario entry must be an object, got {entry!r}")
     try:
         tests = entry.get("tests")
-        kinds = (
-            DEFAULT_BATTERY
-            if tests is None
-            else tuple(TestKind.parse(t) for t in tests)
-        )
+        if tests is not None and not isinstance(tests, list):
+            raise ConfigError(f"scenario field 'tests' must be a list, got {tests!r}")
+        kinds = DEFAULT_BATTERY if tests is None else tuple(TestKind.parse(t) for t in tests)
         seed = entry.get("seed", DEFAULT_SEED)
         if seed_override is not None:
             seed = seed_override
+        n_perm = entry.get("n_perm")
         return Scenario(
             dist1=parse_dist(entry["dist1"]),
             dist2=parse_dist(entry["dist2"]),
-            n1=int(entry["n1"]),
-            n2=int(entry["n2"]),
-            n_reps=int(entry["n_reps"]),
+            n1=_int_field(entry["n1"], "n1"),
+            n2=_int_field(entry["n2"], "n2"),
+            n_reps=_int_field(entry["n_reps"], "n_reps"),
             tests=kinds,
             alpha=float(entry.get("alpha", 0.05)),
-            n_perm=None if entry.get("n_perm") is None else int(entry["n_perm"]),
-            master_seed=int(seed),
+            n_perm=None if n_perm is None else _int_field(n_perm, "n_perm"),
+            master_seed=_int_field(seed, "seed"),
         )
     except KeyError as exc:
         raise ConfigError(f"scenario entry is missing field {exc}") from exc

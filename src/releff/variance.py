@@ -3,7 +3,8 @@
 Four main estimators (the classical rank-test variance, the unbiased
 estimator, the Brunner-Munzel / DeLong estimator and the Perme-Manevski
 "exact" estimator) plus Shirahata's four continuous-data estimators, each in
-its general plus/minus-ECDF form and its continuity-reduced form.
+its general plus/minus-ECDF form and its continuity-reduced form, both one
+display over an `EffectSummary` of the count kernel (see `var_shirahata`).
 
 Degenerate inputs are handled the same way throughout:
 
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._batch import moments_from_counts
 from .effect import EffectSummary, estimate_effect
 from .errors import SizeTooSmall, TiesInReducedForm
 from .ranks import TwoSamples
@@ -100,7 +102,7 @@ def variance_raw(m: EffectSummary, kind: VarianceKind):
         return m.var_wmw_raw
     if kind is VarianceKind.N:
         # Shirahata's U display in its tie-aware reduced form
-        return _shirahata_display(ShirahataKind.U, n1, n2, m.tau1_hat, m.tau2_hat, m.tau0_hat, m.p_hat)
+        return _shirahata_display(ShirahataKind.U, m)
     if kind is VarianceKind.BM:
         return m.sigma1_sq / n1 + m.sigma2_sq / n2
     if kind is VarianceKind.PM:
@@ -180,11 +182,11 @@ _SHIRAHATA_TO_VARIANCE = {
 }
 
 
-def _shirahata_display(kind: ShirahataKind, n1, n2, s1, s2, t, u):
-    """Shirahata's four displays over int (S2+)^2 dF1 = s1, int (F1+)^2 dF2 = s2
-    and int F1+ dF2 = t, with u = t; the reduced form reads (tau1, tau2, tau0, p)."""
+def _shirahata_display(kind: ShirahataKind, m: EffectSummary):
+    """Shirahata's four displays in their reduced form, read off (tau1, tau2, tau0, p)."""
+    n1, n2 = m.n1, m.n2
     n = n1 + n2
-    u2 = u * u
+    s1, s2, t, u2 = m.tau1_hat, m.tau2_hat, m.tau0_hat, m.p_hat * m.p_hat
     if kind is ShirahataKind.U:
         return (n2 * s1 + n1 * s2 - t - (n - 1) * u2) / ((n1 - 1) * (n2 - 1))
     if kind is ShirahataKind.B:
@@ -203,30 +205,25 @@ def var_shirahata(
 ) -> VarianceEstimate:
     """Shirahata-family variance estimator.
 
-    The general form evaluates the plus/minus-ECDF displays verbatim and is
-    valid for any tie pattern; its integrals are sums over the tie runs, with
-    F1+ = (A + a)/n1 at an arm-2 value and S2+ = (n2 - B)/n2 at an arm-1
-    value (a, b a run's arm counts and A, B those of lower runs).  The
-    continuity-reduced form substitutes the tau moments and is only
-    equivalent on tie-free data; requesting it on tied data emits a
-    ``TiesInReducedForm`` warning.  On tie-free data the general U form
-    coincides with the unbiased estimator and the general J form with the
-    Brunner-Munzel estimator.
+    The general form is valid for any tie pattern: it is the reduced display
+    on the same data with every cross-arm tie broken arm 1 first, where the
+    mid-ECDFs are Shirahata's plus/minus-ECDFs and beta is zero.  Each tie
+    run with a arm-1 and b arm-2 members becomes a run of a arm-1 members
+    followed by a run of b arm-2 members, and the count kernel reads the
+    moments off those runs.  The continuity-reduced form reads the data's
+    own moments and is only equivalent on tie-free data; requesting it on
+    tied data emits a ``TiesInReducedForm`` warning.  On tie-free data the
+    general U form coincides with the unbiased estimator and the general J
+    form with the Brunner-Munzel estimator.
     """
     kind = ShirahataKind(kind)
     form = ShirahataForm(form)
     es = estimate_effect(data)
-    n1, n2 = data.n1, data.n2
     a, sizes = data.runs()
     if form is ShirahataForm.GENERAL:
-        a = a.astype(float)
-        b = sizes - a
-        f1p = np.cumsum(a)                  # A + a
-        s2p = n2 - (np.cumsum(b) - b)       # n2 - B
-        s1 = np.dot(a, s2p * s2p) / (n1 * n2 * n2)
-        s2 = np.dot(b, f1p * f1p) / (n2 * n1 * n1)
-        t = np.dot(b, f1p) / (n1 * n2)
-        raw = _shirahata_display(kind, n1, n2, s1, s2, t, t)
+        split = moments_from_counts(np.stack([a, np.zeros_like(a)], axis=-1).ravel(),
+                                    np.stack([a, sizes - a], axis=-1).ravel(), data.n1, data.n2)
+        raw = _shirahata_display(kind, split)
     else:
         if sizes.size < data.n:
             warnings.warn(
@@ -234,5 +231,5 @@ def var_shirahata(
                 TiesInReducedForm,
                 stacklevel=2,
             )
-        raw = _shirahata_display(kind, n1, n2, es.tau1_hat, es.tau2_hat, es.tau0_hat, es.p_hat)
+        raw = _shirahata_display(kind, es)
     return _estimate(_SHIRAHATA_TO_VARIANCE[kind], raw, es)

@@ -12,6 +12,7 @@ from releff import cli, permutation
 from releff.cli import main
 
 TOY_CSV = "group,value\n1,1\n1,2\n1,3\n2,2\n2,3\n2,4\n"
+GOOD_ENTRY = {"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10}
 
 
 def run_cli(argv):
@@ -251,19 +252,29 @@ class TestCmdSimulate:
         assert main(["simulate", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [
-        [1, 2],
-        {"scenarios": [None]},
-        [{"dist1": 5, "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10}],
-        [{"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10, "tests": [5]}],
-        '[{"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 1e999}]',
-    ], ids=["non_object_entries", "null_entry", "numeric_dist", "numeric_test", "infinite_count"])
-    def test_malformed_entry_exits_2(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("payload, field", [
+        pytest.param([1, 2], None, id="non_object_entries"),
+        pytest.param({"scenarios": [None]}, None, id="null_entry"),
+        pytest.param([{**GOOD_ENTRY, "dist1": 5}], None, id="numeric_dist"),
+        pytest.param([{**GOOD_ENTRY, "tests": [5]}], None, id="numeric_test"),
+        pytest.param('[{"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 1e999}]',
+                     "n_reps", id="infinite_count"),
+        # a fractional count or seed is refused, not truncated
+        *[pytest.param([{**GOOD_ENTRY, field: value}], field, id=f"{field}_{value!r}")
+          for field, value in [("n1", 7.9), ("n2", 7.0), ("n_reps", 10.7), ("n_perm", 50.5),
+                               ("seed", 12.9), ("n1", True), ("seed", "12")]],
+        # a string of labels is not a list of them
+        pytest.param([{**GOOD_ENTRY, "tests": "pm"}], "tests", id="tests_string"),
+    ])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, payload, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, out = run_cli(["simulate", str(cfg)])
         assert code == 2 and out == ""
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        if field is not None:
+            assert repr(field) in err
 
     def test_permutation_entry_without_tests_runs(self, tmp_path):
         cfg = tmp_path / "one.cfg"

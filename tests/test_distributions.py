@@ -127,6 +127,19 @@ def brute_discrete_p(d1, d2):
     return total
 
 
+class TestDiscreteMasses:
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_binomial_masses_match_scipy_stats(self, trials):
+        from scipy.stats import binom
+
+        for prob in (1e-6, 0.05, 0.3, 0.43129, 0.5, 0.6, 0.97, 1 - 1e-6):
+            values, probs = discrete_masses(Binomial(trials, prob))
+            assert np.array_equal(values, np.arange(trials + 1))
+            expected = binom.pmf(np.arange(trials + 1), trials, prob)
+            np.testing.assert_allclose(probs, expected, rtol=1e-14, atol=0)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-14)
+
+
 class TestExactEffect:
     def test_equal_specs_give_half(self):
         for spec in (Normal(2, 3), Exponential(0.7), Binomial(5, 0.6), BetaLatent(5, 4, 5)):

@@ -1,8 +1,9 @@
 """Start-up cost: the heavy scipy modules load only where they are used.
 
-Testing user data needs numpy and `scipy.special` alone; `scipy.stats`,
-`scipy.integrate` and `scipy.optimize` load on first use, and the Monte
-Carlo engine loads them before its pool forks so no worker imports them.
+Testing user data and simulating discrete pairs need numpy and
+`scipy.special` alone; `scipy.integrate` and `scipy.optimize` load on first
+use, and the Monte Carlo engine loads them before its pool forks so no
+worker imports them.  No package path loads `scipy.stats`.
 """
 import json
 import os
@@ -36,6 +37,13 @@ csv_path, out_path = sys.argv[1], sys.argv[2]
 assert main(["test", csv_path, "--n-perm", "500", "--output", out_path]) == 0
 """
 
+BINOMIAL_RUN = """
+import json, sys
+from releff import Binomial, Scenario, run_scenarios
+
+run_scenarios([Scenario(Binomial(5, 0.6), Binomial(5, 0.43129), 7, 7, n_reps=50)])
+"""
+
 
 def loaded_after(code: str, *args: str) -> list[str]:
     """The deferred modules a fresh interpreter holds after running code."""
@@ -56,6 +64,10 @@ def test_user_data_paths_load_no_deferred_scipy_module(tmp_path):
     loaded = loaded_after(USER_DATA_RUN, str(csv_path), str(tmp_path / "out.csv"))
     assert (tmp_path / "out.csv").read_text().count("\n") == 1 + len(DEFAULT_BATTERY)
     assert set(loaded) <= baseline
+
+
+def test_binomial_scenario_loads_no_scipy_stats():
+    assert "scipy.stats" not in loaded_after(BINOMIAL_RUN)
 
 
 def test_true_variances_come_before_the_pool(monkeypatch):

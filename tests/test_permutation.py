@@ -117,7 +117,7 @@ class TestPermutationTest:
 
         def spy(fn, tasks, threads):
             lanes.extend((t[5], t[6]) for t in tasks)
-            return [fn(t) for t in tasks]
+            return [fn(*t) for t in tasks]
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(permutation, "map_tasks", spy)

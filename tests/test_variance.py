@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,23 @@ class TestShirahata:
             general = var_shirahata(d, kind, ShirahataForm.GENERAL).raw
             reduced = var_shirahata(d, kind, ShirahataForm.CONTINUOUS_REDUCED).raw
             assert general == pytest.approx(reduced, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(ShirahataKind))
+    def test_general_form_is_reduced_form_with_ties_broken_arm_1_first(self, kind):
+        """On integer data, x2 + 0.5 puts every arm-2 member of a tie run just
+        above its arm-1 members, and the reduced form there is the general form."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n1, n2 = rng.integers(2, 201, size=2)
+            levels = rng.integers(2, 7)
+            x1 = rng.integers(0, levels, size=n1).astype(float)
+            x2 = rng.integers(0, levels, size=n2).astype(float)
+            general = var_shirahata(TwoSamples(x1, x2), kind, ShirahataForm.GENERAL).raw
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TiesInReducedForm)
+                broken = TwoSamples(x1, x2 + 0.5)
+                reduced = var_shirahata(broken, kind, ShirahataForm.CONTINUOUS_REDUCED).raw
+            assert general == reduced
 
     def test_reduced_warns_on_ties(self):
         with pytest.warns(TiesInReducedForm):
