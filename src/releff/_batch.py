@@ -5,20 +5,28 @@ runs of equal values, each with its size and its count of arm-1 members.
 With `a` and `b` a run's arm-1 and arm-2 counts and A, B the counts in lower
 runs, an arm-2 value sits at 2*n1*F1 = 2A + a and an arm-1 value at
 2*n2*(1 - F2) = 2*n2 - 2B - b, so p, tau1, tau2 and beta are integer sums
-over runs, divided once.  `tie_runs` is the one labeller: one argsort per
-row gives each pooled value its run label, and `arm1_counts` counts any
-subset of labels per run.  Datasets with the same runs and counts get
-bit-identical moments whichever entry point produced them: a simulated
-batch (`moments_from_values`), permutation draws (`moments_from_perm`) or
-one user dataset (`TwoSamples.moments`).  A permutation draw arrives as the
-run labels of its arm-1 values, which the relabel carries through the
-shuffle in place of indices, so its counts are one `bincount` with no
-gather.  A batch's summary holds one row per dataset in each field; one
-dataset's holds floats, equal to the row the same dataset would fill in a
-batch.
+over runs, divided once (`_moments_from_sums`).  `tie_runs` is the one
+labeller: one argsort per row gives each pooled value its run label, and
+`arm1_counts` counts any subset of labels per run.  Datasets with the same
+runs and counts get bit-identical moments whichever entry point produced
+them: a simulated batch (`moments_from_values`), permutation draws
+(`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A
+permutation draw arrives as the run labels of its arm-1 values, which the
+relabel carries through the shuffle in place of indices, so its counts are
+one `bincount` with no gather.  A batch's summary holds one row per dataset
+in each field; one dataset's holds floats, equal to the row the same
+dataset would fill in a batch.
+
+On tie-free data every run holds one value and its label is the value's
+pooled rank, so a dataset is fully described by its n1 sorted arm-1 ranks,
+and the same integer sums are taken over those n1 terms instead of N runs
+(`_moments_from_ranks`).  `moments_from_perm` and `moments_from_values` take
+that path whenever every dataset they score is tie-free; the moments are
+bit-identical either way.
 
 Every sum is below N**3 for N pooled values, so it is exact in int64 while
-N < 2**21; larger samples accumulate in float64 instead.
+N < 2**21; larger samples accumulate in float64 instead, through the count
+kernel only.
 """
 from __future__ import annotations
 
@@ -132,12 +140,47 @@ def moments_from_counts(a: np.ndarray, sizes: np.ndarray, n1: int, n2: int) -> E
     g2 = f1 + (2 * (n2 - below) - sizes)
     # pooled mid-rank of a run is below + (size + 1) / 2
     centred = 2 * below + sizes - n
-    s_wmw = np.einsum("...j,...j,...j->...", sizes, centred, centred)
-    s_p = np.einsum("...j,...j->...", b, f1)
+    return _moments_from_sums(
+        np.einsum("...j,...j,...j->...", sizes, centred, centred),
+        np.einsum("...j,...j->...", b, f1),
+        np.einsum("...j,...j,...j->...", a, g2, g2),
+        np.einsum("...j,...j,...j->...", b, f1, f1),
+        np.einsum("...j,...j->...", a, b),
+        n1, n2,
+    )
+
+
+def _moments_from_ranks(ranks: np.ndarray, n1: int, n2: int) -> EffectSummary:
+    """Moments of tie-free datasets from each row's sorted arm-1 pooled ranks, (rows, n1).
+
+    With L_i the i-th smallest arm-1 rank (from 0), c_i = n2 + i - L_i
+    arm-2 values lie above it, so s_p = 2 sum c_i, s_tau1 = 4 sum c_i**2,
+    s_tau2 = 4 sum (2i + 1) c_i (an arm-2 value with A arm-1 values below
+    adds 4 A**2 = 4 sum_{i<A} (2i + 1)) and s_beta = 0: the count kernel's
+    integer sums, so every moment is bit-identical to it, from n1 terms per
+    row instead of N.
+    """
+    n = n1 + n2
+    i = np.arange(n1)
+    c = (n2 + i) - ranks
+    return _moments_from_sums(
+        # one value per run: sum over pooled ranks j of (2j + 1 - n)**2
+        (n - 1) * n * (n + 1) // 3,
+        2 * c.sum(axis=1),
+        4 * np.einsum("ij,ij->i", c, c),
+        4 * np.einsum("ij,j->i", c, 2 * i + 1),
+        np.zeros(len(c), dtype=np.int64),
+        n1, n2,
+    )
+
+
+def _moments_from_sums(s_wmw, s_p, s_tau1, s_tau2, s_beta, n1: int, n2: int) -> EffectSummary:
+    """Every moment from the five sums, divided once; the sums are per row or scalars."""
+    n = n1 + n2
     p = s_p / (2 * n1 * n2)
-    tau1 = np.einsum("...j,...j,...j->...", a, g2, g2) / (4 * n1 * n2 * n2)
-    tau2 = np.einsum("...j,...j,...j->...", b, f1, f1) / (4 * n1 * n1 * n2)
-    beta = np.einsum("...j,...j->...", a, b) / (n1 * n2)
+    tau1 = s_tau1 / (4 * n1 * n2 * n2)
+    tau2 = s_tau2 / (4 * n1 * n1 * n2)
+    beta = s_beta / (n1 * n2)
     tau0 = p - 0.25 * beta
     p2 = p * p
     # centred placement moments are >= 0 up to rounding; clip so sqrt/df never see -1e-17
@@ -157,9 +200,14 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
     """Moments for a batch of datasets given as (reps, n1) and (reps, n2)."""
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    n1 = x1.shape[1]
+    n1, n2 = x1.shape[1], x2.shape[1]
     labels, sizes = tie_runs(np.concatenate([x1, x2], axis=1))
-    return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, x2.shape[1])
+    n = n1 + n2
+    # a row with a tie has fewer runs than values, so its last run is padding
+    if n < EXACT_SUMS_BELOW and sizes.shape[1] == n and sizes[:, -1].all():
+        # every row tie-free: a value's run label is its pooled rank
+        return _moments_from_ranks(np.sort(labels[:, :n1], axis=1), n1, n2)
+    return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, n2)
 
 
 def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSummary:
@@ -169,5 +217,9 @@ def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSumm
     `arm1_labels` holds the labels of the values one relabelling puts in arm 1.
     """
     n1 = arm1_labels.shape[1]
+    n2 = labels.size - n1
     sizes = np.bincount(labels)
-    return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, labels.size - n1)
+    if labels.size < EXACT_SUMS_BELOW and sizes.size == labels.size:
+        # tie-free: a value's run label is its pooled rank
+        return _moments_from_ranks(np.sort(arm1_labels, axis=1), n1, n2)
+    return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, n2)

@@ -10,9 +10,11 @@ in both tallies).
 Draw k of a run is row k of the uniform matrix keyed by the seed
 (`rng.uniforms`), with one column per relabelling swap (n2 of them), so it
 depends only on (seed, k).  The pooled sample is labelled by tie run once
-(`_batch.tie_runs`); a draw only decides how many arm-1 members each run
-holds, and the moments are exact integer sums over those counts.  The
-relabel carries the run labels (int32) through the shuffle, one scatter per
+(`_batch.tie_runs`).  On tied data a draw only decides how many arm-1
+members each run holds, and the moments are exact integer sums over those
+counts; on tie-free data a run label is a pooled rank, and the same sums
+are taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
+The relabel carries the run labels (int32) through the shuffle, one scatter per
 swap.  This module alone schedules draws: `tally_range`, the one draw loop,
 scores draws in cache-sized blocks (`tally_draws`; statistics alone, no
 degrees of freedom) for any set of kinds, and can stop once a decision is
@@ -65,7 +67,9 @@ def _block_draws(n: int, n_runs: int) -> int:
     each (draws, runs) count and moment array, so a block of
     3 * 2**19 // (4 n + 8 n_runs) draws keeps them near 1.5 MiB.  It is at
     least 128 draws, so that each block's fixed cost stays small, and at
-    most 2048.
+    most 2048.  On tie-free data (n_runs = n) the rule is the same, but
+    the block's arrays are (draws, n1) sorted ranks, not (draws, runs)
+    counts, so they stay below that size.
     """
     return min(_MAX_BLOCK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // (4 * n + 8 * n_runs)))
 

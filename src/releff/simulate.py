@@ -201,6 +201,13 @@ def _int_field(value, field: str) -> int:
     return value
 
 
+def _alpha_field(value) -> float:
+    """The alpha field: a JSON number, never a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"scenario field 'alpha' must be a number, got {value!r}")
+    return float(value)
+
+
 def scenario_from_dict(entry: dict, seed_override: int | None = None) -> Scenario:
     """Build a Scenario from one scenario-file entry."""
     if not isinstance(entry, dict):
@@ -221,7 +228,7 @@ def scenario_from_dict(entry: dict, seed_override: int | None = None) -> Scenari
             n2=_int_field(entry["n2"], "n2"),
             n_reps=_int_field(entry["n_reps"], "n_reps"),
             tests=kinds,
-            alpha=float(entry.get("alpha", 0.05)),
+            alpha=_alpha_field(entry.get("alpha", 0.05)),
             n_perm=None if n_perm is None else _int_field(n_perm, "n_perm"),
             master_seed=_int_field(seed, "seed"),
         )

@@ -1,0 +1,132 @@
+"""The tie-free rank scorer against the count kernel: equal in every field, bit for bit."""
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from releff import _batch
+from releff._batch import (
+    arm1_counts,
+    moments_from_counts,
+    moments_from_perm,
+    moments_from_values,
+    tie_runs,
+)
+from releff.permutation import _batch_permutations
+from releff.rng import perm_key, uniforms
+
+arm_size = st.integers(min_value=2, max_value=60)
+
+
+def assert_same(got, want):
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(g, w), field.name
+
+
+def pooled_values(rng, size, levels):
+    """Values on `levels` levels (tie-free when None), as (..., N) floats."""
+    if levels is None:
+        return rng.random(size).argsort(axis=-1) * 0.25 - 3.0
+    return rng.integers(0, levels, size=size).astype(float)
+
+
+def perm_block(pooled, n1, seed, first, draws):
+    """The run labels of the pooled sample and of the arm-1 values of a block of draws."""
+    labels = tie_runs(pooled[None, :])[0][0]
+    u = uniforms(perm_key(seed), first, draws, pooled.size - n1)
+    return labels, _batch_permutations(u, labels.astype(np.int32), n1)
+
+
+def kernel_from_perm(arm1_labels, labels):
+    sizes = np.bincount(labels)
+    n1 = arm1_labels.shape[1]
+    return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, labels.size - n1)
+
+
+def kernel_from_values(x1, x2):
+    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=1))
+    n1 = x1.shape[1]
+    return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, x2.shape[1])
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Every call the entry points make to the tie-free rank scorer."""
+    calls = []
+    scorer = _batch._moments_from_ranks
+
+    def spy(ranks, n1, n2):
+        calls.append(ranks.shape)
+        return scorer(ranks, n1, n2)
+
+    monkeypatch.setattr(_batch, "_moments_from_ranks", spy)
+    return calls
+
+
+@given(n1=arm_size, n2=arm_size, levels=st.sampled_from([None, 1, 2, 5, 8]),
+       seed=st.integers(0, 2**32 - 1), first=st.integers(0, 10**6), draws=st.integers(1, 64))
+def test_perm_scorer_equals_count_kernel(n1, n2, levels, seed, first, draws):
+    pooled = pooled_values(np.random.default_rng(seed), n1 + n2, levels)
+    labels, arm1 = perm_block(pooled, n1, seed, first, draws)
+    assert_same(moments_from_perm(arm1, labels), kernel_from_perm(arm1, labels))
+
+
+@given(n1=arm_size, n2=arm_size, levels=st.sampled_from([None, 1, 2, 5, 8]),
+       seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40))
+def test_values_scorer_equals_count_kernel(n1, n2, levels, seed, rows):
+    pooled = pooled_values(np.random.default_rng(seed), (rows, n1 + n2), levels)
+    x1, x2 = pooled[:, :n1], pooled[:, n1:]
+    assert_same(moments_from_values(x1, x2), kernel_from_values(x1, x2))
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (7, 10), (15, 45), (45, 15), (60, 3)])
+def test_tie_free_inputs_take_the_rank_scorer(rank_calls, n1, n2):
+    rng = np.random.default_rng(n1 * 100 + n2)
+    labels, arm1 = perm_block(pooled_values(rng, n1 + n2, None), n1, 5, 0, 30)
+    moments_from_perm(arm1, labels)
+    pooled = pooled_values(rng, (12, n1 + n2), None)
+    moments_from_values(pooled[:, :n1], pooled[:, n1:])
+    assert rank_calls == [(30, n1), (12, n1)]
+
+
+@pytest.mark.parametrize("tied_row", [0, 7, 19])
+def test_one_tied_row_sends_the_batch_to_the_kernel(rank_calls, tied_row):
+    """A tied row among tie-free rows: the whole batch takes the kernel, equal row by row."""
+    n1, n2 = 9, 14
+    rng = np.random.default_rng(tied_row)
+    pooled = pooled_values(rng, (20, n1 + n2), None)
+    pooled[tied_row, n1] = pooled[tied_row, 0]
+    x1, x2 = pooled[:, :n1], pooled[:, n1:]
+    batch = moments_from_values(x1, x2)
+    assert rank_calls == []
+    assert_same(batch, kernel_from_values(x1, x2))
+    for r in range(len(pooled)):
+        alone = moments_from_values(x1[r : r + 1], x2[r : r + 1])
+        for field in dataclasses.fields(alone):
+            if field.name not in ("n1", "n2"):
+                assert getattr(batch, field.name)[r] == getattr(alone, field.name)[0], field.name
+    # every row but the tied one scored alone through the rank scorer
+    assert len(rank_calls) == len(pooled) - 1
+
+
+def test_rank_scorer_stays_below_the_int64_bound(rank_calls, monkeypatch):
+    """Past EXACT_SUMS_BELOW tie-free inputs take the kernel's float sums, and agree with it."""
+    n1, n2 = 11, 13
+    rng = np.random.default_rng(3)
+    labels, arm1 = perm_block(pooled_values(rng, n1 + n2, None), n1, 8, 0, 50)
+    pooled = pooled_values(rng, (25, n1 + n2), None)
+    x1, x2 = pooled[:, :n1], pooled[:, n1:]
+    exact = moments_from_perm(arm1, labels), moments_from_values(x1, x2)
+    assert len(rank_calls) == 2
+    rank_calls.clear()
+    monkeypatch.setattr(_batch, "EXACT_SUMS_BELOW", n1 + n2)
+    got = moments_from_perm(arm1, labels), moments_from_values(x1, x2)
+    assert rank_calls == []
+    assert_same(got[0], kernel_from_perm(arm1, labels))
+    assert_same(got[1], kernel_from_values(x1, x2))
+    for g, e in zip(got, exact):
+        assert np.allclose(g.p_hat, e.p_hat, rtol=1e-15, atol=0)
+        assert np.allclose(g.sigma1_sq, e.sigma1_sq, rtol=1e-12, atol=0)

@@ -259,10 +259,11 @@ class TestCmdSimulate:
         pytest.param([{**GOOD_ENTRY, "tests": [5]}], None, id="numeric_test"),
         pytest.param('[{"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 1e999}]',
                      "n_reps", id="infinite_count"),
-        # a fractional count or seed is refused, not truncated
+        # a fractional count or seed is refused, not truncated; so is an alpha that is no number
         *[pytest.param([{**GOOD_ENTRY, field: value}], field, id=f"{field}_{value!r}")
           for field, value in [("n1", 7.9), ("n2", 7.0), ("n_reps", 10.7), ("n_perm", 50.5),
-                               ("seed", 12.9), ("n1", True), ("seed", "12")]],
+                               ("seed", 12.9), ("n1", True), ("seed", "12"),
+                               ("alpha", "0.05"), ("alpha", True), ("alpha", None)]],
         # a string of labels is not a list of them
         pytest.param([{**GOOD_ENTRY, "tests": "pm"}], "tests", id="tests_string"),
     ])

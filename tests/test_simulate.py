@@ -375,9 +375,10 @@ class TestScenarioConfig:
 
     def test_from_dict_and_file(self, tmp_path):
         entry = {"dist1": "N(0,1)", "dist2": "BL(5,4,5)", "n1": 8, "n2": 9,
-                 "n_reps": 12, "tests": ["wmw", "pm:df1"], "seed": 4}
+                 "n_reps": 12, "tests": ["wmw", "pm:df1"], "seed": 4, "alpha": 0.1}
         sc = scenario_from_dict(entry)
         assert sc.dist2 == BetaLatent(5, 4, 5)
+        assert sc.alpha == 0.1
         assert sc.tests[1].label() == "pm:df1"
         path = tmp_path / "s.cfg"
         path.write_text(json.dumps({"scenarios": [entry]}))
