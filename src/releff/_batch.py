@@ -5,11 +5,14 @@ runs of equal values, each with its size and its count of arm-1 members.
 With `a` and `b` a run's arm-1 and arm-2 counts and A, B the counts in lower
 runs, an arm-2 value sits at 2*n1*F1 = 2A + a and an arm-1 value at
 2*n2*(1 - F2) = 2*n2 - 2B - b, so p, tau1, tau2 and beta are integer sums
-over runs, divided once (`_moments_from_sums`).  `tie_runs` is the one
-labeller: one argsort per row gives each pooled value its run label, and
-`arm1_counts` counts any subset of labels per run.  Datasets with the same
-runs and counts get bit-identical moments whichever entry point produced
-them: a simulated batch (`moments_from_values`), permutation draws
+over runs, divided once (`_moments_from_sums`).  `tie_runs` labels the
+pooled values of a permutation sample or a user dataset: one argsort per row
+gives each value its run label, in the value's own position, and
+`arm1_counts` counts any subset of labels per run.  A simulated batch needs
+no labels in place: `moments_from_values` reads the runs and their arm-1
+members off each row's one sort order.  Datasets with the same runs and
+counts get bit-identical moments whichever entry point produced them: a
+simulated batch (`moments_from_values`), permutation draws
 (`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A
 permutation draw arrives as the run labels of its arm-1 values, which the
 relabel carries through the shuffle in place of indices, so its counts are
@@ -197,17 +200,36 @@ def _moments_from_sums(s_wmw, s_p, s_tau1, s_tau2, s_beta, n1: int, n2: int) -> 
 
 
 def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
-    """Moments for a batch of datasets given as (reps, n1) and (reps, n2)."""
+    """Moments for a batch of datasets given as (reps, n1) and (reps, n2).
+
+    Scored from one sort order per row: position k of the sorted row holds
+    pooled value order[k], which is an arm-1 value iff order[k] < n1.
+    """
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
     n1, n2 = x1.shape[1], x2.shape[1]
-    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=1))
-    n = n1 + n2
-    # a row with a tie has fewer runs than values, so its last run is padding
-    if n < EXACT_SUMS_BELOW and sizes.shape[1] == n and sizes[:, -1].all():
-        # every row tie-free: a value's run label is its pooled rank
-        return _moments_from_ranks(np.sort(labels[:, :n1], axis=1), n1, n2)
-    return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, n2)
+    pooled = np.concatenate([x1, x2], axis=1)
+    order = np.argsort(pooled, axis=1)
+    ordered = np.sort(pooled, axis=1)
+    rows, n = pooled.shape
+    # a new run starts where a sorted value differs from its predecessor
+    starts = ordered[:, 1:] != ordered[:, :-1]
+    from_arm1 = order < n1
+    if n < EXACT_SUMS_BELOW and starts.all():
+        # every row tie-free: sorted position k is pooled rank k
+        ranks = np.flatnonzero(from_arm1).reshape(rows, n1)
+        ranks -= np.arange(rows)[:, None] * n
+        return _moments_from_ranks(ranks, n1, n2)
+    run = np.zeros(pooled.shape, dtype=np.intp)
+    np.cumsum(starts, axis=1, out=run[:, 1:])
+    n_runs = int(run[:, -1].max()) + 1
+    # row r's runs are keys 1 + r*n_runs onwards; key 0 collects arm 2 when counting arm 1
+    run += np.arange(rows)[:, None] * n_runs + 1
+    run = run.ravel()
+    sizes = np.bincount(run, minlength=rows * n_runs + 1)[1:].reshape(rows, n_runs)
+    run *= from_arm1.ravel()
+    a = np.bincount(run, minlength=rows * n_runs + 1)[1:].reshape(rows, n_runs)
+    return moments_from_counts(a, sizes, n1, n2)
 
 
 def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSummary:

@@ -1,8 +1,9 @@
 """Samples and two-arm datasets.
 
 `TwoSamples` sorts its pooled values into tie runs and keeps the
-`EffectSummary` the count kernel (`_batch`) derives from them, so every
-estimator and test run on the same instance shares one sort.  Equality of
+`EffectSummary` the count kernel (`_batch`) derives from them, and the
+plus/minus-ECDF summary Shirahata's general form reads, so every estimator
+and test run on the same instance shares one sort.  Equality of
 observations is exact floating-point equality; ordinal categories must be
 encoded upstream as exactly representable reals (small integers), otherwise
 tie handling silently changes.
@@ -93,6 +94,24 @@ class TwoSamples:
         """
         self.require_min_size(2)
         return moments_from_counts(*self.runs(), self.n1, self.n2)
+
+    @cached_property
+    def plus_minus(self) -> tuple[EffectSummary, int]:
+        """Shirahata's plus/minus-ECDF moments and the number of tie runs.
+
+        The moments are those of the data with every cross-arm tie broken
+        arm 1 first: each run of a arm-1 and b arm-2 members becomes a run of
+        its a arm-1 members followed by a run of its b arm-2 members.
+        Computed once per instance, on first use; if `moments` is not cached
+        yet it is filled from the same sort.
+        """
+        self.require_min_size(2)
+        a, sizes = self.runs()
+        if "moments" not in self.__dict__:
+            self.__dict__["moments"] = moments_from_counts(a, sizes, self.n1, self.n2)
+        split = moments_from_counts(np.stack([a, np.zeros_like(a)], axis=-1).ravel(),
+                                    np.stack([a, sizes - a], axis=-1).ravel(), self.n1, self.n2)
+        return split, sizes.size
 
     def require_min_size(self, k: int) -> None:
         if min(self.n1, self.n2) < k:

@@ -9,23 +9,31 @@ reduced in chunk order, so results are bit-identical for any number of
 worker processes.  `run_scenarios` runs the chunks of many scenarios in one
 pool.
 
-Rejection uses p <= alpha.  A permutation p-value min(1, 2c / n_perm), with
-c the smaller of a test's two tallies, only grows with c, so a chunk turns
-alpha into one integer threshold c* (`_reject_threshold`) and a test
-rejects exactly when c <= c*.  A permutation chunk labels the tie runs of
-all its replications with one batched `tie_runs` call, and each replication
-tallies its draws through `permutation.tally_range` with settle_above=c*,
-which stops once no test's decision can change; a scenario with no tests
-draws none.  Mean variance estimates accumulate the *raw* (unfloored)
-estimator values, matching the way the reproduction tables report them.
+Rejection uses p <= alpha.  An asymptotic chunk computes p-values only
+where the decision is open: P(|T_df| >= x) >= P(|Z| >= x) for every df > 0
+(Jensen's inequality, as the normal tail at x*sqrt(s) is convex in s), so a
+row with |stat| below z* = -ndtri(alpha / 2) cannot reach p <= alpha under
+either reference and is not scored (`_screen_bound`, which keeps a relative
+margin of 1e-6 below z* against rounding).  A permutation p-value
+min(1, 2c / n_perm), with c the smaller of a test's two tallies, only grows
+with c, so a chunk turns alpha into one integer threshold c*
+(`_reject_threshold`) and a test rejects exactly when c <= c*.  A
+permutation chunk labels the tie runs of all its replications with one
+batched `tie_runs` call, and each replication tallies its draws through
+`permutation.tally_range` with settle_above=c*, which stops once no test's
+decision can change; a scenario with no tests draws none.  Mean variance
+estimates accumulate the *raw* (unfloored) estimator values, matching the
+way the reproduction tables report them.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from ._batch import moments_from_values, tie_runs
 from ._pool import map_tasks
@@ -116,9 +124,9 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
     )
     scored = [stat_arrays(m, kind) for kind in sc.tests]
     if sc.n_perm is None or not sc.tests:
+        z_lo = _screen_bound(sc.alpha)
         for idx, (stat, df) in enumerate(scored):
-            p = p_value_arrays(stat, df)
-            tally.rejections[idx] += int(np.count_nonzero(p <= sc.alpha))
+            tally.rejections[idx] += _rejections(stat, df, sc.alpha, z_lo)
         return tally
     # each replication's observed statistics are its row of the batch
     observed_all = np.array([stat for stat, _ in scored])
@@ -130,6 +138,32 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
                                  0, sc.n_perm, settle_above=c_star)
         tally.rejections += np.minimum(n_le, n_ge) <= c_star
     return tally
+
+
+def _screen_bound(alpha: float) -> float | None:
+    """A |statistic| below which no reference gives p <= alpha, or None for no screen.
+
+    The bound is z* = -ndtri(alpha / 2), less a relative 1e-6.  For every
+    df > 0, P(|T_df| >= x) >= P(|Z| >= x), so a row with |stat| below it
+    fails under the t reference as under the normal one.  The margin this
+    leaves in p must dwarf the p-values' rounding (stdtr at df >= 1e16 falls
+    up to 1.1e-16 below ndtr); it does not as alpha nears 1, or when
+    alpha / 2 underflows to 0, and then every row is scored.
+    """
+    z_lo = -ndtri(alpha / 2) * (1 - 1e-6)
+    if math.isfinite(z_lo) and 2 * ndtr(-z_lo) > alpha * (1 + 1e-12):
+        return float(z_lo)
+    return None
+
+
+def _rejections(stat: np.ndarray, df, alpha: float, z_lo: float | None) -> int:
+    """count_nonzero(p_value_arrays(stat, df) <= alpha), scoring only rows with |stat| >= z_lo."""
+    if z_lo is not None:
+        open_rows = np.abs(stat) >= z_lo
+        stat = stat[open_rows]
+        if df is not None:
+            df = df[open_rows]
+    return int(np.count_nonzero(p_value_arrays(stat, df) <= alpha))
 
 
 def _reject_threshold(n_perm: int, alpha: float) -> int:

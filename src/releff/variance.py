@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import moments_from_counts
 from .effect import EffectSummary, estimate_effect
 from .errors import SizeTooSmall, TiesInReducedForm
 from .ranks import TwoSamples
@@ -210,22 +209,23 @@ def var_shirahata(
     mid-ECDFs are Shirahata's plus/minus-ECDFs and beta is zero.  Each tie
     run with a arm-1 and b arm-2 members becomes a run of a arm-1 members
     followed by a run of b arm-2 members, and the count kernel reads the
-    moments off those runs.  The continuity-reduced form reads the data's
-    own moments and is only equivalent on tie-free data; requesting it on
-    tied data emits a ``TiesInReducedForm`` warning.  On tie-free data the
-    general U form coincides with the unbiased estimator and the general J
-    form with the Brunner-Munzel estimator.
+    moments off those runs (`TwoSamples.plus_minus`, cached with the run
+    count, so every call on one dataset shares one sort).  The
+    continuity-reduced form reads the data's own moments and is only
+    equivalent on tie-free data; requesting it on tied data emits a
+    ``TiesInReducedForm`` warning.  On tie-free data the general U form
+    coincides with the unbiased estimator and the general J form with the
+    Brunner-Munzel estimator.
     """
     kind = ShirahataKind(kind)
     form = ShirahataForm(form)
+    # before estimate_effect, so that one sort fills both summaries
+    split, n_runs = data.plus_minus
     es = estimate_effect(data)
-    a, sizes = data.runs()
     if form is ShirahataForm.GENERAL:
-        split = moments_from_counts(np.stack([a, np.zeros_like(a)], axis=-1).ravel(),
-                                    np.stack([a, sizes - a], axis=-1).ravel(), data.n1, data.n2)
         raw = _shirahata_display(kind, split)
     else:
-        if sizes.size < data.n:
+        if n_runs < data.n:
             warnings.warn(
                 "continuity-reduced Shirahata form evaluated on tied data",
                 TiesInReducedForm,

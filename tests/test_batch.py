@@ -1,4 +1,4 @@
-"""The tie-free rank scorer against the count kernel: equal in every field, bit for bit."""
+"""The batch scorers against the count kernel: equal in every field, bit for bit."""
 import dataclasses
 
 import numpy as np
@@ -18,6 +18,12 @@ from releff.permutation import _batch_permutations
 from releff.rng import perm_key, uniforms
 
 arm_size = st.integers(min_value=2, max_value=60)
+ROW_KINDS = ("tie_free", "levels", "all_tied", "signed_zeros", "cross_arm_duplicate")
+# a batch of one row kind (an all-tie-free batch takes the rank scorer) or of mixed kinds
+batch_kinds = st.one_of(
+    st.tuples(st.sampled_from(ROW_KINDS), st.integers(1, 40)).map(lambda k: [k[0]] * k[1]),
+    st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=40),
+)
 
 
 def assert_same(got, want):
@@ -52,6 +58,22 @@ def kernel_from_values(x1, x2):
     return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, x2.shape[1])
 
 
+def mixed_row(rng, kind, n1, n2):
+    """One pooled row of the given kind, arm 1 first."""
+    n = n1 + n2
+    if kind == "tie_free":
+        return pooled_values(rng, n, None)
+    if kind == "levels":
+        return pooled_values(rng, n, int(rng.integers(2, 9)))
+    if kind == "all_tied":
+        return np.full(n, rng.normal())
+    if kind == "signed_zeros":
+        return rng.choice([-0.0, 0.0, -1.5, 2.0], size=n)
+    row = pooled_values(rng, n, None)
+    row[n1 + rng.integers(n2)] = row[rng.integers(n1)]
+    return row
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
     """Every call the entry points make to the tie-free rank scorer."""
@@ -74,12 +96,26 @@ def test_perm_scorer_equals_count_kernel(n1, n2, levels, seed, first, draws):
     assert_same(moments_from_perm(arm1, labels), kernel_from_perm(arm1, labels))
 
 
-@given(n1=arm_size, n2=arm_size, levels=st.sampled_from([None, 1, 2, 5, 8]),
-       seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40))
-def test_values_scorer_equals_count_kernel(n1, n2, levels, seed, rows):
-    pooled = pooled_values(np.random.default_rng(seed), (rows, n1 + n2), levels)
+@given(n1=arm_size, n2=arm_size, seed=st.integers(0, 2**32 - 1), kinds=batch_kinds)
+def test_values_scorer_equals_count_kernel(n1, n2, kinds, seed):
+    """Batches of tie-free, tied, all-tied, signed-zero and cross-arm-duplicate rows."""
+    rng = np.random.default_rng(seed)
+    pooled = np.array([mixed_row(rng, kind, n1, n2) for kind in kinds])
     x1, x2 = pooled[:, :n1], pooled[:, n1:]
     assert_same(moments_from_values(x1, x2), kernel_from_values(x1, x2))
+
+
+def test_values_scorer_labels_no_values_in_place(monkeypatch):
+    """moments_from_values scores from its own sort order; tie_runs stays for draws and datasets."""
+    def no_labels(pooled):
+        raise AssertionError("moments_from_values called tie_runs")
+
+    rng = np.random.default_rng(11)
+    batches = [pooled_values(rng, (6, 20), levels) for levels in (None, 1, 3)]
+    want = [kernel_from_values(b[:, :8], b[:, 8:]) for b in batches]
+    monkeypatch.setattr(_batch, "tie_runs", no_labels)
+    for b, w in zip(batches, want):
+        assert_same(moments_from_values(b[:, :8], b[:, 8:]), w)
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (7, 10), (15, 45), (45, 15), (60, 3)])

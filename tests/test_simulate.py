@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from releff import (
     BetaLatent,
@@ -253,6 +254,54 @@ class TestRejectThreshold:
             c = np.arange(n_perm + 1)
             c_star = simulate._reject_threshold(n_perm, alpha)
             assert np.array_equal(c <= c_star, np.minimum(1.0, 2.0 * c / n_perm) <= alpha), n_perm
+
+
+class TestRejectionScreen:
+    """Rows with |stat| below the screen bound skip the p-value, and every count stays exact."""
+
+    @staticmethod
+    def boundary_stats(alpha):
+        """Statistics on both sides of z* = -ndtri(alpha / 2), within 1e-12 of it, and spread around."""
+        rng = np.random.default_rng(17)
+        z = -ndtri(alpha / 2)
+        if np.isfinite(z):
+            near = z * (1 + np.linspace(-1e-12, 1e-12, 41))
+            spread = rng.uniform(0, 2 * z, 200)
+        else:
+            near, spread = np.array([30.0, 38.0, 38.5, 39.0, 40.0]), np.array([0.0, 1.0, 1e3])
+        stat = np.concatenate([near, -near, spread, -spread, [np.nan, np.inf, -np.inf]])
+        return np.concatenate([stat, np.nextafter(stat, 0), np.nextafter(stat, 2 * stat)])
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-10, 0.05, 0.5, 0.999])
+    @pytest.mark.parametrize("df", [None, 1e-3, 1.0, 2.5, 1e16, np.inf, np.nan])
+    def test_screened_count_equals_full_count(self, alpha, df):
+        stat = self.boundary_stats(alpha)
+        dfs = None if df is None else np.full(stat.shape, df)
+        want = int(np.count_nonzero(p_value_arrays(stat, dfs) <= alpha))
+        assert simulate._rejections(stat, dfs, alpha, simulate._screen_bound(alpha)) == want
+        if df is None:
+            assert 0 < want < stat.size
+
+    def test_underflowing_alpha_screens_nothing(self):
+        """alpha / 2 underflows to 0 at 5e-324: ndtri gives -inf and every row is scored."""
+        assert simulate._screen_bound(5e-324) is None
+        assert simulate._rejections(np.array([1e3, -1e3, 1.0]), None, 5e-324, None) == 2
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.5])
+    def test_chunk_scores_only_open_rows(self, monkeypatch, alpha):
+        sc = Scenario(Normal(0, 1), Normal(0.3, 1), 9, 12, n_reps=1024, alpha=alpha)
+        m = moments_from_values(*_draw_chunk(sc, 0, 1024))
+        want = [int(np.count_nonzero(p_value_arrays(*stat_arrays(m, kind)) <= alpha))
+                for kind in sc.tests]
+        scored = []
+
+        def spy(stat, df):
+            scored.append(stat.size)
+            return p_value_arrays(stat, df)
+
+        monkeypatch.setattr(simulate, "p_value_arrays", spy)
+        assert _simulate_chunk(sc, 0, 1024).rejections.tolist() == want
+        assert len(scored) == len(sc.tests) and sum(scored) < len(sc.tests) * 1024
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from releff import (
     var_unbiased,
     var_wmw,
 )
+from releff import ranks
 from oracles import mid_ranks
 from tests_util import random_dataset
 
@@ -200,9 +201,42 @@ class TestShirahata:
                 reduced = var_shirahata(broken, kind, ShirahataForm.CONTINUOUS_REDUCED).raw
             assert general == reduced
 
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("moments_first", [False, True])
+    def test_every_kind_and_form_shares_one_sort(self, monkeypatch, tied, moments_first):
+        """The 8 kind x form calls on one dataset sort it at most once, and each
+        returns what it returns on a dataset of its own."""
+        rng = np.random.default_rng(21)
+        x1, x2 = rng.integers(0, 5, size=(2, 40)).astype(float) if tied else rng.normal(size=(2, 40))
+        pairs = list(itertools.product(ShirahataKind, ShirahataForm))
+        calls = []
+        labeller = ranks.tie_runs
+
+        def spy(pooled):
+            calls.append(pooled.shape)
+            return labeller(pooled)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TiesInReducedForm)
+            alone = {pair: var_shirahata(TwoSamples(x1, x2), *pair) for pair in pairs}
+            shared = TwoSamples(x1, x2)
+            if moments_first:
+                estimate_effect(shared)
+            monkeypatch.setattr(ranks, "tie_runs", spy)
+            for pair in reversed(pairs):
+                assert var_shirahata(shared, *pair) == alone[pair], pair
+        assert len(calls) == 1
+
     def test_reduced_warns_on_ties(self):
-        with pytest.warns(TiesInReducedForm):
-            var_shirahata(TOY, ShirahataKind.U, ShirahataForm.CONTINUOUS_REDUCED)
+        # two tied pairs, then one
+        for data in (TOY, TwoSamples([1, 2, 3], [3, 4, 5])):
+            with pytest.warns(TiesInReducedForm):
+                var_shirahata(data, ShirahataKind.U, ShirahataForm.CONTINUOUS_REDUCED)
+
+    def test_reduced_is_silent_on_tie_free_data(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TiesInReducedForm)
+            var_shirahata(TwoSamples([1, 2, 3], [4, 5, 6]), ShirahataKind.U, ShirahataForm.CONTINUOUS_REDUCED)
 
     def test_floors_apply_to_all_kinds(self):
         sep = TwoSamples([1, 2, 3], [4, 5, 6])
