@@ -128,29 +128,30 @@ def _cmd_test(args) -> int:
     data = _read_two_group_csv(args.data)
     kinds = _parse_test_list(args.tests, args.df)
     header = ["test", "statistic", "df", "p_value", "degenerate"]
-    if args.n_perm:
-        header.append("perm_p_value")
-        # one pass over the draws tallies every non-wmw kind
-        perms = iter(permutation_tests(data, [kind for kind in kinds if kind.family != "wmw"],
-                                       n_perm=args.n_perm, seed=args.seed, threads=args.threads))
-    rows = []
-    for kind in kinds:
-        res = run_test(data, kind, alternative=args.alternative)
-        row = [
+    results = [run_test(data, kind, alternative=args.alternative) for kind in kinds]
+    rows = [
+        [
             kind.label(),
             format(res.statistic, ".12g"),
             "" if res.df is None else format(res.df, ".12g"),
             format(res.p_value, ".12g"),
             res.degenerate.value,
         ]
-        if args.n_perm:
+        for kind, res in zip(kinds, results)
+    ]
+    if args.n_perm:
+        header.append("perm_p_value")
+        # one pass over the draws tallies every non-wmw kind against its row's statistic
+        tallied = [res for res in results if res.kind.family != "wmw"]
+        perms = iter(permutation_tests(data, [res.kind for res in tallied], n_perm=args.n_perm,
+                                       seed=args.seed, threads=args.threads, observed=tallied))
+        for kind, row in zip(kinds, rows):
             if kind.family == "wmw":
                 row.append("")
             else:
                 perm = next(perms)
                 p = {"two-sided": perm.p_value, "greater": perm.p2, "less": perm.p1}
                 row.append(format(p[args.alternative], ".12g"))
-        rows.append(row)
     _emit(header, rows, args.format, args.output)
     return 0
 

@@ -17,9 +17,10 @@ are taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
 The relabel carries the run labels (int32) through the shuffle, one scatter per
 swap.  This module alone schedules draws: `tally_range`, the one draw loop,
 scores draws in cache-sized blocks (`tally_draws`; statistics alone, no
-degrees of freedom) for any set of kinds, and can stop once a decision is
-settled.  `permutation_tests` runs one lane of whole blocks per worker, and
-the Monte Carlo engine one call per replication.  Tallies are integer
+degrees of freedom) for any set of kinds, relabels every block in the same
+buffers (`_Lane`), and can stop once a decision is settled.
+`permutation_tests` runs one lane of whole blocks per worker, and the Monte
+Carlo engine one call per replication.  Tallies are integer
 counts, so results are bit-identical for any lanes or blocking.
 `run_test` scores the observed data through the same kernel and formulas,
 and its statistic is the one the draws are tallied against, so a draw with
@@ -41,8 +42,8 @@ from .stat_tests import TestKind, TestResult, run_test, statistic
 
 __all__ = ["PermutationResult", "permutation_test", "permutation_tests"]
 
-# a block's working set: 1.5 MiB, below a typical core's 2 MiB L2 cache
-_BLOCK_BYTES = 3 * 2**19
+# every array a block holds, together; see `_block_draws`
+_BLOCK_BYTES = 5 * 2**20
 _MIN_BLOCK_DRAWS = 128
 _MAX_BLOCK_DRAWS = 2048
 # a settling range is checked after every eighth of its draws, within these bounds
@@ -60,21 +61,48 @@ class PermutationResult:
     seed: int
 
 
-def _block_draws(n: int, n_runs: int) -> int:
-    """Draws scored per block at n pooled values in n_runs tie runs.
+def _block_draws(n1: int, n2: int, n_runs: int) -> int:
+    """Draws scored per block for n1 + n2 = n pooled values in n_runs tie runs.
 
-    A draw takes 4 bytes per pooled value in the relabel and 8 per run in
-    each (draws, runs) count and moment array, so a block of
-    3 * 2**19 // (4 n + 8 n_runs) draws keeps them near 1.5 MiB.  It is at
-    least 128 draws, so that each block's fixed cost stays small, and at
-    most 2048.  On tie-free data (n_runs = n) the rule is the same, but
-    the block's arrays are (draws, n1) sorted ranks, not (draws, runs)
-    counts, so they stay below that size.
+    Per draw, a block holds 4 n bytes of relabel (int32 run labels), 8 n2
+    of scatter indices (`flat_j`) and 8 bytes per uniform (n2 rounded up to
+    a multiple of 4).  Its scorer adds 12 n1 on tie-free data (the int32
+    sorted arm-1 ranks and their int64 counts above) and otherwise 8 n1 of
+    count keys and 32 per run (the counts and three (draws, runs) arrays of
+    the count kernel).  A block holds 5 MiB of these in all, so the two
+    arrays the scatter loop touches, the relabel and `flat_j`, stay near
+    half of that, about a core's 2 MiB L2 cache.  At 200 and 300 per arm,
+    a block costs the same per draw anywhere from about 500 to 1000 draws;
+    fewer pay more per-block overhead in the loop of n2 scatters, and
+    more spill the relabel out of cache.  A block is kept within
+    [128, 2048] draws.
     """
-    return min(_MAX_BLOCK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // (4 * n + 8 * n_runs)))
+    n = n1 + n2
+    per_draw = 4 * n + 8 * n2 + 32 * -(-n2 // 4)
+    per_draw += 12 * n1 if n_runs == n else 8 * n1 + 32 * n_runs
+    return min(_MAX_BLOCK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // per_draw))
 
 
-def _batch_permutations(u: np.ndarray, values: np.ndarray, n1: int) -> np.ndarray:
+class _Lane:
+    """The relabel's buffers, owned by one draw loop and reused by each of its blocks.
+
+    Sized for blocks of up to `draws` relabellings of `values`, whose first
+    n1 are arm 1.  A block overwrites them, so whatever it reads off them
+    must be consumed before the next block starts.
+    """
+
+    def __init__(self, values: np.ndarray, n1: int, draws: int):
+        n = values.size
+        self.values = values
+        self.perm = np.empty(n * draws, dtype=values.dtype)
+        self.flat_j = np.empty((n - n1) * draws, dtype=np.intp)
+        self.cols = np.arange(draws)
+        # step s of a draw picks among the i + 1 = n - s positions 0..i
+        self.bound = np.arange(n, n1, -1)[:, None]
+
+
+def _batch_permutations(u: np.ndarray, values: np.ndarray, n1: int,
+                        lane: _Lane | None = None) -> np.ndarray:
     """The values a row-wise Fisher-Yates shuffle driven by uniform rows puts in arm 1.
 
     Row k of u holds n - n1 uniforms and makes the first n - n1 swaps of a
@@ -83,17 +111,22 @@ def _batch_permutations(u: np.ndarray, values: np.ndarray, n1: int) -> np.ndarra
     n1..n-1, and the later swaps only reorder arm 1, so row k holds the
     values the full shuffle leaves in its first n1 positions, in some order.
     Position i is never read after step i, so a step only copies position i
-    into the drawn one instead of swapping them.
+    into the drawn one instead of swapping them.  With a `lane` (built for
+    these values), the shuffle runs in the lane's buffers and the result is
+    a view of them, valid until the lane's next block.
     """
     m = u.shape[0]
     n = values.size
+    if lane is None:
+        lane = _Lane(values, n1, m)
     # column-major working array: perm[i * m + k] is position i of row k
-    perm = np.repeat(values, m)
+    perm = lane.perm[: n * m]
+    np.copyto(perm.reshape(n, m), values[:, None])
     # flat_j[step, k] = floor(u[k, step] * (i + 1)) * m + k, built in one array
-    flat_j = np.empty((n - n1, m), dtype=np.intp)
-    np.multiply(u.T, np.arange(n, n1, -1)[:, None], out=flat_j, casting="unsafe")
+    flat_j = lane.flat_j[: (n - n1) * m].reshape(n - n1, m)
+    np.multiply(u.T, lane.bound, out=flat_j, casting="unsafe")
     flat_j *= m
-    flat_j += np.arange(m)
+    flat_j += lane.cols[:m]
     for step, i in enumerate(range(n - 1, n1 - 1, -1)):
         perm[flat_j[step]] = perm[i * m : (i + 1) * m]
     return perm[: n1 * m].reshape(n1, m).T
@@ -107,18 +140,23 @@ def tally_draws(
     seed: int,
     first_draw: int,
     n_draws: int,
+    lane: _Lane | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Counts of permuted statistics <= / >= the observed one, per kind, over one block.
 
     The block is draws [first_draw, first_draw + n_draws) of the seed's
     stream.  `labels` holds each pooled value's tie-run label (`tie_runs`);
-    the first n1 pooled values are arm 1.
+    the first n1 pooled values are arm 1.  A `lane` built for these labels
+    and at least n_draws draws lends the block its relabel buffers.
     """
     n = labels.size
-    # nested, so the uniforms are freed once relabelled
+    if lane is None:
+        lane = _Lane(labels.astype(np.int32), n1, n_draws)
+    # nested, so the uniforms are freed once relabelled; the moments are
+    # read off the lane's buffers before this call returns
     mm = moments_from_perm(
         _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws, n - n1),
-                            labels.astype(np.int32), n1),
+                            lane.values, n1, lane),
         labels,
     )
     stats = [statistic(mm, kind) for kind in kinds]
@@ -135,48 +173,54 @@ def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: 
     a step is also an eighth of the range, within [256, 1024], and the loop
     stops once every kind's min(n_le, n_ge) is above `settle_above`: both
     tallies only grow, so a decision "min(n_le, n_ge) <= settle_above" can
-    no longer change.
+    no longer change.  Every step runs in one lane's buffers.
     """
-    step = _block_draws(labels.size, int(labels.max()) + 1)
+    step = _block_draws(n1, labels.size - n1, int(labels.max()) + 1)
     if settle_above is not None:
         step = min(step, _MAX_STEP_DRAWS, max(_MIN_STEP_DRAWS, -(-(stop - first) // 8)))
+    lane = _Lane(labels.astype(np.int32), n1, min(step, stop - first))
     counts = np.zeros((2, len(kinds)), dtype=np.int64)
     for a in range(first, stop, step):
-        counts += tally_draws(labels, n1, kinds, observed, seed, a, min(step, stop - a))
+        counts += tally_draws(labels, n1, kinds, observed, seed, a, min(step, stop - a), lane)
         if settle_above is not None and np.all(counts.min(axis=0) > settle_above):
             break
     return counts
 
 
 def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int = DEFAULT_SEED,
-                      threads: int = 1) -> list[PermutationResult]:
+                      threads: int = 1, *, observed=None) -> list[PermutationResult]:
     """Studentized permutation tests for several statistics, one per kind.
 
     Every kind is tallied over the same draws in one pass, so each result
     equals `permutation_test` for its kind alone.  `threads` workers (>= 1)
     each tally one contiguous lane of whole blocks, so the pool never has
-    more workers than blocks or CPUs.
+    more workers than blocks or CPUs.  `observed` may hold the kinds'
+    `run_test` results on `data`, already computed (under any alternative:
+    only their statistics are tallied against); they are reported as given.
     """
     kinds = list(kinds)
     if any(kind.family == "wmw" for kind in kinds):
         raise InvalidKind("the permutation approach is defined for the non-WMW statistics")
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
+    if observed is not None and [res.kind for res in observed] != kinds:
+        raise ValueError("observed must hold one run_test result per kind, in order")
     if not kinds:
         return []
-    observed_results = [run_test(data, kind) for kind in kinds]
+    if observed is None:
+        observed = [run_test(data, kind) for kind in kinds]
     labels = tie_runs(data.pooled()[None, :])[0][0]
-    observed = np.array([res.statistic for res in observed_results])
-    block = _block_draws(labels.size, int(labels.max()) + 1)
+    statistics = np.array([res.statistic for res in observed])
+    block = _block_draws(data.n1, data.n2, int(labels.max()) + 1)
     n_blocks = -(-n_perm // block)
     lanes = worker_count(threads, n_blocks)
     bounds = [min(n_perm, n_blocks * i // lanes * block) for i in range(lanes + 1)]
-    tasks = [(labels, data.n1, kinds, observed, seed, a, b)
+    tasks = [(labels, data.n1, kinds, statistics, seed, a, b)
              for a, b in zip(bounds[:-1], bounds[1:])]
     p1s, p2s = (np.sum(map_tasks(tally_range, tasks, threads), axis=0) / n_perm).tolist()
     return [PermutationResult(observed=res, p1=p1, p2=p2, p_value=min(1.0, 2.0 * min(p1, p2)),
                               n_perm=n_perm, seed=seed)
-            for res, p1, p2 in zip(observed_results, p1s, p2s)]
+            for res, p1, p2 in zip(observed, p1s, p2s)]
 
 
 def permutation_test(

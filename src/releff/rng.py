@@ -35,6 +35,8 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _PERM_SALT = 0xD1B54A32D192ED03
 _DATA_TAG = 1 << 60
+# the bit pattern of 1.0: sign 0, exponent 1023, fraction 0
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
 def mix64(x: int) -> int:
@@ -66,22 +68,29 @@ def rep_permutation_seed(master_seed: int, rep_index: int) -> int:
 
 
 def uniforms(key: tuple[int, int], first_row: int, n_rows: int, n_cols: int) -> np.ndarray:
-    """Rows [first_row, first_row + n_rows) of the key's uniform matrix."""
+    """Rows [first_row, first_row + n_rows) of the key's uniform matrix.
+
+    A float64 view of the raw words, mapped in place; its rows are strided
+    when n_cols is not a multiple of 4.
+    """
     blocks = -(-n_cols // 4)
     bg = np.random.Philox(key=np.array([key[0] & _M64, key[1] & _M64], dtype=np.uint64))
     bg.advance(first_row * blocks)
     raw = bg.random_raw(n_rows * blocks * 4).reshape(n_rows, blocks * 4)
-    return _open_unit(raw[:, :n_cols])
+    return _open_unit(raw)[:, :n_cols]
 
 
 def _open_unit(raw: np.ndarray) -> np.ndarray:
-    """((w >> 12) + 0.5) * 2**-52 for raw 64-bit words w; overwrites raw.
+    """((w >> 12) + 0.5) * 2**-52 for raw 64-bit words w, as a float64 view of raw.
 
-    Exact in float64 and strictly inside (0, 1) for every word, so inverse
-    CDFs stay finite.
+    Computed in raw's own memory: w >> 12 becomes the 52 fraction bits of
+    1.0, which reads 1 + (w >> 12) * 2**-52, and subtracting 1 - 2**-53
+    leaves (2 (w >> 12) + 1) * 2**-53.  That needs at most 53 significant
+    bits, so the subtraction is exact.  The result is strictly inside
+    (0, 1) for every word, so inverse CDFs stay finite.
     """
     raw >>= np.uint64(12)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
+    raw |= _ONE_BITS
+    u = raw.view(np.float64)
+    u -= 1.0 - 2.0**-53
     return u

@@ -120,6 +120,38 @@ class TestCmdTest:
             (row,) = parse_csv(out)
             assert float(row["perm_p_value"]) == pytest.approx(want, abs=1e-12), alternative
 
+    @pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+    def test_each_kind_is_run_once_with_n_perm(self, tmp_path, monkeypatch, alternative):
+        """The permutation column tallies against the rows' own results, so
+        the 7-test battery makes 7 `run_test` calls, not one more per non-wmw
+        kind, and prints what tallying against fresh results prints."""
+        x1, x2 = [1, 2, 3, 4, 6], [5, 7, 8, 9, 10]
+        path = tmp_path / "five.csv"
+        path.write_text("group,value\n" + "".join(f"1,{v}\n" for v in x1)
+                        + "".join(f"2,{v}\n" for v in x2))
+        argv = ["test", str(path), "--n-perm", "300", "--seed", "5", "--alternative", alternative]
+        calls = []
+
+        def spy(data, kind, *args, **kwargs):
+            calls.append(kind)
+            return run_test(data, kind, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "run_test", spy)
+            mp.setattr(permutation, "run_test", spy)
+            code, out = run_cli(argv)
+        assert code == 0
+        assert calls == list(DEFAULT_BATTERY)
+        data = TwoSamples(x1, x2)
+        tails = {"two-sided": "p_value", "greater": "p2", "less": "p1"}
+        want = [
+            "" if kind.family == "wmw" else format(
+                getattr(permutation_test(data, kind, n_perm=300, seed=5), tails[alternative]),
+                ".12g")
+            for kind in DEFAULT_BATTERY
+        ]
+        assert [row["perm_p_value"] for row in parse_csv(out)] == want
+
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_permutation_column_is_one_pass_over_the_draws(self, tmp_path, monkeypatch, tied):
         """Every kind's perm_p_value equals its own `permutation_test`, at any
@@ -135,9 +167,9 @@ class TestCmdTest:
         blocks = []
         tally_draws = permutation.tally_draws
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
             blocks.append((first_draw, n_draws))
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
 
         for threads in (1, 2):
             want = [

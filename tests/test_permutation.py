@@ -41,8 +41,8 @@ class TestShuffle:
         the stream `tally_draws` reads."""
         drawn = []
 
-        def spy(u, values, n1):
-            arm1 = _batch_permutations(u, values, n1)
+        def spy(u, values, n1, *lane):
+            arm1 = _batch_permutations(u, values, n1, *lane)
             drawn.append(np.sort(arm1, axis=1))
             return arm1
 
@@ -140,21 +140,29 @@ class TestPermutationTest:
         d = TwoSamples(pooled[:300], pooled[300:])
         pm = TK.parse("pm")
         labels = run_labels(d.pooled())
-        block = permutation._block_draws(600, int(labels.max()) + 1)
+        block = permutation._block_draws(300, 300, int(labels.max()) + 1)
         assert block < 2048
         observed = np.array([run_test(d, pm).statistic])
         n_le, n_ge = tally_draws(labels, 300, [pm], observed, 6, 0, 5000)
         blocks = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
             blocks.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         for threads in (1, 2):
             res = permutation_test(d, pm, n_perm=5000, seed=6, threads=threads)
             assert (res.p1, res.p2) == (n_le[0] / 5000, n_ge[0] / 5000)
         assert max(blocks) == block and sum(blocks) >= 5000
+
+    def test_observed_results_must_match_the_kinds(self):
+        d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
+        given = [run_test(d, TK.parse("n"))]
+        with pytest.raises(ValueError, match="observed"):
+            permutation.permutation_tests(d, [TK.parse("pm")], n_perm=10, observed=given)
+        res, = permutation.permutation_tests(d, [TK.parse("n")], n_perm=10, observed=given)
+        assert res.observed is given[0]
 
     def test_threads_below_one_rejected(self):
         d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
@@ -214,6 +222,47 @@ class TestPermutationTest:
         d = TwoSamples(x1, x2)
         res = permutation_test(d, TK.parse("pm"), n_perm=10, seed=2)
         assert dataclasses.asdict(res.observed) == dataclasses.asdict(run_test(d, TK.parse("pm")))
+
+
+class TestLaneBuffers:
+    """One lane's relabel buffers serve every block of a draw loop."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
+    def test_blocks_keep_what_fresh_buffers_give(self, monkeypatch, tied):
+        """At 200/200, each block scores the arm-1 labels that fresh buffers
+        would give, the moments it makes stay unchanged while the lane's later
+        blocks (a short last one too) overwrite the relabel, and the range
+        tallies what fresh single-block calls tally."""
+        rng = np.random.default_rng(400)
+        if tied:
+            pooled = rng.choice(5, size=400, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
+        else:
+            pooled = rng.normal(size=400)
+        n1, seed, pm = 200, 12, TK.parse("pm")
+        labels = run_labels(pooled)
+        observed = observed_stats(labels, n1, [pm])
+        block = permutation._block_draws(n1, 200, int(labels.max()) + 1)
+        stop = 3 * block + block // 3
+        scored = []
+
+        def spy(arm1_labels, labels):
+            mm = moments_from_perm(arm1_labels, labels)
+            fields = {f.name: np.array(getattr(mm, f.name)) for f in dataclasses.fields(mm)}
+            scored.append((arm1_labels.copy(), mm, fields))
+            return mm
+
+        monkeypatch.setattr(permutation, "moments_from_perm", spy)
+        counts = permutation.tally_range(labels, n1, [pm], observed, seed, 0, stop)
+        monkeypatch.undo()
+        assert [len(arm1) for arm1, _, _ in scored] == [block] * 3 + [block // 3]
+        want = np.zeros_like(counts)
+        for k, (arm1, mm, fields) in enumerate(scored):
+            u = uniforms(perm_key(seed), k * block, len(arm1), 200)
+            assert np.array_equal(arm1, _batch_permutations(u, labels.astype(np.int32), n1))
+            for name, value in fields.items():
+                assert np.array_equal(getattr(mm, name), value), (k, name)
+            want += tally_draws(labels, n1, [pm], observed, seed, k * block, len(arm1))
+        assert np.array_equal(counts, want)
 
 
 class TestBatchStatisticPath:

@@ -61,3 +61,34 @@ class TestUniforms:
         assert 0.0 < u[0] < u[1] < 1.0
         assert np.all(np.isfinite(ndtri(u)))
         assert np.all(np.isfinite(np.log(u)))
+
+
+def float_formula(words):
+    """The uniform of each raw word, computed in float arithmetic."""
+    return ((words >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+class TestOpenUnit:
+    EDGE_WORDS = [0, 2**12 - 1, 2**12, 2**63, 2**64 - 2**12, M64,
+                  0x5555555555555555, 0xAAAAAAAAAAAAAAAA]
+
+    def test_in_place_map_equals_the_float_formula(self):
+        words = np.concatenate([np.array(self.EDGE_WORDS, dtype=np.uint64),
+                                np.random.Philox(key=7).random_raw(10**6)])
+        raw = words.copy()
+        u = _open_unit(raw)
+        assert u.dtype == np.float64 and np.shares_memory(u, raw)
+        assert np.array_equal(u, float_formula(words))
+        assert u[:4].tolist() == [2.0**-53, 2.0**-53, 1.5 * 2.0**-52, 0.5 + 2.0**-53]
+
+    @pytest.mark.parametrize("n_cols", [*range(1, 10), 15, 200])
+    def test_uniforms_are_the_formula_strictly_inside_the_unit_interval(self, n_cols):
+        # a width that is not a multiple of 4 is a strided view of the words
+        key = perm_key(77)
+        blocks = -(-n_cols // 4)
+        bg = np.random.Philox(key=np.array(key, dtype=np.uint64))
+        raw = bg.random_raw(300 * blocks * 4).reshape(300, blocks * 4)[:, :n_cols]
+        u = uniforms(key, 0, 300, n_cols)
+        assert u.shape == (300, n_cols) and u.dtype == np.float64
+        assert np.array_equal(u, float_formula(raw))
+        assert np.all((u > 0.0) & (u < 1.0))

@@ -127,7 +127,7 @@ class TestCurtailedPermutation:
         """A `tally_draws` stand-in: draw k is <= / >= the observed statistic
         of test t iff le[k, t] / ge[k, t]."""
 
-        def fake(labels, n1, kinds, observed, seed, first_draw, n_draws):
+        def fake(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
             served.append((first_draw, n_draws))
             window = slice(first_draw, first_draw + n_draws)
             return le[window].sum(axis=0), ge[window].sum(axis=0)
@@ -188,9 +188,9 @@ class TestCurtailedPermutation:
             reference += self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
         drawn = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
             drawn.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         # below n_perm / 2, so a replication settled in its first step shows
@@ -204,10 +204,10 @@ class TestCurtailedPermutation:
     def test_step_capped_at_the_cache_sized_block(self, monkeypatch):
         """At 150/150 tie-free the block is below the default step; every
         tally stays within it and the decisions equal one full tally."""
-        n_reps, n_perm = 4, 4000
+        n_reps, n_perm = 4, 10_000
         sc = Scenario(Normal(0, 1), Normal(0.25, 1), 150, 150, n_reps=n_reps,
                       tests=PERM_BATTERY, n_perm=n_perm, master_seed=29)
-        block = permutation._block_draws(300, 300)
+        block = permutation._block_draws(150, 150, 300)
         assert block < min(permutation._MAX_STEP_DRAWS, n_perm // 8)
         x1, x2 = _draw_chunk(sc, 0, n_reps)
         m = moments_from_values(x1, x2)
@@ -215,9 +215,9 @@ class TestCurtailedPermutation:
         labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
         drawn = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
             drawn.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
 
         for r in range(n_reps):
             seed_r = rep_permutation_seed(sc.master_seed, r)
@@ -236,9 +236,9 @@ class TestCurtailedPermutation:
                       n_perm=n_perm, master_seed=17)
         drawn = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws):
+        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
             drawn.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         run_scenario(sc)
