@@ -68,14 +68,12 @@ def _check_output(out_path: str) -> None:
 def _parse_test_list(spec: str, default_df: str) -> tuple[TestKind, ...]:
     kinds = []
     for token in spec.split(","):
-        token = token.strip()
+        token = token.strip().lower()
         if not token:
             continue
         try:
-            if ":" not in token and token in T_FAMILIES:
-                kinds.append(TestKind(token, DfKind(default_df)))
-            else:
-                kinds.append(TestKind.parse(token))
+            kind = TestKind(token, default_df) if token in T_FAMILIES else TestKind.parse(token)
+            kinds.append(kind)
         except ValueError as exc:
             raise ConfigError(f"bad test label {token!r}: {exc}") from None
     if not kinds:

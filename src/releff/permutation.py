@@ -16,9 +16,9 @@ counts; on tie-free data a run label is a pooled rank, and the same sums
 are taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
 The relabel carries the run labels (int32) through the shuffle, one scatter per
 swap.  This module alone schedules draws: `tally_range`, the one draw loop,
-scores draws in cache-sized blocks (`tally_draws`; statistics alone, no
-degrees of freedom) for any set of kinds, relabels every block in the same
-buffers (`_Lane`), and can stop once a decision is settled.
+scores draws in cache-sized blocks (`tally_draws`, one `statistics` call
+for all kinds per block, no degrees of freedom), relabels every block in
+the same buffers (`_Lane`), and can stop once a decision is settled.
 `permutation_tests` runs one lane of whole blocks per worker, and the Monte
 Carlo engine one call per replication.  Tallies are integer
 counts, so results are bit-identical for any lanes or blocking.
@@ -38,7 +38,7 @@ from ._pool import map_tasks, worker_count
 from .errors import InvalidKind
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_key, uniforms
-from .stat_tests import TestKind, TestResult, run_test, statistic
+from .stat_tests import TestKind, TestResult, run_test, statistics
 
 __all__ = ["PermutationResult", "permutation_test", "permutation_tests"]
 
@@ -159,10 +159,9 @@ def tally_draws(
                             lane.values, n1, lane),
         labels,
     )
-    stats = [statistic(mm, kind) for kind in kinds]
-    n_le = np.array([np.count_nonzero(s <= o) for s, o in zip(stats, observed)], dtype=np.int64)
-    n_ge = np.array([np.count_nonzero(s >= o) for s, o in zip(stats, observed)], dtype=np.int64)
-    return n_le, n_ge
+    stats = np.array(statistics(mm, kinds))
+    return (np.count_nonzero(stats <= observed[:, None], axis=1),
+            np.count_nonzero(stats >= observed[:, None], axis=1))
 
 
 def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: int,

@@ -122,11 +122,10 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         sep=int(np.count_nonzero(m.separated)),
         n=stop - start,
     )
-    scored = [stat_arrays(m, kind) for kind in sc.tests]
+    scored = stat_arrays(m, sc.tests)
     if sc.n_perm is None or not sc.tests:
         z_lo = _screen_bound(sc.alpha)
-        for idx, (stat, df) in enumerate(scored):
-            tally.rejections[idx] += _rejections(stat, df, sc.alpha, z_lo)
+        tally.rejections[:] = [_rejections(stat, df, sc.alpha, z_lo) for stat, df in scored]
         return tally
     # each replication's observed statistics are its row of the batch
     observed_all = np.array([stat for stat, _ in scored])
@@ -268,6 +267,8 @@ def scenario_from_dict(entry: dict, seed_override: int | None = None) -> Scenari
         )
     except KeyError as exc:
         raise ConfigError(f"scenario entry is missing field {exc}") from exc
+    except SizeTooSmall:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad scenario entry: {exc}") from exc
 

@@ -10,18 +10,17 @@ effect estimate is moved off the boundary and the floored variance is used,
 so the statistics stay finite (and the logit stays defined); for all-tied
 data every statistic is exactly zero.
 
-The statistic and the p-value are written once, over the fields of an
-`EffectSummary`: `stat_arrays` and `p_value_arrays` score a batch (arrays)
-or one dataset (floats), and `run_test` is those two calls on the dataset's
-cached summary plus the `degeneracy` flag of its variance.  `statistic` is
-the statistic alone, without degrees of freedom, for the permutation draws,
-which compare statistics and never read a df.
+A battery is scored in one call over the fields of an `EffectSummary`, for
+a batch (arrays) or one dataset (floats): `statistics` computes each distinct
+floored sd and numerator once, and `stat_arrays` adds each distinct df kind
+once.  `run_test` is `stat_arrays` and `p_value_arrays` on the dataset's
+cached summary plus the `degeneracy` flag of its variance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
@@ -36,7 +35,7 @@ __all__ = [
     "TestKind",
     "TestResult",
     "run_test",
-    "statistic",
+    "statistics",
     "stat_arrays",
     "p_value_arrays",
     "normal_cdf",
@@ -64,10 +63,8 @@ class TestKind:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown test family: {self.family!r}")
         if self.family in T_FAMILIES:
-            if self.df_kind is None:
-                object.__setattr__(self, "df_kind", DfKind.DF2)
-            else:
-                object.__setattr__(self, "df_kind", DfKind(self.df_kind))
+            df = DfKind.DF2 if self.df_kind is None else self.df_kind
+            object.__setattr__(self, "df_kind", DfKind(df))
         elif self.df_kind is not None:
             raise ValueError(f"{self.family} does not take degrees of freedom")
 
@@ -79,14 +76,12 @@ class TestKind:
     def is_logit(self) -> bool:
         return self.family in LOGIT_FAMILIES
 
-    @property
+    @cached_property
     def variance_kind(self) -> VarianceKind:
         return VarianceKind(self.family.removesuffix("_logit"))
 
     def label(self) -> str:
-        if self.uses_t:
-            return f"{self.family}:{self.df_kind.value}"
-        return self.family
+        return f"{self.family}:{self.df_kind.value}" if self.uses_t else self.family
 
     @classmethod
     def parse(cls, text: str) -> "TestKind":
@@ -138,26 +133,41 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-def statistic(m: EffectSummary, kind: TestKind):
-    """The statistic alone: an array for a batch, a float for one dataset.
-
-    The variance is floored so that it is positive.  The rank-test statistic
-    uses the untouched effect estimate; the others use the boundary-adjusted
-    estimate so that separated arms give finite values.
-    """
-    vk = kind.variance_kind
-    sd = np.sqrt(floored(m, vk, variance_raw(m, vk)))
-    if kind.family == "wmw":
-        return (m.p_hat - 0.5) / sd
+def _numerator(m: EffectSummary, shape: str):
+    """The numerator of the rank test ("wmw"), the t families ("t") or the logits ("logit")."""
+    if shape == "wmw":
+        return m.p_hat - 0.5
     p = m.p_hat_adjusted
-    if kind.is_logit:
-        return p * (1.0 - p) * np.log(p / (1.0 - p)) / sd
-    return (p - 0.5) / sd
+    if shape == "logit":
+        return p * (1.0 - p) * np.log(p / (1.0 - p))
+    return p - 0.5
 
 
-def stat_arrays(m: EffectSummary, kind: TestKind):
-    """Statistic and df (None for normal references): arrays for a batch, floats for one dataset."""
-    return statistic(m, kind), degrees_of_freedom(m, kind.df_kind) if kind.uses_t else None
+def statistics(m: EffectSummary, kinds) -> list:
+    """One statistic per kind: arrays for a batch, floats for one dataset.
+
+    Each distinct floored sd and numerator is computed once.  All but the
+    rank test use the boundary-adjusted estimate, so separated arms stay finite.
+    """
+    sd, num, stats = {}, {}, []
+    for kind in kinds:
+        vk = kind.variance_kind
+        shape = "wmw" if kind.family == "wmw" else "logit" if kind.is_logit else "t"
+        if vk not in sd:
+            sd[vk] = np.sqrt(floored(m, vk, variance_raw(m, vk)))
+        if shape not in num:
+            num[shape] = _numerator(m, shape)
+        stats.append(num[shape] / sd[vk])
+    return stats
+
+
+def stat_arrays(m: EffectSummary, kinds) -> list:
+    """(statistic, df) per kind, df None for normal references; each distinct df kind once."""
+    df = {None: None}
+    for kind in kinds:
+        if kind.df_kind not in df:
+            df[kind.df_kind] = degrees_of_freedom(m, kind.df_kind)
+    return [(stat, df[kind.df_kind]) for stat, kind in zip(statistics(m, kinds), kinds)]
 
 
 def p_value_arrays(stat, df, alternative: str = "two-sided"):
@@ -185,13 +195,12 @@ def run_test(data: TwoSamples, kind: TestKind, alternative: str = "two-sided") -
     if alternative not in ("two-sided", "greater", "less"):
         raise ValueError(f"unknown alternative: {alternative!r}")
     es = estimate_effect(data)
-    stat, df = stat_arrays(es, kind)
-    vk = kind.variance_kind
+    [(stat, df)] = stat_arrays(es, [kind])
     return TestResult(
         statistic=float(stat),
         df=None if df is None else float(df),
         p_value=float(p_value_arrays(stat, df, alternative)),
         kind=kind,
-        degenerate=degeneracy(es, vk, variance_raw(es, vk)),
+        degenerate=degeneracy(es, kind.variance_kind, variance_raw(es, kind.variance_kind)),
         effect=es,
     )

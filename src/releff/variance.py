@@ -173,14 +173,6 @@ def var_pm(es: EffectSummary) -> VarianceEstimate:
     return _main_estimate(es, VarianceKind.PM)
 
 
-_SHIRAHATA_TO_VARIANCE = {
-    ShirahataKind.U: VarianceKind.SH_U,
-    ShirahataKind.B: VarianceKind.SH_B,
-    ShirahataKind.FP: VarianceKind.SH_FP,
-    ShirahataKind.J: VarianceKind.SH_J,
-}
-
-
 def _shirahata_display(kind: ShirahataKind, m: EffectSummary):
     """Shirahata's four displays in their reduced form, read off (tau1, tau2, tau0, p)."""
     n1, n2 = m.n1, m.n2
@@ -232,4 +224,4 @@ def var_shirahata(
                 stacklevel=2,
             )
         raw = _shirahata_display(kind, es)
-    return _estimate(_SHIRAHATA_TO_VARIANCE[kind], raw, es)
+    return _estimate(VarianceKind(f"sh_{kind.value}"), raw, es)

@@ -5,10 +5,15 @@ definitions over the n2 x n1 matrix of counts.  It costs O(n1*n2) time and
 memory and shares no code with the library, which never builds that matrix.
 The count functions, ECDF flavours, mid-ranks, the rank form of the effect
 and the scalar Fisher-Yates `shuffle` are the textbook definitions the
-estimators and the permutation relabel are checked against.
+estimators and the permutation relabel are checked against.  `statistic`
+scores one test kind alone, from the library's variance formulas; the
+battery scorer, which shares sds and numerators across kinds, must
+reproduce it bit for bit.
 """
 import numpy as np
 from scipy.stats import rankdata
+
+from releff.variance import floored, variance_raw
 
 
 def pairwise_moments(x1, x2):
@@ -90,3 +95,15 @@ def shuffle(values, u) -> np.ndarray:
         j = int(u[step] * (i + 1))
         v[i], v[j] = v[j], v[i]
     return v
+
+
+def statistic(m, kind):
+    """One kind's statistic on an `EffectSummary`: an array for a batch, a float for one dataset."""
+    vk = kind.variance_kind
+    sd = np.sqrt(floored(m, vk, variance_raw(m, vk)))
+    if kind.family == "wmw":
+        return (m.p_hat - 0.5) / sd
+    p = m.p_hat_adjusted
+    if kind.is_logit:
+        return p * (1.0 - p) * np.log(p / (1.0 - p)) / sd
+    return (p - 0.5) / sd

@@ -85,6 +85,16 @@ class TestCmdTest:
         path.write_text("arm,score\n1,1\n")
         assert main(["test", str(path)]) == 2
 
+    def test_df_applies_to_upper_case_families(self, tmp_path):
+        """--tests labels are case-insensitive, and --df applies to a bare t family in any case."""
+        assert cli._parse_test_list("pm,PM, Bm ,N_LOGIT", "df1") == (
+            TK.parse("pm:df1"), TK.parse("pm:df1"), TK.parse("bm:df1"), TK.parse("n_logit"))
+        path = tmp_path / "toy.csv"
+        path.write_text(TOY_CSV)
+        code, out = run_cli(["test", str(path), "--tests", "PM", "--df", "df1"])
+        assert code == 0
+        assert [row["test"] for row in parse_csv(out)] == ["pm:df1"]
+
     def test_too_small_exits_3(self, tmp_path):
         path = tmp_path / "small.csv"
         path.write_text("group,value\n1,1\n1,2\n2,9\n")
@@ -308,6 +318,15 @@ class TestCmdSimulate:
         assert "error" in err
         if field is not None:
             assert repr(field) in err
+
+    @pytest.mark.parametrize("n1", [3, 1])
+    def test_too_small_scenario_exits_3(self, tmp_path, capsys, n1):
+        """n1 = 3 is below df2's 4 per arm in the default battery, n1 = 1 below any scenario's 2."""
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(json.dumps([{**GOOD_ENTRY, "n1": n1}]))
+        code, out = run_cli(["simulate", str(cfg)])
+        assert code == 3 and out == ""
+        assert "error" in capsys.readouterr().err
 
     def test_permutation_entry_without_tests_runs(self, tmp_path):
         cfg = tmp_path / "one.cfg"

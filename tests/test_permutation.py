@@ -9,12 +9,13 @@ from scipy.stats import chi2
 
 from releff import InvalidKind, TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
-from releff import permutation
+from releff import permutation, stat_tests
 from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm, tie_runs
 from releff.permutation import _batch_permutations, tally_draws
 from releff.rng import perm_key, uniforms
 from releff.stat_tests import stat_arrays
 from releff.tables import PERM_BATTERY, build_table
+from releff.variance import VarianceKind, variance_raw
 from oracles import shuffle
 from tests_util import random_dataset
 
@@ -29,7 +30,7 @@ def run_labels(pooled):
 def observed_stats(labels, n1, kinds):
     """The kernel's statistics for the observed relabelling (arm 1 = pooled[:n1])."""
     mm = moments_from_perm(labels[None, :n1], labels)
-    return np.array([stat_arrays(mm, k)[0][0] for k in kinds])
+    return np.array([stat[0] for stat, _ in stat_arrays(mm, kinds)])
 
 
 class TestShuffle:
@@ -276,8 +277,7 @@ class TestBatchStatisticPath:
             arm1_sets = _batch_permutations(u, np.arange(d.n), d.n1)
             labels = run_labels(pooled)
             mm = moments_from_perm(labels[arm1_sets], labels)
-            for kind in KINDS:
-                stats = stat_arrays(mm, kind)[0]
+            for kind, (stats, _) in zip(KINDS, stat_arrays(mm, KINDS)):
                 for row, arm1 in enumerate(arm1_sets):
                     in_arm1 = np.zeros(d.n, dtype=bool)
                     in_arm1[arm1] = True
@@ -285,6 +285,20 @@ class TestBatchStatisticPath:
                         TwoSamples(pooled[in_arm1], pooled[~in_arm1]), kind
                     ).statistic
                     assert stats[row] == pytest.approx(scalar, abs=1e-12)
+
+    def test_block_computes_each_variance_once(self, monkeypatch):
+        """A block over PERM_BATTERY reads each of its 3 variance kinds once, not once per kind."""
+        labels = run_labels(np.arange(30.0))
+        observed = observed_stats(labels, 15, PERM_BATTERY)
+        calls = []
+
+        def spy(m, kind):
+            calls.append(kind)
+            return variance_raw(m, kind)
+
+        monkeypatch.setattr(stat_tests, "variance_raw", spy)
+        tally_draws(labels, 15, PERM_BATTERY, observed, 3, 0, 512)
+        assert sorted(calls) == sorted([VarianceKind.N, VarianceKind.BM, VarianceKind.PM])
 
     def test_observed_stats_match_scalar(self, rng):
         for _ in range(20):
@@ -309,8 +323,7 @@ class TestBatchStatisticPath:
         n_le, n_ge = tally_draws(labels, n1, KINDS, observed, seed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
         mm = moments_from_perm(labels[arm1], labels)
-        for idx, kind in enumerate(KINDS):
-            stats = stat_arrays(mm, kind)[0]
+        for idx, (kind, (stats, _)) in enumerate(zip(KINDS, stat_arrays(mm, KINDS))):
             assert np.all(stats[same] == observed[idx]), kind.label()
 
     @pytest.mark.parametrize("a,sizes", [

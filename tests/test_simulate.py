@@ -20,7 +20,7 @@ from releff import (
     population_variance,
 )
 from releff import TestKind as TK
-from releff import permutation, simulate
+from releff import DfKind, degrees_of_freedom, permutation, simulate, stat_tests
 from releff._batch import moments_from_values, tie_runs
 from releff.permutation import tally_draws
 from releff.rng import rep_permutation_seed
@@ -52,8 +52,7 @@ class TestBatchKernel:
         x1 = np.vstack([random_dataset(rng, lo=6, hi=6)[0] for _ in range(60)])
         x2 = np.vstack([random_dataset(rng, lo=9, hi=9)[0] for _ in range(60)])
         m = moments_from_values(x1, x2)
-        for kind in BATTERY:
-            stat, df = stat_arrays(m, kind)
+        for kind, (stat, df) in zip(BATTERY, stat_arrays(m, BATTERY)):
             pvals = p_value_arrays(stat, df)
             for row in range(60):
                 res = run_test(TwoSamples(x1[row], x2[row]), kind)
@@ -61,6 +60,19 @@ class TestBatchKernel:
                 assert pvals[row] == pytest.approx(res.p_value, abs=1e-12)
                 if df is not None:
                     assert df[row] == pytest.approx(res.df, abs=1e-10)
+
+    def test_chunk_computes_each_df_kind_once(self, monkeypatch):
+        """A t1-style chunk scores its battery in one call: df2 once, not once per t family."""
+        calls = []
+
+        def spy(m, kind):
+            calls.append(kind)
+            return degrees_of_freedom(m, kind)
+
+        monkeypatch.setattr(stat_tests, "degrees_of_freedom", spy)
+        sc = Scenario(Normal(0, 1), Normal(0, 3), 15, 15, n_reps=simulate.CHUNK_REPS)
+        _simulate_chunk(sc, 0, sc.n_reps)
+        assert calls == [DfKind.DF2]
 
     def test_tie_runs_contract(self, rng):
         """A batch labels each row as it would alone, pads with empty runs,
@@ -178,7 +190,7 @@ class TestCurtailedPermutation:
                       n_perm=n_perm, master_seed=17)
         x1, x2 = _draw_chunk(sc, 0, n_reps)
         m = moments_from_values(x1, x2)
-        observed_all = np.array([stat_arrays(m, kind)[0] for kind in PERM_BATTERY])
+        observed_all = np.array([stat for stat, _ in stat_arrays(m, PERM_BATTERY)])
         reference = np.zeros(len(PERM_BATTERY), dtype=np.int64)
         for r in range(n_reps):
             labels = tie_runs(np.concatenate([x1[r], x2[r]])[None, :])[0][0]
@@ -211,7 +223,7 @@ class TestCurtailedPermutation:
         assert block < min(permutation._MAX_STEP_DRAWS, n_perm // 8)
         x1, x2 = _draw_chunk(sc, 0, n_reps)
         m = moments_from_values(x1, x2)
-        observed_all = np.array([stat_arrays(m, kind)[0] for kind in PERM_BATTERY])
+        observed_all = np.array([stat for stat, _ in stat_arrays(m, PERM_BATTERY)])
         labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
         drawn = []
 
@@ -291,8 +303,8 @@ class TestRejectionScreen:
     def test_chunk_scores_only_open_rows(self, monkeypatch, alpha):
         sc = Scenario(Normal(0, 1), Normal(0.3, 1), 9, 12, n_reps=1024, alpha=alpha)
         m = moments_from_values(*_draw_chunk(sc, 0, 1024))
-        want = [int(np.count_nonzero(p_value_arrays(*stat_arrays(m, kind)) <= alpha))
-                for kind in sc.tests]
+        want = [int(np.count_nonzero(p_value_arrays(stat, df) <= alpha))
+                for stat, df in stat_arrays(m, sc.tests)]
         scored = []
 
         def spy(stat, df):

@@ -18,7 +18,9 @@ from releff import (
 )
 from releff import TestKind as TK
 from releff._batch import moments_from_values
-from releff.stat_tests import stat_arrays, statistic
+from releff.dof import degrees_of_freedom
+from releff.stat_tests import FAMILIES, T_FAMILIES, stat_arrays, statistics
+from oracles import statistic as oracle_statistic
 from tests_util import random_dataset
 
 TOY = TwoSamples([1, 2, 3], [2, 3, 4])
@@ -216,22 +218,42 @@ class TestDegenerateInputs:
                 assert math.isfinite(res.p_value)
 
 
-class TestStatisticAlone:
-    KINDS = ALL_KINDS + [TK("n", df) for df in DfKind] + [TK("bm", df) for df in DfKind] + [
-        TK("pm", df) for df in DfKind]
+class TestBatteryScorer:
+    """One battery call computes what each kind's formula gives alone."""
 
-    def test_bit_equal_to_stat_arrays(self, rng):
-        """`statistic` is the first half of `stat_arrays`, on a batch and on one dataset."""
-        x1 = rng.integers(0, 4, size=(40, 8)).astype(float)
-        x2 = rng.integers(0, 4, size=(40, 9)).astype(float)
+    KINDS = [TK(f) for f in FAMILIES if f not in T_FAMILIES] + [
+        TK(f, df) for f in T_FAMILIES for df in DfKind]
+
+    @staticmethod
+    def assert_scores(m, kinds):
+        want = [oracle_statistic(m, kind) for kind in kinds]
+        want_df = [degrees_of_freedom(m, k.df_kind) if k.uses_t else None for k in kinds]
+        for got in ([s for kind in kinds for s in statistics(m, [kind])], statistics(m, kinds)):
+            for g, w, kind in zip(got, want, kinds, strict=True):
+                assert np.array_equal(g, w), kind.label()
+        for got in ([p for kind in kinds for p in stat_arrays(m, [kind])], stat_arrays(m, kinds)):
+            for (stat, df), w, w_df, kind in zip(got, want, want_df, kinds, strict=True):
+                assert np.array_equal(stat, w), kind.label()
+                assert (df is None) == (w_df is None), kind.label()
+                assert w_df is None or np.array_equal(df, w_df), kind.label()
+
+    @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(4, 9), n2=st.integers(4, 9),
+           levels=st.sampled_from([None, 2, 5]),
+           battery=st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
+    def test_equals_per_kind_oracle(self, seed, n1, n2, levels, battery):
+        """Every family x DfKind, on a batch with all-tied and separated
+        rows and on each row's one-dataset summary, for the whole battery,
+        each kind alone and any sub-battery (repeats, any order)."""
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            x1, x2 = rng.normal(size=(6, n1)), rng.normal(size=(6, n2))
+        else:
+            x1 = rng.integers(0, levels, size=(6, n1)).astype(float)
+            x2 = rng.integers(0, levels, size=(6, n2)).astype(float)
         x1[0], x2[0] = 2.0, 2.0  # all tied
-        x1[1], x2[1] = np.arange(8.0), np.arange(9.0) + 10.0  # separated
-        x1[2:20] = rng.normal(size=(18, 8))
-        x2[2:20] = rng.normal(size=(18, 9))
-        batch = moments_from_values(x1, x2)
-        scalars = [TwoSamples(a, b).moments for a, b in zip(x1, x2)]
-        for kind in self.KINDS:
-            stats = statistic(batch, kind)
-            assert np.array_equal(stats, stat_arrays(batch, kind)[0]), kind.label()
-            for es in scalars:
-                assert statistic(es, kind) == stat_arrays(es, kind)[0], kind.label()
+        x1[1], x2[1] = np.arange(n1), np.arange(n2) + n1  # separated, arm 2 above
+        x1[2], x2[2] = np.arange(n1) + n2, np.arange(n2)  # separated, arm 1 above
+        for m in [moments_from_values(x1, x2)] + [TwoSamples(a, b).moments
+                                                   for a, b in zip(x1, x2)]:
+            self.assert_scores(m, self.KINDS)
+            self.assert_scores(m, battery)
