@@ -235,8 +235,9 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
 def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSummary:
     """Moments for relabellings of one pooled sample, one row of arm-1 run labels each.
 
-    `labels` holds the run label of each pooled value (`tie_runs`); a row of
-    `arm1_labels` holds the labels of the values one relabelling puts in arm 1.
+    `labels` holds the run label of each pooled value (`tie_runs`), as the
+    draw loop's lane holds them; a row of `arm1_labels` holds the labels of
+    the values one relabelling puts in arm 1.
     """
     n1 = arm1_labels.shape[1]
     n2 = labels.size - n1

@@ -16,9 +16,11 @@ counts; on tie-free data a run label is a pooled rank, and the same sums
 are taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
 The relabel carries the run labels (int32) through the shuffle, one scatter per
 swap.  This module alone schedules draws: `tally_range`, the one draw loop,
-scores draws in cache-sized blocks (`tally_draws`, one `statistics` call
-for all kinds per block, no degrees of freedom), relabels every block in
-the same buffers (`_Lane`), and can stop once a decision is settled.
+builds one `_Lane` (the run labels, n1 and the relabel buffers), the only
+description of the pooled sample its blocks see, and scores draws in
+cache-sized blocks of that lane (`tally_draws`, one `statistics` call for
+all kinds per block, no degrees of freedom); it can stop once a decision
+is settled.
 `permutation_tests` runs one lane of whole blocks per worker, and the Monte
 Carlo engine one call per replication.  Tallies are integer
 counts, so results are bit-identical for any lanes or blocking.
@@ -84,44 +86,43 @@ def _block_draws(n1: int, n2: int, n_runs: int) -> int:
 
 
 class _Lane:
-    """The relabel's buffers, owned by one draw loop and reused by each of its blocks.
+    """The pooled sample and the relabel's buffers, owned by one draw loop.
 
-    Sized for blocks of up to `draws` relabellings of `values`, whose first
-    n1 are arm 1.  A block overwrites them, so whatever it reads off them
-    must be consumed before the next block starts.
+    `values` holds the pooled sample's tie-run labels (`tie_runs`) as int32,
+    the first n1 of them arm 1; the buffers hold blocks of up to `draws`
+    relabellings and are reused by each block, so whatever a block reads
+    off them must be consumed before the next block starts.
     """
 
-    def __init__(self, values: np.ndarray, n1: int, draws: int):
-        n = values.size
-        self.values = values
-        self.perm = np.empty(n * draws, dtype=values.dtype)
+    def __init__(self, labels: np.ndarray, n1: int, draws: int):
+        n = labels.size
+        self.values = labels.astype(np.int32)
+        self.n1 = n1
+        self.perm = np.empty(n * draws, dtype=np.int32)
         self.flat_j = np.empty((n - n1) * draws, dtype=np.intp)
         self.cols = np.arange(draws)
         # step s of a draw picks among the i + 1 = n - s positions 0..i
         self.bound = np.arange(n, n1, -1)[:, None]
 
 
-def _batch_permutations(u: np.ndarray, values: np.ndarray, n1: int,
-                        lane: _Lane | None = None) -> np.ndarray:
-    """The values a row-wise Fisher-Yates shuffle driven by uniform rows puts in arm 1.
+def _batch_permutations(u: np.ndarray, lane: _Lane) -> np.ndarray:
+    """The labels a row-wise Fisher-Yates shuffle driven by uniform rows puts in arm 1.
 
     Row k of u holds n - n1 uniforms and makes the first n - n1 swaps of a
-    Fisher-Yates shuffle of `values`, where step s swaps position
+    Fisher-Yates shuffle of `lane.values`, where step s swaps position
     i = n-1-s with floor(u[s]*(i+1)).  Those swaps settle positions
     n1..n-1, and the later swaps only reorder arm 1, so row k holds the
-    values the full shuffle leaves in its first n1 positions, in some order.
+    labels the full shuffle leaves in its first n1 positions, in some order.
     Position i is never read after step i, so a step only copies position i
-    into the drawn one instead of swapping them.  With a `lane` (built for
-    these values), the shuffle runs in the lane's buffers and the result is
-    a view of them, valid until the lane's next block.
+    into the drawn one instead of swapping them.  The shuffle runs in the
+    lane's buffers and the result is a view of them, valid until the lane's
+    next block.
     """
     m = u.shape[0]
-    n = values.size
-    if lane is None:
-        lane = _Lane(values, n1, m)
+    n, n1 = lane.values.size, lane.n1
     # column-major working array: perm[i * m + k] is position i of row k
     perm = lane.perm[: n * m]
-    np.copyto(perm.reshape(n, m), values[:, None])
+    np.copyto(perm.reshape(n, m), lane.values[:, None])
     # flat_j[step, k] = floor(u[k, step] * (i + 1)) * m + k, built in one array
     flat_j = lane.flat_j[: (n - n1) * m].reshape(n - n1, m)
     np.multiply(u.T, lane.bound, out=flat_j, casting="unsafe")
@@ -132,32 +133,20 @@ def _batch_permutations(u: np.ndarray, values: np.ndarray, n1: int,
     return perm[: n1 * m].reshape(n1, m).T
 
 
-def tally_draws(
-    labels: np.ndarray,
-    n1: int,
-    kinds,
-    observed: np.ndarray,
-    seed: int,
-    first_draw: int,
-    n_draws: int,
-    lane: _Lane | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def tally_draws(lane: _Lane, kinds, observed: np.ndarray, seed: int, first_draw: int,
+                n_draws: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts of permuted statistics <= / >= the observed one, per kind, over one block.
 
     The block is draws [first_draw, first_draw + n_draws) of the seed's
-    stream.  `labels` holds each pooled value's tie-run label (`tie_runs`);
-    the first n1 pooled values are arm 1.  A `lane` built for these labels
-    and at least n_draws draws lends the block its relabel buffers.
+    stream, relabelling the lane's pooled sample in its buffers; the lane
+    must hold at least n_draws draws.
     """
-    n = labels.size
-    if lane is None:
-        lane = _Lane(labels.astype(np.int32), n1, n_draws)
+    n = lane.values.size
     # nested, so the uniforms are freed once relabelled; the moments are
     # read off the lane's buffers before this call returns
     mm = moments_from_perm(
-        _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws, n - n1),
-                            lane.values, n1, lane),
-        labels,
+        _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws, n - lane.n1), lane),
+        lane.values,
     )
     stats = np.array(statistics(mm, kinds))
     return (np.count_nonzero(stats <= observed[:, None], axis=1),
@@ -177,10 +166,10 @@ def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: 
     step = _block_draws(n1, labels.size - n1, int(labels.max()) + 1)
     if settle_above is not None:
         step = min(step, _MAX_STEP_DRAWS, max(_MIN_STEP_DRAWS, -(-(stop - first) // 8)))
-    lane = _Lane(labels.astype(np.int32), n1, min(step, stop - first))
+    lane = _Lane(labels, n1, min(step, stop - first))
     counts = np.zeros((2, len(kinds)), dtype=np.int64)
     for a in range(first, stop, step):
-        counts += tally_draws(labels, n1, kinds, observed, seed, a, min(step, stop - a), lane)
+        counts += tally_draws(lane, kinds, observed, seed, a, min(step, stop - a))
         if settle_above is not None and np.all(counts.min(axis=0) > settle_above):
             break
     return counts

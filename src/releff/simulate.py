@@ -42,7 +42,7 @@ from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
 from .permutation import tally_range
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
-from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays
+from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays, statistics
 from .variance import VarianceKind, variance_raw
 
 __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "load_scenarios",
@@ -122,13 +122,13 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         sep=int(np.count_nonzero(m.separated)),
         n=stop - start,
     )
-    scored = stat_arrays(m, sc.tests)
     if sc.n_perm is None or not sc.tests:
         z_lo = _screen_bound(sc.alpha)
-        tally.rejections[:] = [_rejections(stat, df, sc.alpha, z_lo) for stat, df in scored]
+        tally.rejections[:] = [_rejections(stat, df, sc.alpha, z_lo)
+                               for stat, df in stat_arrays(m, sc.tests)]
         return tally
     # each replication's observed statistics are its row of the batch
-    observed_all = np.array([stat for stat, _ in scored])
+    observed_all = np.array(statistics(m, sc.tests))
     labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
     c_star = _reject_threshold(sc.n_perm, sc.alpha)
     for i, r in enumerate(range(start, stop)):
@@ -169,10 +169,17 @@ def _reject_threshold(n_perm: int, alpha: float) -> int:
     """The largest tally c in 0..n_perm with min(1, 2c / n_perm) <= alpha.
 
     The expression only grows with c, so the tallies that reject are
-    0..c*, and c = 0 always rejects for alpha > 0.
+    0..c*, and c = 0 always rejects for alpha > 0.  Found in constant time
+    and memory: the guess floor(alpha * n_perm / 2) is stepped to the exact
+    boundary of the float test 2.0 * c / n_perm <= alpha, which for
+    alpha < 1 the cap at 1 never decides.
     """
-    c = np.arange(n_perm + 1)
-    return int(np.count_nonzero(np.minimum(1.0, 2.0 * c / n_perm) <= alpha)) - 1
+    c = min(n_perm, math.floor(alpha * n_perm / 2))
+    while c < n_perm and 2.0 * (c + 1) / n_perm <= alpha:
+        c += 1
+    while c > 0 and 2.0 * c / n_perm > alpha:
+        c -= 1
+    return c
 
 
 def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[SimulationSummary]:

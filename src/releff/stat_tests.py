@@ -85,12 +85,12 @@ class TestKind:
 
     @classmethod
     def parse(cls, text: str) -> "TestKind":
-        """Parse labels like "wmw", "pm", "pm:df2", "bm_logit"."""
+        """Parse labels like "wmw", "pm", "pm:df2", "pm : df2", "bm_logit"."""
         if not isinstance(text, str):
             raise ConfigError(f"test label must be a string, got {text!r}")
         text = text.strip().lower()
         if ":" in text:
-            family, df = text.split(":", 1)
+            family, df = (part.strip() for part in text.split(":", 1))
             return cls(family, DfKind(df))
         return cls(text)
 

@@ -95,6 +95,14 @@ class TestCmdTest:
         assert code == 0
         assert [row["test"] for row in parse_csv(out)] == ["pm:df1"]
 
+    def test_spaces_around_the_df_colon(self, tmp_path):
+        """A label with spaces around its colon reads like the one without them."""
+        path = tmp_path / "toy.csv"
+        path.write_text(TOY_CSV)
+        code, out = run_cli(["test", str(path), "--tests", "wmw, pm: df1,bm :df ,n : df3"])
+        assert code == 0
+        assert out == run_cli(["test", str(path), "--tests", "wmw,pm:df1,bm:df,n:df3"])[1]
+
     def test_too_small_exits_3(self, tmp_path):
         path = tmp_path / "small.csv"
         path.write_text("group,value\n1,1\n1,2\n2,9\n")
@@ -177,9 +185,9 @@ class TestCmdTest:
         blocks = []
         tally_draws = permutation.tally_draws
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
+        def spy(lane, kinds, observed, seed, first_draw, n_draws):
             blocks.append((first_draw, n_draws))
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
+            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
 
         for threads in (1, 2):
             want = [

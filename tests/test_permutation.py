@@ -11,7 +11,7 @@ from releff import InvalidKind, TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
 from releff import permutation, stat_tests
 from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm, tie_runs
-from releff.permutation import _batch_permutations, tally_draws
+from releff.permutation import _Lane, _batch_permutations, tally_draws
 from releff.rng import perm_key, uniforms
 from releff.stat_tests import stat_arrays
 from releff.tables import PERM_BATTERY, build_table
@@ -42,15 +42,15 @@ class TestShuffle:
         the stream `tally_draws` reads."""
         drawn = []
 
-        def spy(u, values, n1, *lane):
-            arm1 = _batch_permutations(u, values, n1, *lane)
+        def spy(u, lane):
+            arm1 = _batch_permutations(u, lane)
             drawn.append(np.sort(arm1, axis=1))
             return arm1
 
         monkeypatch.setattr(permutation, "_batch_permutations", spy)
         n_draws = 60_000
         labels = run_labels(np.arange(6.0))
-        tally_draws(labels, 3, [TK.parse("n_logit")], np.zeros(1), 99, 0, n_draws)
+        tally_draws(_Lane(labels, 3, n_draws), [TK.parse("n_logit")], np.zeros(1), 99, 0, n_draws)
         arm1 = np.concatenate(drawn)
         assert arm1.shape == (n_draws, 3)
         subsets, counts = np.unique(arm1, axis=0, return_counts=True)
@@ -67,7 +67,7 @@ class TestShuffle:
         values = np.arange(float(n))
         scalar = [shuffle(values, u[k]) for k in range(20)]
         for n1 in range(1, n):
-            batch = _batch_permutations(u[:, : n - n1], np.arange(n), n1)
+            batch = _batch_permutations(u[:, : n - n1], _Lane(np.arange(n), n1, 20))
             for k in range(20):
                 assert set(values[batch[k]]) == set(scalar[k][:n1])
 
@@ -78,9 +78,9 @@ class TestShuffle:
         n = 14
         labels = run_labels([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7]).astype(np.int32)
         u = uniforms(perm_key(8), 0, 300, n - n1)
-        carried = _batch_permutations(u, labels, n1)
+        carried = _batch_permutations(u, _Lane(labels, n1, 300))
         assert carried.dtype == np.int32
-        assert np.array_equal(carried, labels[_batch_permutations(u, np.arange(n), n1)])
+        assert np.array_equal(carried, labels[_batch_permutations(u, _Lane(np.arange(n), n1, 300))])
 
     def test_draw_streams_tile_the_sequential_run(self):
         # lanes that regenerate [a, b) reproduce the same uniform rows
@@ -144,12 +144,12 @@ class TestPermutationTest:
         block = permutation._block_draws(300, 300, int(labels.max()) + 1)
         assert block < 2048
         observed = np.array([run_test(d, pm).statistic])
-        n_le, n_ge = tally_draws(labels, 300, [pm], observed, 6, 0, 5000)
+        n_le, n_ge = tally_draws(_Lane(labels, 300, 5000), [pm], observed, 6, 0, 5000)
         blocks = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
+        def spy(lane, kinds, observed, seed, first_draw, n_draws):
             blocks.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
+            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         for threads in (1, 2):
@@ -203,9 +203,9 @@ class TestPermutationTest:
         same bits, so a draw with the observed arm-1 values ties it."""
         seen = []
 
-        def spy(labels, n1, kinds, observed, *args):
-            seen.append((labels, n1, observed.copy()))
-            return tally_draws(labels, n1, kinds, observed, *args)
+        def spy(lane, kinds, observed, *args):
+            seen.append((lane.values, lane.n1, observed.copy()))
+            return tally_draws(lane, kinds, observed, *args)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         for i in range(200):
@@ -259,10 +259,11 @@ class TestLaneBuffers:
         want = np.zeros_like(counts)
         for k, (arm1, mm, fields) in enumerate(scored):
             u = uniforms(perm_key(seed), k * block, len(arm1), 200)
-            assert np.array_equal(arm1, _batch_permutations(u, labels.astype(np.int32), n1))
+            assert np.array_equal(arm1, _batch_permutations(u, _Lane(labels, n1, len(arm1))))
             for name, value in fields.items():
                 assert np.array_equal(getattr(mm, name), value), (k, name)
-            want += tally_draws(labels, n1, [pm], observed, seed, k * block, len(arm1))
+            want += tally_draws(_Lane(labels, n1, len(arm1)), [pm], observed, seed, k * block,
+                                len(arm1))
         assert np.array_equal(counts, want)
 
 
@@ -274,7 +275,7 @@ class TestBatchStatisticPath:
             d = TwoSamples(x1, x2)
             pooled = d.pooled()
             u = uniforms(perm_key(17), 0, 6, d.n2)
-            arm1_sets = _batch_permutations(u, np.arange(d.n), d.n1)
+            arm1_sets = _batch_permutations(u, _Lane(np.arange(d.n), d.n1, 6))
             labels = run_labels(pooled)
             mm = moments_from_perm(labels[arm1_sets], labels)
             for kind, (stats, _) in zip(KINDS, stat_arrays(mm, KINDS)):
@@ -297,7 +298,7 @@ class TestBatchStatisticPath:
             return variance_raw(m, kind)
 
         monkeypatch.setattr(stat_tests, "variance_raw", spy)
-        tally_draws(labels, 15, PERM_BATTERY, observed, 3, 0, 512)
+        tally_draws(_Lane(labels, 15, 512), PERM_BATTERY, observed, 3, 0, 512)
         assert sorted(calls) == sorted([VarianceKind.N, VarianceKind.BM, VarianceKind.PM])
 
     def test_observed_stats_match_scalar(self, rng):
@@ -317,10 +318,11 @@ class TestBatchStatisticPath:
         labels = run_labels(pooled)
         observed = observed_stats(labels, n1, KINDS)
         # the draws tally_draws makes: row k of its stream, n2 swaps each
-        arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2), np.arange(n), n1)
+        arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2),
+                                   _Lane(np.arange(n), n1, n_draws))
         same = np.all(np.sort(pooled[arm1], axis=1) == np.sort(pooled[:n1]), axis=1)
         assert same.sum() > 0
-        n_le, n_ge = tally_draws(labels, n1, KINDS, observed, seed, 0, n_draws)
+        n_le, n_ge = tally_draws(_Lane(labels, n1, n_draws), KINDS, observed, seed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
         mm = moments_from_perm(labels[arm1], labels)
         for idx, (kind, (stats, _)) in enumerate(zip(KINDS, stat_arrays(mm, KINDS))):
@@ -355,12 +357,13 @@ class TestBatchStatisticPath:
         d = TwoSamples(x1, x2)
         labels = run_labels(d.pooled())
         obs = observed_stats(labels, d.n1, KINDS)
-        full_le, full_ge = tally_draws(labels, d.n1, KINDS, obs, seed=4, first_draw=0, n_draws=777)
+        full_le, full_ge = tally_draws(_Lane(labels, d.n1, 777), KINDS, obs, seed=4, first_draw=0,
+                                       n_draws=777)
         le = np.zeros_like(full_le)
         ge = np.zeros_like(full_ge)
         for a, b in [(0, 123), (123, 500), (500, 777)]:
-            part_le, part_ge = tally_draws(labels, d.n1, KINDS, obs, seed=4, first_draw=a,
-                                           n_draws=b - a)
+            part_le, part_ge = tally_draws(_Lane(labels, d.n1, b - a), KINDS, obs, seed=4,
+                                           first_draw=a, n_draws=b - a)
             le += part_le
             ge += part_ge
         assert np.array_equal(le, full_le) and np.array_equal(ge, full_ge)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from releff import (
 from releff import TestKind as TK
 from releff import DfKind, degrees_of_freedom, permutation, simulate, stat_tests
 from releff._batch import moments_from_values, tie_runs
-from releff.permutation import tally_draws
+from releff.permutation import _Lane, tally_draws
 from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
 from releff.simulate import _draw_chunk, _simulate_chunk, scenario_from_dict
@@ -111,9 +112,9 @@ class TestPermutationObserved:
         batch of moments, are each replication's `run_test` statistics."""
         seen = []
 
-        def spy(labels, n1, kinds, observed, *args):
+        def spy(lane, kinds, observed, *args):
             seen.append(observed.copy())
-            return tally_draws(labels, n1, kinds, observed, *args)
+            return tally_draws(lane, kinds, observed, *args)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         sc = Scenario(dist1, dist2, n1, n2, n_reps=80, tests=PERM_BATTERY,
@@ -128,6 +129,21 @@ class TestPermutationObserved:
                 assert observed[idx] == run_test(d, kind).statistic, (i, kind.label())
 
 
+    def test_permutation_chunk_computes_no_degrees_of_freedom(self, monkeypatch):
+        """A permutation chunk tallies statistics only, so it derives no df."""
+        calls = []
+
+        def spy(m, kind):
+            calls.append(kind)
+            return degrees_of_freedom(m, kind)
+
+        monkeypatch.setattr(stat_tests, "degrees_of_freedom", spy)
+        sc = Scenario(Normal(0, 1), Normal(0, 3), 7, 10, n_reps=20, tests=PERM_BATTERY,
+                      n_perm=50, master_seed=21)
+        _simulate_chunk(sc, 0, sc.n_reps)
+        assert calls == []
+
+
 class TestCurtailedPermutation:
     """A replication stops drawing once no test's decision can change."""
 
@@ -139,7 +155,7 @@ class TestCurtailedPermutation:
         """A `tally_draws` stand-in: draw k is <= / >= the observed statistic
         of test t iff le[k, t] / ge[k, t]."""
 
-        def fake(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
+        def fake(lane, kinds, observed, seed, first_draw, n_draws):
             served.append((first_draw, n_draws))
             window = slice(first_draw, first_draw + n_draws)
             return le[window].sum(axis=0), ge[window].sum(axis=0)
@@ -195,14 +211,14 @@ class TestCurtailedPermutation:
         for r in range(n_reps):
             labels = tie_runs(np.concatenate([x1[r], x2[r]])[None, :])[0][0]
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(labels, n1, PERM_BATTERY, observed_all[:, r], seed_r, 0,
-                                     n_perm)
+            n_le, n_ge = tally_draws(_Lane(labels, n1, n_perm), PERM_BATTERY, observed_all[:, r],
+                                     seed_r, 0, n_perm)
             reference += self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
         drawn = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
+        def spy(lane, kinds, observed, seed, first_draw, n_draws):
             drawn.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
+            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         # below n_perm / 2, so a replication settled in its first step shows
@@ -227,14 +243,14 @@ class TestCurtailedPermutation:
         labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
         drawn = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
+        def spy(lane, kinds, observed, seed, first_draw, n_draws):
             drawn.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
+            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
 
         for r in range(n_reps):
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(labels[r], 150, PERM_BATTERY, observed_all[:, r], seed_r, 0,
-                                     n_perm)
+            n_le, n_ge = tally_draws(_Lane(labels[r], 150, n_perm), PERM_BATTERY,
+                                     observed_all[:, r], seed_r, 0, n_perm)
             with monkeypatch.context() as mp:
                 mp.setattr(permutation, "tally_draws", spy)
                 got = _simulate_chunk(sc, r, r + 1).rejections
@@ -248,9 +264,9 @@ class TestCurtailedPermutation:
                       n_perm=n_perm, master_seed=17)
         drawn = []
 
-        def spy(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane):
+        def spy(lane, kinds, observed, seed, first_draw, n_draws):
             drawn.append(n_draws)
-            return tally_draws(labels, n1, kinds, observed, seed, first_draw, n_draws, *lane)
+            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         run_scenario(sc)
@@ -266,6 +282,22 @@ class TestRejectThreshold:
             c = np.arange(n_perm + 1)
             c_star = simulate._reject_threshold(n_perm, alpha)
             assert np.array_equal(c <= c_star, np.minimum(1.0, 2.0 * c / n_perm) <= alpha), n_perm
+
+    @pytest.mark.parametrize("alpha,want", [(0.001, 5 * 10**11), (0.05, 25 * 10**12),
+                                            (0.5, 25 * 10**13)])
+    def test_huge_n_perm_in_constant_memory(self, alpha, want):
+        """c* for n_perm = 10**15 is the largest c with 2c / n_perm <= alpha,
+        found without memory in proportion to n_perm."""
+        n_perm = 10**15
+        tracemalloc.start()
+        try:
+            c_star = simulate._reject_threshold(n_perm, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c_star == want
+        assert 2.0 * c_star / n_perm <= alpha < 2.0 * (c_star + 1) / n_perm
+        assert peak < 64 * 2**10
 
 
 class TestRejectionScreen:
@@ -446,6 +478,15 @@ class TestScenarioConfig:
         loaded = load_scenarios(path)
         assert loaded == [sc]
         assert load_scenarios(path, seed_override=77)[0].master_seed == 77
+
+    def test_spaces_around_the_df_colon(self, tmp_path):
+        """A scenario file's test label may hold spaces around its colon."""
+        entry = {"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 8, "n2": 9, "n_reps": 12,
+                 "tests": ["pm: df2", "bm : df1", "n :df"]}
+        path = tmp_path / "s.cfg"
+        path.write_text(json.dumps([entry]))
+        sc, = load_scenarios(path)
+        assert [kind.label() for kind in sc.tests] == ["pm:df2", "bm:df1", "n:df"]
 
     def test_bad_files(self, tmp_path):
         p = tmp_path / "bad.cfg"
