@@ -10,9 +10,13 @@ pooled values of a permutation sample or a user dataset: one argsort per row
 gives each value its run label, in the value's own position, and
 `arm1_counts` counts any subset of labels per run.  A simulated batch needs
 no labels in place: `moments_from_values` reads the runs and their arm-1
-members off each row's one sort order.  Datasets with the same runs and
-counts get bit-identical moments whichever entry point produced them: a
-simulated batch (`moments_from_values`), permutation draws
+members off each row's one sort order.  A simulated batch of discrete data
+needs no sort at all: given as indices on one sorted support
+(`moments_from_codes`), each support value is a run, and its members are
+counted per arm; a value a row does not use is an empty run, which adds 0
+to every sum.  Datasets with the same runs and counts get bit-identical
+moments whichever entry point produced them: a simulated batch
+(`moments_from_values` or `moments_from_codes`), permutation draws
 (`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A
 permutation draw arrives as the run labels of its arm-1 values, which the
 relabel carries through the shuffle in place of indices, so its counts are
@@ -39,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["EffectSummary", "tie_runs", "arm1_counts", "moments_from_counts",
-           "moments_from_values", "moments_from_perm"]
+           "moments_from_values", "moments_from_codes", "moments_from_perm"]
 
 # pooled size from which int64 sums (bounded by N**3) could overflow
 EXACT_SUMS_BELOW = 2**21
@@ -96,6 +100,11 @@ class EffectSummary:
         """
         eps = 1.0 / (self.n1 * self.n2)
         return np.where(self.sep_high, 1.0 - eps, np.where(self.sep_low, eps, self.p_hat))[()]
+
+    @cached_property
+    def _raw_variances(self) -> dict:
+        """Raw variance estimates by kind, kept here by `stat_tests.raw_variance`."""
+        return {}
 
 
 def tie_runs(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +241,19 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
     return moments_from_counts(a, sizes, n1, n2)
 
 
+def moments_from_codes(codes1: np.ndarray, codes2: np.ndarray, n_values: int) -> EffectSummary:
+    """Moments for a batch of discrete datasets, (reps, n1) and (reps, n2) indices on one support.
+
+    The support holds n_values values in increasing order, and each value is
+    one tie run: its arm-1 and arm-2 members are one `bincount` per arm.  A
+    value that a row does not use is an empty run, which adds nothing to any
+    sum, so the moments equal `moments_from_values` on the values bit for bit.
+    """
+    n1, n2 = codes1.shape[1], codes2.shape[1]
+    a = arm1_counts(codes1, n_values)
+    return moments_from_counts(a, a + arm1_counts(codes2, n_values), n1, n2)
+
+
 def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSummary:
     """Moments for relabellings of one pooled sample, one row of arm-1 run labels each.
 
@@ -244,5 +266,8 @@ def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSumm
     sizes = np.bincount(labels)
     if labels.size < EXACT_SUMS_BELOW and sizes.size == labels.size:
         # tie-free: a value's run label is its pooled rank
-        return _moments_from_ranks(np.sort(arm1_labels, axis=1), n1, n2)
+        # sorted in a C-ordered copy: the relabel hands over a transposed view
+        ranks = np.array(arm1_labels, order="C")
+        ranks.sort(axis=1)
+        return _moments_from_ranks(ranks, n1, n2)
     return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, n2)

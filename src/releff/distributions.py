@@ -6,8 +6,10 @@ ordinal distribution (a Beta variate cut at an equally spaced grid into K
 categories, encoded as 1.0..K).
 
 `sample(spec, u)` maps open uniforms to values by inverse CDF: `ndtri` for
-the normal, `-log(u)/rate` for the exponential and a search over the
-cumulative masses for the two discrete families.  Besides sampling, the
+the normal, `-log(u)/rate` for the exponential and, for the two discrete
+families, the support value at `index(spec, u)`, a search over the
+cumulative masses.  A Monte Carlo chunk of a discrete pair keeps the
+indices and never builds the values.  Besides sampling, the
 module computes the exact moments (p, beta, tau0, tau1, tau2) of a pair of
 specs (`exact_moments`: finite sums for discrete pairs, adaptive
 quadrature for continuous pairs, cached per pair), the exact relative
@@ -42,6 +44,7 @@ __all__ = [
     "parse_dist",
     "dist_label",
     "sample",
+    "index",
     "discrete_masses",
     "is_continuous",
     "exact_mw_parameter",
@@ -141,7 +144,7 @@ def is_continuous(spec: DistSpec) -> bool:
     return isinstance(spec, (Normal, Exponential))
 
 
-# largest discrete support `sample` indexes by comparisons, not `searchsorted`
+# largest discrete support `index` searches by comparisons, not `searchsorted`
 _COMPARE_MAX_VALUES = 8
 
 
@@ -151,16 +154,21 @@ def sample(spec: DistSpec, u: np.ndarray) -> np.ndarray:
         return spec.mean + spec.sd * ndtri(u)
     if isinstance(spec, Exponential):
         return -np.log(u) / spec.rate
-    values, probs = discrete_masses(spec)
+    return discrete_masses(spec)[0][index(spec, u)]
+
+
+def index(spec: DistSpec, u: np.ndarray) -> np.ndarray:
+    """Positions in `discrete_masses(spec)[0]` of a discrete spec's values at open uniforms u."""
+    probs = discrete_masses(spec)[1]
     edges = np.cumsum(probs)[:-1]
-    if values.size > _COMPARE_MAX_VALUES:
-        return values[np.searchsorted(edges, u, side="right")]
+    if probs.size > _COMPARE_MAX_VALUES:
+        return np.searchsorted(edges, u, side="right")
     # the number of edges <= u is searchsorted's index, found faster by
     # comparisons when there are only a few edges
     idx = np.zeros(np.shape(u), dtype=np.intp)
     for edge in edges:
         idx += u >= edge
-    return values[idx]
+    return idx
 
 
 def discrete_masses(spec: DistSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -57,9 +57,10 @@ def _display(kind: DfKind, n1, n2, s1, s2, v1, v2):
         w1, w2 = n1 - shift, n2 - shift
         a1, a2, c1, c2 = s1 / w1, s2 / w2, w1 - 1, w2 - 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        total = a1 + a2
-        r1, r2 = np.divide(a1, total), np.divide(a2, total)
-        return np.divide(1.0, r1 * r1 / c1 + r2 * r2 / c2)
+        # numpy even for Python float fields, so that `/` follows errstate
+        total = np.float64(a1 + a2)
+        r1, r2 = a1 / total, a2 / total
+        return 1.0 / (r1 * r1 / c1 + r2 * r2 / c2)
 
 
 def fallback_df(n1: int, n2: int, kind: DfKind) -> float:

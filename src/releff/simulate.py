@@ -4,7 +4,13 @@ A scenario fixes the two generating distributions, the arm sizes, the test
 battery and a master seed.  Replication r's data is row r of the uniform
 matrix keyed by the master seed (`rng.uniforms`, n1 + n2 columns, arm 1
 first), mapped through each arm's inverse CDF, so a chunk of replications
-is drawn in one call.  The replications are processed in fixed-size chunks,
+is drawn in one call.  When both arms are discrete, a chunk keeps each
+observation's index on the sorted union of the two supports
+(`distributions.index`) and never builds its value: the support values are
+the tie runs, known before a value is drawn, so `moments_from_codes` counts
+each arm's members per support value where `moments_from_values` sorts.
+The moments are the same bits either way; a pair with a continuous arm is
+scored from its values.  The replications are processed in fixed-size chunks,
 reduced in chunk order, so results are bit-identical for any number of
 worker processes.  `run_scenarios` runs the chunks of many scenarios in one
 pool.
@@ -18,12 +24,14 @@ margin of 1e-6 below z* against rounding).  A permutation p-value
 min(1, 2c / n_perm), with c the smaller of a test's two tallies, only grows
 with c, so a chunk turns alpha into one integer threshold c*
 (`_reject_threshold`) and a test rejects exactly when c <= c*.  A
-permutation chunk labels the tie runs of all its replications with one
-batched `tie_runs` call, and each replication tallies its draws through
+permutation chunk labels the tie runs of all its replications (values or
+support indices, which sort alike) with one batched `tie_runs` call, and
+each replication tallies its draws through
 `permutation.tally_range` with settle_above=c*, which stops once no test's
 decision can change; a scenario with no tests draws none.  Mean variance
 estimates accumulate the *raw* (unfloored) estimator values, matching the
-way the reproduction tables report them.
+way the reproduction tables report them; the statistics read the same raw
+values (`stat_tests.raw_variance`), computed once per chunk.
 """
 from __future__ import annotations
 
@@ -35,15 +43,17 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._batch import moments_from_values, tie_runs
+from ._batch import moments_from_codes, moments_from_values, tie_runs
 from ._pool import map_tasks
-from .distributions import DistSpec, parse_dist, population_variance, sample
+from .distributions import (DistSpec, discrete_masses, index, is_continuous, parse_dist,
+                            population_variance, sample)
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
 from .permutation import tally_range
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
-from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays, statistics
-from .variance import VarianceKind, variance_raw
+from .stat_tests import (DEFAULT_BATTERY, TestKind, p_value_arrays, raw_variance, stat_arrays,
+                         statistics)
+from .variance import VarianceKind
 
 __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "load_scenarios",
            "CHUNK_REPS"]
@@ -108,17 +118,46 @@ class _Tally:
         self.n += other.n
 
 
-def _draw_chunk(sc: Scenario, start: int, stop: int):
+def _chunk_uniforms(sc: Scenario, start: int, stop: int):
     u = uniforms(data_key(sc.master_seed), start, stop - start, sc.n1 + sc.n2)
-    return sample(sc.dist1, u[:, : sc.n1]), sample(sc.dist2, u[:, sc.n1 :])
+    return u[:, : sc.n1], u[:, sc.n1 :]
+
+
+def _draw_chunk(sc: Scenario, start: int, stop: int):
+    u1, u2 = _chunk_uniforms(sc, start, stop)
+    return sample(sc.dist1, u1), sample(sc.dist2, u2)
+
+
+def _score_chunk(sc: Scenario, start: int, stop: int):
+    """A chunk's moments and its two arms, (reps, n1) and (reps, n2).
+
+    A discrete pair's arms are indices on the sorted union of the two
+    supports, scored by counting members per support value; any other
+    pair's arms are values.  Either way the arms sort as the values do.
+    """
+    if is_continuous(sc.dist1) or is_continuous(sc.dist2):
+        x1, x2 = _draw_chunk(sc, start, stop)
+        return moments_from_values(x1, x2), x1, x2
+    v1, v2 = discrete_masses(sc.dist1)[0], discrete_masses(sc.dist2)[0]
+    support = np.union1d(v1, v2)
+    u1, u2 = _chunk_uniforms(sc, start, stop)
+    c1 = _onto(support, v1, index(sc.dist1, u1))
+    c2 = _onto(support, v2, index(sc.dist2, u2))
+    return moments_from_codes(c1, c2, support.size), c1, c2
+
+
+def _onto(support: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Indices on `values` moved onto `support`, a sorted superset of them."""
+    if values.size == support.size:
+        return idx
+    return np.searchsorted(support, values)[idx]
 
 
 def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
-    x1, x2 = _draw_chunk(sc, start, stop)
-    m = moments_from_values(x1, x2)
+    m, arm1, arm2 = _score_chunk(sc, start, stop)
     tally = _Tally(
         rejections=np.zeros(len(sc.tests), dtype=np.int64),
-        var_sums=np.array([variance_raw(m, k).sum() for k in _MEAN_VARIANCE_KINDS]),
+        var_sums=np.array([raw_variance(m, k).sum() for k in _MEAN_VARIANCE_KINDS]),
         sep=int(np.count_nonzero(m.separated)),
         n=stop - start,
     )
@@ -129,7 +168,7 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         return tally
     # each replication's observed statistics are its row of the batch
     observed_all = np.array(statistics(m, sc.tests))
-    labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
+    labels = tie_runs(np.concatenate([arm1, arm2], axis=1))[0]
     c_star = _reject_threshold(sc.n_perm, sc.alpha)
     for i, r in enumerate(range(start, stop)):
         seed_r = rep_permutation_seed(sc.master_seed, r)

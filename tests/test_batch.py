@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from releff import _batch
 from releff._batch import (
     arm1_counts,
+    moments_from_codes,
     moments_from_counts,
     moments_from_perm,
     moments_from_values,
@@ -16,20 +17,18 @@ from releff._batch import (
 )
 from releff.permutation import _Lane, _batch_permutations
 from releff.rng import perm_key, uniforms
+from tests_util import assert_same
 
 arm_size = st.integers(min_value=2, max_value=60)
 ROW_KINDS = ("tie_free", "levels", "all_tied", "signed_zeros", "cross_arm_duplicate")
-# a batch of one row kind (an all-tie-free batch takes the rank scorer) or of mixed kinds
-batch_kinds = st.one_of(
-    st.tuples(st.sampled_from(ROW_KINDS), st.integers(1, 40)).map(lambda k: [k[0]] * k[1]),
-    st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=40),
-)
 
 
-def assert_same(got, want):
-    for field in dataclasses.fields(want):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        assert np.array_equal(g, w), field.name
+def batches_of(row_kinds):
+    """A batch of one row kind (an all-tie-free batch takes the rank scorer) or of mixed kinds."""
+    return st.one_of(
+        st.tuples(st.sampled_from(row_kinds), st.integers(1, 40)).map(lambda k: [k[0]] * k[1]),
+        st.lists(st.sampled_from(row_kinds), min_size=1, max_size=40),
+    )
 
 
 def pooled_values(rng, size, levels):
@@ -96,13 +95,43 @@ def test_perm_scorer_equals_count_kernel(n1, n2, levels, seed, first, draws):
     assert_same(moments_from_perm(arm1, labels), kernel_from_perm(arm1, labels))
 
 
-@given(n1=arm_size, n2=arm_size, seed=st.integers(0, 2**32 - 1), kinds=batch_kinds)
+@given(n1=arm_size, n2=arm_size, seed=st.integers(0, 2**32 - 1), kinds=batches_of(ROW_KINDS))
 def test_values_scorer_equals_count_kernel(n1, n2, kinds, seed):
     """Batches of tie-free, tied, all-tied, signed-zero and cross-arm-duplicate rows."""
     rng = np.random.default_rng(seed)
     pooled = np.array([mixed_row(rng, kind, n1, n2) for kind in kinds])
     x1, x2 = pooled[:, :n1], pooled[:, n1:]
     assert_same(moments_from_values(x1, x2), kernel_from_values(x1, x2))
+
+
+CODE_ROW_KINDS = ("random", "sparse", "all_tied", "separated", "tie_free")
+
+
+def code_row(rng, kind, n1, n2, n_values):
+    """One pooled row of indices on an n_values-point support, arm 1 first."""
+    n = n1 + n2
+    if kind == "all_tied":
+        return np.full(n, rng.integers(n_values))
+    if kind == "separated" and n_values >= 2:
+        cut = int(rng.integers(1, n_values))
+        return np.concatenate([rng.integers(0, cut, n1), rng.integers(cut, n_values, n2)])
+    if kind == "tie_free" and n_values >= n:
+        return rng.permutation(n_values)[:n]
+    if kind == "sparse":
+        # the row leaves most support values empty
+        return rng.choice(rng.integers(0, n_values, 3), n)
+    return rng.integers(0, n_values, n)
+
+
+@given(n1=arm_size, n2=arm_size, n_values=st.integers(1, 130), seed=st.integers(0, 2**32 - 1),
+       kinds=batches_of(CODE_ROW_KINDS))
+def test_codes_scorer_equals_values_scorer(n1, n2, n_values, seed, kinds):
+    """Counting members per support value gives `moments_from_values` on the values, bit for bit."""
+    rng = np.random.default_rng(seed)
+    support = np.sort(rng.choice(1000, n_values, replace=False)) * 0.5 - 7.0
+    codes = np.array([code_row(rng, kind, n1, n2, n_values) for kind in kinds])
+    c1, c2 = codes[:, :n1], codes[:, n1:]
+    assert_same(moments_from_codes(c1, c2, n_values), moments_from_values(support[c1], support[c2]))
 
 
 def test_values_scorer_labels_no_values_in_place(monkeypatch):

@@ -20,6 +20,7 @@ from releff import (
     sample,
     solve_target_effect,
 )
+from releff.distributions import index
 from releff.rng import uniforms
 
 
@@ -107,6 +108,16 @@ class TestSampling:
         u = np.concatenate([open_uniforms(3000), edges, np.nextafter(edges, 0.0)]).reshape(-1, 2)
         expected = values[np.searchsorted(edges, u, side="right")]
         assert np.array_equal(sample(spec, u), expected)
+
+    @pytest.mark.parametrize("spec", [
+        Binomial(5, 0.6), BetaLatent(5, 4, 5), BetaLatent(2, 7, 8), Binomial(200, 0.4),
+    ], ids=lambda spec: dist_label(spec))
+    def test_sample_is_the_value_at_index(self, spec):
+        """A discrete value is its support value at `index`, the position a chunk keeps."""
+        u = open_uniforms(3000).reshape(-1, 3)
+        idx = index(spec, u)
+        assert idx.shape == u.shape
+        assert np.array_equal(sample(spec, u), discrete_masses(spec)[0][idx])
 
     def test_sample_keeps_the_shape_of_u(self):
         u = open_uniforms(24).reshape(4, 6)

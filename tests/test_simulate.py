@@ -4,11 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from releff import (
     BetaLatent,
+    Binomial,
     ConfigError,
+    Exponential,
     InvalidKind,
     Normal,
     Scenario,
@@ -21,17 +25,19 @@ from releff import (
     population_variance,
 )
 from releff import TestKind as TK
-from releff import DfKind, degrees_of_freedom, permutation, simulate, stat_tests
+from releff import DfKind, degrees_of_freedom, discrete_masses, permutation, simulate, stat_tests
 from releff._batch import moments_from_values, tie_runs
 from releff.permutation import _Lane, tally_draws
 from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
-from releff.simulate import _draw_chunk, _simulate_chunk, scenario_from_dict
+from releff.simulate import _draw_chunk, _score_chunk, _simulate_chunk, scenario_from_dict
+from releff.variance import VarianceKind, variance_raw
 from releff.tables import PERM_BATTERY
 from oracles import pairwise_moments
-from tests_util import random_dataset
+from tests_util import assert_same, random_dataset
 
 BATTERY = tuple(TK.parse(s) for s in ("wmw", "n:df2", "bm:df2", "pm:df2", "n_logit"))
+DEFAULT_BATTERY_NO_WMW = tuple(k for k in simulate.DEFAULT_BATTERY if k.family != "wmw")
 
 
 class TestBatchKernel:
@@ -75,6 +81,24 @@ class TestBatchKernel:
         _simulate_chunk(sc, 0, sc.n_reps)
         assert calls == [DfKind.DF2]
 
+    @pytest.mark.parametrize("dist1,dist2", [
+        (Normal(0, 1), Normal(0, 3)),
+        (Binomial(5, 0.6), BetaLatent(5, 4, 5)),
+    ], ids=["normal", "discrete"])
+    def test_chunk_computes_each_variance_once(self, monkeypatch, dist1, dist2):
+        """The mean-variance columns and the statistics share one raw variance per kind."""
+        calls = []
+
+        def spy(m, kind):
+            calls.append(kind)
+            return variance_raw(m, kind)
+
+        monkeypatch.setattr(stat_tests, "variance_raw", spy)
+        monkeypatch.setattr(simulate, "variance_raw", spy, raising=False)
+        sc = Scenario(dist1, dist2, 15, 15, n_reps=300)
+        _simulate_chunk(sc, 0, sc.n_reps)
+        assert sorted(calls) == sorted(VarianceKind(k) for k in ("wmw", "n", "bm", "pm"))
+
     def test_tie_runs_contract(self, rng):
         """A batch labels each row as it would alone, pads with empty runs,
         and orders labels as the values they label."""
@@ -100,6 +124,60 @@ class TestBatchKernel:
         assert m.sep_high.tolist() == [False, True, False]
         assert m.sep_low.tolist() == [False, False, True]
         assert m.p_hat_adjusted.tolist() == [0.5, 1 - 1 / 9, 1 / 9]
+
+
+class TestDiscreteChunks:
+    """A discrete pair is scored from indices on the union of the two supports."""
+
+    # 2 to 60 support values: comparisons up to 8, searchsorted above
+    discrete_specs = st.one_of(
+        st.builds(Binomial, st.sampled_from([1, 4, 5, 12]), st.floats(0.05, 0.95)),
+        st.builds(BetaLatent, st.floats(0.2, 8.0), st.floats(0.2, 8.0), st.sampled_from([2, 5, 60])),
+    )
+
+    # supports 0..5 and 1..5: the union is neither arm's own
+    @example(Binomial(5, 0.6), BetaLatent(5, 4, 5), 15, 45, 31)
+    @example(BetaLatent(1.2071, 1, 5), BetaLatent(5, 4, 5), 45, 15, 31)
+    # 201 and 13 values
+    @example(Binomial(200, 0.4), Binomial(12, 0.5), 9, 7, 31)
+    # mostly tie-free rows, some tied
+    @example(BetaLatent(2, 2, 60), BetaLatent(2, 3, 60), 3, 4, 31)
+    # many all-tied and separated rows
+    @example(Binomial(1, 0.5), Binomial(1, 0.3), 2, 2, 31)
+    @given(dist1=discrete_specs, dist2=discrete_specs, n1=st.integers(2, 45),
+           n2=st.integers(2, 45), seed=st.integers(0, 2**63 - 1))
+    def test_chunk_equals_values_scorer(self, dist1, dist2, n1, n2, seed):
+        sc = Scenario(dist1, dist2, n1, n2, n_reps=200, tests=(), master_seed=seed)
+        m, c1, c2 = _score_chunk(sc, 0, sc.n_reps)
+        x1, x2 = _draw_chunk(sc, 0, sc.n_reps)
+        support = np.union1d(discrete_masses(dist1)[0], discrete_masses(dist2)[0])
+        assert np.array_equal(support[c1], x1) and np.array_equal(support[c2], x2)
+        assert_same(m, moments_from_values(x1, x2))
+        # the indices sort as the values, so a permutation chunk labels the same runs
+        assert np.array_equal(tie_runs(np.concatenate([c1, c2], axis=1))[0],
+                              tie_runs(np.concatenate([x1, x2], axis=1))[0])
+
+    @pytest.mark.parametrize("dist1,dist2,values_calls", [
+        (Binomial(5, 0.6), BetaLatent(5, 4, 5), 0),
+        (BetaLatent(5, 4, 5), BetaLatent(2, 3, 5), 0),
+        (Normal(0, 1), Normal(0, 3), 1),
+        (Normal(3, 1), Binomial(5, 0.6), 1),
+        (BetaLatent(5, 4, 5), Exponential(1.0), 1),
+    ], ids=["discrete", "beta_latent", "continuous", "normal_binomial", "beta_latent_exp"])
+    @pytest.mark.parametrize("n_perm", [None, 20])
+    def test_only_discrete_pairs_skip_the_values_scorer(self, monkeypatch, dist1, dist2,
+                                                        values_calls, n_perm):
+        seen = []
+
+        def spy(x1, x2):
+            seen.append(x1.shape)
+            return moments_from_values(x1, x2)
+
+        monkeypatch.setattr(simulate, "moments_from_values", spy)
+        tests = DEFAULT_BATTERY_NO_WMW if n_perm else simulate.DEFAULT_BATTERY
+        sc = Scenario(dist1, dist2, 9, 12, n_reps=40, tests=tests, n_perm=n_perm, master_seed=8)
+        _simulate_chunk(sc, 0, sc.n_reps)
+        assert len(seen) == values_calls
 
 
 class TestPermutationObserved:

@@ -17,9 +17,11 @@ from releff import (
     t_cdf,
 )
 from releff import TestKind as TK
+from releff import stat_tests
 from releff._batch import moments_from_values
 from releff.dof import degrees_of_freedom
 from releff.stat_tests import FAMILIES, T_FAMILIES, stat_arrays, statistics
+from releff.variance import variance_raw
 from oracles import statistic as oracle_statistic
 from tests_util import random_dataset
 
@@ -257,3 +259,37 @@ class TestBatteryScorer:
                                                    for a, b in zip(x1, x2)]:
             self.assert_scores(m, self.KINDS)
             self.assert_scores(m, battery)
+
+
+class TestRawVarianceOnce:
+    """Each raw variance is computed once per summary, however many readers it has."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def spy(m, kind):
+            calls.append(kind)
+            return variance_raw(m, kind)
+
+        monkeypatch.setattr(stat_tests, "variance_raw", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+    def test_run_test_computes_its_variance_once(self, calls, kind):
+        """The statistic and the `degeneracy` flag read one computation."""
+        for x1, x2 in [([1, 2, 3, 5], [2, 3, 4, 8]), ([1] * 4, [2] * 5), ([2] * 4, [2] * 4)]:
+            calls.clear()
+            res = run_test(TwoSamples(x1, x2), kind)
+            assert calls == [kind.variance_kind]
+            assert res.degenerate is run_test(TwoSamples(x1, x2), kind).degenerate
+
+    def test_battery_on_one_dataset_computes_each_variance_once(self, calls, rng):
+        x1, x2 = random_dataset(rng, lo=6, hi=12)
+        d = TwoSamples(x1, x2)
+        results = [run_test(d, kind) for kind in ALL_KINDS]
+        assert sorted(calls) == sorted({kind.variance_kind for kind in ALL_KINDS})
+        for kind, res in zip(ALL_KINDS, results):
+            alone = run_test(TwoSamples(x1, x2), kind)
+            assert (res.statistic, res.df, res.p_value, res.degenerate) == (
+                alone.statistic, alone.df, alone.p_value, alone.degenerate), kind.label()

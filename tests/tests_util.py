@@ -1,5 +1,14 @@
 """Shared helpers for the test suite."""
+import dataclasses
+
 import numpy as np
+
+
+def assert_same(got, want):
+    """Two effect summaries equal in every field, bit for bit."""
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(g, w), field.name
 
 
 def random_dataset(rng, lo=5, hi=30, tie_free=False):
