@@ -103,7 +103,7 @@ class EffectSummary:
 
     @cached_property
     def _raw_variances(self) -> dict:
-        """Raw variance estimates by kind, kept here by `stat_tests.raw_variance`."""
+        """Raw variance estimates by kind, kept here by `variance.variance_raw`."""
         return {}
 
 

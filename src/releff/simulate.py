@@ -4,13 +4,15 @@ A scenario fixes the two generating distributions, the arm sizes, the test
 battery and a master seed.  Replication r's data is row r of the uniform
 matrix keyed by the master seed (`rng.uniforms`, n1 + n2 columns, arm 1
 first), mapped through each arm's inverse CDF, so a chunk of replications
-is drawn in one call.  When both arms are discrete, a chunk keeps each
-observation's index on the sorted union of the two supports
-(`distributions.index`) and never builds its value: the support values are
-the tie runs, known before a value is drawn, so `moments_from_codes` counts
-each arm's members per support value where `moments_from_values` sorts.
-The moments are the same bits either way; a pair with a continuous arm is
-scored from its values.  The replications are processed in fixed-size chunks,
+is drawn in one call.  When both arms are discrete and their sorted union
+support has no more values than the pooled sample, a chunk keeps each
+observation's index on that support (`distributions.index`) and never
+builds its value: the support values are the tie runs, known before a
+value is drawn, so `moments_from_codes` counts each arm's members per
+support value where `moments_from_values` sorts.  Counting costs one pass
+per support value and sorting N log N per row, so a wider support, or a
+pair with a continuous arm, is scored from its values; the moments are the
+same bits either way.  The replications are processed in fixed-size chunks,
 reduced in chunk order, so results are bit-identical for any number of
 worker processes.  `run_scenarios` runs the chunks of many scenarios in one
 pool.
@@ -30,8 +32,8 @@ each replication tallies its draws through
 `permutation.tally_range` with settle_above=c*, which stops once no test's
 decision can change; a scenario with no tests draws none.  Mean variance
 estimates accumulate the *raw* (unfloored) estimator values, matching the
-way the reproduction tables report them; the statistics read the same raw
-values (`stat_tests.raw_variance`), computed once per chunk.
+way the reproduction tables report them; `variance_raw` keeps each on the
+chunk's summary, so the statistics read the same computation.
 """
 from __future__ import annotations
 
@@ -51,9 +53,8 @@ from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
 from .permutation import tally_range
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
-from .stat_tests import (DEFAULT_BATTERY, TestKind, p_value_arrays, raw_variance, stat_arrays,
-                         statistics)
-from .variance import VarianceKind
+from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays, statistics
+from .variance import VarianceKind, variance_raw
 
 __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "load_scenarios",
            "CHUNK_REPS"]
@@ -131,33 +132,28 @@ def _draw_chunk(sc: Scenario, start: int, stop: int):
 def _score_chunk(sc: Scenario, start: int, stop: int):
     """A chunk's moments and its two arms, (reps, n1) and (reps, n2).
 
-    A discrete pair's arms are indices on the sorted union of the two
-    supports, scored by counting members per support value; any other
-    pair's arms are values.  Either way the arms sort as the values do.
+    A discrete pair whose union support is no wider than the pooled sample
+    has its arms as indices on that sorted support, scored by counting
+    members per support value; any other pair's arms are values.  Either way
+    the arms sort as the values do.
     """
-    if is_continuous(sc.dist1) or is_continuous(sc.dist2):
-        x1, x2 = _draw_chunk(sc, start, stop)
-        return moments_from_values(x1, x2), x1, x2
-    v1, v2 = discrete_masses(sc.dist1)[0], discrete_masses(sc.dist2)[0]
-    support = np.union1d(v1, v2)
-    u1, u2 = _chunk_uniforms(sc, start, stop)
-    c1 = _onto(support, v1, index(sc.dist1, u1))
-    c2 = _onto(support, v2, index(sc.dist2, u2))
-    return moments_from_codes(c1, c2, support.size), c1, c2
-
-
-def _onto(support: np.ndarray, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Indices on `values` moved onto `support`, a sorted superset of them."""
-    if values.size == support.size:
-        return idx
-    return np.searchsorted(support, values)[idx]
+    if not (is_continuous(sc.dist1) or is_continuous(sc.dist2)):
+        v1, v2 = discrete_masses(sc.dist1)[0], discrete_masses(sc.dist2)[0]
+        support = np.union1d(v1, v2)
+        if support.size <= sc.n1 + sc.n2:
+            u1, u2 = _chunk_uniforms(sc, start, stop)
+            c1 = np.searchsorted(support, v1)[index(sc.dist1, u1)]
+            c2 = np.searchsorted(support, v2)[index(sc.dist2, u2)]
+            return moments_from_codes(c1, c2, support.size), c1, c2
+    x1, x2 = _draw_chunk(sc, start, stop)
+    return moments_from_values(x1, x2), x1, x2
 
 
 def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
     m, arm1, arm2 = _score_chunk(sc, start, stop)
     tally = _Tally(
         rejections=np.zeros(len(sc.tests), dtype=np.int64),
-        var_sums=np.array([raw_variance(m, k).sum() for k in _MEAN_VARIANCE_KINDS]),
+        var_sums=np.array([variance_raw(m, k).sum() for k in _MEAN_VARIANCE_KINDS]),
         sep=int(np.count_nonzero(m.separated)),
         n=stop - start,
     )

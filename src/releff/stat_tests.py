@@ -13,11 +13,10 @@ data every statistic is exactly zero.
 A battery is scored in one call over the fields of an `EffectSummary`, for
 a batch (arrays) or one dataset (floats): `statistics` computes each distinct
 floored sd and numerator once, and `stat_arrays` adds each distinct df kind
-once.  Each raw variance is computed once per summary (`raw_variance` keeps
-it on the summary), so the tests of a battery on one dataset, its
-`degeneracy` flags and a Monte Carlo chunk's mean-variance columns share it.
-`run_test` is `stat_arrays` and `p_value_arrays` on the dataset's cached
-summary plus the `degeneracy` flag of its variance.
+once.  `run_test` is `stat_arrays` and `p_value_arrays` on the dataset's
+cached summary plus the `degeneracy` flag of its variance; `variance_raw`
+keeps each raw variance on the summary, so the tests of a battery on one
+dataset and their flags share one computation per kind.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ __all__ = [
     "run_test",
     "statistics",
     "stat_arrays",
-    "raw_variance",
     "p_value_arrays",
     "normal_cdf",
     "t_cdf",
@@ -137,14 +135,6 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-def raw_variance(m: EffectSummary, kind: VarianceKind):
-    """`variance_raw(m, kind)`, computed on its first call for a summary and kept on it."""
-    cache = m._raw_variances
-    if kind not in cache:
-        cache[kind] = variance_raw(m, kind)
-    return cache[kind]
-
-
 def _numerator(m: EffectSummary, shape: str):
     """The numerator of the rank test ("wmw"), the t families ("t") or the logits ("logit")."""
     if shape == "wmw":
@@ -166,7 +156,7 @@ def statistics(m: EffectSummary, kinds) -> list:
         vk = kind.variance_kind
         shape = "wmw" if kind.family == "wmw" else "logit" if kind.is_logit else "t"
         if vk not in sd:
-            sd[vk] = np.sqrt(floored(m, vk, raw_variance(m, vk)))
+            sd[vk] = np.sqrt(floored(m, vk, variance_raw(m, vk)))
         if shape not in num:
             num[shape] = _numerator(m, shape)
         stats.append(num[shape] / sd[vk])
@@ -213,6 +203,6 @@ def run_test(data: TwoSamples, kind: TestKind, alternative: str = "two-sided") -
         df=None if df is None else float(df),
         p_value=float(p_value_arrays(stat, df, alternative)),
         kind=kind,
-        degenerate=degeneracy(es, kind.variance_kind, raw_variance(es, kind.variance_kind)),
+        degenerate=degeneracy(es, kind.variance_kind, variance_raw(es, kind.variance_kind)),
         effect=es,
     )

@@ -18,8 +18,9 @@ The returned ``value`` is therefore always strictly positive.
 
 `variance_raw` and `floored` are written once over the fields of an
 `EffectSummary`, so they take a batch (arrays) or one dataset (floats)
-alike; the `var_*` functions wrap them for one dataset and add the flag
-`degeneracy` reads off the summary, the same flag `run_test` reports.
+alike, and `variance_raw` keeps each kind's estimate on the summary.  The
+`var_*` functions wrap them for one dataset and add the flag `degeneracy`
+reads off the summary, the same flag `run_test` reports.
 """
 from __future__ import annotations
 
@@ -95,7 +96,20 @@ def generic_floor(n1: int, n2: int) -> float:
 
 
 def variance_raw(m: EffectSummary, kind: VarianceKind):
-    """Raw estimate of `kind` from the moments of a batch or of one dataset."""
+    """Raw estimate of `kind` from the moments of a batch or of one dataset.
+
+    Computed on the first call for a summary and kept on it, so every reader
+    of one summary (the statistics of a battery, their `degeneracy` flags,
+    the `var_*` wrappers, a Monte Carlo chunk's mean-variance columns) shares
+    one computation.
+    """
+    cache = m._raw_variances
+    if kind not in cache:
+        cache[kind] = _raw_estimate(m, kind)
+    return cache[kind]
+
+
+def _raw_estimate(m: EffectSummary, kind: VarianceKind):
     n1, n2 = m.n1, m.n2
     if kind is VarianceKind.WMW:
         return m.var_wmw_raw

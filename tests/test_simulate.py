@@ -25,13 +25,14 @@ from releff import (
     population_variance,
 )
 from releff import TestKind as TK
-from releff import DfKind, degrees_of_freedom, discrete_masses, permutation, simulate, stat_tests
+from releff import (DfKind, degrees_of_freedom, discrete_masses, permutation, simulate,
+                    stat_tests, variance)
 from releff._batch import moments_from_values, tie_runs
 from releff.permutation import _Lane, tally_draws
 from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
 from releff.simulate import _draw_chunk, _score_chunk, _simulate_chunk, scenario_from_dict
-from releff.variance import VarianceKind, variance_raw
+from releff.variance import VarianceKind
 from releff.tables import PERM_BATTERY
 from oracles import pairwise_moments
 from tests_util import assert_same, random_dataset
@@ -88,13 +89,13 @@ class TestBatchKernel:
     def test_chunk_computes_each_variance_once(self, monkeypatch, dist1, dist2):
         """The mean-variance columns and the statistics share one raw variance per kind."""
         calls = []
+        estimate = variance._raw_estimate
 
         def spy(m, kind):
             calls.append(kind)
-            return variance_raw(m, kind)
+            return estimate(m, kind)
 
-        monkeypatch.setattr(stat_tests, "variance_raw", spy)
-        monkeypatch.setattr(simulate, "variance_raw", spy, raising=False)
+        monkeypatch.setattr(variance, "_raw_estimate", spy)
         sc = Scenario(dist1, dist2, 15, 15, n_reps=300)
         _simulate_chunk(sc, 0, sc.n_reps)
         assert sorted(calls) == sorted(VarianceKind(k) for k in ("wmw", "n", "bm", "pm"))
@@ -127,7 +128,8 @@ class TestBatchKernel:
 
 
 class TestDiscreteChunks:
-    """A discrete pair is scored from indices on the union of the two supports."""
+    """A discrete pair is scored from indices on the union of the two supports
+    when the union has at most n1 + n2 values, and from its values otherwise."""
 
     # 2 to 60 support values: comparisons up to 8, searchsorted above
     discrete_specs = st.one_of(
@@ -138,9 +140,11 @@ class TestDiscreteChunks:
     # supports 0..5 and 1..5: the union is neither arm's own
     @example(Binomial(5, 0.6), BetaLatent(5, 4, 5), 15, 45, 31)
     @example(BetaLatent(1.2071, 1, 5), BetaLatent(5, 4, 5), 45, 15, 31)
-    # 201 and 13 values
+    # 41 and 13 values, counted; 201 and 13 values, wider than 9 + 7 and sorted
+    @example(Binomial(40, 0.4), Binomial(12, 0.5), 30, 25, 31)
     @example(Binomial(200, 0.4), Binomial(12, 0.5), 9, 7, 31)
-    # mostly tie-free rows, some tied
+    # heavily tied rows on a 60-value support; mostly tie-free rows, sorted
+    @example(BetaLatent(2, 2, 60), BetaLatent(2, 3, 60), 30, 30, 31)
     @example(BetaLatent(2, 2, 60), BetaLatent(2, 3, 60), 3, 4, 31)
     # many all-tied and separated rows
     @example(Binomial(1, 0.5), Binomial(1, 0.3), 2, 2, 31)
@@ -148,22 +152,30 @@ class TestDiscreteChunks:
            n2=st.integers(2, 45), seed=st.integers(0, 2**63 - 1))
     def test_chunk_equals_values_scorer(self, dist1, dist2, n1, n2, seed):
         sc = Scenario(dist1, dist2, n1, n2, n_reps=200, tests=(), master_seed=seed)
-        m, c1, c2 = _score_chunk(sc, 0, sc.n_reps)
+        m, arm1, arm2 = _score_chunk(sc, 0, sc.n_reps)
         x1, x2 = _draw_chunk(sc, 0, sc.n_reps)
         support = np.union1d(discrete_masses(dist1)[0], discrete_masses(dist2)[0])
-        assert np.array_equal(support[c1], x1) and np.array_equal(support[c2], x2)
+        # counted arms are indices on the union support
+        counted = support.size <= n1 + n2
+        assert np.array_equal(support[arm1] if counted else arm1, x1)
+        assert np.array_equal(support[arm2] if counted else arm2, x2)
         assert_same(m, moments_from_values(x1, x2))
-        # the indices sort as the values, so a permutation chunk labels the same runs
-        assert np.array_equal(tie_runs(np.concatenate([c1, c2], axis=1))[0],
+        # indices sort as the values, so a permutation chunk labels the same runs
+        assert np.array_equal(tie_runs(np.concatenate([arm1, arm2], axis=1))[0],
                               tie_runs(np.concatenate([x1, x2], axis=1))[0])
 
+    # arms of 9 and 12: a union support of up to 21 values is counted
     @pytest.mark.parametrize("dist1,dist2,values_calls", [
         (Binomial(5, 0.6), BetaLatent(5, 4, 5), 0),
         (BetaLatent(5, 4, 5), BetaLatent(2, 3, 5), 0),
+        (BetaLatent(2, 2, 21), BetaLatent(2, 3, 21), 0),
+        (BetaLatent(2, 2, 22), BetaLatent(2, 3, 22), 1),
+        (Binomial(200, 0.4), Binomial(12, 0.5), 1),
         (Normal(0, 1), Normal(0, 3), 1),
         (Normal(3, 1), Binomial(5, 0.6), 1),
         (BetaLatent(5, 4, 5), Exponential(1.0), 1),
-    ], ids=["discrete", "beta_latent", "continuous", "normal_binomial", "beta_latent_exp"])
+    ], ids=["discrete", "beta_latent", "support_21", "support_22", "wide_support", "continuous",
+            "normal_binomial", "beta_latent_exp"])
     @pytest.mark.parametrize("n_perm", [None, 20])
     def test_only_discrete_pairs_skip_the_values_scorer(self, monkeypatch, dist1, dist2,
                                                         values_calls, n_perm):

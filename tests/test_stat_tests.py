@@ -17,11 +17,11 @@ from releff import (
     t_cdf,
 )
 from releff import TestKind as TK
-from releff import stat_tests
+from releff import variance
 from releff._batch import moments_from_values
 from releff.dof import degrees_of_freedom
 from releff.stat_tests import FAMILIES, T_FAMILIES, stat_arrays, statistics
-from releff.variance import variance_raw
+from releff.variance import var_bm, var_pm, var_unbiased, var_wmw
 from oracles import statistic as oracle_statistic
 from tests_util import random_dataset
 
@@ -268,11 +268,13 @@ class TestRawVarianceOnce:
     def calls(self, monkeypatch):
         calls = []
 
+        estimate = variance._raw_estimate
+
         def spy(m, kind):
             calls.append(kind)
-            return variance_raw(m, kind)
+            return estimate(m, kind)
 
-        monkeypatch.setattr(stat_tests, "variance_raw", spy)
+        monkeypatch.setattr(variance, "_raw_estimate", spy)
         return calls
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
@@ -293,3 +295,16 @@ class TestRawVarianceOnce:
             alone = run_test(TwoSamples(x1, x2), kind)
             assert (res.statistic, res.df, res.p_value, res.degenerate) == (
                 alone.statistic, alone.df, alone.p_value, alone.degenerate), kind.label()
+
+    def test_variance_wrappers_share_the_summary_cache(self, calls, rng):
+        """After a battery, the `var_*` wrappers on the same summary compute nothing."""
+        x1, x2 = random_dataset(rng)
+        d = TwoSamples(x1, x2)
+        for kind in ALL_KINDS:
+            run_test(d, kind)
+        computed = len(calls)
+        wrappers = (var_wmw, var_unbiased, var_bm, var_pm)
+        cached = [f(d if f is var_wmw else d.moments) for f in wrappers]
+        assert len(calls) == computed
+        fresh = TwoSamples(x1, x2)
+        assert cached == [f(fresh if f is var_wmw else fresh.moments) for f in wrappers]
