@@ -7,6 +7,7 @@ t-approximations with five degrees-of-freedom variants, logit-transformed
 and studentized-permutation tests, and a reproducible Monte Carlo harness
 for type-I-error, power and mean-variance studies.
 """
+from ._batch import EffectSummary
 from .distributions import (
     BetaLatent,
     Binomial,
@@ -23,7 +24,6 @@ from .distributions import (
     solve_target_effect,
 )
 from .dof import DfKind, degrees_of_freedom
-from .effect import EffectSummary, estimate_effect
 from .errors import (
     ConfigError,
     DomainError,
@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedPair,
 )
 from .permutation import PermutationResult, permutation_test, permutation_tests
-from .ranks import Sample, TwoSamples
+from .ranks import Sample, TwoSamples, estimate_effect
 from .rng import DEFAULT_SEED
 from .simulate import Scenario, SimulationSummary, load_scenarios, run_scenario, run_scenarios
 from .stat_tests import (

@@ -6,23 +6,23 @@ With `a` and `b` a run's arm-1 and arm-2 counts and A, B the counts in lower
 runs, an arm-2 value sits at 2*n1*F1 = 2A + a and an arm-1 value at
 2*n2*(1 - F2) = 2*n2 - 2B - b, so p, tau1, tau2 and beta are integer sums
 over runs, divided once (`_moments_from_sums`).  `tie_runs` labels the
-pooled values of a permutation sample or a user dataset: one argsort per row
-gives each value its run label, in the value's own position, and
-`arm1_counts` counts any subset of labels per run.  A simulated batch needs
-no labels in place: `moments_from_values` reads the runs and their arm-1
-members off each row's one sort order.  A simulated batch of discrete data
-needs no sort at all: given as indices on one sorted support
-(`moments_from_codes`), each support value is a run, and its members are
-counted per arm; a value a row does not use is an empty run, which adds 0
-to every sum.  Datasets with the same runs and counts get bit-identical
+pooled values of a permutation chunk or of one user dataset
+(`TwoSamples.run_labels`): one argsort per row gives each value its run
+label, in place, and `arm1_counts` counts any subset of labels per run.  A
+simulated batch needs no labels in place: `moments_from_values` reads the
+runs and their arm-1 members off each row's one sort order.  A simulated
+batch of discrete data needs no sort at all: given as indices on one sorted
+support (`moments_from_codes`), each support value is a run, and its members
+are counted per arm; a value a row does not use is an empty run, which adds
+0 to every sum.  Datasets with the same runs and counts get bit-identical
 moments whichever entry point produced them: a simulated batch
 (`moments_from_values` or `moments_from_codes`), permutation draws
 (`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A
 permutation draw arrives as the run labels of its arm-1 values, which the
 relabel carries through the shuffle in place of indices, so its counts are
 one `bincount` with no gather.  A batch's summary holds one row per dataset
-in each field; one dataset's holds floats, equal to the row the same
-dataset would fill in a batch.
+in each field; one dataset's holds floats, equal to the row the same dataset
+would fill in a batch.
 
 On tie-free data every run holds one value and its label is the value's
 pooled rank, so a dataset is fully described by its n1 sorted arm-1 ranks,
@@ -53,9 +53,14 @@ EXACT_SUMS_BELOW = 2**21
 class EffectSummary:
     """Every plug-in moment: floats for one dataset, one array row per dataset for a batch.
 
-    ``var_wmw_raw`` is the rank-test variance, a pooled-rank invariant.  The
-    degeneracy flags and the boundary-adjusted estimate are read off the
-    moments, so they too are scalars for one dataset and arrays for a batch.
+    ``p_hat`` is P(X1 < X2) + P(X1 = X2)/2 over all cross pairs, ``beta_hat``
+    the fraction of cross pairs tied, ``tau0/1/2`` the second-moment integrals
+    of the empirical CDFs, ``sigma1_sq, sigma2_sq`` the per-arm placement
+    variances, ``sigma1/2_given_n_sq`` the split of the unbiased variance the
+    trace-type df read, and ``var_wmw_raw`` the rank-test variance before its
+    all-tied floor, a pooled-rank invariant.  The degeneracy flags and the
+    boundary-adjusted estimate are read off the moments, so they too are
+    scalars for one dataset and arrays for a batch.
     """
 
     n1: int

@@ -19,7 +19,7 @@ import enum
 
 import numpy as np
 
-from .effect import EffectSummary
+from ._batch import EffectSummary
 from .errors import SizeTooSmall
 
 __all__ = ["DfKind", "degrees_of_freedom", "MIN_ARM_SIZE"]

@@ -10,7 +10,8 @@ in both tallies).
 Draw k of a run is row k of the uniform matrix keyed by the seed
 (`rng.uniforms`), with one column per relabelling swap (n2 of them), so it
 depends only on (seed, k).  The pooled sample is labelled by tie run once
-(`_batch.tie_runs`).  On tied data a draw only decides how many arm-1
+(`TwoSamples.run_labels`; a Monte Carlo chunk's replications in one
+`_batch.tie_runs` call).  On tied data a draw only decides how many arm-1
 members each run holds, and the moments are exact integer sums over those
 counts; on tie-free data a run label is a pooled rank, and the same sums
 are taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import moments_from_perm, tie_runs
+from ._batch import moments_from_perm
 from ._pool import map_tasks, worker_count
 from .errors import InvalidKind
 from .ranks import TwoSamples
@@ -197,9 +198,9 @@ def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int =
         return []
     if observed is None:
         observed = [run_test(data, kind) for kind in kinds]
-    labels = tie_runs(data.pooled()[None, :])[0][0]
+    labels, sizes = data.run_labels()
     statistics = np.array([res.statistic for res in observed])
-    block = _block_draws(data.n1, data.n2, int(labels.max()) + 1)
+    block = _block_draws(data.n1, data.n2, sizes.size)
     n_blocks = -(-n_perm // block)
     lanes = worker_count(threads, n_blocks)
     bounds = [min(n_perm, n_blocks * i // lanes * block) for i in range(lanes + 1)]

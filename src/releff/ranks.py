@@ -1,12 +1,12 @@
-"""Samples and two-arm datasets.
+"""Samples and two-arm datasets: `TwoSamples` is the one front door for a dataset.
 
-`TwoSamples` sorts its pooled values into tie runs and keeps the
-`EffectSummary` the count kernel (`_batch`) derives from them, and the
-plus/minus-ECDF summary Shirahata's general form reads, so every estimator
-and test run on the same instance shares one sort.  Equality of
-observations is exact floating-point equality; ordinal categories must be
-encoded upstream as exactly representable reals (small integers), otherwise
-tie handling silently changes.
+It labels its pooled values by tie run (`run_labels`, which the permutation
+test relabels) and keeps the `EffectSummary` the count kernel (`_batch`)
+derives from them (`estimate_effect`), and the plus/minus-ECDF summary
+Shirahata's general form reads, so every estimator and test run on one
+instance shares one sort.  Observations are equal iff their floats are
+equal; ordinal categories must be encoded upstream as exactly representable
+reals (small integers), otherwise tie handling silently changes.
 """
 from __future__ import annotations
 
@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._batch import EffectSummary, arm1_counts, moments_from_counts, tie_runs
+from ._batch import EffectSummary, moments_from_counts, tie_runs
 from .errors import SizeTooSmall
 
-__all__ = ["Sample", "TwoSamples"]
+__all__ = ["Sample", "TwoSamples", "estimate_effect"]
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,15 @@ class TwoSamples:
     def pooled(self) -> np.ndarray:
         return np.concatenate([self.s1.values, self.s2.values])
 
+    def run_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each pooled value's tie-run label (N,), from 0 in value order, and the run sizes."""
+        (labels,), (sizes,) = tie_runs(self.pooled()[None, :])
+        return labels, sizes
+
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Arm-1 counts and sizes of the pooled tie runs, in increasing value order."""
-        labels, (sizes,) = tie_runs(self.pooled()[None, :])
-        return arm1_counts(labels[:, : self.n1], sizes.size)[0], sizes
+        labels, sizes = self.run_labels()
+        return np.bincount(labels[: self.n1], minlength=sizes.size), sizes
 
     @cached_property
     def moments(self) -> EffectSummary:
@@ -119,3 +124,11 @@ class TwoSamples:
                 f"need at least {k} observations per arm, got ({self.n1}, {self.n2})"
             )
 
+
+def estimate_effect(data: TwoSamples) -> EffectSummary:
+    """Estimate the relative effect and all moment quantities from two arms.
+
+    This is `data.moments`, computed once per dataset.  Each arm needs at
+    least 2 observations (`SizeTooSmall` otherwise).
+    """
+    return data.moments

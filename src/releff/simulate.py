@@ -14,7 +14,9 @@ per support value and sorting N log N per row, so a wider support, or a
 pair with a continuous arm, is scored from its values; the moments are the
 same bits either way.  The replications are processed in fixed-size chunks,
 reduced in chunk order, so results are bit-identical for any number of
-worker processes.  `run_scenarios` runs the chunks of many scenarios in one
+worker processes.  A chunk holds 1024 replications, or as many as fit in
+2**20 pooled values (at least one), so its memory stays near 42 MiB while
+n1 + n2 < 2**20.  `run_scenarios` runs the chunks of many scenarios in one
 pool.
 
 Rejection uses p <= alpha.  An asymptotic chunk computes p-values only
@@ -60,6 +62,8 @@ __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "lo
            "CHUNK_REPS"]
 
 CHUNK_REPS = 1024
+# pooled values per chunk: a chunk's traced peak is about 42 bytes per value, 42 MiB
+_CHUNK_VALUES = 2**20
 
 _MEAN_VARIANCE_KINDS = (VarianceKind.N, VarianceKind.WMW, VarianceKind.BM, VarianceKind.PM)
 
@@ -110,13 +114,11 @@ class _Tally:
     rejections: np.ndarray
     var_sums: np.ndarray
     sep: int = 0
-    n: int = 0
 
     def add(self, other: "_Tally") -> None:
         self.rejections += other.rejections
         self.var_sums += other.var_sums
         self.sep += other.sep
-        self.n += other.n
 
 
 def _chunk_uniforms(sc: Scenario, start: int, stop: int):
@@ -155,7 +157,6 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         rejections=np.zeros(len(sc.tests), dtype=np.int64),
         var_sums=np.array([variance_raw(m, k).sum() for k in _MEAN_VARIANCE_KINDS]),
         sep=int(np.count_nonzero(m.separated)),
-        n=stop - start,
     )
     if sc.n_perm is None or not sc.tests:
         z_lo = _screen_bound(sc.alpha)
@@ -230,14 +231,21 @@ def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[Simulatio
     true_vars = [_true_variance(sc) for sc in scenarios]
     tasks, owner = [], []
     for i, sc in enumerate(scenarios):
-        bounds = list(range(0, sc.n_reps, CHUNK_REPS)) + [sc.n_reps]
-        tasks += [(sc, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        owner += [i] * (len(bounds) - 1)
+        chunks = _chunk_bounds(sc)
+        tasks += [(sc, a, b) for a, b in chunks]
+        owner += [i] * len(chunks)
     totals = [_Tally(np.zeros(len(sc.tests), dtype=np.int64), np.zeros(len(_MEAN_VARIANCE_KINDS)))
               for sc in scenarios]
     for i, part in zip(owner, map_tasks(_simulate_chunk, tasks, threads)):
         totals[i].add(part)
     return [_summary(sc, total, var) for sc, total, var in zip(scenarios, totals, true_vars)]
+
+
+def _chunk_bounds(sc: Scenario) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk: CHUNK_REPS replications, fewer past 2**20 pooled values."""
+    rows = min(CHUNK_REPS, max(1, _CHUNK_VALUES // (sc.n1 + sc.n2)))
+    bounds = list(range(0, sc.n_reps, rows)) + [sc.n_reps]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def run_scenario(sc: Scenario, threads: int = 1) -> SimulationSummary:

@@ -27,10 +27,10 @@ from functools import cached_property, partial
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
+from ._batch import EffectSummary
 from .dof import DfKind, degrees_of_freedom
-from .effect import EffectSummary, estimate_effect
 from .errors import ConfigError, DomainError
-from .ranks import TwoSamples
+from .ranks import TwoSamples, estimate_effect
 from .variance import Degeneracy, VarianceKind, degeneracy, floored, variance_raw
 
 __all__ = [

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effect import EffectSummary, estimate_effect
+from ._batch import EffectSummary
 from .errors import SizeTooSmall, TiesInReducedForm
 from .ranks import TwoSamples
 
@@ -163,7 +163,7 @@ def var_wmw(data: TwoSamples) -> VarianceEstimate:
     pattern.  If all N values coincide the raw estimate is zero and the value
     1/(4*n1*n2) is substituted.
     """
-    return _main_estimate(estimate_effect(data), VarianceKind.WMW)
+    return _main_estimate(data.moments, VarianceKind.WMW)
 
 
 def var_unbiased(es: EffectSummary) -> VarianceEstimate:
@@ -225,9 +225,9 @@ def var_shirahata(
     """
     kind = ShirahataKind(kind)
     form = ShirahataForm(form)
-    # before estimate_effect, so that one sort fills both summaries
+    # before data.moments, so that one sort fills both summaries
     split, n_runs = data.plus_minus
-    es = estimate_effect(data)
+    es = data.moments
     if form is ShirahataForm.GENERAL:
         raw = _shirahata_display(kind, split)
     else:

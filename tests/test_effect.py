@@ -40,6 +40,11 @@ def test_toy_summary_exact_fractions():
     assert es.sigma2_given_n_sq == pytest.approx(23 / 1296, abs=1e-15)
 
 
+def test_estimate_effect_is_the_cached_summary():
+    d = TwoSamples([1, 2, 3], [2, 3, 4])
+    assert estimate_effect(d) is d.moments
+
+
 def test_identical_samples_give_half():
     assert estimate_effect(TwoSamples([1, 2], [1, 2])).p_hat == 0.5
 

@@ -27,7 +27,7 @@ from releff import (
 from releff import TestKind as TK
 from releff import (DfKind, degrees_of_freedom, discrete_masses, permutation, simulate,
                     stat_tests, variance)
-from releff._batch import moments_from_values, tie_runs
+from releff._batch import arm1_counts, moments_from_values, tie_runs
 from releff.permutation import _Lane, tally_draws
 from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
@@ -116,6 +116,13 @@ class TestBatchKernel:
             assert alone_sizes.all() and np.array_equal(alone_sizes, np.bincount(alone))
             assert np.array_equal(np.sign(lab[:, None] - lab[None, :]),
                                   np.sign(row[:, None] - row[None, :]))
+            # a dataset labels its pooled values as the one-row batch does
+            data = TwoSamples(row[:5], row[5:])
+            data_labels, data_sizes = data.run_labels()
+            assert np.array_equal(data_labels, alone) and np.array_equal(data_sizes, alone_sizes)
+            a, sizes = data.runs()
+            assert np.array_equal(a, arm1_counts(alone[None, :5], n_runs)[0])
+            assert np.array_equal(sizes, alone_sizes)
 
     def test_degenerate_rows(self):
         x1 = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
@@ -488,6 +495,50 @@ class TestDeterminism:
         x1a, x2a = _draw_chunk(sc, 40, 60)
         x1b, x2b = _draw_chunk(sc, 50, 60)
         assert np.array_equal(x1a[10:], x1b) and np.array_equal(x2a[10:], x2b)
+
+
+class TestChunkBound:
+    """A chunk holds at most 2**20 pooled values, and 1024 replications whenever
+    n1 + n2 <= 1024."""
+
+    def test_large_arms_tile_small_chunks(self, monkeypatch):
+        sc = Scenario(Normal(0, 1), Normal(0, 2), 3000, 3000, n_reps=400,
+                      tests=(TK.parse("pm:df2"), TK.parse("bm_logit")), master_seed=8)
+        chunks = []
+        map_tasks = simulate.map_tasks
+
+        def spy(fn, tasks, threads):
+            chunks.append([(a, b) for _, a, b in tasks])
+            return map_tasks(fn, tasks, threads)
+
+        monkeypatch.setattr(simulate, "map_tasks", spy)
+        assert run_scenario(sc, threads=1) == run_scenario(sc, threads=2)
+        assert chunks[0] == chunks[1] and len(chunks[0]) > 1
+        starts, stops = zip(*chunks[0])
+        assert starts[0] == 0 and stops[-1] == sc.n_reps and starts[1:] == stops[:-1]
+        assert all(0 < (b - a) * (sc.n1 + sc.n2) <= 2**20 for a, b in chunks[0])
+
+    @pytest.mark.parametrize("n1,n2", [(2, 2), (15, 15), (15, 45), (512, 512), (1000, 24)])
+    def test_small_arms_keep_full_chunks(self, n1, n2):
+        sc = Scenario(Normal(0, 1), Normal(0, 1), n1, n2, n_reps=2500, tests=())
+        assert simulate._chunk_bounds(sc) == [(0, 1024), (1024, 2048), (2048, 2500)]
+
+    def test_huge_arm_gets_one_replication_per_chunk(self):
+        sc = Scenario(Normal(0, 1), Normal(0, 1), 2**20, 2, n_reps=3, tests=())
+        assert simulate._chunk_bounds(sc) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_bounded_chunk_peak(self):
+        """At 1024 rows this chunk reads about 246 MiB; bounded, it holds about 42."""
+        sc = Scenario(Normal(0, 1), Normal(0, 3), 3000, 3000, n_reps=2000)
+        (start, stop), *_ = simulate._chunk_bounds(sc)
+        _simulate_chunk(Scenario(Normal(0, 1), Normal(0, 3), 15, 15, n_reps=50), 0, 50)
+        tracemalloc.start()
+        try:
+            _simulate_chunk(sc, start, stop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestStatisticalBehaviour:
