@@ -164,11 +164,13 @@ def index(spec: DistSpec, u: np.ndarray) -> np.ndarray:
     if probs.size > _COMPARE_MAX_VALUES:
         return np.searchsorted(edges, u, side="right")
     # the number of edges <= u is searchsorted's index, found faster by
-    # comparisons when there are only a few edges
-    idx = np.zeros(np.shape(u), dtype=np.intp)
+    # comparisons when there are only a few edges: each reads a C-ordered
+    # copy of u once, and the counts (< _COMPARE_MAX_VALUES) add up in uint8
+    u = np.asarray(u, order="C")
+    idx = np.zeros(u.shape, dtype=np.uint8)
     for edge in edges:
-        idx += u >= edge
-    return idx
+        idx += (u >= edge).view(np.uint8)
+    return idx.astype(np.intp)
 
 
 def discrete_masses(spec: DistSpec) -> tuple[np.ndarray, np.ndarray]:

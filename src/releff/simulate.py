@@ -16,8 +16,10 @@ same bits either way.  The replications are processed in fixed-size chunks,
 reduced in chunk order, so results are bit-identical for any number of
 worker processes.  A chunk holds 1024 replications, or as many as fit in
 2**20 pooled values (at least one), so its memory stays near 42 MiB while
-n1 + n2 < 2**20.  `run_scenarios` runs the chunks of many scenarios in one
-pool.
+n1 + n2 < 2**20.  `run_scenarios` hands the chunks of many scenarios to
+`_pool.map_tasks` in one call, which batches them across the process's one
+worker pool: made at the first call that needs it, kept warm for later
+calls and joined at exit.
 
 Rejection uses p <= alpha.  An asymptotic chunk computes p-values only
 where the decision is open: P(|T_df| >= x) >= P(|Z| >= x) for every df > 0
@@ -221,13 +223,14 @@ def _reject_threshold(n_perm: int, alpha: float) -> int:
 def run_scenarios(scenarios: list[Scenario], threads: int = 1) -> list[SimulationSummary]:
     """Run every replication of every scenario; one summary per scenario.
 
-    All chunks of all scenarios go through one pool.  `threads` (>= 1) only
-    changes wall-clock time: chunk boundaries and the reduction order are
-    fixed, so the summaries are identical for any value.  The pool never has
-    more workers than chunks or CPUs.
+    All chunks of all scenarios go through one `map_tasks` call.  `threads`
+    (>= 1) only changes wall-clock time: chunk boundaries and the reduction
+    order are fixed, so the summaries are identical for any value.  The pool
+    never has more workers than chunks or CPUs.
     """
-    # before the pool forks, so the workers inherit whatever scipy module
-    # the exact variance loads (`scipy.integrate` for an unequal continuous pair)
+    # before any chunk is handed out, so a pool this call makes forks with
+    # whatever scipy module the exact variance loads (`scipy.integrate` for an
+    # unequal continuous pair) already imported
     true_vars = [_true_variance(sc) for sc in scenarios]
     tasks, owner = [], []
     for i, sc in enumerate(scenarios):

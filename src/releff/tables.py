@@ -122,8 +122,8 @@ def build_table(
 ) -> tuple[list[str], list[list[str]]]:
     """Simulate one table; returns (header, rows) of formatted cells.
 
-    The scenarios of all rows run in one `run_scenarios` call, so the whole
-    table shares one worker pool.
+    The scenarios of all rows run in one `run_scenarios` call, so the chunks
+    of the whole table are batched across the worker pool together.
     """
     if table_id not in _LAYOUTS:
         raise ConfigError(f"unknown table id {table_id!r}; choose from {', '.join(TABLE_IDS)}")

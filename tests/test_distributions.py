@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import betainc
 
 from releff import (
@@ -108,6 +110,30 @@ class TestSampling:
         u = np.concatenate([open_uniforms(3000), edges, np.nextafter(edges, 0.0)]).reshape(-1, 2)
         expected = values[np.searchsorted(edges, u, side="right")]
         assert np.array_equal(sample(spec, u), expected)
+
+    @given(spec=st.one_of(
+        st.builds(Binomial, st.integers(1, 10), st.floats(0.01, 0.99)),
+        st.builds(BetaLatent, st.floats(0.2, 8.0), st.floats(0.2, 8.0), st.integers(2, 10)),
+    ), data=st.data())
+    def test_index_is_searchsorted_right(self, spec, data):
+        """On any support size, shape and memory order of u, and for u exactly
+        on a cumulative mass, `index` is the intp position searchsorted gives."""
+        edges = np.cumsum(discrete_masses(spec)[1])[:-1]
+        point = st.one_of(st.floats(0.0, 1.0), st.sampled_from(edges.tolist()))
+        values = np.array(data.draw(st.lists(point, min_size=1, max_size=24)))
+        shape = data.draw(st.sampled_from(["scalar", "0-d", "1-d", "2-d", "strided"]))
+        if shape == "scalar":
+            u = values[0]
+        elif shape == "0-d":
+            u = np.array(values[0])
+        elif shape == "1-d":
+            u = values
+        else:
+            u = np.column_stack([values, values[::-1]])
+            u = u[:, ::2] if shape == "strided" else u
+        got = index(spec, u)
+        assert got.dtype == np.intp and got.shape == np.shape(u)
+        assert np.array_equal(got, np.searchsorted(edges, u, side="right"))
 
     @pytest.mark.parametrize("spec", [
         Binomial(5, 0.6), BetaLatent(5, 4, 5), BetaLatent(2, 7, 8), Binomial(200, 0.4),
