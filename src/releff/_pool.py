@@ -25,6 +25,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from multiprocessing.util import Finalize
 
 # (workers, pool, its shutdown finalizer) of this process's pool; the lock
@@ -75,6 +76,11 @@ def _drop(pool: ProcessPoolExecutor) -> None:
             _pool = None
 
 
+def _call(fn, args: tuple):
+    """fn(*args): one task, as the pool hands it to a worker."""
+    return fn(*args)
+
+
 def map_tasks(fn, tasks: list, threads: int) -> list:
     """fn(*task) for each task, results in task order, in the pool when it has >1 worker."""
     workers = worker_count(threads, len(tasks))
@@ -83,7 +89,9 @@ def map_tasks(fn, tasks: list, threads: int) -> list:
     try:
         with _lock:
             pool = _shared_pool(workers)
-            results = pool.map(fn, *zip(*tasks), chunksize=-(-len(tasks) // (4 * workers)))
+            # each task's arguments travel as one tuple, so a task with none still runs
+            results = pool.map(partial(_call, fn), tasks,
+                               chunksize=-(-len(tasks) // (4 * workers)))
         return list(results)
     except BrokenProcessPool:
         _drop(pool)

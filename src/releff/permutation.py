@@ -1,30 +1,42 @@
 """Studentized permutation versions of the non-WMW tests.
 
-The pooled sample is randomly relabelled (first n1 positions of a
-Fisher-Yates shuffle -> arm 1, rest -> arm 2), the studentized statistic is
+The pooled sample is randomly relabelled (n1 of its values, chosen
+uniformly at random, -> arm 1, rest -> arm 2), the studentized statistic is
 recomputed for every draw with the same degenerate-sample handling as on
 real data, and the two-sided p-value is 2*min(p1, p2) where p1/p2 are the
 fractions of permuted statistics <= / >= the observed one (exact ties count
 in both tallies).
 
-Draw k of a run is row k of the uniform matrix keyed by the seed
-(`rng.uniforms`), with one column per relabelling swap (n2 of them), so it
-depends only on (seed, k).  The pooled sample is labelled by tie run once
-(`TwoSamples.run_labels`; a Monte Carlo chunk's replications in one
-`_batch.tie_runs` call).  On tied data a draw only decides how many arm-1
-members each run holds, and the moments are exact integer sums over those
-counts; on tie-free data a run label is a pooled rank, and the same sums
-are taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
-The relabel carries the run labels (int32) through the shuffle, one scatter per
-swap.  This module alone schedules draws: `tally_range`, the one draw loop,
-builds one `_Lane` (the run labels, n1 and the relabel buffers), the only
-description of the pooled sample its blocks see, and scores draws in
-cache-sized blocks of that lane (`tally_draws`, one `statistics` call for
-all kinds per block, no degrees of freedom); it can stop once a decision
-is settled.
-`permutation_tests` runs one lane of whole blocks per worker, and the Monte
-Carlo engine one call per replication.  Tallies are integer
-counts, so results are bit-identical for any lanes or blocking.
+The pooled sample is labelled by tie run once (`TwoSamples.run_labels`; a
+Monte Carlo chunk's replications in one `_batch.tie_runs` call).  A draw
+matters only through how many arm-1 members each run gets, and the moments
+are exact integer sums over those counts (`_batch.moments_from_counts`).
+`tally_range`, the one draw loop, builds one lane of one of two kinds for
+the pooled sample, the only description of it its blocks see, and scores
+draws in cache-sized blocks of that lane (`tally_draws`, one `statistics`
+call for all kinds per block, no degrees of freedom); it can stop once a
+decision is settled.  Draw k of a run is row k of the uniform matrix keyed
+by the seed (`rng.uniforms`), so it depends only on (seed, k):
+
+* A count lane (`_CountLane`) serves a sample of few tie runs: at most 16,
+  at most a third of n2 and at most 2048 pooled values (`_counts_drawn`,
+  which reads only the data).  Its row has one column per run but the
+  last, and it draws the counts themselves from their exact multivariate
+  hypergeometric law, run by run: run j takes the inverse CDF of its law
+  given the arm-1 members still to place at column j, and the last run
+  takes what is left.  Each conditional CDF row is exact, built from
+  integer weights (`_cdf_row`), and looked up by a binary search.
+* A relabel lane (`_RelabelLane`) serves every other sample, tie-free data
+  included.  Its row has one column per relabelling swap (n2 of them), and
+  it carries the run labels (int32) through the first n2 swaps of a
+  Fisher-Yates shuffle, one scatter per swap, to count the arm-1 labels per
+  run; on tie-free data a run label is a pooled rank, and the same sums are
+  taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
+
+Both give a draw's counts the law of a uniformly random relabelling, from
+different streams.  `permutation_tests` runs one lane of whole blocks per
+worker, and the Monte Carlo engine one call per replication.  Tallies are
+integer counts, so results are bit-identical for any lanes or blocking.
 `run_test` scores the observed data through the same kernel and formulas,
 and its statistic is the one the draws are tallied against, so a draw with
 the observed arm-1 multiset reproduces it bit for bit and ties are exact by
@@ -32,11 +44,13 @@ construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ._batch import moments_from_perm
+from ._batch import EffectSummary, moments_from_counts, moments_from_perm
 from ._pool import map_tasks, worker_count
 from .errors import InvalidKind
 from .ranks import TwoSamples
@@ -52,6 +66,12 @@ _MAX_BLOCK_DRAWS = 2048
 # a settling range is checked after every eighth of its draws, within these bounds
 _MIN_STEP_DRAWS = 256
 _MAX_STEP_DRAWS = 1024
+# the widest pooled sample drawn as per-run counts, and its most tie runs; see `_counts_drawn`
+_COUNT_MAX_N = 2048
+_COUNT_MAX_RUNS = 16
+# conditional CDF rows kept for later blocks and calls: every row one lane reaches, and
+# at most 2048 rows of at most 2047 entries, 32 MiB
+_CDF_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -64,10 +84,27 @@ class PermutationResult:
     seed: int
 
 
+def _counts_drawn(n1: int, n2: int, n_runs: int) -> bool:
+    """Whether a pooled sample in n_runs tie runs is drawn as per-run counts, not relabelled.
+
+    Per block, a run of counts costs about as much as three relabelling
+    swaps, and a relabel makes one swap per arm-2 value, so counts are
+    drawn when 3 n_runs <= n2.  At that boundary (24/24 on 8 levels, 39/39
+    on 13, 48/48 on 16) a lane took 0.65-0.93 of the relabel's time with
+    its rows cached and about as long with none; on five levels it took
+    0.3 of it cold at 200/200 and 0.55 at 1024/1024.  At most 16 runs and
+    2048 pooled values keep the rows one lane reaches (under a thousand:
+    about nine standard deviations of the members left, per run) inside
+    the row cache, and each row cheap: its exact weights are N-bit
+    integers, so a row costs about N bits per entry.
+    """
+    return 3 * n_runs <= n2 and n_runs <= _COUNT_MAX_RUNS and n1 + n2 <= _COUNT_MAX_N
+
+
 def _block_draws(n1: int, n2: int, n_runs: int) -> int:
     """Draws scored per block for n1 + n2 = n pooled values in n_runs tie runs.
 
-    Per draw, a block holds 4 n bytes of relabel (int32 run labels), 8 n2
+    A relabelled draw holds 4 n bytes of relabel (int32 run labels), 8 n2
     of scatter indices (`flat_j`) and 8 bytes per uniform (n2 rounded up to
     a multiple of 4).  Its scorer adds 12 n1 on tie-free data (the int32
     sorted arm-1 ranks and their int64 counts above) and otherwise 8 n1 of
@@ -77,16 +114,112 @@ def _block_draws(n1: int, n2: int, n_runs: int) -> int:
     half of that, about a core's 2 MiB L2 cache.  At 200 and 300 per arm,
     a block costs the same per draw anywhere from about 500 to 1000 draws;
     fewer pay more per-block overhead in the loop of n2 scatters, and
-    more spill the relabel out of cache.  A block is kept within
-    [128, 2048] draws.
+    more spill the relabel out of cache.  A draw of counts holds 8 bytes
+    per uniform (n_runs - 1 of them, rounded up to a multiple of 4), 48 of
+    search state (the arm-1 members left, their row offset, the row start,
+    the search position and the probe and entry it reads) and 56 per run
+    (its count and the count kernel's six (draws, runs) arrays): at most
+    1072 bytes for the 16 runs a count lane may have, so its block is
+    always the cap, where a sweep at 15, 30 and 200 per arm found the cost
+    per draw flat from 2048 to 8192 draws and 1.3-1.4 times higher at
+    1024.  A block is kept within [128, 2048] draws.
     """
     n = n1 + n2
-    per_draw = 4 * n + 8 * n2 + 32 * -(-n2 // 4)
-    per_draw += 12 * n1 if n_runs == n else 8 * n1 + 32 * n_runs
+    if _counts_drawn(n1, n2, n_runs):
+        per_draw = 32 * -(-(n_runs - 1) // 4) + 48 + 56 * n_runs
+    else:
+        per_draw = 4 * n + 8 * n2 + 32 * -(-n2 // 4)
+        per_draw += 12 * n1 if n_runs == n else 8 * n1 + 32 * n_runs
     return min(_MAX_BLOCK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // per_draw))
 
 
-class _Lane:
+@lru_cache(maxsize=_CDF_ROWS)
+def _cdf_row(s: int, rest: int, m: int) -> np.ndarray:
+    """P(X <= k) for k = 0, 1, ..., X ~ Hyp(s, rest, m), padded with 1.0 to 2**b - 1 entries.
+
+    X is the number of arm-1 members a run of s values gets when m of the
+    s + rest values still to place go to arm 1, and b is s's bit length.
+    The weights C(s, k) C(rest, m - k) are exact Python ints, stepped by
+    their integer ratio and summed; each entry is one int / int division,
+    so it is the float nearest the exact probability.  Entries past
+    min(s, m) are exactly 1.0, and so is every entry once one rounds to it.
+    """
+    lo, hi = max(0, m - rest), min(s, m)
+    total = math.comb(s + rest, m)
+    w = math.comb(s, lo) * math.comb(rest, m - lo)
+    row = np.ones((1 << s.bit_length()) - 1)
+    cum = 0
+    entries = []
+    for k in range(lo, hi):
+        cum += w
+        entry = cum / total
+        if entry == 1.0:
+            break
+        entries.append(entry)
+        w = w * ((s - k) * (m - k)) // ((k + 1) * (rest - m + k + 1))
+    row[:lo] = 0.0
+    row[lo : lo + len(entries)] = entries
+    row.flags.writeable = False
+    return row
+
+
+def _hypergeometric_counts(s: int, rest: int, left: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw, the inverse CDF of Hyp(s, rest, left[k]) at u[k]: how many row entries are <= u[k].
+
+    The rows of the `left` values the draws reach are laid end to end in
+    one table, and each draw's count is found by a binary search over its
+    row, one gather per bit of s.
+    """
+    low = int(left.min())
+    offset = left - low
+    reached = np.bincount(offset)
+    table = np.concatenate([_cdf_row(s, rest, low + v) for v in np.flatnonzero(reached).tolist()])
+    width = (1 << s.bit_length()) - 1
+    # reached offset v is row cumsum(reached > 0)[v] - 1 of the table
+    start = (np.cumsum(reached > 0) - 1)[offset] * width
+    at = start.copy()
+    for bit in range(s.bit_length() - 1, -1, -1):
+        step = 1 << bit
+        # `at` is at most width + 1 - 2 * step into its row, so the entry read is in the row
+        at += (table[at + (step - 1)] <= u) * step
+    return at - start
+
+
+class _CountLane:
+    """A pooled sample with few tie runs, whose draws are its runs' arm-1 counts.
+
+    Draw k reads row k of the seed's stream with one column per run but the
+    last.  Run j gets the inverse CDF of its law given the arm-1 members
+    still to place, Hyp(sizes[j], values in later runs, members left), at
+    column j, and the last run takes what is left: an exact draw from the
+    multivariate hypergeometric law of a random relabelling's counts.
+    """
+
+    def __init__(self, sizes: np.ndarray, n1: int):
+        self.sizes = sizes.astype(np.int64)
+        self.n1, self.n2 = n1, int(self.sizes.sum()) - n1
+        self.later = (self.n1 + self.n2 - np.cumsum(self.sizes)).tolist()
+
+    def counts(self, seed: int, first_draw: int, n_draws: int) -> np.ndarray:
+        """Each draw's arm-1 count per run, (n_draws, runs)."""
+        runs = self.sizes.size
+        # column j of the block as one contiguous row
+        u = np.ascontiguousarray(uniforms(perm_key(seed), first_draw, n_draws, runs - 1).T)
+        a = np.empty((n_draws, runs), dtype=np.int64)
+        left = np.full(n_draws, self.n1, dtype=np.int64)
+        for j, (s, later) in enumerate(zip(self.sizes[:-1].tolist(), self.later)):
+            a[:, j] = _hypergeometric_counts(s, later, left, u[j])
+            left -= a[:, j]
+        a[:, -1] = left
+        return a
+
+    def moments(self, seed: int, first_draw: int, n_draws: int) -> EffectSummary:
+        """Moments of draws [first_draw, first_draw + n_draws)."""
+        return moments_from_counts(self.counts(seed, first_draw, n_draws), self.sizes,
+                                   self.n1, self.n2)
+
+
+class _RelabelLane:
     """The pooled sample and the relabel's buffers, owned by one draw loop.
 
     `values` holds the pooled sample's tie-run labels (`tie_runs`) as int32,
@@ -105,8 +238,25 @@ class _Lane:
         # step s of a draw picks among the i + 1 = n - s positions 0..i
         self.bound = np.arange(n, n1, -1)[:, None]
 
+    def moments(self, seed: int, first_draw: int, n_draws: int) -> EffectSummary:
+        """Moments of draws [first_draw, first_draw + n_draws), read off the buffers."""
+        # nested, so the uniforms are freed once relabelled
+        return moments_from_perm(
+            _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws,
+                                         self.values.size - self.n1), self),
+            self.values,
+        )
 
-def _batch_permutations(u: np.ndarray, lane: _Lane) -> np.ndarray:
+
+def _lane(labels: np.ndarray, n1: int, draws: int) -> _CountLane | _RelabelLane:
+    """The lane for one draw loop over a pooled sample's run labels, blocks of up to `draws`."""
+    sizes = np.bincount(labels)
+    if _counts_drawn(n1, labels.size - n1, sizes.size):
+        return _CountLane(sizes, n1)
+    return _RelabelLane(labels, n1, draws)
+
+
+def _batch_permutations(u: np.ndarray, lane: _RelabelLane) -> np.ndarray:
     """The labels a row-wise Fisher-Yates shuffle driven by uniform rows puts in arm 1.
 
     Row k of u holds n - n1 uniforms and makes the first n - n1 swaps of a
@@ -134,22 +284,15 @@ def _batch_permutations(u: np.ndarray, lane: _Lane) -> np.ndarray:
     return perm[: n1 * m].reshape(n1, m).T
 
 
-def tally_draws(lane: _Lane, kinds, observed: np.ndarray, seed: int, first_draw: int,
-                n_draws: int) -> tuple[np.ndarray, np.ndarray]:
+def tally_draws(lane: _CountLane | _RelabelLane, kinds, observed: np.ndarray, seed: int,
+                first_draw: int, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
     """Counts of permuted statistics <= / >= the observed one, per kind, over one block.
 
     The block is draws [first_draw, first_draw + n_draws) of the seed's
-    stream, relabelling the lane's pooled sample in its buffers; the lane
-    must hold at least n_draws draws.
+    stream, drawn by the lane (`_lane`); a relabel lane must hold at least
+    n_draws draws.
     """
-    n = lane.values.size
-    # nested, so the uniforms are freed once relabelled; the moments are
-    # read off the lane's buffers before this call returns
-    mm = moments_from_perm(
-        _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws, n - lane.n1), lane),
-        lane.values,
-    )
-    stats = np.array(statistics(mm, kinds))
+    stats = np.array(statistics(lane.moments(seed, first_draw, n_draws), kinds))
     return (np.count_nonzero(stats <= observed[:, None], axis=1),
             np.count_nonzero(stats >= observed[:, None], axis=1))
 
@@ -162,12 +305,12 @@ def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: 
     a step is also an eighth of the range, within [256, 1024], and the loop
     stops once every kind's min(n_le, n_ge) is above `settle_above`: both
     tallies only grow, so a decision "min(n_le, n_ge) <= settle_above" can
-    no longer change.  Every step runs in one lane's buffers.
+    no longer change.  Every step is drawn by one lane (`_lane`).
     """
     step = _block_draws(n1, labels.size - n1, int(labels.max()) + 1)
     if settle_above is not None:
         step = min(step, _MAX_STEP_DRAWS, max(_MIN_STEP_DRAWS, -(-(stop - first) // 8)))
-    lane = _Lane(labels, n1, min(step, stop - first))
+    lane = _lane(labels, n1, min(step, stop - first))
     counts = np.zeros((2, len(kinds)), dtype=np.int64)
     for a in range(first, stop, step):
         counts += tally_draws(lane, kinds, observed, seed, a, min(step, stop - a))

@@ -32,9 +32,13 @@ with c, so a chunk turns alpha into one integer threshold c*
 (`_reject_threshold`) and a test rejects exactly when c <= c*.  A
 permutation chunk labels the tie runs of all its replications (values or
 support indices, which sort alike) with one batched `tie_runs` call, and
-each replication tallies its draws through
-`permutation.tally_range` with settle_above=c*, which stops once no test's
-decision can change; a scenario with no tests draws none.  Mean variance
+each replication tallies its draws through `permutation.tally_range` with
+settle_above=c*, which stops once no test's decision can change; a scenario
+with no tests draws none.  Each replication's lane reads its own runs: a
+replication of few runs (`permutation._counts_drawn`: at most 16, at most
+n2 / 3, so five levels from 15 arm-2 values, and at most 2048 pooled values)
+draws its per-run counts from their exact law, and any other relabels its
+pooled sample.  Mean variance
 estimates accumulate the *raw* (unfloored) estimator values, matching the
 way the reproduction tables report them; `variance_raw` keeps each on the
 chunk's summary, so the statistics read the same computation.

@@ -5,11 +5,17 @@ definitions over the n2 x n1 matrix of counts.  It costs O(n1*n2) time and
 memory and shares no code with the library, which never builds that matrix.
 The count functions, ECDF flavours, mid-ranks, the rank form of the effect
 and the scalar Fisher-Yates `shuffle` are the textbook definitions the
-estimators and the permutation relabel are checked against.  `statistic`
+estimators and the permutation relabel are checked against, and
+`hypergeometric_law` is the exact law, as `Fraction`s, that the drawn
+per-run counts of a permutation draw must follow.  `statistic`
 scores one test kind alone, from the library's variance formulas; the
 battery scorer, which shares sds and numerators across kinds, must
 reproduce it bit for bit.
 """
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 from scipy.stats import rankdata
 
@@ -95,6 +101,21 @@ def shuffle(values, u) -> np.ndarray:
         j = int(u[step] * (i + 1))
         v[i], v[j] = v[j], v[i]
     return v
+
+
+def hypergeometric_law(sizes, n1) -> dict:
+    """{per-run arm-1 counts: probability}, with n1 of the pooled values drawn into arm 1.
+
+    The pooled values fall in runs of the given sizes, and every n1-subset
+    is equally likely: a count vector a has probability
+    prod_j C(sizes[j], a[j]) / C(N, n1), as an exact `Fraction`.
+    """
+    total = math.comb(sum(sizes), n1)
+    return {
+        a: Fraction(math.prod(math.comb(s, k) for s, k in zip(sizes, a)), total)
+        for a in itertools.product(*(range(min(s, n1) + 1) for s in sizes))
+        if sum(a) == n1
+    }
 
 
 def statistic(m, kind):

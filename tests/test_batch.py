@@ -15,7 +15,7 @@ from releff._batch import (
     moments_from_values,
     tie_runs,
 )
-from releff.permutation import _Lane, _batch_permutations
+from releff.permutation import _RelabelLane, _batch_permutations
 from releff.rng import perm_key, uniforms
 from tests_util import assert_same
 
@@ -42,7 +42,7 @@ def perm_block(pooled, n1, seed, first, draws):
     """The run labels of the pooled sample and of the arm-1 values of a block of draws."""
     labels = tie_runs(pooled[None, :])[0][0]
     u = uniforms(perm_key(seed), first, draws, pooled.size - n1)
-    return labels, _batch_permutations(u, _Lane(labels, n1, draws))
+    return labels, _batch_permutations(u, _RelabelLane(labels, n1, draws))
 
 
 def kernel_from_perm(arm1_labels, labels):

@@ -173,7 +173,10 @@ class TestCmdTest:
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_permutation_column_is_one_pass_over_the_draws(self, tmp_path, monkeypatch, tied):
         """Every kind's perm_p_value equals its own `permutation_test`, at any
-        thread count, and each block of draws is tallied once for all kinds."""
+        thread count, and each block of draws is tallied once for all kinds.
+        The draws span several blocks: 2048 each when drawn as counts (five
+        levels), fewer when relabelled."""
+        n_perm = 5000 if tied else 2000
         rng = np.random.default_rng(71)
         pooled = rng.integers(1, 6, size=300) if tied else rng.normal(size=300).round(6)
         x1, x2 = pooled[:150].tolist(), pooled[150:].tolist()
@@ -181,7 +184,7 @@ class TestCmdTest:
         path.write_text("group,value\n" + "".join(f"1,{v}\n" for v in x1)
                         + "".join(f"2,{v}\n" for v in x2))
         data = TwoSamples(x1, x2)
-        argv = ["test", str(path), "--n-perm", "2000", "--seed", "8"]
+        argv = ["test", str(path), "--n-perm", str(n_perm), "--seed", "8"]
         blocks = []
         tally_draws = permutation.tally_draws
 
@@ -192,7 +195,7 @@ class TestCmdTest:
         for threads in (1, 2):
             want = [
                 "" if kind.family == "wmw" else format(
-                    permutation_test(data, kind, n_perm=2000, seed=8, threads=threads).p_value,
+                    permutation_test(data, kind, n_perm=n_perm, seed=8, threads=threads).p_value,
                     ".12g")
                 for kind in DEFAULT_BATTERY
             ]
@@ -202,9 +205,9 @@ class TestCmdTest:
             assert code == 0
             assert [row["perm_p_value"] for row in parse_csv(out)] == want, threads
             if threads == 1:
-                # the blocks tile the 2000 draws once, not once per kind
+                # the blocks tile the draws once, not once per kind
                 assert [a for a, _ in blocks] == [0] + list(np.cumsum([n for _, n in blocks[:-1]]))
-                assert sum(n for _, n in blocks) == 2000 and len(blocks) > 1
+                assert sum(n for _, n in blocks) == n_perm and len(blocks) > 1
 
     def test_csv_with_byte_order_mark(self, tmp_path):
         """A CSV saved with a UTF-8 byte-order mark, as Excel writes it, reads

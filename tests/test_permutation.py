@@ -11,7 +11,7 @@ from releff import InvalidKind, TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
 from releff import permutation, stat_tests
 from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm, tie_runs
-from releff.permutation import _Lane, _batch_permutations, tally_draws
+from releff.permutation import _CountLane, _RelabelLane, _batch_permutations, _lane, tally_draws
 from releff.rng import perm_key, uniforms
 from releff.stat_tests import stat_arrays
 from releff.tables import PERM_BATTERY, build_table
@@ -50,7 +50,8 @@ class TestShuffle:
         monkeypatch.setattr(permutation, "_batch_permutations", spy)
         n_draws = 60_000
         labels = run_labels(np.arange(6.0))
-        tally_draws(_Lane(labels, 3, n_draws), [TK.parse("n_logit")], np.zeros(1), 99, 0, n_draws)
+        tally_draws(_RelabelLane(labels, 3, n_draws), [TK.parse("n_logit")], np.zeros(1), 99, 0,
+                    n_draws)
         arm1 = np.concatenate(drawn)
         assert arm1.shape == (n_draws, 3)
         subsets, counts = np.unique(arm1, axis=0, return_counts=True)
@@ -67,7 +68,7 @@ class TestShuffle:
         values = np.arange(float(n))
         scalar = [shuffle(values, u[k]) for k in range(20)]
         for n1 in range(1, n):
-            batch = _batch_permutations(u[:, : n - n1], _Lane(np.arange(n), n1, 20))
+            batch = _batch_permutations(u[:, : n - n1], _RelabelLane(np.arange(n), n1, 20))
             for k in range(20):
                 assert set(values[batch[k]]) == set(scalar[k][:n1])
 
@@ -78,9 +79,10 @@ class TestShuffle:
         n = 14
         labels = run_labels([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7]).astype(np.int32)
         u = uniforms(perm_key(8), 0, 300, n - n1)
-        carried = _batch_permutations(u, _Lane(labels, n1, 300))
+        carried = _batch_permutations(u, _RelabelLane(labels, n1, 300))
         assert carried.dtype == np.int32
-        assert np.array_equal(carried, labels[_batch_permutations(u, _Lane(np.arange(n), n1, 300))])
+        indices = _batch_permutations(u, _RelabelLane(np.arange(n), n1, 300))
+        assert np.array_equal(carried, labels[indices])
 
     def test_draw_streams_tile_the_sequential_run(self):
         # lanes that regenerate [a, b) reproduce the same uniform rows
@@ -131,8 +133,9 @@ class TestPermutationTest:
 
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_cache_sized_blocks_reproduce_one_tally(self, monkeypatch, tied):
-        """At 300/300 a lane is scored in blocks under 2048 draws; the tallies
-        equal one tally over all the draws, at any thread count."""
+        """At 300/300 a lane is scored in blocks: under 2048 draws when it
+        relabels, 2048 when it draws counts (five levels).  The tallies equal
+        one tally over all the draws, at any thread count."""
         rng = np.random.default_rng(300)
         if tied:
             pooled = rng.choice(5, size=600, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
@@ -142,9 +145,11 @@ class TestPermutationTest:
         pm = TK.parse("pm")
         labels = run_labels(d.pooled())
         block = permutation._block_draws(300, 300, int(labels.max()) + 1)
-        assert block < 2048
+        lane = _lane(labels, 300, 5000)
+        assert isinstance(lane, _CountLane) == tied
+        assert block == 2048 if tied else block < 2048
         observed = np.array([run_test(d, pm).statistic])
-        n_le, n_ge = tally_draws(_Lane(labels, 300, 5000), [pm], observed, 6, 0, 5000)
+        n_le, n_ge = tally_draws(lane, [pm], observed, 6, 0, 5000)
         blocks = []
 
         def spy(lane, kinds, observed, seed, first_draw, n_draws):
@@ -204,17 +209,18 @@ class TestPermutationTest:
         seen = []
 
         def spy(lane, kinds, observed, *args):
-            seen.append((lane.values, lane.n1, observed.copy()))
+            seen.append(observed.copy())
             return tally_draws(lane, kinds, observed, *args)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         for i in range(200):
             x1, x2 = random_dataset(rng, tie_free=i % 2 == 0)
             d = TwoSamples(x1, x2)
+            labels, n1 = run_labels(d.pooled()), d.n1
             for kind in PERM_BATTERY:
                 seen.clear()
                 res = permutation_test(d, kind, n_perm=1, seed=i)
-                (labels, n1, observed), = seen
+                observed, = seen
                 assert res.observed.statistic == observed[0], kind.label()
                 assert observed_stats(labels, n1, [kind])[0] == observed[0], kind.label()
 
@@ -226,13 +232,14 @@ class TestPermutationTest:
 
 
 class TestLaneBuffers:
-    """One lane's relabel buffers serve every block of a draw loop."""
+    """One lane serves every block of a draw loop."""
 
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_blocks_keep_what_fresh_buffers_give(self, monkeypatch, tied):
-        """At 200/200, each block scores the arm-1 labels that fresh buffers
-        would give, the moments it makes stay unchanged while the lane's later
-        blocks (a short last one too) overwrite the relabel, and the range
+        """At 200/200, each block scores what a fresh lane gives for its
+        draws: the arm-1 labels of a relabel (tie-free) or the per-run counts
+        (five levels).  The moments a block makes stay unchanged while the
+        lane's later blocks (a short last one too) are drawn, and the range
         tallies what fresh single-block calls tally."""
         rng = np.random.default_rng(400)
         if tied:
@@ -246,24 +253,34 @@ class TestLaneBuffers:
         stop = 3 * block + block // 3
         scored = []
 
-        def spy(arm1_labels, labels):
-            mm = moments_from_perm(arm1_labels, labels)
+        def fresh_lane(draws):
+            if tied:
+                return _CountLane(np.bincount(labels), n1)
+            return _RelabelLane(labels, n1, draws)
+
+        def spy(drawn, *args):
+            mm = scorer(drawn, *args)
             fields = {f.name: np.array(getattr(mm, f.name)) for f in dataclasses.fields(mm)}
-            scored.append((arm1_labels.copy(), mm, fields))
+            scored.append((drawn.copy(), mm, fields))
             return mm
 
-        monkeypatch.setattr(permutation, "moments_from_perm", spy)
+        scorer = permutation.moments_from_counts if tied else moments_from_perm
+        monkeypatch.setattr(permutation, scorer.__name__, spy)
         counts = permutation.tally_range(labels, n1, [pm], observed, seed, 0, stop)
         monkeypatch.undo()
-        assert [len(arm1) for arm1, _, _ in scored] == [block] * 3 + [block // 3]
+        assert [len(drawn) for drawn, _, _ in scored] == [block] * 3 + [block // 3]
         want = np.zeros_like(counts)
-        for k, (arm1, mm, fields) in enumerate(scored):
-            u = uniforms(perm_key(seed), k * block, len(arm1), 200)
-            assert np.array_equal(arm1, _batch_permutations(u, _Lane(labels, n1, len(arm1))))
+        for k, (drawn, mm, fields) in enumerate(scored):
+            lane = fresh_lane(len(drawn))
+            if tied:
+                assert np.array_equal(drawn, lane.counts(seed, k * block, len(drawn)))
+            else:
+                u = uniforms(perm_key(seed), k * block, len(drawn), 200)
+                assert np.array_equal(drawn, _batch_permutations(u, lane))
             for name, value in fields.items():
                 assert np.array_equal(getattr(mm, name), value), (k, name)
-            want += tally_draws(_Lane(labels, n1, len(arm1)), [pm], observed, seed, k * block,
-                                len(arm1))
+            want += tally_draws(fresh_lane(len(drawn)), [pm], observed, seed, k * block,
+                                len(drawn))
         assert np.array_equal(counts, want)
 
 
@@ -275,7 +292,7 @@ class TestBatchStatisticPath:
             d = TwoSamples(x1, x2)
             pooled = d.pooled()
             u = uniforms(perm_key(17), 0, 6, d.n2)
-            arm1_sets = _batch_permutations(u, _Lane(np.arange(d.n), d.n1, 6))
+            arm1_sets = _batch_permutations(u, _RelabelLane(np.arange(d.n), d.n1, 6))
             labels = run_labels(pooled)
             mm = moments_from_perm(labels[arm1_sets], labels)
             for kind, (stats, _) in zip(KINDS, stat_arrays(mm, KINDS)):
@@ -298,7 +315,7 @@ class TestBatchStatisticPath:
             return variance_raw(m, kind)
 
         monkeypatch.setattr(stat_tests, "variance_raw", spy)
-        tally_draws(_Lane(labels, 15, 512), PERM_BATTERY, observed, 3, 0, 512)
+        tally_draws(_RelabelLane(labels, 15, 512), PERM_BATTERY, observed, 3, 0, 512)
         assert sorted(calls) == sorted([VarianceKind.N, VarianceKind.BM, VarianceKind.PM])
 
     def test_observed_stats_match_scalar(self, rng):
@@ -319,10 +336,11 @@ class TestBatchStatisticPath:
         observed = observed_stats(labels, n1, KINDS)
         # the draws tally_draws makes: row k of its stream, n2 swaps each
         arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2),
-                                   _Lane(np.arange(n), n1, n_draws))
+                                   _RelabelLane(np.arange(n), n1, n_draws))
         same = np.all(np.sort(pooled[arm1], axis=1) == np.sort(pooled[:n1]), axis=1)
         assert same.sum() > 0
-        n_le, n_ge = tally_draws(_Lane(labels, n1, n_draws), KINDS, observed, seed, 0, n_draws)
+        n_le, n_ge = tally_draws(_RelabelLane(labels, n1, n_draws), KINDS, observed, seed, 0,
+                                 n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
         mm = moments_from_perm(labels[arm1], labels)
         for idx, (kind, (stats, _)) in enumerate(zip(KINDS, stat_arrays(mm, KINDS))):
@@ -357,12 +375,12 @@ class TestBatchStatisticPath:
         d = TwoSamples(x1, x2)
         labels = run_labels(d.pooled())
         obs = observed_stats(labels, d.n1, KINDS)
-        full_le, full_ge = tally_draws(_Lane(labels, d.n1, 777), KINDS, obs, seed=4, first_draw=0,
+        full_le, full_ge = tally_draws(_lane(labels, d.n1, 777), KINDS, obs, seed=4, first_draw=0,
                                        n_draws=777)
         le = np.zeros_like(full_le)
         ge = np.zeros_like(full_ge)
         for a, b in [(0, 123), (123, 500), (500, 777)]:
-            part_le, part_ge = tally_draws(_Lane(labels, d.n1, b - a), KINDS, obs, seed=4,
+            part_le, part_ge = tally_draws(_lane(labels, d.n1, b - a), KINDS, obs, seed=4,
                                            first_draw=a, n_draws=b - a)
             le += part_le
             ge += part_ge
@@ -370,33 +388,37 @@ class TestBatchStatisticPath:
 
 
 # recorded from an earlier version of the engine:
-# build_table("perm2", scale=0.001, seed=42, n_perm=100), each row joined by spaces
+# build_table("perm2", scale=0.001, seed=42, n_perm=100), each row joined by spaces;
+# the rows at n2 >= 15 draw per-run counts wherever a replication has at most n2 / 3 runs
 PERM2_ROWS = [
     '7 7 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 4170492980373218430',
     '7 10 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 3659287829122110447',
     '10 7 5 4 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 925007801726648711',
     '10 10 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 14847713579027254973',
-    '15 15 5 4 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 14168315109966962438',
+    '15 15 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 14168315109966962438',
     '15 30 5 4 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 17232142080131057128',
     '30 15 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 8903724595555609521',
-    '30 30 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 15182869409068974200',
+    '30 30 5 4 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 15182869409068974200',
     '15 45 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 4725083638187773119',
     '45 15 5 4 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 2130498498001839760',
     '7 7 1.2071 1 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 13608195884056899081',
     '7 10 1.2071 1 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 13271371182978825299',
     '10 7 1.2071 1 0.10000 0.10000 0.10000 0.20000 0.20000 0.20000 10 100 3206657139904091225',
     '10 10 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 11922736549646822116',
-    '15 15 1.2071 1 0.20000 0.20000 0.20000 0.20000 0.20000 0.20000 10 100 5673012778058664362',
+    '15 15 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 5673012778058664362',
     '15 30 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 5149924088625639415',
     '30 15 1.2071 1 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 15755023830699409647',
     '30 30 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 17476412796576152081',
-    '15 45 1.2071 1 0.20000 0.20000 0.20000 0.10000 0.10000 0.20000 10 100 15110903158140782303',
+    '15 45 1.2071 1 0.00000 0.00000 0.00000 0.00000 0.00000 0.00000 10 100 15110903158140782303',
     '45 15 1.2071 1 0.10000 0.10000 0.10000 0.10000 0.10000 0.10000 10 100 4453391775978098889',
 ]
 
 TIE_FREE = TwoSamples([0.31, 1.72, -0.45, 2.24, 0.93, 1.18, -1.36, 0.05],
                       [1.41, 2.87, 0.62, 3.35, 1.96, -0.27, 2.51, 4.08, 1.33, 0.79])
 TIED = TwoSamples([1, 2, 2, 3, 3, 3, 4, 2, 1, 3], [2, 3, 3, 4, 4, 5, 3, 4, 2, 5, 3, 4])
+# five runs and 20 arm-2 values: drawn as per-run counts; TIED (12 arm-2 values) is relabelled
+TIED_COUNTS = TwoSamples([1, 2, 2, 3, 3, 3, 4, 2, 1, 3],
+                         [2, 3, 3, 4, 4, 5, 3, 4, 2, 5, 3, 4, 1, 3, 5, 2, 4, 3, 3, 4])
 
 
 class TestPinnedStream:
@@ -411,11 +433,15 @@ class TestPinnedStream:
         (TIE_FREE, "n_logit", 2931, 70),
         (TIED, "pm", 2986, 33),
         (TIED, "n_logit", 2986, 33),
-    ], ids=["tie_free_pm", "tie_free_n_logit", "tied_pm", "tied_n_logit"])
+        (TIED_COUNTS, "pm", 2981, 29),
+        (TIED_COUNTS, "n_logit", 2984, 26),
+    ], ids=["tie_free_pm", "tie_free_n_logit", "tied_pm", "tied_n_logit", "tied_counts_pm",
+            "tied_counts_n_logit"])
     def test_permutation_test_tallies(self, data, label, n_le, n_ge):
-        # 3000 draws span a whole 2048-draw chunk and a partial one
+        # 3000 draws span a whole 2048-draw block and a partial one
         res = permutation_test(data, TK.parse(label), n_perm=3000, seed=2024)
         assert (res.p1, res.p2) == (n_le / 3000, n_ge / 3000)
+
 
 def test_exchangeability_calibration():
     """Under F1=F2 continuous at sizes (10,10) the permutation test holds level."""

@@ -135,3 +135,12 @@ def test_workers_end_with_the_interpreter():
     pids = [int(pid) for pid in proc.stdout.split()]
     assert len(pids) == 2
     assert not any(_alive(pid) for pid in pids)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tasks_without_arguments_run(threads):
+    """A task of no arguments is one call, in the pool as in this process."""
+    pids = map_tasks(os.getpid, [()] * 4, threads)
+    assert len(pids) == 4
+    # in the pool, every call ran in a worker
+    assert (set(pids) == {os.getpid()}) == (worker_count(threads, 4) == 1)

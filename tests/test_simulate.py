@@ -28,7 +28,7 @@ from releff import TestKind as TK
 from releff import (DfKind, degrees_of_freedom, discrete_masses, permutation, simulate,
                     stat_tests, variance)
 from releff._batch import arm1_counts, moments_from_values, tie_runs
-from releff.permutation import _Lane, tally_draws
+from releff.permutation import _lane, tally_draws
 from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
 from releff.simulate import _draw_chunk, _score_chunk, _simulate_chunk, scenario_from_dict
@@ -308,7 +308,7 @@ class TestCurtailedPermutation:
         for r in range(n_reps):
             labels = tie_runs(np.concatenate([x1[r], x2[r]])[None, :])[0][0]
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(_Lane(labels, n1, n_perm), PERM_BATTERY, observed_all[:, r],
+            n_le, n_ge = tally_draws(_lane(labels, n1, n_perm), PERM_BATTERY, observed_all[:, r],
                                      seed_r, 0, n_perm)
             reference += self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
         drawn = []
@@ -346,7 +346,7 @@ class TestCurtailedPermutation:
 
         for r in range(n_reps):
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(_Lane(labels[r], 150, n_perm), PERM_BATTERY,
+            n_le, n_ge = tally_draws(_lane(labels[r], 150, n_perm), PERM_BATTERY,
                                      observed_all[:, r], seed_r, 0, n_perm)
             with monkeypatch.context() as mp:
                 mp.setattr(permutation, "tally_draws", spy)
