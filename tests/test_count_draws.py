@@ -1,6 +1,5 @@
 """The count lane: per-run arm-1 counts drawn from their exact law, checked against `Fraction`s."""
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -196,12 +195,3 @@ class TestCountLane:
         assert results[0] == results[1]
         assert [(r.p1, r.p2) for r in results[0]] == [
             (le / 7000, ge / 7000) for le, ge in zip(*whole)]
-
-    def test_mean_counts_match_the_law(self):
-        """Each run's mean drawn count is n1 s_j / N, within Monte Carlo error."""
-        sizes = np.array([40, 80, 160, 80, 40])
-        a = _CountLane(sizes, 200).counts(1, 0, 50_000)
-        n = sizes.sum()
-        var = 200 * sizes / n * (1 - sizes / n) * (n - 200) / (n - 1)
-        assert np.all(np.abs(a.mean(axis=0) - 200 * sizes / n) < 5 * np.sqrt(var / 50_000))
-        assert math.isclose(a.sum(axis=1).mean(), 200)
