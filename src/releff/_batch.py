@@ -10,7 +10,8 @@ pooled values of a permutation chunk or of one user dataset
 (`TwoSamples.run_labels`): one argsort per row gives each value its run
 label, in place, and `arm1_counts` counts any subset of labels per run.  A
 simulated batch needs no labels in place: `moments_from_values` reads the
-runs and their arm-1 members off each row's one sort order.  A simulated
+runs and their arm-1 members off each row's one sort order
+(`_moments_from_runs`).  A simulated
 batch of discrete data needs no sort at all: given as indices on one sorted
 support (`moments_from_codes`), each support value is a run, and its members
 are counted per arm; a value a row does not use is an empty run, which adds
@@ -27,9 +28,14 @@ would fill in a batch.
 On tie-free data every run holds one value and its label is the value's
 pooled rank, so a dataset is fully described by its n1 sorted arm-1 ranks,
 and the same integer sums are taken over those n1 terms instead of N runs
-(`_moments_from_ranks`).  `moments_from_perm` and `moments_from_values` take
-that path whenever every dataset they score is tie-free; the moments are
-bit-identical either way.
+(`_moments_from_ranks`).  `moments_from_perm` takes that path whenever every
+draw it scores is tie-free.  A batch of continuous values
+(`moments_from_values`) is sorted once, in place, as integer keys that carry
+each value's arm in bit 0 (`_moments_from_keys`): if no two neighbours share
+a key but for that bit, every row is tie-free and the sorted arm bits mark
+the arm-1 ranks; otherwise the batch takes the run path.  The keys live in
+buffers each thread keeps for its next batch (`_thread_buffers`), at most
+2**20 values each.  The moments are bit-identical on every path.
 
 Every sum is below N**3 for N pooled values, so it is exact in int64 while
 N < 2**21; larger samples accumulate in float64 instead, through the count
@@ -37,6 +43,7 @@ kernel only.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -213,35 +220,110 @@ def _moments_from_sums(s_wmw, s_p, s_tau1, s_tau2, s_beta, n1: int, n2: int) -> 
     )
 
 
-def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
+def moments_from_values(x1: np.ndarray, x2: np.ndarray, continuous: bool = True) -> EffectSummary:
     """Moments for a batch of datasets given as (reps, n1) and (reps, n2).
 
-    Scored from one sort order per row: position k of the sorted row holds
-    pooled value order[k], which is an arm-1 value iff order[k] < n1.
+    Values drawn from continuous laws (`continuous`, the default) tie with
+    probability 0, so the batch is first scored from one in-place sort of
+    keys that carry the arm (`_moments_from_keys`).  A batch it cannot score
+    that way, and any batch of a caller whose values tie (a discrete arm),
+    takes the run path (`_moments_from_runs`).  The moments are the same
+    bits either way.
     """
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
+    if continuous and x1.shape[1] + x2.shape[1] < EXACT_SUMS_BELOW:
+        m = _moments_from_keys(x1, x2)
+        if m is not None:
+            return m
+    return _moments_from_runs(x1, x2)
+
+
+# the bits of a float64 below the sign
+_MAGNITUDE = np.int64(2**63 - 1)
+
+
+def _moments_from_keys(x1: np.ndarray, x2: np.ndarray) -> EffectSummary | None:
+    """Moments of a batch of tie-free rows from one in-place sort of integer keys.
+
+    A value's key is its float64 bits read as an int64 k with the sign
+    folded, m = k >> 63, k = ((k & MAG) ^ m) - m, so keys order as the
+    values do and -0.0 and +0.0 share key 0.  Bit 0 is then set for an
+    arm-1 value and cleared for an arm-2 value, and each row is sorted in
+    place.  If no two neighbours share key >> 1, no two values are equal,
+    sorted position k is pooled rank k, and the positions with bit 0 set are
+    the arm-1 ranks `_moments_from_ranks` scores.  Otherwise (a tie, or two
+    values one unit apart in the last place) it returns None, and the caller
+    takes the run path.  Values must not be NaN.  The keys and every other
+    (reps, N) temporary live in this thread's buffers (`_thread_buffers`).
+    """
+    rows, n1 = x1.shape
+    n = n1 + x2.shape[1]
+    keys, spare = _thread_buffers(rows, n)
+    np.copyto(keys[:, :n1].view(np.float64), x1)
+    np.copyto(keys[:, n1:].view(np.float64), x2)
+    np.right_shift(keys, 63, out=spare)
+    keys &= _MAGNITUDE
+    keys ^= spare
+    keys -= spare
+    keys[:, :n1] |= 1
+    keys[:, n1:] &= -2
+    keys.sort(axis=1)
+    # neighbours share key >> 1 iff their keys differ in bit 0 at most
+    gaps = spare.reshape(-1)[: rows * (n - 1)].reshape(rows, n - 1)
+    np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=gaps)
+    if gaps.view(np.uint64).min() < 2:
+        return None
+    from_arm1 = spare.reshape(-1).view(np.bool_)[: rows * n]
+    np.bitwise_and(keys.reshape(-1), 1, out=from_arm1, casting="unsafe")
+    ranks = np.flatnonzero(from_arm1).reshape(rows, n1)
+    ranks -= np.arange(rows)[:, None] * n
+    return _moments_from_ranks(ranks, n1, n - n1)
+
+
+# pooled values a thread's scoring buffers hold at most: a Monte Carlo chunk's bound
+BUFFER_VALUES = 2**20
+
+_held = threading.local()
+
+
+def _thread_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (rows, n) int64 arrays in memory the calling thread keeps for its next call.
+
+    Each is grown on demand up to BUFFER_VALUES values, the pooled values of
+    a Monte Carlo chunk, so a thread keeps at most 16 MiB; a larger request
+    gets fresh arrays, which are not kept.  Per thread, because library
+    callers may score batches from several threads at once.
+    """
+    size = rows * n
+    if size > BUFFER_VALUES:
+        return np.empty((rows, n), np.int64), np.empty((rows, n), np.int64)
+    held = getattr(_held, "buffers", None)
+    if held is None or held.shape[1] < size:
+        held = _held.buffers = np.empty((2, size), np.int64)
+    return held[0, :size].reshape(rows, n), held[1, :size].reshape(rows, n)
+
+
+def _moments_from_runs(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
+    """Moments of a batch from one sort order per row, exact with or without ties.
+
+    Position k of the sorted row holds pooled value order[k], which is an
+    arm-1 value iff order[k] < n1; a new run starts where a sorted value
+    differs from its predecessor.
+    """
     n1, n2 = x1.shape[1], x2.shape[1]
     pooled = np.concatenate([x1, x2], axis=1)
     order = np.argsort(pooled, axis=1)
     ordered = np.sort(pooled, axis=1)
     rows, n = pooled.shape
-    # a new run starts where a sorted value differs from its predecessor
-    starts = ordered[:, 1:] != ordered[:, :-1]
-    from_arm1 = order < n1
-    if n < EXACT_SUMS_BELOW and starts.all():
-        # every row tie-free: sorted position k is pooled rank k
-        ranks = np.flatnonzero(from_arm1).reshape(rows, n1)
-        ranks -= np.arange(rows)[:, None] * n
-        return _moments_from_ranks(ranks, n1, n2)
     run = np.zeros(pooled.shape, dtype=np.intp)
-    np.cumsum(starts, axis=1, out=run[:, 1:])
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=run[:, 1:])
     n_runs = int(run[:, -1].max()) + 1
     # row r's runs are keys 1 + r*n_runs onwards; key 0 collects arm 2 when counting arm 1
     run += np.arange(rows)[:, None] * n_runs + 1
     run = run.ravel()
     sizes = np.bincount(run, minlength=rows * n_runs + 1)[1:].reshape(rows, n_runs)
-    run *= from_arm1.ravel()
+    run *= (order < n1).ravel()
     a = np.bincount(run, minlength=rows * n_runs + 1)[1:].reshape(rows, n_runs)
     return moments_from_counts(a, sizes, n1, n2)
 

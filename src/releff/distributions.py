@@ -148,20 +148,30 @@ def is_continuous(spec: DistSpec) -> bool:
 _COMPARE_MAX_VALUES = 8
 
 
-def sample(spec: DistSpec, u: np.ndarray) -> np.ndarray:
-    """Values of the spec at open uniforms u (any shape), by inverse CDF."""
+def sample(spec: DistSpec, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Values of the spec at open uniforms u (any shape), by inverse CDF.
+
+    Given `out`, an array of u's shape (u itself, to sample in place), the
+    values are written there and `out` is returned.  The bits are those of
+    mean + sd * ndtri(u) and -log(u) / rate either way: each step rounds
+    once, and IEEE multiplication and addition commute.
+    """
     if isinstance(spec, Normal):
-        return spec.mean + spec.sd * ndtri(u)
+        x = ndtri(u, out=out)
+        x *= spec.sd
+        x += spec.mean
+        return x
     if isinstance(spec, Exponential):
-        return -np.log(u) / spec.rate
-    return discrete_masses(spec)[0][index(spec, u)]
+        x = np.negative(np.log(u, out=out), out=out)
+        x /= spec.rate
+        return x
+    return np.take(discrete_masses(spec)[0], index(spec, u), out=out)
 
 
 def index(spec: DistSpec, u: np.ndarray) -> np.ndarray:
     """Positions in `discrete_masses(spec)[0]` of a discrete spec's values at open uniforms u."""
-    probs = discrete_masses(spec)[1]
-    edges = np.cumsum(probs)[:-1]
-    if probs.size > _COMPARE_MAX_VALUES:
+    edges = _cumulative_masses(spec)
+    if edges.size >= _COMPARE_MAX_VALUES:
         return np.searchsorted(edges, u, side="right")
     # the number of edges <= u is searchsorted's index, found faster by
     # comparisons when there are only a few edges: each reads a C-ordered
@@ -173,17 +183,34 @@ def index(spec: DistSpec, u: np.ndarray) -> np.ndarray:
     return idx.astype(np.intp)
 
 
+@lru_cache(maxsize=256)
 def discrete_masses(spec: DistSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and probabilities of a discrete spec."""
+    """Support values and probabilities of a discrete spec.
+
+    Cached per spec (specs are frozen, hence hashable), so the arrays are
+    read-only.
+    """
     if isinstance(spec, Binomial):
         n, p = spec.trials, spec.prob
         k = np.arange(n + 1)
-        return k.astype(float), binom(n, k) * p**k * (1.0 - p) ** (n - k)
-    if isinstance(spec, BetaLatent):
+        masses = k.astype(float), binom(n, k) * p**k * (1.0 - p) ** (n - k)
+    elif isinstance(spec, BetaLatent):
         grid = np.arange(spec.k + 1) / spec.k
         cdf = betainc(spec.alpha, spec.beta, grid)
-        return np.arange(1, spec.k + 1, dtype=float), np.diff(cdf)
-    raise UnsupportedPair(f"{dist_label(spec)} is not discrete")
+        masses = np.arange(1, spec.k + 1, dtype=float), np.diff(cdf)
+    else:
+        raise UnsupportedPair(f"{dist_label(spec)} is not discrete")
+    for a in masses:
+        a.flags.writeable = False
+    return masses
+
+
+@lru_cache(maxsize=256)
+def _cumulative_masses(spec: DistSpec) -> np.ndarray:
+    """The cumulative masses of a discrete spec but the last, read-only, cached per spec."""
+    edges = np.cumsum(discrete_masses(spec)[1])[:-1]
+    edges.flags.writeable = False
+    return edges
 
 
 def _cdf_pdf(spec: DistSpec) -> tuple[Callable, Callable]:

@@ -12,7 +12,13 @@ value is drawn, so `moments_from_codes` counts each arm's members per
 support value where `moments_from_values` sorts.  Counting costs one pass
 per support value and sorting N log N per row, so a wider support, or a
 pair with a continuous arm, is scored from its values; the moments are the
-same bits either way.  The replications are processed in fixed-size chunks,
+same bits either way.  The union support and each arm's map onto it are
+found once per pair (`_support_codes`).  Values are sampled in place over
+the chunk's uniform block, and a pair of continuous arms is scored from one
+in-place sort of integer keys in buffers each thread reuses
+(`_batch._moments_from_keys`), so a warm chunk faults in almost no fresh
+pages; a pair with a discrete arm never pays for that sort and goes to the
+run path.  The replications are processed in fixed-size chunks,
 reduced in chunk order, so results are bit-identical for any number of
 worker processes.  A chunk holds 1024 replications, or as many as fit in
 2**20 pooled values (at least one), so its memory stays near 42 MiB while
@@ -48,12 +54,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._batch import moments_from_codes, moments_from_values, tie_runs
+from ._batch import BUFFER_VALUES, moments_from_codes, moments_from_values, tie_runs
 from ._pool import map_tasks
 from .distributions import (DistSpec, discrete_masses, index, is_continuous, parse_dist,
                             population_variance, sample)
@@ -68,8 +75,9 @@ __all__ = ["Scenario", "SimulationSummary", "run_scenario", "run_scenarios", "lo
            "CHUNK_REPS"]
 
 CHUNK_REPS = 1024
-# pooled values per chunk: a chunk's traced peak is about 42 bytes per value, 42 MiB
-_CHUNK_VALUES = 2**20
+# pooled values per chunk, as many as the scorer's per-thread buffers keep:
+# a chunk's traced peak is about 42 bytes per value, 42 MiB
+_CHUNK_VALUES = BUFFER_VALUES
 
 _MEAN_VARIANCE_KINDS = (VarianceKind.N, VarianceKind.WMW, VarianceKind.BM, VarianceKind.PM)
 
@@ -133,8 +141,26 @@ def _chunk_uniforms(sc: Scenario, start: int, stop: int):
 
 
 def _draw_chunk(sc: Scenario, start: int, stop: int):
+    """A chunk's two arms as values, each sampled in place over its slice of the uniform block."""
     u1, u2 = _chunk_uniforms(sc, start, stop)
-    return sample(sc.dist1, u1), sample(sc.dist2, u2)
+    return sample(sc.dist1, u1, out=u1), sample(sc.dist2, u2, out=u2)
+
+
+@lru_cache(maxsize=256)
+def _support_codes(dist1: DistSpec, dist2: DistSpec):
+    """A discrete pair's union support size and each arm's map onto that sorted support.
+
+    None when either arm is continuous.  Computed once per pair (specs are
+    frozen, hence hashable), so the maps are read-only.
+    """
+    if is_continuous(dist1) or is_continuous(dist2):
+        return None
+    v1, v2 = discrete_masses(dist1)[0], discrete_masses(dist2)[0]
+    support = np.union1d(v1, v2)
+    maps = np.searchsorted(support, v1), np.searchsorted(support, v2)
+    for a in maps:
+        a.flags.writeable = False
+    return support.size, *maps
 
 
 def _score_chunk(sc: Scenario, start: int, stop: int):
@@ -142,19 +168,19 @@ def _score_chunk(sc: Scenario, start: int, stop: int):
 
     A discrete pair whose union support is no wider than the pooled sample
     has its arms as indices on that sorted support, scored by counting
-    members per support value; any other pair's arms are values.  Either way
-    the arms sort as the values do.
+    members per support value; any other pair's arms are values, and only a
+    pair of continuous arms tries the key sort.  Either way the arms sort as
+    the values do.
     """
-    if not (is_continuous(sc.dist1) or is_continuous(sc.dist2)):
-        v1, v2 = discrete_masses(sc.dist1)[0], discrete_masses(sc.dist2)[0]
-        support = np.union1d(v1, v2)
-        if support.size <= sc.n1 + sc.n2:
-            u1, u2 = _chunk_uniforms(sc, start, stop)
-            c1 = np.searchsorted(support, v1)[index(sc.dist1, u1)]
-            c2 = np.searchsorted(support, v2)[index(sc.dist2, u2)]
-            return moments_from_codes(c1, c2, support.size), c1, c2
+    codes = _support_codes(sc.dist1, sc.dist2)
+    if codes is not None and codes[0] <= sc.n1 + sc.n2:
+        n_values, map1, map2 = codes
+        u1, u2 = _chunk_uniforms(sc, start, stop)
+        c1, c2 = map1[index(sc.dist1, u1)], map2[index(sc.dist2, u2)]
+        return moments_from_codes(c1, c2, n_values), c1, c2
     x1, x2 = _draw_chunk(sc, start, stop)
-    return moments_from_values(x1, x2), x1, x2
+    continuous = is_continuous(sc.dist1) and is_continuous(sc.dist2)
+    return moments_from_values(x1, x2, continuous=continuous), x1, x2
 
 
 def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:

@@ -15,6 +15,7 @@ from releff._batch import (
     moments_from_values,
     tie_runs,
 )
+from releff.distributions import Exponential, Normal, sample
 from releff.permutation import _RelabelLane, _batch_permutations
 from releff.rng import perm_key, uniforms
 from tests_util import assert_same
@@ -195,3 +196,100 @@ def test_rank_scorer_stays_below_the_int64_bound(rank_calls, monkeypatch):
     for g, e in zip(got, exact):
         assert np.allclose(g.p_hat, e.p_hat, rtol=1e-15, atol=0)
         assert np.allclose(g.sigma1_sq, e.sigma1_sq, rtol=1e-12, atol=0)
+
+
+KEY_ROW_KINDS = ("continuous", "negative", "cross_arm_tie", "within_arm_tie", "next_up",
+                 "next_down", "signed_zeros", "infinite")
+
+
+def key_row(rng, kind, n1, n2):
+    """One pooled row of continuous values, arm 1 first, crafted to tie or nearly tie by kind."""
+    n = n1 + n2
+    row = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    i, j = rng.integers(n1), n1 + rng.integers(n2)
+    if kind == "negative":
+        row = -np.abs(row) - rng.random()
+    elif kind == "cross_arm_tie":
+        row[j] = row[i]
+    elif kind == "within_arm_tie":
+        arm = (0, n1) if rng.random() < 0.5 else (n1, n2)
+        a, b = arm[0] + rng.choice(arm[1], 2, replace=False)
+        row[a] = row[b]
+    elif kind == "next_up":
+        # the arm-2 value one unit in the last place above an arm-1 value
+        row[j] = np.nextafter(row[i], np.inf)
+    elif kind == "next_down":
+        row[i] = np.nextafter(row[j], np.inf)
+    elif kind == "signed_zeros":
+        for k in rng.choice(n, int(rng.integers(1, 4)), replace=False):
+            row[k] = rng.choice([-0.0, 0.0])
+    elif kind == "infinite":
+        for k in rng.choice(n, int(rng.integers(1, 4)), replace=False):
+            row[k] = rng.choice([-np.inf, np.inf])
+    return row
+
+
+def keys_share_a_pair(pooled):
+    """True iff two values of a row have keys equal but for bit 0.
+
+    The key of a value with float64 bits b is b itself under a sign bit of
+    0 and -(b & MAG) under 1; the comparison is over Python integers.
+    """
+    for row in np.ascontiguousarray(pooled):
+        halves = [(b if b >= 0 else -(b & (2**63 - 1))) >> 1 for b in row.view(np.int64).tolist()]
+        if len(set(halves)) < len(halves):
+            return True
+    return False
+
+
+def assert_keys_or_fallback(x1, x2):
+    """The key scorer gives the run path's moments, or None exactly when two keys share a pair."""
+    before = x1.copy(), x2.copy()
+    m = _batch._moments_from_keys(x1, x2)
+    assert np.array_equal(x1, before[0]) and np.array_equal(x2, before[1])
+    assert (m is None) == keys_share_a_pair(np.concatenate([x1, x2], axis=1))
+    if m is not None:
+        assert_same(m, _batch._moments_from_runs(x1, x2))
+    return m
+
+
+key_arm_size = st.integers(min_value=2, max_value=90)
+
+
+@given(n1=key_arm_size, n2=key_arm_size, rows=st.integers(1, 64), seed=st.integers(0, 2**63 - 1),
+       spec=st.sampled_from([Normal(0.5244, 1.0), Normal(-2.0, 3.0), Exponential(2.3333)]))
+def test_key_scorer_on_continuous_batches(n1, n2, rows, seed, spec):
+    """Sampled continuous batches: scored from the keys, equal to the run path bit for bit."""
+    u = uniforms((seed, 1), 0, rows, n1 + n2)
+    x = sample(spec, u)
+    assert assert_keys_or_fallback(x[:, :n1], x[:, n1:]) is not None
+
+
+@given(n1=key_arm_size, n2=key_arm_size, seed=st.integers(0, 2**32 - 1),
+       kinds=batches_of(KEY_ROW_KINDS))
+def test_key_scorer_falls_back_exactly_on_shared_pairs(n1, n2, seed, kinds):
+    """Ties across and within arms, last-place neighbours in either arm order,
+    signed zeros, negative and infinite values."""
+    rng = np.random.default_rng(seed)
+    pooled = np.array([key_row(rng, kind, n1, n2) for kind in kinds])
+    x1, x2 = pooled[:, :n1], pooled[:, n1:]
+    assert_keys_or_fallback(x1, x2)
+    assert_same(moments_from_values(x1, x2), kernel_from_values(x1, x2))
+
+
+@pytest.mark.parametrize("a,b,falls_back", [
+    (0.0, -0.0, True), (-0.0, 0.0, True), (-0.0, 5e-324, True), (-5e-324, 0.0, False),
+    (1.5, np.nextafter(1.5, np.inf), True), (np.nextafter(1.5, np.inf), 1.5, True),
+    (np.nextafter(1.5, np.inf), np.nextafter(np.nextafter(1.5, np.inf), np.inf), False),
+    (-1.5, np.nextafter(-1.5, -np.inf), False), (-1.5, np.nextafter(-1.5, 0.0), True),
+    (np.inf, np.inf, True), (-np.inf, np.inf, False), (-2.0, -2.0, True),
+])
+def test_key_scorer_pairs(a, b, falls_back):
+    """Two values in either arm: keys k and k + 1 for an even k share a pair.
+
+    So +0.0 and -0.0 (key 0) fall back, and so does either zero with the
+    least positive subnormal (key 1), but not with the least negative (-1).
+    """
+    x1 = np.array([[a, 3.0], [a, -7.0]])
+    x2 = np.array([[b, 4.0, 9.0], [-8.0, b, 2.5]])
+    assert (assert_keys_or_fallback(x1, x2) is None) == falls_back

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, ndtri
 
 from releff import (
     BetaLatent,
@@ -152,6 +152,31 @@ class TestSampling:
             assert x.shape == (4, 6)
             assert np.array_equal(x[2], sample(spec, u[2]))
 
+    @pytest.mark.parametrize("arm", ["normal", "power_p07 normal", "power_p07 exponential",
+                                     "power_p07 binomial"])
+    def test_in_place_sampling_is_sample(self, arm):
+        """Sampling each arm's strided slice of a chunk's uniform block in place
+        gives the bits of mean + sd * ndtri(u), -log(u) / rate or the support value."""
+        from releff.tables import _power_pairs
+
+        calibrated = [d1 for _, d1, _ in _power_pairs()]
+        spec = {"normal": Normal(-1.25, 3.0), "power_p07 normal": calibrated[0],
+                "power_p07 exponential": calibrated[4], "power_p07 binomial": calibrated[5]}[arm]
+        n1, n2 = 9, 14  # 23 columns: the block's rows are strided
+        u = uniforms((77, 1 << 60), 0, 64, n1 + n2)
+        for part in (u[:, :n1], u[:, n1:]):
+            assert not part.flags.c_contiguous
+            if isinstance(spec, Normal):
+                want = spec.mean + spec.sd * ndtri(part)
+            elif isinstance(spec, Exponential):
+                want = -np.log(part) / spec.rate
+            else:
+                want = discrete_masses(spec)[0][index(spec, part)]
+            assert np.array_equal(sample(spec, part).view(np.int64), want.view(np.int64))
+            got = sample(spec, part, out=part)
+            assert got is part
+            assert np.array_equal(part.view(np.int64), want.view(np.int64))
+
 
 def brute_discrete_p(d1, d2):
     v1, f1 = discrete_masses(d1)
@@ -165,6 +190,14 @@ def brute_discrete_p(d1, d2):
 
 
 class TestDiscreteMasses:
+    def test_masses_are_cached_read_only(self):
+        values, probs = discrete_masses(Binomial(7, 0.3))
+        again = discrete_masses(Binomial(7, 0.3))
+        assert again[0] is values and again[1] is probs
+        for a in (values, probs):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
     @pytest.mark.parametrize("trials", [1, 2, 5])
     def test_binomial_masses_match_scipy_stats(self, trials):
         from scipy.stats import binom

@@ -1,6 +1,12 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +31,8 @@ from releff import (
     population_variance,
 )
 from releff import TestKind as TK
-from releff import (DfKind, degrees_of_freedom, discrete_masses, permutation, simulate,
-                    stat_tests, variance)
+from releff import (DfKind, _batch, degrees_of_freedom, discrete_masses, permutation,
+                    simulate, stat_tests, variance)
 from releff._batch import arm1_counts, moments_from_values, tie_runs
 from releff.permutation import _lane, tally_draws
 from releff.rng import rep_permutation_seed
@@ -37,6 +43,7 @@ from releff.tables import PERM_BATTERY
 from oracles import pairwise_moments
 from tests_util import assert_same, random_dataset
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 BATTERY = tuple(TK.parse(s) for s in ("wmw", "n:df2", "bm:df2", "pm:df2", "n_logit"))
 DEFAULT_BATTERY_NO_WMW = tuple(k for k in simulate.DEFAULT_BATTERY if k.family != "wmw")
 
@@ -171,32 +178,57 @@ class TestDiscreteChunks:
         assert np.array_equal(tie_runs(np.concatenate([arm1, arm2], axis=1))[0],
                               tie_runs(np.concatenate([x1, x2], axis=1))[0])
 
-    # arms of 9 and 12: a union support of up to 21 values is counted
-    @pytest.mark.parametrize("dist1,dist2,values_calls", [
-        (Binomial(5, 0.6), BetaLatent(5, 4, 5), 0),
-        (BetaLatent(5, 4, 5), BetaLatent(2, 3, 5), 0),
-        (BetaLatent(2, 2, 21), BetaLatent(2, 3, 21), 0),
-        (BetaLatent(2, 2, 22), BetaLatent(2, 3, 22), 1),
-        (Binomial(200, 0.4), Binomial(12, 0.5), 1),
-        (Normal(0, 1), Normal(0, 3), 1),
-        (Normal(3, 1), Binomial(5, 0.6), 1),
-        (BetaLatent(5, 4, 5), Exponential(1.0), 1),
+    # arms of 9 and 12: a union support of up to 21 values is counted; only a
+    # pair of continuous arms tries the key sort, a pair with a discrete arm never
+    @pytest.mark.parametrize("dist1,dist2,values_calls,key_calls", [
+        (Binomial(5, 0.6), BetaLatent(5, 4, 5), 0, 0),
+        (BetaLatent(5, 4, 5), BetaLatent(2, 3, 5), 0, 0),
+        (BetaLatent(2, 2, 21), BetaLatent(2, 3, 21), 0, 0),
+        (BetaLatent(2, 2, 22), BetaLatent(2, 3, 22), 1, 0),
+        (Binomial(200, 0.4), Binomial(12, 0.5), 1, 0),
+        (Normal(0, 1), Normal(0, 3), 1, 1),
+        (Normal(3, 1), Binomial(5, 0.6), 1, 0),
+        (BetaLatent(5, 4, 5), Exponential(1.0), 1, 0),
     ], ids=["discrete", "beta_latent", "support_21", "support_22", "wide_support", "continuous",
             "normal_binomial", "beta_latent_exp"])
     @pytest.mark.parametrize("n_perm", [None, 20])
     def test_only_discrete_pairs_skip_the_values_scorer(self, monkeypatch, dist1, dist2,
-                                                        values_calls, n_perm):
-        seen = []
+                                                        values_calls, key_calls, n_perm):
+        seen, keyed = [], []
+        key_scorer = _batch._moments_from_keys
 
-        def spy(x1, x2):
+        def spy(x1, x2, **kwargs):
             seen.append(x1.shape)
-            return moments_from_values(x1, x2)
+            return moments_from_values(x1, x2, **kwargs)
+
+        def key_spy(x1, x2):
+            keyed.append(x1.shape)
+            return key_scorer(x1, x2)
 
         monkeypatch.setattr(simulate, "moments_from_values", spy)
+        monkeypatch.setattr(_batch, "_moments_from_keys", key_spy)
         tests = DEFAULT_BATTERY_NO_WMW if n_perm else simulate.DEFAULT_BATTERY
         sc = Scenario(dist1, dist2, 9, 12, n_reps=40, tests=tests, n_perm=n_perm, master_seed=8)
         _simulate_chunk(sc, 0, sc.n_reps)
         assert len(seen) == values_calls
+        assert len(keyed) == key_calls
+
+
+    def test_union_support_found_once_per_pair(self, monkeypatch):
+        """The codes path reads each arm's support once per pair, not once per chunk."""
+        calls = []
+        masses = simulate.discrete_masses
+
+        def spy(spec):
+            calls.append(spec)
+            return masses(spec)
+
+        monkeypatch.setattr(simulate, "discrete_masses", spy)
+        simulate._support_codes.cache_clear()
+        sc = Scenario(Binomial(5, 0.6), BetaLatent(5, 4, 5), 9, 12, n_reps=90, tests=())
+        for start in range(0, sc.n_reps, 30):
+            _score_chunk(sc, start, start + 30)
+        assert calls == [sc.dist1, sc.dist2]
 
 
 class TestPermutationObserved:
@@ -539,6 +571,69 @@ class TestChunkBound:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestScoringBuffers:
+    """The key scorer keeps its (reps, N) arrays in per-thread buffers: reused
+    across scenarios of any size, never shared between threads, and never
+    larger than a chunk's 2**20 pooled values."""
+
+    A = Scenario(Normal(0, 1), Normal(0, 3), 15, 45, n_reps=1500, master_seed=5)
+    B = Scenario(Exponential(2.3333), Exponential(1.0), 30, 7, n_reps=1100, master_seed=6)
+
+    @staticmethod
+    def _json(summary):
+        return json.dumps(dataclasses.asdict(summary), sort_keys=True)
+
+    def test_reuse_across_sizes_equals_a_fresh_process(self):
+        code = ("import dataclasses, json\n"
+                "from releff import Normal, Scenario, run_scenario\n"
+                "sc = Scenario(Normal(0, 1), Normal(0, 3), 15, 45, n_reps=1500, master_seed=5)\n"
+                "print(json.dumps(dataclasses.asdict(run_scenario(sc)), sort_keys=True))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=120).stdout.strip()
+        got = [self._json(run_scenario(sc)) for sc in (self.A, self.B, self.A)]
+        assert got[0] == got[2] == fresh
+
+    def test_buffers_hold_at_most_a_chunk(self):
+        big = Scenario(Normal(0, 1), Normal(0, 2), 3000, 3000, n_reps=200, tests=())
+        (start, stop), *_ = simulate._chunk_bounds(big)
+        _simulate_chunk(big, start, stop)
+        kept = _batch._held.buffers
+        assert (stop - start) * 6000 <= kept.shape[1] <= _batch.BUFFER_VALUES == 2**20
+        # a larger batch is scored in fresh arrays, which are not kept
+        keys, spare = _batch._thread_buffers(1, 2**20 + 1)
+        assert _batch._held.buffers is kept
+        assert not (np.shares_memory(keys, kept) or np.shares_memory(spare, kept))
+
+    def test_threads_score_apart(self):
+        """More threads than cores, switching often, scoring two continuous
+        scenarios of different sizes at once: each gets its serial result."""
+        scenarios = (self.A, self.B)
+        want = [self._json(run_scenario(sc)) for sc in scenarios]
+        n_threads = min((os.cpu_count() or 1) + 2, 32)
+        got = [[] for _ in range(n_threads)]
+        start = threading.Barrier(n_threads)
+
+        def work(i):
+            start.wait(timeout=60)
+            for _ in range(3):
+                got[i].append(self._json(run_scenario(scenarios[i % 2])))
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want[i % 2]] * 3 for i in range(n_threads)]
 
 
 class TestStatisticalBehaviour:
