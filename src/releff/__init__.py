@@ -26,7 +26,6 @@ from .distributions import (
 from .dof import DfKind, degrees_of_freedom
 from .errors import (
     ConfigError,
-    DomainError,
     InvalidKind,
     NoBracket,
     SizeTooSmall,
@@ -41,10 +40,7 @@ from .stat_tests import (
     DEFAULT_BATTERY,
     TestKind,
     TestResult,
-    normal_cdf,
-    normal_quantile,
     run_test,
-    t_cdf,
 )
 from .tables import TABLE_IDS, build_table
 from .variance import (

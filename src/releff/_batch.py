@@ -5,17 +5,15 @@ runs of equal values, each with its size and its count of arm-1 members.
 With `a` and `b` a run's arm-1 and arm-2 counts and A, B the counts in lower
 runs, an arm-2 value sits at 2*n1*F1 = 2A + a and an arm-1 value at
 2*n2*(1 - F2) = 2*n2 - 2B - b, so p, tau1, tau2 and beta are integer sums
-over runs, divided once (`_moments_from_sums`).  `tie_runs` labels the
-pooled values of a permutation chunk or of one user dataset
-(`TwoSamples.run_labels`): one argsort per row gives each value its run
-label, in place, and `arm1_counts` counts any subset of labels per run.  A
-simulated batch needs no labels in place: `moments_from_values` reads the
-runs and their arm-1 members off each row's one sort order
-(`_moments_from_runs`).  A simulated
-batch of discrete data needs no sort at all: given as indices on one sorted
-support (`moments_from_codes`), each support value is a run, and its members
-are counted per arm; a value a row does not use is an empty run, which adds
-0 to every sum.  Datasets with the same runs and counts get bit-identical
+over runs, divided once (`_moments_from_sums`).  `tie_runs` is the one
+labeller of pooled values, for one user dataset (`TwoSamples.run_labels`),
+a permutation chunk and a simulated batch that ties (`moments_from_values`):
+one argsort per row gives each value its run label, in place, and
+`arm1_counts` counts any subset of labels per run.  A simulated batch of
+discrete data needs no sort at all: given as indices on one sorted support
+(`moments_from_codes`), each support value is a run, and its members are
+counted per arm; a value a row does not use is an empty run, which adds 0
+to every sum.  Datasets with the same runs and counts get bit-identical
 moments whichever entry point produced them: a simulated batch
 (`moments_from_values` or `moments_from_codes`), permutation draws
 (`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A
@@ -125,16 +123,20 @@ def tie_runs(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns each value's run label, (rows, N) in the values' own positions,
     and each row's run sizes, (rows, runs).  A row's runs are labelled from
     0 in increasing value order; a row with fewer runs than the widest is
-    padded with empty runs, which add nothing to any sum.
+    padded with empty runs, which add nothing to any sum.  Each row's sort
+    order is made one index into the flat block, which gathers the sorted
+    values and scatters their labels back.
     """
+    rows, n = pooled.shape
     order = np.argsort(pooled, axis=1)
-    ordered = np.take_along_axis(pooled, order, axis=1)
+    order += np.arange(0, rows * n, n)[:, None]
+    ordered = pooled.take(order)
     run = np.zeros(pooled.shape, dtype=np.intp)
     # a new run starts where a sorted value differs from its predecessor
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run[:, 1:])
     np.cumsum(run, axis=1, out=run)
     labels = np.empty_like(run)
-    np.put_along_axis(labels, order, run, axis=1)
+    labels.reshape(-1)[order.reshape(-1)] = run.reshape(-1)
     return labels, arm1_counts(run, int(run[:, -1].max()) + 1)
 
 
@@ -227,8 +229,8 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray, continuous: bool = True)
     probability 0, so the batch is first scored from one in-place sort of
     keys that carry the arm (`_moments_from_keys`).  A batch it cannot score
     that way, and any batch of a caller whose values tie (a discrete arm),
-    takes the run path (`_moments_from_runs`).  The moments are the same
-    bits either way.
+    takes the run path: its tie runs (`tie_runs`) and their arm-1 members
+    (`arm1_counts`).  The moments are the same bits either way.
     """
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     x2 = np.atleast_2d(np.asarray(x2, dtype=float))
@@ -236,7 +238,9 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray, continuous: bool = True)
         m = _moments_from_keys(x1, x2)
         if m is not None:
             return m
-    return _moments_from_runs(x1, x2)
+    n1, n2 = x1.shape[1], x2.shape[1]
+    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=1))
+    return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, n2)
 
 
 # the bits of a float64 below the sign
@@ -304,30 +308,6 @@ def _thread_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return held[0, :size].reshape(rows, n), held[1, :size].reshape(rows, n)
 
 
-def _moments_from_runs(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
-    """Moments of a batch from one sort order per row, exact with or without ties.
-
-    Position k of the sorted row holds pooled value order[k], which is an
-    arm-1 value iff order[k] < n1; a new run starts where a sorted value
-    differs from its predecessor.
-    """
-    n1, n2 = x1.shape[1], x2.shape[1]
-    pooled = np.concatenate([x1, x2], axis=1)
-    order = np.argsort(pooled, axis=1)
-    ordered = np.sort(pooled, axis=1)
-    rows, n = pooled.shape
-    run = np.zeros(pooled.shape, dtype=np.intp)
-    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=run[:, 1:])
-    n_runs = int(run[:, -1].max()) + 1
-    # row r's runs are keys 1 + r*n_runs onwards; key 0 collects arm 2 when counting arm 1
-    run += np.arange(rows)[:, None] * n_runs + 1
-    run = run.ravel()
-    sizes = np.bincount(run, minlength=rows * n_runs + 1)[1:].reshape(rows, n_runs)
-    run *= (order < n1).ravel()
-    a = np.bincount(run, minlength=rows * n_runs + 1)[1:].reshape(rows, n_runs)
-    return moments_from_counts(a, sizes, n1, n2)
-
-
 def moments_from_codes(codes1: np.ndarray, codes2: np.ndarray, n_values: int) -> EffectSummary:
     """Moments for a batch of discrete datasets, (reps, n1) and (reps, n2) indices on one support.
 
@@ -341,17 +321,17 @@ def moments_from_codes(codes1: np.ndarray, codes2: np.ndarray, n_values: int) ->
     return moments_from_counts(a, a + arm1_counts(codes2, n_values), n1, n2)
 
 
-def moments_from_perm(arm1_labels: np.ndarray, labels: np.ndarray) -> EffectSummary:
+def moments_from_perm(arm1_labels: np.ndarray, sizes: np.ndarray) -> EffectSummary:
     """Moments for relabellings of one pooled sample, one row of arm-1 run labels each.
 
-    `labels` holds the run label of each pooled value (`tie_runs`), as the
-    draw loop's lane holds them; a row of `arm1_labels` holds the labels of
+    `sizes` holds the pooled sample's run sizes (`tie_runs`), as the draw
+    loop's lane holds them; a row of `arm1_labels` holds the run labels of
     the values one relabelling puts in arm 1.
     """
+    n = int(sizes.sum())
     n1 = arm1_labels.shape[1]
-    n2 = labels.size - n1
-    sizes = np.bincount(labels)
-    if labels.size < EXACT_SUMS_BELOW and sizes.size == labels.size:
+    n2 = n - n1
+    if n < EXACT_SUMS_BELOW and sizes.size == n:
         # tie-free: a value's run label is its pooled rank
         # sorted in a C-ordered copy: the relabel hands over a transposed view
         ranks = np.array(arm1_labels, order="C")

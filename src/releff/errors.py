@@ -5,10 +5,6 @@ class SizeTooSmall(ValueError):
     """A sample is too small for the requested estimator."""
 
 
-class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of the function."""
-
-
 class InvalidKind(ValueError):
     """The requested test/estimator kind is not valid in this context."""
 

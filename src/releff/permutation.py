@@ -104,32 +104,27 @@ def _counts_drawn(n1: int, n2: int, n_runs: int) -> bool:
 def _block_draws(n1: int, n2: int, n_runs: int) -> int:
     """Draws scored per block for n1 + n2 = n pooled values in n_runs tie runs.
 
-    A relabelled draw holds 4 n bytes of relabel (int32 run labels), 8 n2
-    of scatter indices (`flat_j`) and 8 bytes per uniform (n2 rounded up to
-    a multiple of 4).  Its scorer adds 12 n1 on tie-free data (the int32
-    sorted arm-1 ranks and their int64 counts above) and otherwise 8 n1 of
-    count keys and 32 per run (the counts and three (draws, runs) arrays of
-    the count kernel).  A block holds 5 MiB of these in all, so the two
-    arrays the scatter loop touches, the relabel and `flat_j`, stay near
-    half of that, about a core's 2 MiB L2 cache.  At 200 and 300 per arm,
-    a block costs the same per draw anywhere from about 500 to 1000 draws;
-    fewer pay more per-block overhead in the loop of n2 scatters, and
-    more spill the relabel out of cache.  A draw of counts holds 8 bytes
-    per uniform (n_runs - 1 of them, rounded up to a multiple of 4), 48 of
-    search state (the arm-1 members left, their row offset, the row start,
-    the search position and the probe and entry it reads) and 56 per run
-    (its count and the count kernel's six (draws, runs) arrays): at most
-    1072 bytes for the 16 runs a count lane may have, so its block is
-    always the cap, where a sweep at 15, 30 and 200 per arm found the cost
-    per draw flat from 2048 to 8192 draws and 1.3-1.4 times higher at
-    1024.  A block is kept within [128, 2048] draws.
+    A count lane's block is always the cap, 2048 draws: at most 16 runs
+    hold its footprint near 1 KiB per draw, and a sweep at 15, 30 and 200
+    per arm found the cost per draw flat from 2048 to 8192 draws and
+    1.3-1.4 times higher at 1024.  A relabelled draw holds 4 n bytes of
+    relabel (int32 run labels), 8 n2 of scatter indices (`flat_j`) and 8
+    bytes per uniform (n2 rounded up to a multiple of 4).  Its scorer adds
+    12 n1 on tie-free data (the int32 sorted arm-1 ranks and their int64
+    counts above) and otherwise 8 n1 of count keys and 32 per run (the
+    counts and three (draws, runs) arrays of the count kernel).  A block
+    holds 5 MiB of these in all, so the two arrays the scatter loop
+    touches, the relabel and `flat_j`, stay near half of that, about a
+    core's 2 MiB L2 cache.  At 200 and 300 per arm, a block costs the same
+    per draw anywhere from about 500 to 1000 draws; fewer pay more
+    per-block overhead in the loop of n2 scatters, and more spill the
+    relabel out of cache.  A block is kept within [128, 2048] draws.
     """
-    n = n1 + n2
     if _counts_drawn(n1, n2, n_runs):
-        per_draw = 32 * -(-(n_runs - 1) // 4) + 48 + 56 * n_runs
-    else:
-        per_draw = 4 * n + 8 * n2 + 32 * -(-n2 // 4)
-        per_draw += 12 * n1 if n_runs == n else 8 * n1 + 32 * n_runs
+        return _MAX_BLOCK_DRAWS
+    n = n1 + n2
+    per_draw = 4 * n + 8 * n2 + 32 * -(-n2 // 4)
+    per_draw += 12 * n1 if n_runs == n else 8 * n1 + 32 * n_runs
     return min(_MAX_BLOCK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // per_draw))
 
 
@@ -223,14 +218,16 @@ class _RelabelLane:
     """The pooled sample and the relabel's buffers, owned by one draw loop.
 
     `values` holds the pooled sample's tie-run labels (`tie_runs`) as int32,
-    the first n1 of them arm 1; the buffers hold blocks of up to `draws`
-    relabellings and are reused by each block, so whatever a block reads
-    off them must be consumed before the next block starts.
+    the first n1 of them arm 1, and `sizes` its run sizes; the buffers hold
+    blocks of up to `draws` relabellings and are reused by each block, so
+    whatever a block reads off them must be consumed before the next block
+    starts.
     """
 
-    def __init__(self, labels: np.ndarray, n1: int, draws: int):
+    def __init__(self, labels: np.ndarray, sizes: np.ndarray, n1: int, draws: int):
         n = labels.size
         self.values = labels.astype(np.int32)
+        self.sizes = sizes
         self.n1 = n1
         self.perm = np.empty(n * draws, dtype=np.int32)
         self.flat_j = np.empty((n - n1) * draws, dtype=np.intp)
@@ -244,16 +241,19 @@ class _RelabelLane:
         return moments_from_perm(
             _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws,
                                          self.values.size - self.n1), self),
-            self.values,
+            self.sizes,
         )
 
 
-def _lane(labels: np.ndarray, n1: int, draws: int) -> _CountLane | _RelabelLane:
-    """The lane for one draw loop over a pooled sample's run labels, blocks of up to `draws`."""
-    sizes = np.bincount(labels)
+def _lane(labels: np.ndarray, sizes: np.ndarray, n1: int,
+          draws: int) -> _CountLane | _RelabelLane:
+    """The lane for one draw loop over a pooled sample's run labels and run sizes.
+
+    A relabel lane holds blocks of up to `draws` draws.
+    """
     if _counts_drawn(n1, labels.size - n1, sizes.size):
         return _CountLane(sizes, n1)
-    return _RelabelLane(labels, n1, draws)
+    return _RelabelLane(labels, sizes, n1, draws)
 
 
 def _batch_permutations(u: np.ndarray, lane: _RelabelLane) -> np.ndarray:
@@ -305,12 +305,14 @@ def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: 
     a step is also an eighth of the range, within [256, 1024], and the loop
     stops once every kind's min(n_le, n_ge) is above `settle_above`: both
     tallies only grow, so a decision "min(n_le, n_ge) <= settle_above" can
-    no longer change.  Every step is drawn by one lane (`_lane`).
+    no longer change.  Every step is drawn by one lane (`_lane`), which
+    reads the run sizes counted here.
     """
-    step = _block_draws(n1, labels.size - n1, int(labels.max()) + 1)
+    sizes = np.bincount(labels)
+    step = _block_draws(n1, labels.size - n1, sizes.size)
     if settle_above is not None:
         step = min(step, _MAX_STEP_DRAWS, max(_MIN_STEP_DRAWS, -(-(stop - first) // 8)))
-    lane = _lane(labels, n1, min(step, stop - first))
+    lane = _lane(labels, sizes, n1, min(step, stop - first))
     counts = np.zeros((2, len(kinds)), dtype=np.int64)
     for a in range(first, stop, step):
         counts += tally_draws(lane, kinds, observed, seed, a, min(step, stop - a))

@@ -9,18 +9,18 @@ support has no more values than the pooled sample, a chunk keeps each
 observation's index on that support (`distributions.index`) and never
 builds its value: the support values are the tie runs, known before a
 value is drawn, so `moments_from_codes` counts each arm's members per
-support value where `moments_from_values` sorts.  Counting costs one pass
-per support value and sorting N log N per row, so a wider support, or a
-pair with a continuous arm, is scored from its values; the moments are the
-same bits either way.  The union support and each arm's map onto it are
-found once per pair (`_support_codes`).  Values are sampled in place over
-the chunk's uniform block, and a pair of continuous arms is scored from one
-in-place sort of integer keys in buffers each thread reuses
-(`_batch._moments_from_keys`), so a warm chunk faults in almost no fresh
-pages; a pair with a discrete arm never pays for that sort and goes to the
-run path.  The replications are processed in fixed-size chunks,
-reduced in chunk order, so results are bit-identical for any number of
-worker processes.  A chunk holds 1024 replications, or as many as fit in
+support value where the values would be sorted into tie runs.  Counting
+costs one pass per support value and sorting N log N per row, so a wider
+support, or a pair with a continuous arm, is scored from its values; the
+moments are the same bits either way.  The union support and each arm's
+map onto it are found once per pair (`_support_codes`).  Values are
+sampled in place over the chunk's uniform block, and a pair of continuous
+arms is scored from one in-place sort of integer keys in buffers each
+thread reuses (`_batch._moments_from_keys`), so a warm chunk faults in
+almost no fresh pages; a pair with a discrete arm never pays for that sort
+and is labelled by tie run (`_batch.tie_runs`), as a permutation chunk is.
+The replications are processed in fixed-size chunks, reduced in chunk
+order, so results are bit-identical for any number of worker processes.  A chunk holds 1024 replications, or as many as fit in
 2**20 pooled values (at least one), so its memory stays near 42 MiB while
 n1 + n2 < 2**20.  `run_scenarios` hands the chunks of many scenarios to
 `_pool.map_tasks` in one call, which batches them across the process's one

@@ -20,16 +20,15 @@ dataset and their flags share one computation per kind.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr
+from scipy.special import ndtr, stdtr
 
 from ._batch import EffectSummary
 from .dof import DfKind, degrees_of_freedom
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .ranks import TwoSamples, estimate_effect
 from .variance import Degeneracy, VarianceKind, degeneracy, floored, variance_raw
 
@@ -40,9 +39,6 @@ __all__ = [
     "statistics",
     "stat_arrays",
     "p_value_arrays",
-    "normal_cdf",
-    "t_cdf",
-    "normal_quantile",
     "T_FAMILIES",
     "LOGIT_FAMILIES",
     "FAMILIES",
@@ -110,29 +106,6 @@ class TestResult:
     kind: TestKind
     degenerate: Degeneracy
     effect: EffectSummary
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    if not math.isfinite(x):
-        raise DomainError("normal_cdf needs a finite argument")
-    return float(ndtr(x))
-
-
-def t_cdf(x: float, df: float) -> float:
-    """CDF of Student's t with real-valued df > 0."""
-    if df <= 0 or not math.isfinite(df):
-        raise DomainError(f"t_cdf needs df > 0, got {df}")
-    if not math.isfinite(x):
-        raise DomainError("t_cdf needs a finite argument")
-    return float(stdtr(df, x))
-
-
-def normal_quantile(q: float) -> float:
-    """Standard normal quantile; q must lie strictly inside (0, 1)."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"normal_quantile needs 0 < q < 1, got {q}")
-    return float(ndtri(q))
 
 
 def _numerator(m: EffectSummary, shape: str):

@@ -17,6 +17,7 @@ from releff._batch import (
 )
 from releff.distributions import Exponential, Normal, sample
 from releff.permutation import _RelabelLane, _batch_permutations
+from releff.ranks import TwoSamples
 from releff.rng import perm_key, uniforms
 from tests_util import assert_same
 
@@ -43,7 +44,7 @@ def perm_block(pooled, n1, seed, first, draws):
     """The run labels of the pooled sample and of the arm-1 values of a block of draws."""
     labels = tie_runs(pooled[None, :])[0][0]
     u = uniforms(perm_key(seed), first, draws, pooled.size - n1)
-    return labels, _batch_permutations(u, _RelabelLane(labels, n1, draws))
+    return labels, _batch_permutations(u, _RelabelLane(labels, np.bincount(labels), n1, draws))
 
 
 def kernel_from_perm(arm1_labels, labels):
@@ -93,7 +94,7 @@ def rank_calls(monkeypatch):
 def test_perm_scorer_equals_count_kernel(n1, n2, levels, seed, first, draws):
     pooled = pooled_values(np.random.default_rng(seed), n1 + n2, levels)
     labels, arm1 = perm_block(pooled, n1, seed, first, draws)
-    assert_same(moments_from_perm(arm1, labels), kernel_from_perm(arm1, labels))
+    assert_same(moments_from_perm(arm1, np.bincount(labels)), kernel_from_perm(arm1, labels))
 
 
 @given(n1=arm_size, n2=arm_size, seed=st.integers(0, 2**32 - 1), kinds=batches_of(ROW_KINDS))
@@ -102,7 +103,15 @@ def test_values_scorer_equals_count_kernel(n1, n2, kinds, seed):
     rng = np.random.default_rng(seed)
     pooled = np.array([mixed_row(rng, kind, n1, n2) for kind in kinds])
     x1, x2 = pooled[:, :n1], pooled[:, n1:]
-    assert_same(moments_from_values(x1, x2), kernel_from_values(x1, x2))
+    batch = moments_from_values(x1, x2)
+    assert_same(batch, kernel_from_values(x1, x2))
+    # each row labelled alone, with no padding runs, gives the same bits
+    alone = [TwoSamples(a, b).moments for a, b in zip(x1, x2)]
+    for field in dataclasses.fields(batch):
+        if field.name not in ("n1", "n2"):
+            want = np.array([getattr(m, field.name) for m in alone])
+            assert np.array_equal(getattr(batch, field.name).view(np.int64),
+                                  want.view(np.int64)), field.name
 
 
 CODE_ROW_KINDS = ("random", "sparse", "all_tied", "separated", "tie_free")
@@ -135,24 +144,35 @@ def test_codes_scorer_equals_values_scorer(n1, n2, n_values, seed, kinds):
     assert_same(moments_from_codes(c1, c2, n_values), moments_from_values(support[c1], support[c2]))
 
 
-def test_values_scorer_labels_no_values_in_place(monkeypatch):
-    """moments_from_values scores from its own sort order; tie_runs stays for draws and datasets."""
-    def no_labels(pooled):
-        raise AssertionError("moments_from_values called tie_runs")
+def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
+    """A batch that ties is labelled by one tie_runs call; a tie-free continuous batch by none."""
+    calls = []
+    labeller = _batch.tie_runs
+
+    def spy(pooled):
+        calls.append(pooled.shape)
+        return labeller(pooled)
 
     rng = np.random.default_rng(11)
     batches = [pooled_values(rng, (6, 20), levels) for levels in (None, 1, 3)]
     want = [kernel_from_values(b[:, :8], b[:, 8:]) for b in batches]
-    monkeypatch.setattr(_batch, "tie_runs", no_labels)
-    for b, w in zip(batches, want):
+    monkeypatch.setattr(_batch, "tie_runs", spy)
+    for b, w, labelled in zip(batches, want, (0, 1, 1)):
+        calls.clear()
         assert_same(moments_from_values(b[:, :8], b[:, 8:]), w)
+        assert calls == [(6, 20)] * labelled
+    # a caller whose values may tie skips the key sort, tie-free or not
+    calls.clear()
+    assert_same(moments_from_values(batches[0][:, :8], batches[0][:, 8:], continuous=False),
+                want[0])
+    assert calls == [(6, 20)]
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (7, 10), (15, 45), (45, 15), (60, 3)])
 def test_tie_free_inputs_take_the_rank_scorer(rank_calls, n1, n2):
     rng = np.random.default_rng(n1 * 100 + n2)
     labels, arm1 = perm_block(pooled_values(rng, n1 + n2, None), n1, 5, 0, 30)
-    moments_from_perm(arm1, labels)
+    moments_from_perm(arm1, np.bincount(labels))
     pooled = pooled_values(rng, (12, n1 + n2), None)
     moments_from_values(pooled[:, :n1], pooled[:, n1:])
     assert rank_calls == [(30, n1), (12, n1)]
@@ -185,11 +205,11 @@ def test_rank_scorer_stays_below_the_int64_bound(rank_calls, monkeypatch):
     labels, arm1 = perm_block(pooled_values(rng, n1 + n2, None), n1, 8, 0, 50)
     pooled = pooled_values(rng, (25, n1 + n2), None)
     x1, x2 = pooled[:, :n1], pooled[:, n1:]
-    exact = moments_from_perm(arm1, labels), moments_from_values(x1, x2)
+    exact = moments_from_perm(arm1, np.bincount(labels)), moments_from_values(x1, x2)
     assert len(rank_calls) == 2
     rank_calls.clear()
     monkeypatch.setattr(_batch, "EXACT_SUMS_BELOW", n1 + n2)
-    got = moments_from_perm(arm1, labels), moments_from_values(x1, x2)
+    got = moments_from_perm(arm1, np.bincount(labels)), moments_from_values(x1, x2)
     assert rank_calls == []
     assert_same(got[0], kernel_from_perm(arm1, labels))
     assert_same(got[1], kernel_from_values(x1, x2))
@@ -249,7 +269,7 @@ def assert_keys_or_fallback(x1, x2):
     assert np.array_equal(x1, before[0]) and np.array_equal(x2, before[1])
     assert (m is None) == keys_share_a_pair(np.concatenate([x1, x2], axis=1))
     if m is not None:
-        assert_same(m, _batch._moments_from_runs(x1, x2))
+        assert_same(m, kernel_from_values(x1, x2))
     return m
 
 

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from releff import cli, permutation
 from releff.cli import main
 
 TOY_CSV = "group,value\n1,1\n1,2\n1,3\n2,2\n2,3\n2,4\n"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOOD_ENTRY = {"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 7, "n2": 7, "n_reps": 10}
 
 
@@ -275,6 +278,16 @@ class TestCmdSimulate:
                          "--output", str(out_path)]) == 0
             outs[t] = out_path.read_bytes()
         assert outs["1"] == outs["2"]
+
+    def test_mixed_pairs_digest(self):
+        # pairs with a continuous arm, and a discrete pair whose union support is
+        # wider than the pooled sample, are scored through tie runs; a change
+        # here is a stream change
+        code, out = run_cli(["simulate", str(CONFIGS / "mixed_pairs.cfg")])
+        assert code == 0
+        assert len(parse_csv(out)) == 31
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "efa89afd9aa1dbc6073879eded67bafe718a61e78def11f3042d76ccaee199f0")
 
     def test_threads_below_one_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "one.cfg"

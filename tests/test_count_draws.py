@@ -141,15 +141,15 @@ class TestCountLane:
     ])
     def test_lane_kind(self, n1, n2, runs, counts):
         labels = np.arange(n1 + n2) % runs
-        assert isinstance(_lane(labels, n1, 128), _CountLane) == counts
-        assert isinstance(_lane(labels, n1, 128), _RelabelLane) != counts
+        assert isinstance(_lane(labels, np.bincount(labels), n1, 128), _CountLane) == counts
+        assert isinstance(_lane(labels, np.bincount(labels), n1, 128), _RelabelLane) != counts
 
     def test_observed_counts_reproduce_run_test(self):
         """A draw whose counts are the observed ones scores every
         statistic to the bits `run_test` gives, and counts in both tallies."""
         d = levels(15, 45, 7)
         labels, sizes = d.run_labels()
-        lane = _lane(labels, d.n1, 2**15)
+        lane = _lane(labels, np.bincount(labels), d.n1, 2**15)
         assert isinstance(lane, _CountLane)
         a = lane.counts(3, 0, 2**15)
         same = np.all(a == d.runs()[0], axis=1)
@@ -184,7 +184,7 @@ class TestCountLane:
         d = levels(40, 60, 11)
         labels, sizes = d.run_labels()
         observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
-        assert isinstance(_lane(labels, d.n1, 2048), _CountLane)
+        assert isinstance(_lane(labels, np.bincount(labels), d.n1, 2048), _CountLane)
         whole = tally_draws(_CountLane(sizes, d.n1), PERM_BATTERY, observed, 9, 0, 7000)
         parts = np.zeros((2, len(PERM_BATTERY)), dtype=np.int64)
         for a, b in [(0, 1), (1, 2048), (2048, 2049), (2049, 5500), (5500, 7000)]:

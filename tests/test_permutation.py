@@ -27,9 +27,14 @@ def run_labels(pooled):
     return tie_runs(np.asarray(pooled, dtype=float)[None, :])[0][0]
 
 
+def index_lane(n, n1, draws):
+    """A relabel lane over the pooled indices 0..n-1, whose shuffles return indices."""
+    return _RelabelLane(np.arange(n), np.ones(n, np.int64), n1, draws)
+
+
 def observed_stats(labels, n1, kinds):
     """The kernel's statistics for the observed relabelling (arm 1 = pooled[:n1])."""
-    mm = moments_from_perm(labels[None, :n1], labels)
+    mm = moments_from_perm(labels[None, :n1], np.bincount(labels))
     return np.array([stat[0] for stat, _ in stat_arrays(mm, kinds)])
 
 
@@ -50,8 +55,8 @@ class TestShuffle:
         monkeypatch.setattr(permutation, "_batch_permutations", spy)
         n_draws = 60_000
         labels = run_labels(np.arange(6.0))
-        tally_draws(_RelabelLane(labels, 3, n_draws), [TK.parse("n_logit")], np.zeros(1), 99, 0,
-                    n_draws)
+        tally_draws(_RelabelLane(labels, np.bincount(labels), 3, n_draws), [TK.parse("n_logit")],
+                    np.zeros(1), 99, 0, n_draws)
         arm1 = np.concatenate(drawn)
         assert arm1.shape == (n_draws, 3)
         subsets, counts = np.unique(arm1, axis=0, return_counts=True)
@@ -68,7 +73,7 @@ class TestShuffle:
         values = np.arange(float(n))
         scalar = [shuffle(values, u[k]) for k in range(20)]
         for n1 in range(1, n):
-            batch = _batch_permutations(u[:, : n - n1], _RelabelLane(np.arange(n), n1, 20))
+            batch = _batch_permutations(u[:, : n - n1], index_lane(n, n1, 20))
             for k in range(20):
                 assert set(values[batch[k]]) == set(scalar[k][:n1])
 
@@ -79,9 +84,9 @@ class TestShuffle:
         n = 14
         labels = run_labels([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7]).astype(np.int32)
         u = uniforms(perm_key(8), 0, 300, n - n1)
-        carried = _batch_permutations(u, _RelabelLane(labels, n1, 300))
+        carried = _batch_permutations(u, _RelabelLane(labels, np.bincount(labels), n1, 300))
         assert carried.dtype == np.int32
-        indices = _batch_permutations(u, _RelabelLane(np.arange(n), n1, 300))
+        indices = _batch_permutations(u, index_lane(n, n1, 300))
         assert np.array_equal(carried, labels[indices])
 
     def test_draw_streams_tile_the_sequential_run(self):
@@ -145,7 +150,7 @@ class TestPermutationTest:
         pm = TK.parse("pm")
         labels = run_labels(d.pooled())
         block = permutation._block_draws(300, 300, int(labels.max()) + 1)
-        lane = _lane(labels, 300, 5000)
+        lane = _lane(labels, np.bincount(labels), 300, 5000)
         assert isinstance(lane, _CountLane) == tied
         assert block == 2048 if tied else block < 2048
         observed = np.array([run_test(d, pm).statistic])
@@ -256,7 +261,7 @@ class TestLaneBuffers:
         def fresh_lane(draws):
             if tied:
                 return _CountLane(np.bincount(labels), n1)
-            return _RelabelLane(labels, n1, draws)
+            return _RelabelLane(labels, np.bincount(labels), n1, draws)
 
         def spy(drawn, *args):
             mm = scorer(drawn, *args)
@@ -292,9 +297,9 @@ class TestBatchStatisticPath:
             d = TwoSamples(x1, x2)
             pooled = d.pooled()
             u = uniforms(perm_key(17), 0, 6, d.n2)
-            arm1_sets = _batch_permutations(u, _RelabelLane(np.arange(d.n), d.n1, 6))
+            arm1_sets = _batch_permutations(u, index_lane(d.n, d.n1, 6))
             labels = run_labels(pooled)
-            mm = moments_from_perm(labels[arm1_sets], labels)
+            mm = moments_from_perm(labels[arm1_sets], np.bincount(labels))
             for kind, (stats, _) in zip(KINDS, stat_arrays(mm, KINDS)):
                 for row, arm1 in enumerate(arm1_sets):
                     in_arm1 = np.zeros(d.n, dtype=bool)
@@ -315,7 +320,8 @@ class TestBatchStatisticPath:
             return variance_raw(m, kind)
 
         monkeypatch.setattr(stat_tests, "variance_raw", spy)
-        tally_draws(_RelabelLane(labels, 15, 512), PERM_BATTERY, observed, 3, 0, 512)
+        tally_draws(_RelabelLane(labels, np.bincount(labels), 15, 512), PERM_BATTERY, observed,
+                    3, 0, 512)
         assert sorted(calls) == sorted([VarianceKind.N, VarianceKind.BM, VarianceKind.PM])
 
     def test_observed_stats_match_scalar(self, rng):
@@ -336,13 +342,13 @@ class TestBatchStatisticPath:
         observed = observed_stats(labels, n1, KINDS)
         # the draws tally_draws makes: row k of its stream, n2 swaps each
         arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2),
-                                   _RelabelLane(np.arange(n), n1, n_draws))
+                                   index_lane(n, n1, n_draws))
         same = np.all(np.sort(pooled[arm1], axis=1) == np.sort(pooled[:n1]), axis=1)
         assert same.sum() > 0
-        n_le, n_ge = tally_draws(_RelabelLane(labels, n1, n_draws), KINDS, observed, seed, 0,
-                                 n_draws)
+        n_le, n_ge = tally_draws(_RelabelLane(labels, np.bincount(labels), n1, n_draws), KINDS,
+                                 observed, seed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
-        mm = moments_from_perm(labels[arm1], labels)
+        mm = moments_from_perm(labels[arm1], np.bincount(labels))
         for idx, (kind, (stats, _)) in enumerate(zip(KINDS, stat_arrays(mm, KINDS))):
             assert np.all(stats[same] == observed[idx]), kind.label()
 
@@ -375,12 +381,13 @@ class TestBatchStatisticPath:
         d = TwoSamples(x1, x2)
         labels = run_labels(d.pooled())
         obs = observed_stats(labels, d.n1, KINDS)
-        full_le, full_ge = tally_draws(_lane(labels, d.n1, 777), KINDS, obs, seed=4, first_draw=0,
-                                       n_draws=777)
+        sizes = np.bincount(labels)
+        full_le, full_ge = tally_draws(_lane(labels, sizes, d.n1, 777), KINDS, obs, seed=4,
+                                       first_draw=0, n_draws=777)
         le = np.zeros_like(full_le)
         ge = np.zeros_like(full_ge)
         for a, b in [(0, 123), (123, 500), (500, 777)]:
-            part_le, part_ge = tally_draws(_lane(labels, d.n1, b - a), KINDS, obs, seed=4,
+            part_le, part_ge = tally_draws(_lane(labels, sizes, d.n1, b - a), KINDS, obs, seed=4,
                                            first_draw=a, n_draws=b - a)
             le += part_le
             ge += part_ge

@@ -110,10 +110,16 @@ class TestBatchKernel:
     def test_tie_runs_contract(self, rng):
         """A batch labels each row as it would alone, pads with empty runs,
         and orders labels as the values they label."""
+        up = np.nextafter(1.5, np.inf)
         rows = [np.repeat([3.0, 1.0, 2.0], 4), rng.normal(size=12),
-                rng.integers(0, 5, size=12).astype(float), np.full(12, 7.0)]
+                rng.integers(0, 5, size=12).astype(float), np.full(12, 7.0),
+                # -0.0 and +0.0 are equal, so one run
+                np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0, -0.0, 0.0, 1.0, -1.0, 0.0, -0.0]),
+                # last-place neighbours within and across both arms are distinct runs
+                np.array([1.5, up, 2.0, 1.5, -3.0, up, 1.5, np.nextafter(2.0, -np.inf), up, 2.0,
+                          -3.0, np.nextafter(-3.0, 0.0)])]
         labels, sizes = tie_runs(np.array(rows))
-        assert sizes.shape == (4, 12)
+        assert sizes.shape == (6, 12)
         for row, lab, size in zip(rows, labels, sizes):
             (alone,), (alone_sizes,) = tie_runs(row[None, :])
             assert np.array_equal(lab, alone)
@@ -340,8 +346,8 @@ class TestCurtailedPermutation:
         for r in range(n_reps):
             labels = tie_runs(np.concatenate([x1[r], x2[r]])[None, :])[0][0]
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(_lane(labels, n1, n_perm), PERM_BATTERY, observed_all[:, r],
-                                     seed_r, 0, n_perm)
+            n_le, n_ge = tally_draws(_lane(labels, np.bincount(labels), n1, n_perm), PERM_BATTERY,
+                                     observed_all[:, r], seed_r, 0, n_perm)
             reference += self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
         drawn = []
 
@@ -378,8 +384,8 @@ class TestCurtailedPermutation:
 
         for r in range(n_reps):
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(_lane(labels[r], 150, n_perm), PERM_BATTERY,
-                                     observed_all[:, r], seed_r, 0, n_perm)
+            lane = _lane(labels[r], np.bincount(labels[r]), 150, n_perm)
+            n_le, n_ge = tally_draws(lane, PERM_BATTERY, observed_all[:, r], seed_r, 0, n_perm)
             with monkeypatch.context() as mp:
                 mp.setattr(permutation, "tally_draws", spy)
                 got = _simulate_chunk(sc, r, r + 1).rejections
