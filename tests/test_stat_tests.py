@@ -48,6 +48,56 @@ class TestKindParsing:
             TK("anova")
 
 
+class TestReferencePValues:
+    """p_value_arrays against the normal (df None) and Student t references."""
+
+    def test_normal_reference_values(self):
+        assert p_value_arrays(0.0, None) == 1.0
+        assert p_value_arrays(1.959964, None) == pytest.approx(0.05, abs=2e-6)
+        # erfc-based oracle, exact to machine precision
+        for x in (0.3, 1.0, 2.5, -4.0):
+            assert p_value_arrays(x, None) == pytest.approx(math.erfc(abs(x) / math.sqrt(2)),
+                                                            abs=1e-12)
+            assert p_value_arrays(x, None, "greater") == pytest.approx(
+                0.5 * math.erfc(x / math.sqrt(2)), abs=1e-12)
+
+    def test_t_reference_values(self):
+        assert p_value_arrays(0.0, 3.7) == 1.0
+        # Cauchy: P(T_1 > 1) = 1/4
+        assert p_value_arrays(1.0, 1.0, "greater") == pytest.approx(0.25, abs=1e-12)
+        assert p_value_arrays(1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+        # quadrature-verified gap to the normal at df=60
+        gap = p_value_arrays(2.0, 60.0, "less") - p_value_arrays(2.0, None, "less")
+        assert abs(gap) == pytest.approx(0.0022664, abs=1e-6)
+        for x, df in [(1.336306, 4.0), (-2.2, 6.5), (0.7, 11.0)]:
+            assert p_value_arrays(x, df, "less") == pytest.approx(t_cdf_oracle(x, df), abs=1e-10)
+            assert p_value_arrays(x, df) == pytest.approx(
+                2 * (1 - t_cdf_oracle(abs(x), df)), abs=1e-10)
+
+    def test_t_reference_converges_to_normal(self):
+        grid = np.linspace(-5, 5, 41)
+        gap = np.abs(p_value_arrays(grid, 1e6, "less") - p_value_arrays(grid, None, "less"))
+        assert gap.max() < 1e-5
+
+    @given(st.floats(min_value=-8.0, max_value=8.0),
+           st.one_of(st.none(), st.floats(min_value=0.5, max_value=1e4)))
+    def test_sides_agree(self, stat, df):
+        greater = p_value_arrays(stat, df, "greater")
+        less = p_value_arrays(stat, df, "less")
+        assert greater + less == pytest.approx(1.0, abs=1e-12)
+        assert p_value_arrays(stat, df) == min(1.0, 2.0 * min(greater, less))
+
+    def test_arrays_match_scalars(self, rng):
+        stat = rng.normal(scale=3.0, size=40)
+        df = rng.uniform(1.0, 80.0, size=40)
+        for alternative in ("two-sided", "greater", "less"):
+            for dfs in (None, df):
+                got = p_value_arrays(stat, dfs, alternative)
+                want = [p_value_arrays(s, None if dfs is None else d, alternative)
+                        for s, d in zip(stat, df)]
+                assert np.array_equal(got, want)
+
+
 class TestRunTest:
     def test_bm_with_df(self):
         res = run_test(TOY, TK("bm", DfKind.DF))
