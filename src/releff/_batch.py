@@ -5,35 +5,39 @@ runs of equal values, each with its size and its count of arm-1 members.
 With `a` and `b` a run's arm-1 and arm-2 counts and A, B the counts in lower
 runs, an arm-2 value sits at 2*n1*F1 = 2A + a and an arm-1 value at
 2*n2*(1 - F2) = 2*n2 - 2B - b, so p, tau1, tau2 and beta are integer sums
-over runs, divided once (`_moments_from_sums`).  `tie_runs` is the one
-labeller of pooled values, for one user dataset (`TwoSamples.run_labels`),
-a permutation chunk and a simulated batch that ties (`moments_from_values`):
-one argsort per row gives each value its run label, in place, and
-`arm1_counts` counts any subset of labels per run.  A simulated batch of
-discrete data needs no sort at all: given as indices on one sorted support
-(`moments_from_codes`), each support value is a run, and its members are
-counted per arm; a value a row does not use is an empty run, which adds 0
-to every sum.  Datasets with the same runs and counts get bit-identical
-moments whichever entry point produced them: a simulated batch
-(`moments_from_values` or `moments_from_codes`), permutation draws
-(`moments_from_perm`) or one user dataset (`TwoSamples.moments`).  A
-permutation draw arrives as the run labels of its arm-1 values, which the
-relabel carries through the shuffle in place of indices, so its counts are
-one `bincount` with no gather.  A batch's summary holds one row per dataset
-in each field; one dataset's holds floats, equal to the row the same dataset
-would fill in a batch.
+over runs, divided once (`_moments_from_sums`).  `tie_runs` labels pooled
+values by run, for one user dataset's permutation test
+(`TwoSamples.run_labels`), a permutation chunk, and the datasets the key
+sort below cannot score: one argsort per row gives each value its run
+label, in place, and `arm1_counts` counts any subset of labels per run.  A
+simulated batch of discrete data needs no sort at all: given as indices on
+one sorted support (`moments_from_codes`), each support value is a run,
+and its members are counted per arm; a value a row does not use is an
+empty run, which adds 0 to every sum.  Datasets with the same runs and
+counts get bit-identical moments whichever entry point produced them: a
+simulated batch (`moments_from_values` or `moments_from_codes`),
+permutation draws (`moments_from_perm`) or one user dataset
+(`moments_from_values`, for `TwoSamples.moments`).  A permutation draw
+arrives as the run labels of its arm-1 values, which the relabel carries
+through the shuffle in place of indices, so its counts are one `bincount`
+with no gather.  A batch's summary holds one row per dataset in each
+field; one dataset's holds floats, equal to the row the same dataset would
+fill in a batch.
 
 On tie-free data every run holds one value and its label is the value's
 pooled rank, so a dataset is fully described by its n1 sorted arm-1 ranks,
 and the same integer sums are taken over those n1 terms instead of N runs
 (`_moments_from_ranks`).  `moments_from_perm` takes that path whenever every
-draw it scores is tie-free.  A batch of continuous values
-(`moments_from_values`) is sorted once, in place, as integer keys that carry
-each value's arm in bit 0 (`_moments_from_keys`): if no two neighbours share
-a key but for that bit, every row is tie-free and the sorted arm bits mark
-the arm-1 ranks; otherwise the batch takes the run path.  The keys live in
-buffers each thread keeps for its next batch (`_thread_buffers`), at most
-2**20 values each.  The moments are bit-identical on every path.
+draw it scores is tie-free.  Values (`moments_from_values`) are sorted
+once, in place, as integer keys that carry each value's arm in bit 0
+(`_moments_from_keys`): if no two neighbours share a key but for that bit,
+every row is tie-free and the sorted arm bits mark the arm-1 ranks.  One
+dataset that ties is still scored off its sorted keys when no value's bits
+end in 1 (integer codes, ±0.0): a run starts wherever key >> 1 changes,
+and its arm-1 members sort last in it.  Anything else takes the run path.
+A batch's keys live in buffers each thread keeps for its next batch
+(`_thread_buffers`), at most 2**20 values each; one dataset's are fresh
+arrays, freed on return.  The moments are bit-identical on every path.
 
 Every sum is below N**3 for N pooled values, so it is exact in int64 while
 N < 2**21; larger samples accumulate in float64 instead, through the count
@@ -143,7 +147,7 @@ def tie_runs(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def arm1_counts(labels: np.ndarray, n_runs: int) -> np.ndarray:
     """Members of each of n_runs runs among each row's labels: (rows, k) to (rows, n_runs)."""
     rows = labels.shape[0]
-    keys = labels + np.arange(rows)[:, None] * n_runs
+    keys = labels + np.arange(rows)[:, None] * n_runs if rows > 1 else labels
     # order="K": a transposed block is read without a copy
     return np.bincount(keys.ravel(order="K"), minlength=rows * n_runs).reshape(rows, n_runs)
 
@@ -177,7 +181,7 @@ def moments_from_counts(a: np.ndarray, sizes: np.ndarray, n1: int, n2: int) -> E
 
 
 def _moments_from_ranks(ranks: np.ndarray, n1: int, n2: int) -> EffectSummary:
-    """Moments of tie-free datasets from each row's sorted arm-1 pooled ranks, (rows, n1).
+    """Moments of tie-free datasets from each one's sorted arm-1 pooled ranks, (rows, n1) or (n1,).
 
     With L_i the i-th smallest arm-1 rank (from 0), c_i = n2 + i - L_i
     arm-2 values lie above it, so s_p = 2 sum c_i, s_tau1 = 4 sum c_i**2,
@@ -189,13 +193,15 @@ def _moments_from_ranks(ranks: np.ndarray, n1: int, n2: int) -> EffectSummary:
     n = n1 + n2
     i = np.arange(n1)
     c = (n2 + i) - ranks
+    # the row subscript, none for one dataset ("...j" is slower on a batch)
+    r = "i" * (c.ndim - 1)
     return _moments_from_sums(
         # one value per run: sum over pooled ranks j of (2j + 1 - n)**2
         (n - 1) * n * (n + 1) // 3,
-        2 * c.sum(axis=1),
-        4 * np.einsum("ij,ij->i", c, c),
-        4 * np.einsum("ij,j->i", c, 2 * i + 1),
-        np.zeros(len(c), dtype=np.int64),
+        2 * c.sum(axis=-1),
+        4 * np.einsum(f"{r}j,{r}j->{r}", c, c),
+        4 * np.einsum(f"{r}j,j->{r}", c, 2 * i + 1),
+        np.zeros(c.shape[:-1], dtype=np.int64),
         n1, n2,
     )
 
@@ -223,24 +229,26 @@ def _moments_from_sums(s_wmw, s_p, s_tau1, s_tau2, s_beta, n1: int, n2: int) -> 
 
 
 def moments_from_values(x1: np.ndarray, x2: np.ndarray, continuous: bool = True) -> EffectSummary:
-    """Moments for a batch of datasets given as (reps, n1) and (reps, n2).
+    """Moments of datasets given as values: a batch as (reps, n1) and (reps, n2),
+    whose summary holds arrays, or one dataset as (n1,) and (n2,), whose
+    summary holds floats.
 
-    Values drawn from continuous laws (`continuous`, the default) tie with
-    probability 0, so the batch is first scored from one in-place sort of
-    keys that carry the arm (`_moments_from_keys`).  A batch it cannot score
-    that way, and any batch of a caller whose values tie (a discrete arm),
-    takes the run path: its tie runs (`tie_runs`) and their arm-1 members
-    (`arm1_counts`).  The moments are the same bits either way.
+    Unless the caller expects ties the key sort cannot count (`continuous`
+    False, as for a discrete arm), the values are first scored from one
+    in-place sort of keys that carry the arm (`_moments_from_keys`).  What it
+    cannot score takes the run path: its tie runs (`tie_runs`) and their
+    arm-1 members (`arm1_counts`).  The moments are the same bits either way.
     """
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    if continuous and x1.shape[1] + x2.shape[1] < EXACT_SUMS_BELOW:
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    n1, n2 = x1.shape[-1], x2.shape[-1]
+    if continuous and n1 + n2 < EXACT_SUMS_BELOW:
         m = _moments_from_keys(x1, x2)
         if m is not None:
             return m
-    n1, n2 = x1.shape[1], x2.shape[1]
-    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=1))
-    return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, n2)
+    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=-1).reshape(-1, n1 + n2))
+    a = arm1_counts(labels[:, :n1], sizes.shape[1])
+    shape = (*x1.shape[:-1], sizes.shape[1])
+    return moments_from_counts(a.reshape(shape), sizes.reshape(shape), n1, n2)
 
 
 # the bits of a float64 below the sign
@@ -248,21 +256,27 @@ _MAGNITUDE = np.int64(2**63 - 1)
 
 
 def _moments_from_keys(x1: np.ndarray, x2: np.ndarray) -> EffectSummary | None:
-    """Moments of a batch of tie-free rows from one in-place sort of integer keys.
+    """Moments from one in-place sort of integer keys, or None for the run path.
 
-    A value's key is its float64 bits read as an int64 k with the sign
-    folded, m = k >> 63, k = ((k & MAG) ^ m) - m, so keys order as the
-    values do and -0.0 and +0.0 share key 0.  Bit 0 is then set for an
-    arm-1 value and cleared for an arm-2 value, and each row is sorted in
-    place.  If no two neighbours share key >> 1, no two values are equal,
-    sorted position k is pooled rank k, and the positions with bit 0 set are
-    the arm-1 ranks `_moments_from_ranks` scores.  Otherwise (a tie, or two
-    values one unit apart in the last place) it returns None, and the caller
-    takes the run path.  Values must not be NaN.  The keys and every other
-    (reps, N) temporary live in this thread's buffers (`_thread_buffers`).
+    Arms are shaped as for `moments_from_values`.  A value's key is its
+    float64 bits read as an int64 k with the sign folded, m = k >> 63,
+    k = ((k & MAG) ^ m) - m, so keys order as the values do and -0.0 and
+    +0.0 share key 0.  Bit 0 is then set for an arm-1 value and cleared for
+    an arm-2 value, and each row is sorted in place.  If no two neighbours
+    share key >> 1, no two values are equal, sorted position k is pooled
+    rank k, and the positions with bit 0 set are the arm-1 ranks
+    `_moments_from_ranks` scores.  Otherwise (a tie, or two values one unit
+    apart in the last place) one row is still scored if no value's bits end
+    in 1, as for integers below 2**52 and ±0.0: key >> 1 is then the value,
+    so a tie run starts wherever it changes, and a run's arm-1 members, its
+    keys with bit 0 set, sort last in it (`moments_from_counts`).  A batch
+    of several rows returns None: it comes from continuous laws, whose
+    values end in 1 about half the time.  Values must not be NaN.  The keys
+    and the other int64 temporary come from `_thread_buffers`.
     """
-    rows, n1 = x1.shape
-    n = n1 + x2.shape[1]
+    lead, n1 = x1.shape[:-1], x1.shape[-1]
+    rows = x1.size // n1
+    n = n1 + x2.shape[-1]
     keys, spare = _thread_buffers(rows, n)
     np.copyto(keys[:, :n1].view(np.float64), x1)
     np.copyto(keys[:, n1:].view(np.float64), x2)
@@ -277,11 +291,23 @@ def _moments_from_keys(x1: np.ndarray, x2: np.ndarray) -> EffectSummary | None:
     gaps = spare.reshape(-1)[: rows * (n - 1)].reshape(rows, n - 1)
     np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=gaps)
     if gaps.view(np.uint64).min() < 2:
-        return None
+        # a folded key ends in the bit its value's bits end in
+        if rows > 1 or (np.bitwise_or.reduce(x1.view(np.int64), axis=None)
+                        | np.bitwise_or.reduce(x2.view(np.int64), axis=None)) & 1:
+            return None
+        # bounds[r] is where run r starts, and the last bound is n
+        edge = np.ones(n + 1, np.bool_)
+        np.greater_equal(gaps.reshape(-1).view(np.uint64), 2, out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        keys = keys.reshape(-1)
+        a = bounds[1:] - np.searchsorted(keys, keys[bounds[:-1]] | 1)
+        sizes = bounds[1:] - bounds[:-1]
+        return moments_from_counts(a.reshape(*lead, -1), sizes.reshape(*lead, -1), n1, n - n1)
     from_arm1 = spare.reshape(-1).view(np.bool_)[: rows * n]
     np.bitwise_and(keys.reshape(-1), 1, out=from_arm1, casting="unsafe")
-    ranks = np.flatnonzero(from_arm1).reshape(rows, n1)
-    ranks -= np.arange(rows)[:, None] * n
+    ranks = np.flatnonzero(from_arm1).reshape(*lead, n1)
+    if rows > 1:
+        ranks -= np.arange(rows)[:, None] * n
     return _moments_from_ranks(ranks, n1, n - n1)
 
 
@@ -295,12 +321,14 @@ def _thread_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two (rows, n) int64 arrays in memory the calling thread keeps for its next call.
 
     Each is grown on demand up to BUFFER_VALUES values, the pooled values of
-    a Monte Carlo chunk, so a thread keeps at most 16 MiB; a larger request
-    gets fresh arrays, which are not kept.  Per thread, because library
-    callers may score batches from several threads at once.
+    a Monte Carlo chunk, so a thread keeps at most 16 MiB.  One row, a user
+    dataset scored once, and a request larger than that get fresh arrays,
+    which are not kept, so scoring one dataset leaves the buffers as they
+    were.  Per thread, because library callers may score batches from
+    several threads at once.
     """
     size = rows * n
-    if size > BUFFER_VALUES:
+    if rows == 1 or size > BUFFER_VALUES:
         return np.empty((rows, n), np.int64), np.empty((rows, n), np.int64)
     held = getattr(_held, "buffers", None)
     if held is None or held.shape[1] < size:

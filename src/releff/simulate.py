@@ -37,7 +37,8 @@ min(1, 2c / n_perm), with c the smaller of a test's two tallies, only grows
 with c, so a chunk turns alpha into one integer threshold c*
 (`_reject_threshold`) and a test rejects exactly when c <= c*.  A
 permutation chunk labels the tie runs of all its replications (values or
-support indices, which sort alike) with one batched `tie_runs` call, and
+support indices, which sort alike) with one batched `tie_runs` call, reads
+its observed moments off those labels (`moments_from_counts`), and
 each replication tallies its draws through `permutation.tally_range` with
 settle_above=c*, which stops once no test's decision can change; a scenario
 with no tests draws none.  Each replication's lane reads its own runs: a
@@ -60,7 +61,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._batch import BUFFER_VALUES, moments_from_codes, moments_from_values, tie_runs
+from ._batch import (BUFFER_VALUES, arm1_counts, moments_from_codes, moments_from_counts,
+                     moments_from_values, tie_runs)
 from ._pool import map_tasks
 from .distributions import (DistSpec, discrete_masses, index, is_continuous, parse_dist,
                             population_variance, sample)
@@ -163,41 +165,56 @@ def _support_codes(dist1: DistSpec, dist2: DistSpec):
     return support.size, *maps
 
 
-def _score_chunk(sc: Scenario, start: int, stop: int):
-    """A chunk's moments and its two arms, (reps, n1) and (reps, n2).
+def _chunk_arms(sc: Scenario, start: int, stop: int):
+    """A chunk's two arms, (reps, n1) and (reps, n2), and the size of their support or None.
 
     A discrete pair whose union support is no wider than the pooled sample
-    has its arms as indices on that sorted support, scored by counting
-    members per support value; any other pair's arms are values, and only a
-    pair of continuous arms tries the key sort.  Either way the arms sort as
-    the values do.
+    has its arms as indices on that sorted support, which sort as the values
+    do; any other pair's arms are values, and the size is None.
     """
     codes = _support_codes(sc.dist1, sc.dist2)
     if codes is not None and codes[0] <= sc.n1 + sc.n2:
         n_values, map1, map2 = codes
         u1, u2 = _chunk_uniforms(sc, start, stop)
-        c1, c2 = map1[index(sc.dist1, u1)], map2[index(sc.dist2, u2)]
-        return moments_from_codes(c1, c2, n_values), c1, c2
-    x1, x2 = _draw_chunk(sc, start, stop)
+        return map1[index(sc.dist1, u1)], map2[index(sc.dist2, u2)], n_values
+    return *_draw_chunk(sc, start, stop), None
+
+
+def _score_chunk(sc: Scenario, start: int, stop: int):
+    """A chunk's moments, from its arms (`_chunk_arms`).
+
+    Indices on a support are scored by counting members per support value;
+    of values, only a pair of continuous arms tries the key sort.
+    """
+    arm1, arm2, n_values = _chunk_arms(sc, start, stop)
+    if n_values is not None:
+        return moments_from_codes(arm1, arm2, n_values)
     continuous = is_continuous(sc.dist1) and is_continuous(sc.dist2)
-    return moments_from_values(x1, x2, continuous=continuous), x1, x2
+    return moments_from_values(arm1, arm2, continuous=continuous)
 
 
 def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
-    m, arm1, arm2 = _score_chunk(sc, start, stop)
+    permuted = sc.n_perm is not None and bool(sc.tests)
+    if permuted:
+        # one labelling gives both the lanes their runs and the observed moments
+        arm1, arm2, _ = _chunk_arms(sc, start, stop)
+        labels, sizes = tie_runs(np.concatenate([arm1, arm2], axis=1))
+        m = moments_from_counts(arm1_counts(labels[:, : sc.n1], sizes.shape[1]), sizes,
+                                sc.n1, sc.n2)
+    else:
+        m = _score_chunk(sc, start, stop)
     tally = _Tally(
         rejections=np.zeros(len(sc.tests), dtype=np.int64),
         var_sums=np.array([variance_raw(m, k).sum() for k in _MEAN_VARIANCE_KINDS]),
         sep=int(np.count_nonzero(m.separated)),
     )
-    if sc.n_perm is None or not sc.tests:
+    if not permuted:
         z_lo = _screen_bound(sc.alpha)
         tally.rejections[:] = [_rejections(stat, df, sc.alpha, z_lo)
                                for stat, df in stat_arrays(m, sc.tests)]
         return tally
     # each replication's observed statistics are its row of the batch
     observed_all = np.array(statistics(m, sc.tests))
-    labels = tie_runs(np.concatenate([arm1, arm2], axis=1))[0]
     c_star = _reject_threshold(sc.n_perm, sc.alpha)
     for i, r in enumerate(range(start, stop)):
         seed_r = rep_permutation_seed(sc.master_seed, r)

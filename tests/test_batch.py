@@ -106,12 +106,109 @@ def test_values_scorer_equals_count_kernel(n1, n2, kinds, seed):
     batch = moments_from_values(x1, x2)
     assert_same(batch, kernel_from_values(x1, x2))
     # each row labelled alone, with no padding runs, gives the same bits
-    alone = [TwoSamples(a, b).moments for a, b in zip(x1, x2)]
-    for field in dataclasses.fields(batch):
-        if field.name not in ("n1", "n2"):
-            want = np.array([getattr(m, field.name) for m in alone])
-            assert np.array_equal(getattr(batch, field.name).view(np.int64),
-                                  want.view(np.int64)), field.name
+    for r in range(len(pooled)):
+        assert moment_bits(batch, r) == moment_bits(kernel_from_values(x1[r : r + 1],
+                                                                       x2[r : r + 1]), 0)
+
+
+def moment_bits(m, r=None):
+    """Every moment of one dataset's summary, or of row r of a batch's, as int64 bits."""
+    bits = []
+    for field in dataclasses.fields(m)[2:]:
+        value = np.asarray(getattr(m, field.name))
+        assert value.ndim == (r is not None), field.name
+        bits.append(int((value if r is None else value[r]).view(np.int64)))
+    return [m.n1, m.n2] + bits
+
+
+DATASET_KINDS = ("tie_free", "levels", "all_tied", "separated", "signed_zeros", "next_after",
+                 "odd_bits")
+
+
+def dataset_row(rng, kind, n1, n2):
+    """One dataset's pooled values, arm 1 first: integer levels are ties the
+    key sort counts, last-place neighbours and 0.3's ties are not."""
+    n = n1 + n2
+    low = int(rng.integers(-10, 3))
+    if kind == "tie_free":
+        return rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+    if kind == "levels":
+        return rng.integers(low, low + rng.integers(1, 9), n).astype(float)
+    if kind == "all_tied":
+        return np.full(n, float(low))
+    if kind == "separated":
+        return np.concatenate([rng.integers(low, low + 3, n1), rng.integers(low + 5, low + 8, n2)])
+    if kind == "signed_zeros":
+        return rng.choice([-0.0, 0.0, 1.0, -2.0], size=n)
+    if kind == "next_after":
+        row = rng.normal(size=n)
+        pick = rng.integers(n1, size=n2)
+        row[n1:] = np.nextafter(row[pick], np.where(rng.random(n2) < 0.5, -np.inf, np.inf))
+        return row
+    return rng.choice([0.3, 0.7, 1.1, 2.5], size=n)
+
+
+@given(n1=arm_size, n2=arm_size, kind=st.sampled_from(DATASET_KINDS), swap=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_dataset_moments_equal_count_kernel(n1, n2, kind, swap, seed):
+    """`TwoSamples.moments`, from the key sort or the run path, is the count
+    kernel's row of the same dataset in every field, bit for bit."""
+    row = dataset_row(np.random.default_rng(seed), kind, n1, n2)
+    x1, x2 = row[:n1], row[n1:]
+    if swap:
+        x1, x2 = x2, x1
+    assert moment_bits(TwoSamples(x1, x2).moments) == moment_bits(
+        kernel_from_values(x1[None], x2[None]), 0)
+
+
+@pytest.fixture
+def scorer_calls(monkeypatch):
+    """The tie_runs and key-sort calls of `_batch`, by name."""
+    calls = []
+    for name in ("tie_runs", "_moments_from_keys"):
+        def spy(*args, _name=name, _f=getattr(_batch, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(_batch, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind,want", [
+    ("tie_free", ["_moments_from_keys"]),
+    ("levels", ["_moments_from_keys"]),
+    ("signed_zeros", ["_moments_from_keys"]),
+    ("odd_bits", ["tie_runs"]),
+    # a tie that the first 64 pooled values do not show pays for the failed sort
+    ("late_odd_tie", ["_moments_from_keys", "tie_runs"]),
+])
+def test_dataset_routing(scorer_calls, kind, want):
+    """Integer-coded ties are counted off the keys, with no tie_runs call;
+    values whose bits end in 1 tied among the first 64 are labelled with no
+    key sort first."""
+    rng = np.random.default_rng(4)
+    if kind == "late_odd_tie":
+        row = rng.normal(size=220)
+        row[-1] = row[-2]
+    else:
+        row = dataset_row(rng, kind, 100, 120)
+    data = TwoSamples(row[:100], row[100:])
+    m = data.moments
+    assert scorer_calls == want
+    assert moment_bits(m) == moment_bits(kernel_from_values(row[None, :100], row[None, 100:]), 0)
+
+
+def test_dataset_float_sums_past_the_int64_bound(scorer_calls, monkeypatch):
+    """Past EXACT_SUMS_BELOW a dataset is labelled by tie run and summed in
+    floats, bit for bit as the count kernel sums its one row of runs."""
+    rng = np.random.default_rng(9)
+    monkeypatch.setattr(_batch, "EXACT_SUMS_BELOW", 50)
+    for row in (rng.normal(size=300), rng.integers(0, 5, 300).astype(float)):
+        data = TwoSamples(row[:140], row[140:])
+        scorer_calls.clear()
+        m = data.moments
+        assert scorer_calls == ["tie_runs"]
+        assert moment_bits(m) == moment_bits(moments_from_counts(*data.runs(), 140, 160))
 
 
 CODE_ROW_KINDS = ("random", "sparse", "all_tied", "separated", "tie_free")
@@ -145,7 +242,9 @@ def test_codes_scorer_equals_values_scorer(n1, n2, n_values, seed, kinds):
 
 
 def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
-    """A batch that ties is labelled by one tie_runs call; a tie-free continuous batch by none."""
+    """A batch that ties is labelled by one tie_runs call, a tie-free one by
+    none; one dataset is labelled only if it ties on values whose bits end
+    in 1, and any input of a caller that skips the key sort is labelled."""
     calls = []
     labeller = _batch.tie_runs
 
@@ -155,17 +254,20 @@ def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
 
     rng = np.random.default_rng(11)
     batches = [pooled_values(rng, (6, 20), levels) for levels in (None, 1, 3)]
+    batches.append(rng.choice([0.3, 0.7, 1.1], size=(6, 20)))
     want = [kernel_from_values(b[:, :8], b[:, 8:]) for b in batches]
     monkeypatch.setattr(_batch, "tie_runs", spy)
-    for b, w, labelled in zip(batches, want, (0, 1, 1)):
+    for b, w, labelled, alone in zip(batches, want, (0, 1, 1, 1), (0, 0, 0, 1)):
         calls.clear()
         assert_same(moments_from_values(b[:, :8], b[:, 8:]), w)
         assert calls == [(6, 20)] * labelled
-    # a caller whose values may tie skips the key sort, tie-free or not
-    calls.clear()
-    assert_same(moments_from_values(batches[0][:, :8], batches[0][:, 8:], continuous=False),
-                want[0])
-    assert calls == [(6, 20)]
+        calls.clear()
+        m = moments_from_values(b[0, :8], b[0, 8:])
+        assert moment_bits(m) == moment_bits(w, 0)
+        assert calls == [(1, 20)] * alone
+        calls.clear()
+        assert_same(moments_from_values(b[:, :8], b[:, 8:], continuous=False), w)
+        assert calls == [(6, 20)]
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (7, 10), (15, 45), (45, 15), (60, 3)])
@@ -263,12 +365,21 @@ def keys_share_a_pair(pooled):
 
 
 def assert_keys_or_fallback(x1, x2):
-    """The key scorer gives the run path's moments, or None exactly when two keys share a pair."""
+    """The key scorer gives the run path's moments, or None exactly when two
+    keys share a pair in a batch of several rows, or in one row with a value
+    whose bits end in 1."""
     before = x1.copy(), x2.copy()
     m = _batch._moments_from_keys(x1, x2)
     assert np.array_equal(x1, before[0]) and np.array_equal(x2, before[1])
-    assert (m is None) == keys_share_a_pair(np.concatenate([x1, x2], axis=1))
-    if m is not None:
+    pooled = np.concatenate([x1, x2], axis=-1)
+    rows = np.atleast_2d(pooled)
+    counted = len(rows) == 1 and not (rows.view(np.int64) & 1).any()
+    assert (m is None) == (keys_share_a_pair(rows) and not counted)
+    if m is None:
+        return m
+    if pooled.ndim == 1:
+        assert moment_bits(m) == moment_bits(kernel_from_values(x1[None], x2[None]), 0)
+    else:
         assert_same(m, kernel_from_values(x1, x2))
     return m
 
@@ -294,6 +405,7 @@ def test_key_scorer_falls_back_exactly_on_shared_pairs(n1, n2, seed, kinds):
     pooled = np.array([key_row(rng, kind, n1, n2) for kind in kinds])
     x1, x2 = pooled[:, :n1], pooled[:, n1:]
     assert_keys_or_fallback(x1, x2)
+    assert_keys_or_fallback(x1[0], x2[0])
     assert_same(moments_from_values(x1, x2), kernel_from_values(x1, x2))
 
 
@@ -307,9 +419,16 @@ def test_key_scorer_falls_back_exactly_on_shared_pairs(n1, n2, seed, kinds):
 def test_key_scorer_pairs(a, b, falls_back):
     """Two values in either arm: keys k and k + 1 for an even k share a pair.
 
-    So +0.0 and -0.0 (key 0) fall back, and so does either zero with the
-    least positive subnormal (key 1), but not with the least negative (-1).
+    So a batch with +0.0 and -0.0 (key 0) falls back, and so does one with
+    either zero and the least positive subnormal (key 1), but not with the
+    least negative (-1).  One dataset with a shared pair falls back only if
+    some value's bits end in 1, as 0.3's do; without one (±0.0, ±inf, -2.0
+    among even values) the pair is counted as a tie.
     """
     x1 = np.array([[a, 3.0], [a, -7.0]])
     x2 = np.array([[b, 4.0, 9.0], [-8.0, b, 2.5]])
     assert (assert_keys_or_fallback(x1, x2) is None) == falls_back
+    for r in range(2):
+        assert_keys_or_fallback(x1[r], x2[r])
+    x2[0, 2] = 0.3
+    assert (assert_keys_or_fallback(x1[0], x2[0]) is None) == falls_back

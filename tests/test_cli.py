@@ -212,6 +212,32 @@ class TestCmdTest:
                 assert [a for a, _ in blocks] == [0] + list(np.cumsum([n for _, n in blocks[:-1]]))
                 assert sum(n for _, n in blocks) == n_perm and len(blocks) > 1
 
+    @pytest.mark.parametrize("kind,digest", [
+        ("tie_free", "9f7f7a2d303a2846658e876c18782252472757358fdc92e0f9b079c373fdc22d"),
+        ("five_levels", "4bcd273f75fa97a076b1b872678628825710269ae2787560588c4424fb660577"),
+        ("odd_bit_decimals", "8ffd3291e5c420943484674d6cf31aa3fb7e8a677197eaaec2deff436e83076b"),
+    ])
+    def test_output_digest(self, tmp_path, kind, digest):
+        """`releff test --n-perm 500` on 10**4 per arm: tie-free floats, five
+        integer levels, and one-decimal values that tie on floats whose last
+        bit is odd (0.3 is, 0.7 is not).  A change here is a stream change."""
+        rng = np.random.default_rng(20221007)
+        if kind == "tie_free":
+            pooled = rng.normal(size=20_000)
+        elif kind == "five_levels":
+            pooled = rng.integers(1, 6, size=20_000).astype(float)
+        else:
+            pooled = (rng.normal(3.0, 1.0, size=20_000) * 10).round() / 10
+            bits = pooled.view(np.int64)
+            odd = bits[bits & 1 == 1]
+            assert odd.size > np.unique(odd).size
+        path = tmp_path / "data.csv"
+        path.write_text("group,value\n" + "".join(
+            f"{1 if i < 10_000 else 2},{v!r}\n" for i, v in enumerate(pooled.tolist())))
+        code, out = run_cli(["test", str(path), "--n-perm", "500"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_csv_with_byte_order_mark(self, tmp_path):
         """A CSV saved with a UTF-8 byte-order mark, as Excel writes it, reads
         like the same file without it."""

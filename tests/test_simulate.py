@@ -37,7 +37,8 @@ from releff._batch import arm1_counts, moments_from_values, tie_runs
 from releff.permutation import _lane, tally_draws
 from releff.rng import rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
-from releff.simulate import _draw_chunk, _score_chunk, _simulate_chunk, scenario_from_dict
+from releff.simulate import (_chunk_arms, _draw_chunk, _score_chunk, _simulate_chunk,
+                             scenario_from_dict)
 from releff.variance import VarianceKind
 from releff.tables import PERM_BATTERY
 from oracles import pairwise_moments
@@ -172,11 +173,13 @@ class TestDiscreteChunks:
            n2=st.integers(2, 45), seed=st.integers(0, 2**63 - 1))
     def test_chunk_equals_values_scorer(self, dist1, dist2, n1, n2, seed):
         sc = Scenario(dist1, dist2, n1, n2, n_reps=200, tests=(), master_seed=seed)
-        m, arm1, arm2 = _score_chunk(sc, 0, sc.n_reps)
+        m = _score_chunk(sc, 0, sc.n_reps)
+        arm1, arm2, n_values = _chunk_arms(sc, 0, sc.n_reps)
         x1, x2 = _draw_chunk(sc, 0, sc.n_reps)
         support = np.union1d(discrete_masses(dist1)[0], discrete_masses(dist2)[0])
         # counted arms are indices on the union support
         counted = support.size <= n1 + n2
+        assert n_values == (support.size if counted else None)
         assert np.array_equal(support[arm1] if counted else arm1, x1)
         assert np.array_equal(support[arm2] if counted else arm2, x2)
         assert_same(m, moments_from_values(x1, x2))
@@ -185,7 +188,9 @@ class TestDiscreteChunks:
                               tie_runs(np.concatenate([x1, x2], axis=1))[0])
 
     # arms of 9 and 12: a union support of up to 21 values is counted; only a
-    # pair of continuous arms tries the key sort, a pair with a discrete arm never
+    # pair of continuous arms tries the key sort, a pair with a discrete arm
+    # never; a permutation chunk labels its arms once and reads its moments
+    # off those labels, whatever the pair
     @pytest.mark.parametrize("dist1,dist2,values_calls,key_calls", [
         (Binomial(5, 0.6), BetaLatent(5, 4, 5), 0, 0),
         (BetaLatent(5, 4, 5), BetaLatent(2, 3, 5), 0, 0),
@@ -200,8 +205,9 @@ class TestDiscreteChunks:
     @pytest.mark.parametrize("n_perm", [None, 20])
     def test_only_discrete_pairs_skip_the_values_scorer(self, monkeypatch, dist1, dist2,
                                                         values_calls, key_calls, n_perm):
-        seen, keyed = [], []
+        seen, keyed, labelled = [], [], []
         key_scorer = _batch._moments_from_keys
+        labeller = simulate.tie_runs
 
         def spy(x1, x2, **kwargs):
             seen.append(x1.shape)
@@ -211,13 +217,40 @@ class TestDiscreteChunks:
             keyed.append(x1.shape)
             return key_scorer(x1, x2)
 
+        def label_spy(pooled):
+            labelled.append(pooled.shape)
+            return labeller(pooled)
+
         monkeypatch.setattr(simulate, "moments_from_values", spy)
         monkeypatch.setattr(_batch, "_moments_from_keys", key_spy)
+        monkeypatch.setattr(simulate, "tie_runs", label_spy)
         tests = DEFAULT_BATTERY_NO_WMW if n_perm else simulate.DEFAULT_BATTERY
         sc = Scenario(dist1, dist2, 9, 12, n_reps=40, tests=tests, n_perm=n_perm, master_seed=8)
         _simulate_chunk(sc, 0, sc.n_reps)
-        assert len(seen) == values_calls
-        assert len(keyed) == key_calls
+        if n_perm is None:
+            assert (len(seen), len(keyed), labelled) == (values_calls, key_calls, [])
+        else:
+            assert (seen, keyed, labelled) == ([], [], [(40, 21)])
+
+    def test_permutation_chunk_labelled_once(self, monkeypatch):
+        """The permutation scenario of configs/mixed_pairs.cfg, a continuous
+        arm beside a discrete one, labels each chunk by one tie_runs call, for
+        its lanes and its observed moments alike."""
+        sc = load_scenarios(Path(__file__).resolve().parents[1] / "configs" / "mixed_pairs.cfg")[-1]
+        assert sc.n_perm is not None
+        calls = []
+        labeller = _batch.tie_runs
+
+        def spy(pooled):
+            calls.append(pooled.shape)
+            return labeller(pooled)
+
+        monkeypatch.setattr(_batch, "tie_runs", spy)
+        monkeypatch.setattr(simulate, "tie_runs", spy)
+        bounds = simulate._chunk_bounds(sc)
+        for start, stop in bounds:
+            _simulate_chunk(sc, start, stop)
+        assert calls == [(stop - start, sc.n1 + sc.n2) for start, stop in bounds]
 
 
     def test_union_support_found_once_per_pair(self, monkeypatch):
