@@ -5,8 +5,12 @@ runs of equal values, each with its size and its count of arm-1 members.
 With `a` and `b` a run's arm-1 and arm-2 counts and A, B the counts in lower
 runs, an arm-2 value sits at 2*n1*F1 = 2A + a and an arm-1 value at
 2*n2*(1 - F2) = 2*n2 - 2B - b, so p, tau1, tau2 and beta are integer sums
-over runs, divided once (`_moments_from_sums`).  `tie_runs` labels pooled
-values by run, for one user dataset's permutation test
+over runs, divided once (`_moments_from_sums`).  `moments_from_counts`
+reduces a (rows, runs) matrix of counts at once; a permutation count lane,
+which draws each relabelling's counts one run at a time, adds each run's
+terms to the sums as soon as it has drawn them (`RunSums`, the kernel's run
+step), so the same integers come out with no matrix held.  `tie_runs`
+labels pooled values by run, for one user dataset's permutation test
 (`TwoSamples.run_labels`), a permutation chunk, and the datasets the key
 sort below cannot score: one argsort per row gives each value its run
 label, in place, and `arm1_counts` counts any subset of labels per run.  A
@@ -51,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["EffectSummary", "tie_runs", "arm1_counts", "moments_from_counts",
+__all__ = ["EffectSummary", "tie_runs", "arm1_counts", "moments_from_counts", "RunSums",
            "moments_from_values", "moments_from_codes", "moments_from_perm"]
 
 # pooled size from which int64 sums (bounded by N**3) could overflow
@@ -178,6 +182,54 @@ def moments_from_counts(a: np.ndarray, sizes: np.ndarray, n1: int, n2: int) -> E
         np.einsum("...j,...j->...", a, b),
         n1, n2,
     )
+
+
+class RunSums:
+    """The count kernel one run at a time, for rows that share one pooled sample's run sizes.
+
+    A row's arm-1 count a in run j and its arm-1 count A in lower runs fix
+    run j's terms: with b = size - a and f1 = 2A + a, run j adds b f1 to
+    s_p, a g2**2 to s_tau1 (g2 = f1 + 2 (n2 - values below) - size), b f1**2
+    to s_tau2 and a b to s_beta, the summands of `moments_from_counts`.
+    `step` adds them to four (rows,) int64 sums as soon as run j's counts
+    are known, so no (rows, runs) matrix is held, and `summary` divides
+    the sums once; s_wmw depends on the run sizes alone and is summed here.
+    The pooled sample must be below EXACT_SUMS_BELOW.
+    """
+
+    def __init__(self, sizes: np.ndarray, n1: int):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        n = int(sizes.sum())
+        self.n1, self.n2 = n1, n - n1
+        below = np.cumsum(sizes) - sizes
+        centred = 2 * below + sizes - n
+        self.s_wmw = int(np.einsum("j,j,j->", sizes, centred, centred))
+        self.sizes = sizes.tolist()
+        self.g2_shift = (2 * (self.n2 - below) - sizes).tolist()
+
+    def step(self, sums: np.ndarray, j: int, a: np.ndarray, placed: np.ndarray) -> None:
+        """Add run j's terms to `sums`, (s_p, s_tau1, s_tau2, s_beta) as (4, rows) int64.
+
+        `a` holds each row's arm-1 count in run j and `placed` its arm-1
+        count in lower runs, both (rows,) int64.
+        """
+        s_p, s_tau1, s_tau2, s_beta = sums
+        f1 = placed * 2
+        f1 += a
+        b = self.sizes[j] - a
+        s_beta += a * b
+        b *= f1
+        s_p += b
+        b *= f1
+        s_tau2 += b
+        f1 += self.g2_shift[j]
+        f1 *= f1
+        f1 *= a
+        s_tau1 += f1
+
+    def summary(self, sums: np.ndarray) -> EffectSummary:
+        """Moments of the rows whose sums `step` has taken over every run."""
+        return _moments_from_sums(self.s_wmw, *sums, self.n1, self.n2)
 
 
 def _moments_from_ranks(ranks: np.ndarray, n1: int, n2: int) -> EffectSummary:

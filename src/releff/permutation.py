@@ -10,7 +10,8 @@ in both tallies).
 The pooled sample is labelled by tie run once (`TwoSamples.run_labels`; a
 Monte Carlo chunk's replications in one `_batch.tie_runs` call).  A draw
 matters only through how many arm-1 members each run gets, and the moments
-are exact integer sums over those counts (`_batch.moments_from_counts`).
+are exact integer sums over those counts (`_batch.moments_from_counts`, or
+run by run as a count lane draws them, `_batch.RunSums`).
 `tally_range`, the one draw loop, builds one lane of one of two kinds for
 the pooled sample, the only description of it its blocks see, and scores
 draws in cache-sized blocks of that lane (`tally_draws`, one `statistics`
@@ -25,7 +26,9 @@ by the seed (`rng.uniforms`), so it depends only on (seed, k):
   hypergeometric law, run by run: run j takes the inverse CDF of its law
   given the arm-1 members still to place at column j, and the last run
   takes what is left.  Each conditional CDF row is exact, built from
-  integer weights (`_cdf_row`), and looked up by a binary search.
+  integer weights (`_cdf_row`), kept by the lane once a draw reaches it
+  (`_KeptRows`), and looked up by a binary search.  A run's counts add
+  its terms to four per-draw integer sums as soon as they are drawn.
 * A relabel lane (`_RelabelLane`) serves every other sample, tie-free data
   included.  Its row has one column per relabelling swap (n2 of them), and
   it carries the run labels (int32) through the first n2 swaps of a
@@ -50,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._batch import EffectSummary, moments_from_counts, moments_from_perm
+from ._batch import EffectSummary, RunSums, moments_from_perm
 from ._pool import map_tasks, worker_count
 from .errors import InvalidKind
 from .ranks import TwoSamples
@@ -69,7 +72,7 @@ _MAX_STEP_DRAWS = 1024
 # the widest pooled sample drawn as per-run counts, and its most tie runs; see `_counts_drawn`
 _COUNT_MAX_N = 2048
 _COUNT_MAX_RUNS = 16
-# conditional CDF rows kept for later blocks and calls: every row one lane reaches, and
+# conditional CDF rows cached for later lanes and calls: every row one lane reaches, and
 # at most 2048 rows of at most 2047 entries, 32 MiB
 _CDF_ROWS = 2048
 
@@ -105,7 +108,8 @@ def _block_draws(n1: int, n2: int, n_runs: int) -> int:
     """Draws scored per block for n1 + n2 = n pooled values in n_runs tie runs.
 
     A count lane's block is always the cap, 2048 draws: at most 16 runs
-    hold its footprint near 1 KiB per draw, and a sweep at 15, 30 and 200
+    hold its footprint to a few hundred bytes per draw (its uniforms, the
+    search state and four int64 sums), and a sweep at 15, 30 and 200
     per arm found the cost per draw flat from 2048 to 8192 draws and
     1.3-1.4 times higher at 1024.  A relabelled draw holds 4 n bytes of
     relabel (int32 run labels), 8 n2 of scatter indices (`flat_j`) and 8
@@ -158,26 +162,44 @@ def _cdf_row(s: int, rest: int, m: int) -> np.ndarray:
     return row
 
 
-def _hypergeometric_counts(s: int, rest: int, left: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per draw, the inverse CDF of Hyp(s, rest, left[k]) at u[k]: how many row entries are <= u[k].
+class _KeptRows:
+    """One run's conditional CDF rows that a count lane's draws have reached, kept across blocks.
 
-    The rows of the `left` values the draws reach are laid end to end in
-    one table, and each draw's count is found by a binary search over its
-    row, one gather per bit of s.
+    Row m is P(X <= k) for X ~ Hyp(s, rest, m), k = 0, 1, ... (`_cdf_row`),
+    and m is at most `most`.  The rows are laid end to end in `table` in
+    the order the draws first reached them, and `start[m]` is row m's
+    offset there, or -1 while no draw has reached it.  A block that reaches
+    new m values appends only their rows, so the table holds just the rows
+    reached and asks the row cache for each of them once.
     """
-    low = int(left.min())
-    offset = left - low
-    reached = np.bincount(offset)
-    table = np.concatenate([_cdf_row(s, rest, low + v) for v in np.flatnonzero(reached).tolist()])
-    width = (1 << s.bit_length()) - 1
-    # reached offset v is row cumsum(reached > 0)[v] - 1 of the table
-    start = (np.cumsum(reached > 0) - 1)[offset] * width
-    at = start.copy()
-    for bit in range(s.bit_length() - 1, -1, -1):
-        step = 1 << bit
-        # `at` is at most width + 1 - 2 * step into its row, so the entry read is in the row
-        at += (table[at + (step - 1)] <= u) * step
-    return at - start
+
+    def __init__(self, s: int, rest: int, most: int):
+        self.s, self.rest = s, rest
+        self.width = (1 << s.bit_length()) - 1
+        self.start = np.full(most + 1, -1, dtype=np.int64)
+        self.table = np.empty(0)
+
+    def draw(self, left: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per draw k, the inverse CDF of Hyp(s, rest, left[k]) at u[k].
+
+        That is how many entries of row left[k] are <= u[k], found by a
+        binary search over the row, one gather per bit of s.
+        """
+        start = self.start[left]
+        if start.min() < 0:
+            new = np.flatnonzero(np.bincount(left[start < 0]))
+            self.start[new] = self.table.size + self.width * np.arange(new.size)
+            self.table = np.concatenate(
+                [self.table, *(_cdf_row(self.s, self.rest, m) for m in new.tolist())])
+            start = self.start[left]
+        at = start.copy()
+        for bit in range(self.s.bit_length() - 1, -1, -1):
+            step = 1 << bit
+            # reads entry at + step - 1; `at` is at most width + 1 - 2 * step into its
+            # row, so that entry is in the row
+            at += (self.table[step - 1 :].take(at) <= u) * step
+        at -= start
+        return at
 
 
 class _CountLane:
@@ -188,30 +210,42 @@ class _CountLane:
     still to place, Hyp(sizes[j], values in later runs, members left), at
     column j, and the last run takes what is left: an exact draw from the
     multivariate hypergeometric law of a random relabelling's counts.
+
+    A block walks the runs once (`_runs`).  Each draw's count in run j is
+    looked up in the CDF rows the lane keeps for run j (`_KeptRows`), and
+    run j's terms go straight into four per-draw sums (`RunSums.step`), so
+    a block holds no (draws, runs) matrix and builds no row table.  The
+    kept rows grow as the blocks reach new rows, so a lane belongs to one
+    draw loop, as a relabel lane's buffers do.
     """
 
     def __init__(self, sizes: np.ndarray, n1: int):
-        self.sizes = sizes.astype(np.int64)
-        self.n1, self.n2 = n1, int(self.sizes.sum()) - n1
-        self.later = (self.n1 + self.n2 - np.cumsum(self.sizes)).tolist()
+        self.n1 = n1
+        self.kernel = RunSums(sizes, n1)
+        later = (int(sizes.sum()) - np.cumsum(sizes)).tolist()
+        self.rows = [_KeptRows(s, rest, n1) for s, rest in zip(sizes[:-1].tolist(), later)]
+
+    def _runs(self, seed: int, first_draw: int, n_draws: int):
+        """Per run, in order: each draw's arm-1 count in it and in lower runs, (n_draws,) each."""
+        # column j of the block as one contiguous row
+        u = np.ascontiguousarray(uniforms(perm_key(seed), first_draw, n_draws, len(self.rows)).T)
+        placed = np.zeros(n_draws, dtype=np.int64)
+        for rows, column in zip(self.rows, u):
+            a = rows.draw(self.n1 - placed, column)
+            yield a, placed
+            placed = placed + a
+        yield self.n1 - placed, placed
 
     def counts(self, seed: int, first_draw: int, n_draws: int) -> np.ndarray:
         """Each draw's arm-1 count per run, (n_draws, runs)."""
-        runs = self.sizes.size
-        # column j of the block as one contiguous row
-        u = np.ascontiguousarray(uniforms(perm_key(seed), first_draw, n_draws, runs - 1).T)
-        a = np.empty((n_draws, runs), dtype=np.int64)
-        left = np.full(n_draws, self.n1, dtype=np.int64)
-        for j, (s, later) in enumerate(zip(self.sizes[:-1].tolist(), self.later)):
-            a[:, j] = _hypergeometric_counts(s, later, left, u[j])
-            left -= a[:, j]
-        a[:, -1] = left
-        return a
+        return np.column_stack([a for a, _ in self._runs(seed, first_draw, n_draws)])
 
     def moments(self, seed: int, first_draw: int, n_draws: int) -> EffectSummary:
         """Moments of draws [first_draw, first_draw + n_draws)."""
-        return moments_from_counts(self.counts(seed, first_draw, n_draws), self.sizes,
-                                   self.n1, self.n2)
+        sums = np.zeros((4, n_draws), dtype=np.int64)
+        for j, (a, placed) in enumerate(self._runs(seed, first_draw, n_draws)):
+            self.kernel.step(sums, j, a, placed)
+        return self.kernel.summary(sums)
 
 
 class _RelabelLane:

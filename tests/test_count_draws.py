@@ -1,16 +1,19 @@
 """The count lane: per-run arm-1 counts drawn from their exact law, checked against `Fraction`s."""
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from releff import TwoSamples, permutation_test, run_test
 from releff import permutation
 from releff._batch import moments_from_counts
-from releff.permutation import (_CountLane, _RelabelLane, _cdf_row, _hypergeometric_counts,
-                                _lane, tally_draws)
+from releff.permutation import (_CountLane, _KeptRows, _RelabelLane, _cdf_row, _lane,
+                                tally_draws)
 from releff.stat_tests import statistics
 from releff.tables import PERM_BATTERY
 from oracles import hypergeometric_law
@@ -52,7 +55,7 @@ class TestConditionalRows:
             row = _cdf_row(s, rest, m)
             inside = row[(row > 0.0) & (row < 1.0)]
             u = np.concatenate([inside, np.nextafter(inside, 0.0), [2.0**-53, 1 - 2.0**-53]])
-            got = _hypergeometric_counts(s, rest, np.full(u.size, m), u)
+            got = _KeptRows(s, rest, m).draw(np.full(u.size, m), u)
             assert np.array_equal(got, np.searchsorted(row, u, side="right")), (s, rest, m)
 
     def test_rows_of_many_draws_are_each_draws_own(self):
@@ -60,7 +63,7 @@ class TestConditionalRows:
         rng = np.random.default_rng(5)
         left = rng.integers(100, 140, size=3000)
         u = rng.random(3000)
-        got = _hypergeometric_counts(40, 360, left, u)
+        got = _KeptRows(40, 360, 139).draw(left, u)
         want = [np.searchsorted(_cdf_row(40, 360, int(v)), x, side="right")
                 for v, x in zip(left, u)]
         assert got.tolist() == want
@@ -195,3 +198,90 @@ class TestCountLane:
         assert results[0] == results[1]
         assert [(r.p1, r.p2) for r in results[0]] == [
             (le / 7000, ge / 7000) for le, ge in zip(*whole)]
+
+
+@st.composite
+def count_samples(draw):
+    """Sizes of 1-16 runs (often runs of one value), N <= 2048, and n1 with >= 2 in each arm."""
+    runs = draw(st.integers(1, 16))
+    size = st.one_of(st.just(1), st.integers(1, 2048 // runs))
+    sizes = draw(st.lists(size, min_size=runs, max_size=runs).filter(lambda v: sum(v) >= 4))
+    n1 = draw(st.integers(2, sum(sizes) - 2))
+    return sizes, n1
+
+
+def field_bits(m):
+    """Every field of a summary as int64 bits."""
+    return {f.name: np.asarray(getattr(m, f.name)).view(np.int64).tolist()
+            for f in dataclasses.fields(m)}
+
+
+@given(sample=count_samples(), seed=st.integers(0, 2**32 - 1), first=st.integers(0, 10**6),
+       n_draws=st.integers(1, 200))
+@example(sample=([30], 12), seed=1, first=0, n_draws=50)   # one run: every draw is the data
+@example(sample=([1] * 16, 9), seed=2, first=7, n_draws=64)   # every run of size 1
+@example(sample=([1024, 1, 1023], 1500), seed=3, first=0, n_draws=100)   # N = 2048, arm 1 larger
+@example(sample=([3, 1, 500, 1, 7], 20), seed=4, first=5, n_draws=100)   # arm 2 larger
+def test_run_sums_equal_the_count_kernel(sample, seed, first, n_draws):
+    """A count lane's moments, summed run by run as it draws, equal the
+    count kernel's vectorized reduction over its counts, bit for bit."""
+    sizes, n1 = sample
+    sizes = np.array(sizes)
+    lane = _CountLane(sizes, n1)
+    got = lane.moments(seed, first, n_draws)
+    a = _CountLane(sizes, n1).counts(seed, first, n_draws)
+    assert a.shape == (n_draws, sizes.size) and np.all(a.sum(axis=1) == n1)
+    assert field_bits(got) == field_bits(moments_from_counts(a, sizes, n1, sizes.sum() - n1))
+
+
+def run_rows(sizes, n1, a):
+    """The (s, rest, members left) rows the draws with counts `a` reach, every run but the last."""
+    later = sizes.sum() - np.cumsum(sizes)
+    left = n1 - np.cumsum(a, axis=1) + a
+    return {(int(s), int(rest), int(m)) for j, (s, rest) in enumerate(zip(sizes[:-1], later))
+            for m in np.unique(left[:, j])}
+
+
+class TestKeptRows:
+    def test_later_blocks_reaching_new_rows_tally_as_fresh_lanes(self):
+        """On five levels at 200/200, a lane that scores 128 draws and then
+        blocks of 2048, each reaching rows no earlier block reached, tallies
+        each block as a fresh lane does."""
+        d = levels(200, 200, 21)
+        _, sizes = d.run_labels()
+        observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
+        lane = _CountLane(sizes, d.n1)
+        bounds = [0, 128, 2176, 4224, 6272]
+        reached = set()
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            counts = _CountLane(sizes, d.n1).counts(8, a, b - a)
+            rows = run_rows(sizes, d.n1, counts)
+            if a:
+                assert rows - reached, "no new row reached"
+            reached |= rows
+            got = tally_draws(lane, PERM_BATTERY, observed, 8, a, b - a)
+            want = tally_draws(_CountLane(sizes, d.n1), PERM_BATTERY, observed, 8, a, b - a)
+            assert np.array_equal(got, want), (a, b)
+        assert sum((kept.start >= 0).sum() for kept in lane.rows) == len(reached)
+
+    def test_cold_lane_builds_each_reached_row_once(self, monkeypatch):
+        """With the row cache cleared, a draw loop over several blocks asks
+        for each (run, members left) row its draws reach once, and for no
+        other row."""
+        d = levels(200, 200, 22)
+        labels, sizes = d.run_labels()
+        n_draws = 3 * 2048 + 500
+        reached = run_rows(sizes, d.n1, _CountLane(sizes, d.n1).counts(6, 0, n_draws))
+        asked = []
+
+        def spy(s, rest, m):
+            asked.append((s, rest, m))
+            return cdf_row(s, rest, m)
+
+        cdf_row = permutation._cdf_row
+        cdf_row.cache_clear()
+        monkeypatch.setattr(permutation, "_cdf_row", spy)
+        permutation.tally_range(labels, d.n1, PERM_BATTERY, np.zeros(len(PERM_BATTERY)), 6, 0,
+                                n_draws)
+        assert len(asked) == len(set(asked)) and set(asked) == reached
+        assert cdf_row.cache_info().misses == len(reached)

@@ -242,10 +242,10 @@ class TestLaneBuffers:
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_blocks_keep_what_fresh_buffers_give(self, monkeypatch, tied):
         """At 200/200, each block scores what a fresh lane gives for its
-        draws: the arm-1 labels of a relabel (tie-free) or the per-run counts
-        (five levels).  The moments a block makes stay unchanged while the
-        lane's later blocks (a short last one too) are drawn, and the range
-        tallies what fresh single-block calls tally."""
+        draws: the arm-1 labels of a relabel (tie-free) or the per-run sums
+        of the count kernel (five levels).  The moments a block makes stay
+        unchanged while the lane's later blocks (a short last one too) are
+        drawn, and the range tallies what fresh single-block calls tally."""
         rng = np.random.default_rng(400)
         if tied:
             pooled = rng.choice(5, size=400, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
@@ -263,29 +263,36 @@ class TestLaneBuffers:
                 return _CountLane(np.bincount(labels), n1)
             return _RelabelLane(labels, np.bincount(labels), n1, draws)
 
-        def spy(drawn, *args):
-            mm = scorer(drawn, *args)
+        def record(drawn, mm):
             fields = {f.name: np.array(getattr(mm, f.name)) for f in dataclasses.fields(mm)}
             scored.append((drawn.copy(), mm, fields))
             return mm
 
-        scorer = permutation.moments_from_counts if tied else moments_from_perm
-        monkeypatch.setattr(permutation, scorer.__name__, spy)
+        if tied:
+            summary = permutation.RunSums.summary
+            monkeypatch.setattr(permutation.RunSums, "summary",
+                                lambda self, sums: record(sums, summary(self, sums)))
+        else:
+            monkeypatch.setattr(permutation, "moments_from_perm",
+                                lambda drawn, sizes: record(drawn, moments_from_perm(drawn, sizes)))
         counts = permutation.tally_range(labels, n1, [pm], observed, seed, 0, stop)
         monkeypatch.undo()
-        assert [len(drawn) for drawn, _, _ in scored] == [block] * 3 + [block // 3]
+        # a block's sums are (4, draws), its relabel (draws, n1)
+        sizes = [drawn.shape[-1 if tied else 0] for drawn, _, _ in scored]
+        assert sizes == [block] * 3 + [block // 3]
         want = np.zeros_like(counts)
-        for k, (drawn, mm, fields) in enumerate(scored):
-            lane = fresh_lane(len(drawn))
+        for k, ((drawn, mm, fields), n) in enumerate(zip(scored, sizes)):
+            lane = fresh_lane(n)
             if tied:
-                assert np.array_equal(drawn, lane.counts(seed, k * block, len(drawn)))
+                fresh = lane.moments(seed, k * block, n)
+                for name, value in fields.items():
+                    assert np.array_equal(getattr(fresh, name), value), (k, name)
             else:
-                u = uniforms(perm_key(seed), k * block, len(drawn), 200)
+                u = uniforms(perm_key(seed), k * block, n, 200)
                 assert np.array_equal(drawn, _batch_permutations(u, lane))
             for name, value in fields.items():
                 assert np.array_equal(getattr(mm, name), value), (k, name)
-            want += tally_draws(fresh_lane(len(drawn)), [pm], observed, seed, k * block,
-                                len(drawn))
+            want += tally_draws(fresh_lane(n), [pm], observed, seed, k * block, n)
         assert np.array_equal(counts, want)
 
 
