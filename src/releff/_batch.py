@@ -10,10 +10,12 @@ reduces a (rows, runs) matrix of counts at once; a permutation count lane,
 which draws each relabelling's counts one run at a time, adds each run's
 terms to the sums as soon as it has drawn them (`RunSums`, the kernel's run
 step), so the same integers come out with no matrix held.  `tie_runs`
-labels pooled values by run, for one user dataset's permutation test
-(`TwoSamples.run_labels`), a permutation chunk, and the datasets the key
-sort below cannot score: one argsort per row gives each value its run
-label, in place, and `arm1_counts` counts any subset of labels per run.  A
+takes datasets as two arms and returns their whole tie-run record: each
+pooled value's run label, in place, from one argsort per row, and each
+run's size and arm-1 count (`arm1_counts`, which counts any subset of
+labels per run).  It records a user dataset, which `TwoSamples` keeps for
+its moments, its permutation test and its plus/minus-ECDF moments; a
+permutation chunk; and the datasets the key sort below cannot score.  A
 simulated batch of discrete data needs no sort at all: given as indices on
 one sorted support (`moments_from_codes`), each support value is a run,
 and its members are counted per arm; a value a row does not use is an
@@ -21,7 +23,8 @@ empty run, which adds 0 to every sum.  Datasets with the same runs and
 counts get bit-identical moments whichever entry point produced them: a
 simulated batch (`moments_from_values` or `moments_from_codes`),
 permutation draws (`moments_from_perm`) or one user dataset
-(`moments_from_values`, for `TwoSamples.moments`).  A permutation draw
+(`moments_from_values`, or `moments_from_counts` on the record a
+`TwoSamples` keeps).  A permutation draw
 arrives as the run labels of its arm-1 values, which the relabel carries
 through the shuffle in place of indices, so its counts are one `bincount`
 with no gather.  A batch's summary holds one row per dataset in each
@@ -125,27 +128,31 @@ class EffectSummary:
         return {}
 
 
-def tie_runs(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tie runs of each row of a (rows, N) block of pooled values.
+def tie_runs(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tie-run record of datasets given as two arms, shaped as for `moments_from_values`.
 
-    Returns each value's run label, (rows, N) in the values' own positions,
-    and each row's run sizes, (rows, runs).  A row's runs are labelled from
-    0 in increasing value order; a row with fewer runs than the widest is
-    padded with empty runs, which add nothing to any sum.  Each row's sort
-    order is made one index into the flat block, which gathers the sorted
-    values and scatters their labels back.
+    Returns each pooled value's run label, arm 1 first, in the values' own
+    positions, (..., n1 + n2); each dataset's run sizes, (..., runs); and
+    its arm-1 count per run, (..., runs).  A dataset's runs are labelled
+    from 0 in increasing value order; in a batch, a row with fewer runs
+    than the widest is padded with empty runs, which add nothing to any
+    sum.  Each row's sort order is made one index into the flat block,
+    which gathers the sorted values and scatters their labels back.
     """
-    rows, n = pooled.shape
-    order = np.argsort(pooled, axis=1)
-    order += np.arange(0, rows * n, n)[:, None]
+    pooled = np.concatenate([x1, x2], axis=-1)
+    *lead, n = pooled.shape
+    order = np.argsort(pooled.reshape(-1, n), axis=1)
+    order += np.arange(0, pooled.size, n)[:, None]
     ordered = pooled.take(order)
-    run = np.zeros(pooled.shape, dtype=np.intp)
+    run = np.zeros(order.shape, dtype=np.intp)
     # a new run starts where a sorted value differs from its predecessor
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=run[:, 1:])
     np.cumsum(run, axis=1, out=run)
     labels = np.empty_like(run)
     labels.reshape(-1)[order.reshape(-1)] = run.reshape(-1)
-    return labels, arm1_counts(run, int(run[:, -1].max()) + 1)
+    n_runs = int(run[:, -1].max()) + 1
+    record = labels, arm1_counts(run, n_runs), arm1_counts(labels[:, : x1.shape[-1]], n_runs)
+    return tuple(array.reshape(*lead, -1) for array in record)
 
 
 def arm1_counts(labels: np.ndarray, n_runs: int) -> np.ndarray:
@@ -288,8 +295,9 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray, continuous: bool = True)
     Unless the caller expects ties the key sort cannot count (`continuous`
     False, as for a discrete arm), the values are first scored from one
     in-place sort of keys that carry the arm (`_moments_from_keys`).  What it
-    cannot score takes the run path: its tie runs (`tie_runs`) and their
-    arm-1 members (`arm1_counts`).  The moments are the same bits either way.
+    cannot score takes the run path: its tie-run record (`tie_runs`), whose
+    run sizes and arm-1 counts the count kernel sums.  The moments are the
+    same bits either way.
     """
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     n1, n2 = x1.shape[-1], x2.shape[-1]
@@ -297,10 +305,8 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray, continuous: bool = True)
         m = _moments_from_keys(x1, x2)
         if m is not None:
             return m
-    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=-1).reshape(-1, n1 + n2))
-    a = arm1_counts(labels[:, :n1], sizes.shape[1])
-    shape = (*x1.shape[:-1], sizes.shape[1])
-    return moments_from_counts(a.reshape(shape), sizes.reshape(shape), n1, n2)
+    _, sizes, a = tie_runs(x1, x2)
+    return moments_from_counts(a, sizes, n1, n2)
 
 
 # the bits of a float64 below the sign

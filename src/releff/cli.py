@@ -126,6 +126,12 @@ def _cmd_test(args) -> int:
     data = _read_two_group_csv(args.data)
     kinds = _parse_test_list(args.tests, args.df)
     header = ["test", "statistic", "df", "p_value", "degenerate"]
+    if args.n_perm:
+        # before the rows, which then read the moments off the tie runs it records, so the
+        # data is sorted once; one pass over the draws tallies every non-wmw kind
+        tallied = [kind for kind in kinds if kind.family != "wmw"]
+        perms = dict(zip(tallied, permutation_tests(data, tallied, n_perm=args.n_perm,
+                                                    seed=args.seed, threads=args.threads)))
     results = [run_test(data, kind, alternative=args.alternative) for kind in kinds]
     rows = [
         [
@@ -139,17 +145,9 @@ def _cmd_test(args) -> int:
     ]
     if args.n_perm:
         header.append("perm_p_value")
-        # one pass over the draws tallies every non-wmw kind against its row's statistic
-        tallied = [res for res in results if res.kind.family != "wmw"]
-        perms = iter(permutation_tests(data, [res.kind for res in tallied], n_perm=args.n_perm,
-                                       seed=args.seed, threads=args.threads, observed=tallied))
+        tail = {"two-sided": "p_value", "greater": "p2", "less": "p1"}[args.alternative]
         for kind, row in zip(kinds, rows):
-            if kind.family == "wmw":
-                row.append("")
-            else:
-                perm = next(perms)
-                p = {"two-sided": perm.p_value, "greater": perm.p2, "less": perm.p1}
-                row.append(format(p[args.alternative], ".12g"))
+            row.append(format(getattr(perms[kind], tail), ".12g") if kind in perms else "")
     _emit(header, rows, args.format, args.output)
     return 0
 

@@ -7,8 +7,10 @@ real data, and the two-sided p-value is 2*min(p1, p2) where p1/p2 are the
 fractions of permuted statistics <= / >= the observed one (exact ties count
 in both tallies).
 
-The pooled sample is labelled by tie run once (`TwoSamples.run_labels`; a
-Monte Carlo chunk's replications in one `_batch.tie_runs` call).  A draw
+The pooled sample is labelled by tie run once: a dataset keeps its
+tie-run record (`TwoSamples.run_labels`), asked for before the observed
+statistics so that they are read off it too, and a Monte Carlo chunk's
+replications are recorded in one `_batch.tie_runs` call.  A draw
 matters only through how many arm-1 members each run gets, and the moments
 are exact integer sums over those counts (`_batch.moments_from_counts`, or
 run by run as a count lane draws them, `_batch.RunSums`).
@@ -356,28 +358,25 @@ def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: 
 
 
 def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int = DEFAULT_SEED,
-                      threads: int = 1, *, observed=None) -> list[PermutationResult]:
+                      threads: int = 1) -> list[PermutationResult]:
     """Studentized permutation tests for several statistics, one per kind.
 
     Every kind is tallied over the same draws in one pass, so each result
-    equals `permutation_test` for its kind alone.  `threads` workers (>= 1)
+    equals `permutation_test` for its kind alone.  The dataset's tie-run
+    record is asked for before its observed statistics, so `data.moments`
+    reads it and a fresh dataset is sorted once.  `threads` workers (>= 1)
     each tally one contiguous lane of whole blocks, so the pool never has
-    more workers than blocks or CPUs.  `observed` may hold the kinds'
-    `run_test` results on `data`, already computed (under any alternative:
-    only their statistics are tallied against); they are reported as given.
+    more workers than blocks or CPUs.
     """
     kinds = list(kinds)
     if any(kind.family == "wmw" for kind in kinds):
         raise InvalidKind("the permutation approach is defined for the non-WMW statistics")
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
-    if observed is not None and [res.kind for res in observed] != kinds:
-        raise ValueError("observed must hold one run_test result per kind, in order")
     if not kinds:
         return []
-    if observed is None:
-        observed = [run_test(data, kind) for kind in kinds]
     labels, sizes = data.run_labels()
+    observed = [run_test(data, kind) for kind in kinds]
     statistics = np.array([res.statistic for res in observed])
     block = _block_draws(data.n1, data.n2, sizes.size)
     n_blocks = -(-n_perm // block)

@@ -1,12 +1,17 @@
 """Samples and two-arm datasets: `TwoSamples` is the one front door for a dataset.
 
-It labels its pooled values by tie run (`run_labels`, which the permutation
-test relabels) and keeps the `EffectSummary` the count kernel (`_batch`)
-derives from them (`estimate_effect`), and the plus/minus-ECDF summary
-Shirahata's general form reads, so every estimator and test run on one
-instance shares one sort.  Observations are equal iff their floats are
-equal; ordinal categories must be encoded upstream as exactly representable
-reals (small integers), otherwise tie handling silently changes.
+It keeps the `EffectSummary` the count kernel (`_batch`) derives from its
+two arms (`moments`, which `estimate_effect` returns) and, once a caller
+asks for it, its tie-run record (`_batch.tie_runs`): each pooled value's
+run label (`run_labels`, which the permutation test relabels), the run
+sizes and each run's arm-1 count (`runs`), off which it also reads the
+plus/minus-ECDF summary Shirahata's general form needs (`plus_minus`).
+`moments` alone decides how the dataset is sorted: it reads the record if
+one is kept, and otherwise sorts keys, so every estimator and test run on
+one instance shares one sort whichever comes first.  Observations are
+equal iff their floats are equal; ordinal categories must be encoded
+upstream as exactly representable reals (small integers), otherwise tie
+handling silently changes.
 """
 from __future__ import annotations
 
@@ -80,29 +85,39 @@ class TwoSamples:
     def pooled(self) -> np.ndarray:
         return np.concatenate([self.s1.values, self.s2.values])
 
+    @cached_property
+    def _runs_record(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pooled tie-run record (`tie_runs`): labels, run sizes and arm-1 counts, read-only."""
+        record = tie_runs(self.s1.values, self.s2.values)
+        for array in record:
+            array.flags.writeable = False
+        return record
+
     def run_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """Each pooled value's tie-run label (N,), from 0 in value order, and the run sizes."""
-        (labels,), (sizes,) = tie_runs(self.pooled()[None, :])
-        return labels, sizes
+        return self._runs_record[:2]
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Arm-1 counts and sizes of the pooled tie runs, in increasing value order."""
-        labels, sizes = self.run_labels()
-        return np.bincount(labels[: self.n1], minlength=sizes.size), sizes
+        _, sizes, a = self._runs_record
+        return a, sizes
 
     @cached_property
     def moments(self) -> EffectSummary:
         """Every plug-in moment of this dataset, as floats.
 
-        Scored as one dataset by `moments_from_values`: one in-place sort of
+        Read off the tie-run record when it is kept (`runs`).  Otherwise
+        scored as one dataset by `moments_from_values`: one in-place sort of
         keys, off which it reads the ranks or the tie runs, or the run path
         when the data ties on values whose bits end in 1, which is taken at
         once when the first 64 pooled values show such a tie
-        (`_odd_ties_ahead`).  Computed once per instance and kept; the keys
-        and runs, O(N) in size, are not.  Each arm needs at least 2
-        observations.
+        (`_odd_ties_ahead`); those keys and runs, O(N) in size, are not
+        kept.  Computed once per instance and kept.  Each arm needs at
+        least 2 observations.
         """
         self.require_min_size(2)
+        if "_runs_record" in self.__dict__:
+            return moments_from_counts(*self.runs(), self.n1, self.n2)
         x1, x2 = self.s1.values, self.s2.values
         return moments_from_values(x1, x2, continuous=not _odd_ties_ahead(x1, x2))
 
@@ -113,13 +128,10 @@ class TwoSamples:
         The moments are those of the data with every cross-arm tie broken
         arm 1 first: each run of a arm-1 and b arm-2 members becomes a run of
         its a arm-1 members followed by a run of its b arm-2 members.
-        Computed once per instance, on first use; if `moments` is not cached
-        yet it is filled from the same sort.
+        Computed once per instance, on first use, off the tie-run record.
         """
         self.require_min_size(2)
         a, sizes = self.runs()
-        if "moments" not in self.__dict__:
-            self.__dict__["moments"] = moments_from_counts(a, sizes, self.n1, self.n2)
         split = moments_from_counts(np.stack([a, np.zeros_like(a)], axis=-1).ravel(),
                                     np.stack([a, sizes - a], axis=-1).ravel(), self.n1, self.n2)
         return split, sizes.size

@@ -36,9 +36,9 @@ margin of 1e-6 below z* against rounding).  A permutation p-value
 min(1, 2c / n_perm), with c the smaller of a test's two tallies, only grows
 with c, so a chunk turns alpha into one integer threshold c*
 (`_reject_threshold`) and a test rejects exactly when c <= c*.  A
-permutation chunk labels the tie runs of all its replications (values or
+permutation chunk records the tie runs of all its replications (values or
 support indices, which sort alike) with one batched `tie_runs` call, reads
-its observed moments off those labels (`moments_from_counts`), and
+its observed moments off that record (`moments_from_counts`), and
 each replication tallies its draws through `permutation.tally_range` with
 settle_above=c*, which stops once no test's decision can change; a scenario
 with no tests draws none.  Each replication's lane reads its own runs: a
@@ -61,8 +61,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._batch import (BUFFER_VALUES, arm1_counts, moments_from_codes, moments_from_counts,
-                     moments_from_values, tie_runs)
+from ._batch import (BUFFER_VALUES, moments_from_codes, moments_from_counts, moments_from_values,
+                     tie_runs)
 from ._pool import map_tasks
 from .distributions import (DistSpec, discrete_masses, index, is_continuous, parse_dist,
                             population_variance, sample)
@@ -197,10 +197,8 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
     permuted = sc.n_perm is not None and bool(sc.tests)
     if permuted:
         # one labelling gives both the lanes their runs and the observed moments
-        arm1, arm2, _ = _chunk_arms(sc, start, stop)
-        labels, sizes = tie_runs(np.concatenate([arm1, arm2], axis=1))
-        m = moments_from_counts(arm1_counts(labels[:, : sc.n1], sizes.shape[1]), sizes,
-                                sc.n1, sc.n2)
+        labels, sizes, a = tie_runs(*_chunk_arms(sc, start, stop)[:2])
+        m = moments_from_counts(a, sizes, sc.n1, sc.n2)
     else:
         m = _score_chunk(sc, start, stop)
     tally = _Tally(
@@ -341,10 +339,17 @@ def _alpha_field(value) -> float:
     return float(value)
 
 
+# every field a scenario-file entry may hold
+_SCENARIO_FIELDS = {"dist1", "dist2", "n1", "n2", "n_reps", "tests", "alpha", "n_perm", "seed"}
+
+
 def scenario_from_dict(entry: dict, seed_override: int | None = None) -> Scenario:
-    """Build a Scenario from one scenario-file entry."""
+    """Build a Scenario from one scenario-file entry; a field it does not read is an error."""
     if not isinstance(entry, dict):
         raise ConfigError(f"scenario entry must be an object, got {entry!r}")
+    unknown = sorted(entry.keys() - _SCENARIO_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown scenario field {unknown[0]!r}")
     try:
         tests = entry.get("tests")
         if tests is not None and not isinstance(tests, list):

@@ -42,7 +42,7 @@ def pooled_values(rng, size, levels):
 
 def perm_block(pooled, n1, seed, first, draws):
     """The run labels of the pooled sample and of the arm-1 values of a block of draws."""
-    labels = tie_runs(pooled[None, :])[0][0]
+    labels = tie_runs(pooled[:n1], pooled[n1:])[0]
     u = uniforms(perm_key(seed), first, draws, pooled.size - n1)
     return labels, _batch_permutations(u, _RelabelLane(labels, np.bincount(labels), n1, draws))
 
@@ -54,7 +54,7 @@ def kernel_from_perm(arm1_labels, labels):
 
 
 def kernel_from_values(x1, x2):
-    labels, sizes = tie_runs(np.concatenate([x1, x2], axis=1))
+    labels, sizes, _ = tie_runs(x1, x2)
     n1 = x1.shape[1]
     return moments_from_counts(arm1_counts(labels[:, :n1], sizes.shape[1]), sizes, n1, x2.shape[1])
 
@@ -248,9 +248,9 @@ def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
     calls = []
     labeller = _batch.tie_runs
 
-    def spy(pooled):
-        calls.append(pooled.shape)
-        return labeller(pooled)
+    def spy(x1, x2):
+        calls.append((x1.size // x1.shape[-1], x1.shape[-1] + x2.shape[-1]))
+        return labeller(x1, x2)
 
     rng = np.random.default_rng(11)
     batches = [pooled_values(rng, (6, 20), levels) for levels in (None, 1, 3)]

@@ -12,6 +12,7 @@ from releff import DEFAULT_BATTERY, TwoSamples, permutation_test, run_test
 from releff import TestKind as TK
 from releff import cli, permutation
 from releff.cli import main
+from tests_util import SORT_CASES, sort_case
 
 TOY_CSV = "group,value\n1,1\n1,2\n1,3\n2,2\n2,3\n2,4\n"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -142,27 +143,16 @@ class TestCmdTest:
             assert float(row["perm_p_value"]) == pytest.approx(want, abs=1e-12), alternative
 
     @pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
-    def test_each_kind_is_run_once_with_n_perm(self, tmp_path, monkeypatch, alternative):
-        """The permutation column tallies against the rows' own results, so
-        the 7-test battery makes 7 `run_test` calls, not one more per non-wmw
-        kind, and prints what tallying against fresh results prints."""
+    def test_permutation_column_equals_permutation_test(self, tmp_path, alternative):
+        """Under every alternative, the permutation column of the 7-test
+        battery prints each non-wmw kind's own `permutation_test` tail."""
         x1, x2 = [1, 2, 3, 4, 6], [5, 7, 8, 9, 10]
         path = tmp_path / "five.csv"
         path.write_text("group,value\n" + "".join(f"1,{v}\n" for v in x1)
                         + "".join(f"2,{v}\n" for v in x2))
         argv = ["test", str(path), "--n-perm", "300", "--seed", "5", "--alternative", alternative]
-        calls = []
-
-        def spy(data, kind, *args, **kwargs):
-            calls.append(kind)
-            return run_test(data, kind, *args, **kwargs)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(cli, "run_test", spy)
-            mp.setattr(permutation, "run_test", spy)
-            code, out = run_cli(argv)
+        code, out = run_cli(argv)
         assert code == 0
-        assert calls == list(DEFAULT_BATTERY)
         data = TwoSamples(x1, x2)
         tails = {"two-sided": "p_value", "greater": "p2", "less": "p1"}
         want = [
@@ -211,6 +201,20 @@ class TestCmdTest:
                 # the blocks tile the draws once, not once per kind
                 assert [a for a, _ in blocks] == [0] + list(np.cumsum([n for _, n in blocks[:-1]]))
                 assert sum(n for _, n in blocks) == n_perm and len(blocks) > 1
+
+    @pytest.mark.parametrize("case", SORT_CASES)
+    def test_n_perm_sorts_the_data_once(self, tmp_path, sorts, case):
+        """At 200/200 the permutation pass records the tie runs, and the rows
+        read their moments off that record: one labelling, no key sort."""
+        x1, x2 = sort_case(case, 200)
+        path = tmp_path / "data.csv"
+        path.write_text("group,value\n" + "".join(f"1,{v!r}\n" for v in x1.tolist())
+                        + "".join(f"2,{v!r}\n" for v in x2.tolist()))
+        code, out = run_cli(["test", str(path), "--n-perm", "200"])
+        assert code == 0
+        assert sorts == ["label"]
+        assert [row["statistic"] for row in parse_csv(out)] == [
+            format(run_test(TwoSamples(x1, x2), kind).statistic, ".12g") for kind in DEFAULT_BATTERY]
 
     @pytest.mark.parametrize("kind,digest", [
         ("tie_free", "9f7f7a2d303a2846658e876c18782252472757358fdc92e0f9b079c373fdc22d"),
@@ -358,6 +362,9 @@ class TestCmdSimulate:
                                ("alpha", "0.05"), ("alpha", True), ("alpha", None)]],
         # a string of labels is not a list of them
         pytest.param([{**GOOD_ENTRY, "tests": "pm"}], "tests", id="tests_string"),
+        # a misspelled field is refused, not ignored (alpha would stay 0.05)
+        pytest.param([{**GOOD_ENTRY, "n_perm": 100, "alhpa": 0.01}], "alhpa",
+                     id="misspelled_field"),
     ])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, payload, field):
         cfg = tmp_path / "bad.cfg"

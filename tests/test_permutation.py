@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from releff import InvalidKind, TwoSamples, permutation_test, run_test
+from releff import (InvalidKind, ShirahataForm, ShirahataKind, TwoSamples, permutation_test,
+                    run_test, var_shirahata)
 from releff import TestKind as TK
 from releff import permutation, stat_tests
 from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm, tie_runs
@@ -17,14 +18,15 @@ from releff.stat_tests import stat_arrays
 from releff.tables import PERM_BATTERY, build_table
 from releff.variance import VarianceKind, variance_raw
 from oracles import shuffle
-from tests_util import random_dataset
+from tests_util import SORT_CASES, random_dataset, sort_case
 
 KINDS = [TK.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")]
 
 
 def run_labels(pooled):
     """The tie-run label of each pooled value."""
-    return tie_runs(np.asarray(pooled, dtype=float)[None, :])[0][0]
+    pooled = np.asarray(pooled, dtype=float)
+    return tie_runs(pooled[:1], pooled[1:])[0]
 
 
 def index_lane(n, n1, draws):
@@ -166,14 +168,6 @@ class TestPermutationTest:
             res = permutation_test(d, pm, n_perm=5000, seed=6, threads=threads)
             assert (res.p1, res.p2) == (n_le[0] / 5000, n_ge[0] / 5000)
         assert max(blocks) == block and sum(blocks) >= 5000
-
-    def test_observed_results_must_match_the_kinds(self):
-        d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
-        given = [run_test(d, TK.parse("n"))]
-        with pytest.raises(ValueError, match="observed"):
-            permutation.permutation_tests(d, [TK.parse("pm")], n_perm=10, observed=given)
-        res, = permutation.permutation_tests(d, [TK.parse("n")], n_perm=10, observed=given)
-        assert res.observed is given[0]
 
     def test_threads_below_one_rejected(self):
         d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
@@ -455,6 +449,38 @@ class TestPinnedStream:
         # 3000 draws span a whole 2048-draw block and a partial one
         res = permutation_test(data, TK.parse(label), n_perm=3000, seed=2024)
         assert (res.p1, res.p2) == (n_le / 3000, n_ge / 3000)
+
+
+@pytest.mark.parametrize("case", SORT_CASES)
+class TestOneSort:
+    """At 200/200, a dataset is labelled by tie run once and never key-sorted on its way
+    through permutation tests and Shirahata's general form: its moments are read off the
+    tie-run record it keeps."""
+
+    def test_fresh_dataset(self, sorts, case):
+        res = permutation_test(TwoSamples(*sort_case(case, 200)), TK.parse("pm"), n_perm=200)
+        assert sorts == ["label"]
+        assert res.observed == run_test(TwoSamples(*sort_case(case, 200)), TK.parse("pm"))
+
+    def test_general_form_then_permutation_test(self, sorts, case):
+        data = TwoSamples(*sort_case(case, 200))
+        var_shirahata(data, ShirahataKind.U, ShirahataForm.GENERAL)
+        permutation_test(data, TK.parse("bm_logit"), n_perm=200)
+        assert sorts == ["label"]
+
+    def test_reused_dataset(self, sorts, case):
+        data = TwoSamples(*sort_case(case, 200))
+        kept = [permutation_test(data, TK.parse(kind), n_perm=200, seed=3)
+                for kind in ("pm", "n", "pm")]
+        assert sorts == ["label"]
+        assert kept == [permutation_test(TwoSamples(*sort_case(case, 200)), TK.parse(kind),
+                                         n_perm=200, seed=3) for kind in ("pm", "n", "pm")]
+
+    def test_kept_record_is_read_only(self, case):
+        data = TwoSamples(*sort_case(case, 20))
+        for array in (*data.run_labels(), *data.runs()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
 
 
 def test_exchangeability_calibration():

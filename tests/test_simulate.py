@@ -119,14 +119,17 @@ class TestBatchKernel:
                 # last-place neighbours within and across both arms are distinct runs
                 np.array([1.5, up, 2.0, 1.5, -3.0, up, 1.5, np.nextafter(2.0, -np.inf), up, 2.0,
                           -3.0, np.nextafter(-3.0, 0.0)])]
-        labels, sizes = tie_runs(np.array(rows))
-        assert sizes.shape == (6, 12)
-        for row, lab, size in zip(rows, labels, sizes):
-            (alone,), (alone_sizes,) = tie_runs(row[None, :])
+        rows = np.array(rows)
+        labels, sizes, counts = tie_runs(rows[:, :5], rows[:, 5:])
+        assert sizes.shape == counts.shape == (6, 12)
+        for row, lab, size, count in zip(rows, labels, sizes, counts):
+            alone, alone_sizes, alone_counts = tie_runs(row[:5], row[5:])
             assert np.array_equal(lab, alone)
             n_runs = alone_sizes.size
             assert np.array_equal(size[:n_runs], alone_sizes)
+            assert np.array_equal(count[:n_runs], alone_counts)
             assert not size[n_runs:].any()
+            assert np.array_equal(alone_counts, arm1_counts(alone[None, :5], n_runs)[0])
             assert alone_sizes.all() and np.array_equal(alone_sizes, np.bincount(alone))
             assert np.array_equal(np.sign(lab[:, None] - lab[None, :]),
                                   np.sign(row[:, None] - row[None, :]))
@@ -184,8 +187,7 @@ class TestDiscreteChunks:
         assert np.array_equal(support[arm2] if counted else arm2, x2)
         assert_same(m, moments_from_values(x1, x2))
         # indices sort as the values, so a permutation chunk labels the same runs
-        assert np.array_equal(tie_runs(np.concatenate([arm1, arm2], axis=1))[0],
-                              tie_runs(np.concatenate([x1, x2], axis=1))[0])
+        assert np.array_equal(tie_runs(arm1, arm2)[0], tie_runs(x1, x2)[0])
 
     # arms of 9 and 12: a union support of up to 21 values is counted; only a
     # pair of continuous arms tries the key sort, a pair with a discrete arm
@@ -217,9 +219,9 @@ class TestDiscreteChunks:
             keyed.append(x1.shape)
             return key_scorer(x1, x2)
 
-        def label_spy(pooled):
-            labelled.append(pooled.shape)
-            return labeller(pooled)
+        def label_spy(x1, x2):
+            labelled.append((x1.shape[0], x1.shape[1] + x2.shape[1]))
+            return labeller(x1, x2)
 
         monkeypatch.setattr(simulate, "moments_from_values", spy)
         monkeypatch.setattr(_batch, "_moments_from_keys", key_spy)
@@ -241,9 +243,9 @@ class TestDiscreteChunks:
         calls = []
         labeller = _batch.tie_runs
 
-        def spy(pooled):
-            calls.append(pooled.shape)
-            return labeller(pooled)
+        def spy(x1, x2):
+            calls.append((x1.shape[0], x1.shape[1] + x2.shape[1]))
+            return labeller(x1, x2)
 
         monkeypatch.setattr(_batch, "tie_runs", spy)
         monkeypatch.setattr(simulate, "tie_runs", spy)
@@ -377,7 +379,7 @@ class TestCurtailedPermutation:
         observed_all = np.array([stat for stat, _ in stat_arrays(m, PERM_BATTERY)])
         reference = np.zeros(len(PERM_BATTERY), dtype=np.int64)
         for r in range(n_reps):
-            labels = tie_runs(np.concatenate([x1[r], x2[r]])[None, :])[0][0]
+            labels = tie_runs(x1[r], x2[r])[0]
             seed_r = rep_permutation_seed(sc.master_seed, r)
             n_le, n_ge = tally_draws(_lane(labels, np.bincount(labels), n1, n_perm), PERM_BATTERY,
                                      observed_all[:, r], seed_r, 0, n_perm)
@@ -408,7 +410,7 @@ class TestCurtailedPermutation:
         x1, x2 = _draw_chunk(sc, 0, n_reps)
         m = moments_from_values(x1, x2)
         observed_all = np.array([stat for stat, _ in stat_arrays(m, PERM_BATTERY)])
-        labels = tie_runs(np.concatenate([x1, x2], axis=1))[0]
+        labels = tie_runs(x1, x2)[0]
         drawn = []
 
         def spy(lane, kinds, observed, seed, first_draw, n_draws):

@@ -212,9 +212,9 @@ class TestShirahata:
         calls = []
         labeller = ranks.tie_runs
 
-        def spy(pooled):
-            calls.append(pooled.shape)
-            return labeller(pooled)
+        def spy(x1, x2):
+            calls.append((x1.shape, x2.shape))
+            return labeller(x1, x2)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TiesInReducedForm)

@@ -26,3 +26,19 @@ def random_dataset(rng, lo=5, hi=30, tie_free=False):
         rng.integers(0, 8, size=n1).astype(float),
         rng.integers(0, 8, size=n2).astype(float),
     )
+
+
+def sort_case(kind, n, seed=5):
+    """Two arms of n values each: tie-free, on five integer levels, or one-decimal
+    values, which tie on floats whose bits end in 1 (0.3 does)."""
+    rng = np.random.default_rng(seed)
+    if kind == "tie_free":
+        pooled = rng.normal(size=2 * n)
+    elif kind == "five_levels":
+        pooled = rng.integers(1, 6, size=2 * n).astype(float)
+    else:
+        pooled = (rng.normal(3.0, 1.0, size=2 * n) * 10).round() / 10
+    return pooled[:n], pooled[n:]
+
+
+SORT_CASES = ("tie_free", "five_levels", "one_decimal")
