@@ -41,7 +41,10 @@ once, in place, as integer keys that carry each value's arm in bit 0
 every row is tie-free and the sorted arm bits mark the arm-1 ranks.  One
 dataset that ties is still scored off its sorted keys when no value's bits
 end in 1 (integer codes, ±0.0): a run starts wherever key >> 1 changes,
-and its arm-1 members sort last in it.  Anything else takes the run path.
+and its arm-1 members sort last in it.  Anything else takes the run path,
+at once when the first values already show that the sort would fail
+(`_keys_cannot_count`), so this module alone reads float bits and picks a
+dataset's route.
 A batch's keys live in buffers each thread keeps for its next batch
 (`_thread_buffers`), at most 2**20 values each; one dataset's are fresh
 arrays, freed on return.  The moments are bit-identical on every path.
@@ -170,25 +173,34 @@ def moments_from_counts(a: np.ndarray, sizes: np.ndarray, n1: int, n2: int) -> E
     for one dataset, whose summary holds floats.  `sizes` holds the run
     sizes, either shared by every row (runs,) or per row (rows, runs).
     """
-    n = n1 + n2
-    if n >= EXACT_SUMS_BELOW:
+    if n1 + n2 >= EXACT_SUMS_BELOW:
         a, sizes = a.astype(float), sizes.astype(float)
     b = sizes - a
-    below = np.cumsum(sizes, axis=-1) - sizes
+    s_wmw, g2_shift = _run_shape(sizes, n1, n2)
     f1 = np.cumsum(a, axis=-1)
     f1 *= 2
     f1 -= a
-    g2 = f1 + (2 * (n2 - below) - sizes)
-    # pooled mid-rank of a run is below + (size + 1) / 2
-    centred = 2 * below + sizes - n
+    g2 = f1 + g2_shift
     return _moments_from_sums(
-        np.einsum("...j,...j,...j->...", sizes, centred, centred),
+        s_wmw,
         np.einsum("...j,...j->...", b, f1),
         np.einsum("...j,...j,...j->...", a, g2, g2),
         np.einsum("...j,...j,...j->...", b, f1, f1),
         np.einsum("...j,...j->...", a, b),
         n1, n2,
     )
+
+
+def _run_shape(sizes: np.ndarray, n1: int, n2: int) -> tuple:
+    """The terms run sizes alone fix, per row or for one dataset: s_wmw and each run's g2 shift.
+
+    With `below` the values in lower runs, a run's pooled mid-rank is
+    below + (size + 1) / 2, so it adds size (2 below + size - N)**2 to
+    s_wmw, and an arm-1 value in it sits at g2 = f1 + 2 (n2 - below) - size.
+    """
+    below = np.cumsum(sizes, axis=-1) - sizes
+    centred = 2 * below + sizes - (n1 + n2)
+    return np.einsum("...j,...j,...j->...", sizes, centred, centred), 2 * (n2 - below) - sizes
 
 
 class RunSums:
@@ -200,19 +212,16 @@ class RunSums:
     to s_tau2 and a b to s_beta, the summands of `moments_from_counts`.
     `step` adds them to four (rows,) int64 sums as soon as run j's counts
     are known, so no (rows, runs) matrix is held, and `summary` divides
-    the sums once; s_wmw depends on the run sizes alone and is summed here.
+    the sums once; s_wmw and each run's g2 shift depend on the run sizes
+    alone and are taken once (`_run_shape`).
     The pooled sample must be below EXACT_SUMS_BELOW.
     """
 
     def __init__(self, sizes: np.ndarray, n1: int):
         sizes = np.asarray(sizes, dtype=np.int64)
-        n = int(sizes.sum())
-        self.n1, self.n2 = n1, n - n1
-        below = np.cumsum(sizes) - sizes
-        centred = 2 * below + sizes - n
-        self.s_wmw = int(np.einsum("j,j,j->", sizes, centred, centred))
-        self.sizes = sizes.tolist()
-        self.g2_shift = (2 * (self.n2 - below) - sizes).tolist()
+        self.n1, self.n2 = n1, int(sizes.sum()) - n1
+        self.s_wmw, g2_shift = _run_shape(sizes, n1, self.n2)
+        self.sizes, self.g2_shift = sizes.tolist(), g2_shift.tolist()
 
     def step(self, sums: np.ndarray, j: int, a: np.ndarray, placed: np.ndarray) -> None:
         """Add run j's terms to `sums`, (s_p, s_tau1, s_tau2, s_beta) as (4, rows) int64.
@@ -287,21 +296,21 @@ def _moments_from_sums(s_wmw, s_p, s_tau1, s_tau2, s_beta, n1: int, n2: int) -> 
     )
 
 
-def moments_from_values(x1: np.ndarray, x2: np.ndarray, continuous: bool = True) -> EffectSummary:
+def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
     """Moments of datasets given as values: a batch as (reps, n1) and (reps, n2),
     whose summary holds arrays, or one dataset as (n1,) and (n2,), whose
     summary holds floats.
 
-    Unless the caller expects ties the key sort cannot count (`continuous`
-    False, as for a discrete arm), the values are first scored from one
-    in-place sort of keys that carry the arm (`_moments_from_keys`).  What it
-    cannot score takes the run path: its tie-run record (`tie_runs`), whose
-    run sizes and arm-1 counts the count kernel sums.  The moments are the
-    same bits either way.
+    Unless its first values already show that the key sort cannot count
+    the ties (`_keys_cannot_count`), the values are first scored from one
+    in-place sort of keys that carry the arm (`_moments_from_keys`).  What
+    it cannot score takes the run path: its tie-run record (`tie_runs`),
+    whose run sizes and arm-1 counts the count kernel sums.  The moments
+    are the same bits either way.
     """
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     n1, n2 = x1.shape[-1], x2.shape[-1]
-    if continuous and n1 + n2 < EXACT_SUMS_BELOW:
+    if n1 + n2 < EXACT_SUMS_BELOW and not _keys_cannot_count(x1, x2):
         m = _moments_from_keys(x1, x2)
         if m is not None:
             return m
@@ -367,6 +376,28 @@ def _moments_from_keys(x1: np.ndarray, x2: np.ndarray) -> EffectSummary | None:
     if rows > 1:
         ranks -= np.arange(rows)[:, None] * n
     return _moments_from_ranks(ranks, n1, n - n1)
+
+
+def _keys_cannot_count(x1: np.ndarray, x2: np.ndarray) -> bool:
+    """True if the first values prove that `_moments_from_keys` returns None on these arms.
+
+    Arms are shaped as for `moments_from_values`, and rows are counted as
+    `_moments_from_keys` counts them.  The peek reads the first 32 values
+    of each arm in the first dataset, or in the first 64 // N datasets of
+    N < 64 pooled values each, and applies that function's rule: a row
+    that repeats a value sends a batch of several rows to the run path,
+    and one dataset if a value there also has bits that end in 1 (checked
+    first, as it needs no sort).  A tie the peek does not see pays for a
+    failed key sort; the peek never skips one that scores.
+    """
+    n1, n2 = x1.shape[-1], x2.shape[-1]
+    # a batch's first rows, as slices of each lead axis, and each row's first 32 values
+    peek = (slice(max(1, 64 // (n1 + n2))),) * (x1.ndim - 1) + (slice(32),)
+    head = np.concatenate((x1[peek], x2[peek]), axis=-1)
+    if x1.size == n1 and not np.bitwise_or.reduce(head.view(np.int64), axis=None) & 1:
+        return False
+    head.sort(axis=-1)
+    return bool((head[..., 1:] == head[..., :-1]).any())
 
 
 # pooled values a thread's scoring buffers hold at most: a Monte Carlo chunk's bound

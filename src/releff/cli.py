@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -48,8 +49,11 @@ def _emit(header: list[str], rows: list[list[str]], fmt: str, out_path: str | No
         lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
         text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -187,8 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Relative-effect tests, variance estimators and the reproduction harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options every command takes, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--threads", type=int, default=1)
+    shared.add_argument("--format", default="csv", choices=["csv", "markdown"])
+    shared.add_argument("--output", default=None)
+    command = functools.partial(sub.add_parser, parents=[shared])
 
-    p_test = sub.add_parser("test", help="run tests on a two-group CSV (columns group,value)")
+    p_test = command("test", help="run tests on a two-group CSV (columns group,value)")
     p_test.add_argument("data", help="CSV file with columns group (1/2) and value")
     p_test.add_argument("--tests", default=",".join(k.label() for k in DEFAULT_BATTERY),
                         help="comma list, e.g. wmw,pm:df2,bm_logit")
@@ -201,19 +211,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(non-WMW kinds, same tail as --alternative) "
                              "from this many draws")
     p_test.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_test.add_argument("--threads", type=int, default=1)
-    p_test.add_argument("--format", default="csv", choices=["csv", "markdown"])
-    p_test.add_argument("--output", default=None)
 
-    p_sim = sub.add_parser("simulate", help="run the scenarios of a JSON scenario file")
+    p_sim = command("simulate", help="run the scenarios of a JSON scenario file")
     p_sim.add_argument("config", help="scenario file (JSON)")
     p_sim.add_argument("--seed", type=int, default=None, help="override every scenario seed")
     p_sim.add_argument("--alpha", type=float, default=None, help="override the nominal level")
-    p_sim.add_argument("--threads", type=int, default=1)
-    p_sim.add_argument("--format", default="csv", choices=["csv", "markdown"])
-    p_sim.add_argument("--output", default=None)
 
-    p_tab = sub.add_parser("tables", help="reproduce a published table layout")
+    p_tab = command("tables", help="reproduce a published table layout")
     p_tab.add_argument("table", help=f"one of: {', '.join(TABLE_IDS)}")
     p_tab.add_argument("--scale", type=float, default=1.0,
                        help="replication-count multiplier in (0, 1]")
@@ -221,9 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--n-perm", type=int, default=None,
                        help="override the per-replication permutation count "
                             "(t1, t2 and app_var draw no permutations and ignore it)")
-    p_tab.add_argument("--threads", type=int, default=1)
-    p_tab.add_argument("--format", default="csv", choices=["csv", "markdown"])
-    p_tab.add_argument("--output", default=None)
 
     return parser
 

@@ -6,9 +6,10 @@ asks for it, its tie-run record (`_batch.tie_runs`): each pooled value's
 run label (`run_labels`, which the permutation test relabels), the run
 sizes and each run's arm-1 count (`runs`), off which it also reads the
 plus/minus-ECDF summary Shirahata's general form needs (`plus_minus`).
-`moments` alone decides how the dataset is sorted: it reads the record if
-one is kept, and otherwise sorts keys, so every estimator and test run on
-one instance shares one sort whichever comes first.  Observations are
+`moments` reads the record if one is kept, and otherwise hands the arms to
+`_batch.moments_from_values`, which picks a key sort or a labelling from
+the values themselves, so every estimator and test run on one instance
+shares one sort whichever comes first.  Observations are
 equal iff their floats are equal; ordinal categories must be encoded
 upstream as exactly representable reals (small integers), otherwise tie
 handling silently changes.
@@ -107,19 +108,17 @@ class TwoSamples:
         """Every plug-in moment of this dataset, as floats.
 
         Read off the tie-run record when it is kept (`runs`).  Otherwise
-        scored as one dataset by `moments_from_values`: one in-place sort of
-        keys, off which it reads the ranks or the tie runs, or the run path
-        when the data ties on values whose bits end in 1, which is taken at
-        once when the first 64 pooled values show such a tie
-        (`_odd_ties_ahead`); those keys and runs, O(N) in size, are not
-        kept.  Computed once per instance and kept.  Each arm needs at
-        least 2 observations.
+        scored as one dataset by `moments_from_values`, which picks its own
+        route: one in-place sort of keys, off which it reads the ranks or
+        the tie runs, or the run path when the data ties on values whose
+        bits end in 1; those keys and runs, O(N) in size, are not kept.
+        Computed once per instance and kept.  Each arm needs at least 2
+        observations.
         """
         self.require_min_size(2)
         if "_runs_record" in self.__dict__:
             return moments_from_counts(*self.runs(), self.n1, self.n2)
-        x1, x2 = self.s1.values, self.s2.values
-        return moments_from_values(x1, x2, continuous=not _odd_ties_ahead(x1, x2))
+        return moments_from_values(self.s1.values, self.s2.values)
 
     @cached_property
     def plus_minus(self) -> tuple[EffectSummary, int]:
@@ -141,20 +140,6 @@ class TwoSamples:
             raise SizeTooSmall(
                 f"need at least {k} observations per arm, got ({self.n1}, {self.n2})"
             )
-
-
-def _odd_ties_ahead(x1: np.ndarray, x2: np.ndarray) -> bool:
-    """True if the first 64 pooled values repeat one and hold one whose bits end in 1.
-
-    Such data ties where the key sort cannot count the ties
-    (`_batch._moments_from_keys`), so it is labelled by tie run without a
-    failed sort first.
-    """
-    head = x1[:64] if x1.size >= 64 else np.concatenate([x1, x2[: 64 - x1.size]])
-    if not np.bitwise_or.reduce(head.view(np.int64)) & 1:
-        return False
-    head = np.sort(head)
-    return bool((head[1:] == head[:-1]).any())
 
 
 def estimate_effect(data: TwoSamples) -> EffectSummary:

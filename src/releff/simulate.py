@@ -14,11 +14,12 @@ costs one pass per support value and sorting N log N per row, so a wider
 support, or a pair with a continuous arm, is scored from its values; the
 moments are the same bits either way.  The union support and each arm's
 map onto it are found once per pair (`_support_codes`).  Values are
-sampled in place over the chunk's uniform block, and a pair of continuous
-arms is scored from one in-place sort of integer keys in buffers each
-thread reuses (`_batch._moments_from_keys`), so a warm chunk faults in
-almost no fresh pages; a pair with a discrete arm never pays for that sort
-and is labelled by tie run (`_batch.tie_runs`), as a permutation chunk is.
+sampled in place over the chunk's uniform block and scored by
+`moments_from_values`: a tie-free chunk from one in-place sort of integer
+keys in buffers each thread reuses (`_batch._moments_from_keys`), so a warm
+chunk faults in almost no fresh pages, and a chunk whose first rows already
+repeat a value, as a pair with a discrete arm nearly always does, without
+that sort, labelled by tie run (`_batch.tie_runs`) as a permutation chunk is.
 The replications are processed in fixed-size chunks, reduced in chunk
 order, so results are bit-identical for any number of worker processes.  A chunk holds 1024 replications, or as many as fit in
 2**20 pooled values (at least one), so its memory stays near 42 MiB while
@@ -183,14 +184,13 @@ def _chunk_arms(sc: Scenario, start: int, stop: int):
 def _score_chunk(sc: Scenario, start: int, stop: int):
     """A chunk's moments, from its arms (`_chunk_arms`).
 
-    Indices on a support are scored by counting members per support value;
-    of values, only a pair of continuous arms tries the key sort.
+    Indices on a support are scored by counting members per support value,
+    values by `moments_from_values`, which picks their route itself.
     """
     arm1, arm2, n_values = _chunk_arms(sc, start, stop)
     if n_values is not None:
         return moments_from_codes(arm1, arm2, n_values)
-    continuous = is_continuous(sc.dist1) and is_continuous(sc.dist2)
-    return moments_from_values(arm1, arm2, continuous=continuous)
+    return moments_from_values(arm1, arm2)
 
 
 def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:

@@ -179,12 +179,12 @@ def scorer_calls(monkeypatch):
     ("levels", ["_moments_from_keys"]),
     ("signed_zeros", ["_moments_from_keys"]),
     ("odd_bits", ["tie_runs"]),
-    # a tie that the first 64 pooled values do not show pays for the failed sort
+    # a tie that the first 32 values of each arm do not show pays for the failed sort
     ("late_odd_tie", ["_moments_from_keys", "tie_runs"]),
 ])
 def test_dataset_routing(scorer_calls, kind, want):
     """Integer-coded ties are counted off the keys, with no tie_runs call;
-    values whose bits end in 1 tied among the first 64 are labelled with no
+    values whose bits end in 1 tied among each arm's first 32 are labelled with no
     key sort first."""
     rng = np.random.default_rng(4)
     if kind == "late_odd_tie":
@@ -196,6 +196,66 @@ def test_dataset_routing(scorer_calls, kind, want):
     m = data.moments
     assert scorer_calls == want
     assert moment_bits(m) == moment_bits(kernel_from_values(row[None, :100], row[None, 100:]), 0)
+
+
+# values the route's peek judges: ±0.0 and integers, whose bits end in 0, decimals (0.3's
+# bits end in 1, 0.7's in 0) and each one's one-ulp neighbours, whose last bits differ
+_PEEK_BASE = np.array([0.0, -0.0, 1.0, -2.0, 4.0, 0.3, 0.7, 1.1, -2.5])
+PEEK_VALUES = np.concatenate([_PEEK_BASE, np.nextafter(_PEEK_BASE, np.inf),
+                              np.nextafter(_PEEK_BASE, -np.inf)]).tolist()
+
+
+@given(shape=st.sampled_from(["batch", "one_row", "dataset"]), rows=st.integers(2, 4),
+       n1=arm_size, n2=arm_size, tie_free=st.booleans(), ulps=st.integers(1, 3),
+       palette=st.lists(st.one_of(st.sampled_from(PEEK_VALUES),
+                                  st.floats(allow_nan=False, allow_infinity=False)),
+                        min_size=1, max_size=200),
+       seed=st.integers(0, 2**32 - 1))
+def test_peek_skips_only_a_key_sort_that_fails(shape, rows, n1, n2, tie_free, ulps, palette,
+                                                seed):
+    """Whenever the peek sends values straight to the run path, the key sort
+    on the same arms returns None: in a batch, a (1, n) batch and one dataset,
+    on draws from a palette of values (tied) or on floats 1, 2 or 3 ulps
+    apart from its first value (tie-free; one ulp apart, the sort fails)."""
+    rng = np.random.default_rng(seed)
+    rows = rows if shape == "batch" else 1
+    size = (rows, n1 + n2)
+    if tie_free:
+        start = np.float64(np.clip(palette[0], -1e300, 1e300)).view(np.int64)
+        ladder = start + ulps * np.arange(rows * (n1 + n2))
+        pooled = rng.permuted(ladder.view(np.float64).reshape(size), axis=1)
+    else:
+        pooled = rng.choice(np.array(palette), size=size)
+    x1, x2 = pooled[:, :n1], pooled[:, n1:]
+    if shape == "dataset":
+        x1, x2 = x1[0], x2[0]
+    if _batch._keys_cannot_count(x1, x2):
+        assert _batch._moments_from_keys(x1, x2) is None
+
+
+@pytest.mark.parametrize("case,want", [
+    ("tied_batch", ["tie_runs"]),
+    ("continuous_batch", ["_moments_from_keys"]),
+    # arm 1's values alone would not show the ties: the peek reads both arms
+    ("normal_beside_five_levels", ["tie_runs"]),
+])
+def test_values_route_key_sorts(scorer_calls, case, want):
+    """A batch of tied integer rows and one dataset of 100 normal values
+    beside 100 five-level values go to the run path with no key sort; a
+    continuous batch is scored by one."""
+    rng = np.random.default_rng(12)
+    if case == "tied_batch":
+        x1, x2 = pooled_values(rng, (40, 9), 5), pooled_values(rng, (40, 12), 5)
+    elif case == "continuous_batch":
+        x1, x2 = rng.normal(size=(40, 9)), rng.normal(size=(40, 12))
+    else:
+        x1, x2 = rng.normal(size=100), rng.integers(1, 6, size=100).astype(float)
+    m = moments_from_values(x1, x2)
+    assert scorer_calls == want
+    if x1.ndim == 1:
+        assert moment_bits(m) == moment_bits(kernel_from_values(x1[None], x2[None]), 0)
+    else:
+        assert_same(m, kernel_from_values(x1, x2))
 
 
 def test_dataset_float_sums_past_the_int64_bound(scorer_calls, monkeypatch):
@@ -244,7 +304,7 @@ def test_codes_scorer_equals_values_scorer(n1, n2, n_values, seed, kinds):
 def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
     """A batch that ties is labelled by one tie_runs call, a tie-free one by
     none; one dataset is labelled only if it ties on values whose bits end
-    in 1, and any input of a caller that skips the key sort is labelled."""
+    in 1."""
     calls = []
     labeller = _batch.tie_runs
 
@@ -265,9 +325,6 @@ def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
         m = moments_from_values(b[0, :8], b[0, 8:])
         assert moment_bits(m) == moment_bits(w, 0)
         assert calls == [(1, 20)] * alone
-        calls.clear()
-        assert_same(moments_from_values(b[:, :8], b[:, 8:], continuous=False), w)
-        assert calls == [(6, 20)]
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (7, 10), (15, 45), (45, 15), (60, 3)])

@@ -456,3 +456,21 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch,
     assert main([*argv, "--output", str(tmp_path)]) == 2
     assert ran == []
     assert "is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "tables"])
+def test_failed_output_write_exits_2(tmp_path, monkeypatch, capsys, command):
+    """An output file that cannot be opened after the run, past the checks made
+    before it, is reported as malformed input: exit 2, not a traceback."""
+    monkeypatch.setattr(cli, "_check_output", lambda out_path: None)
+    data = tmp_path / "d.csv"
+    data.write_text(TOY_CSV)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(json.dumps([GOOD_ENTRY]))
+    argv = {"test": ["test", str(data), "--tests", "wmw,bm:df"],
+            "simulate": ["simulate", str(cfg)],
+            "tables": ["tables", "t1", "--scale", "0.0001"]}[command]
+    out = tmp_path / "missing" / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
