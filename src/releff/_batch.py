@@ -15,7 +15,7 @@ pooled value's run label, in place, from one argsort per row, and each
 run's size and arm-1 count (`arm1_counts`, which counts any subset of
 labels per run).  It records a user dataset, which `TwoSamples` keeps for
 its moments, its permutation test and its plus/minus-ECDF moments; a
-permutation chunk; and the datasets the key sort below cannot score.  A
+permutation chunk; and a batch the key sort below cannot score.  A
 simulated batch of discrete data needs no sort at all: given as indices on
 one sorted support (`moments_from_codes`), each support value is a run,
 and its members are counted per arm; a value a row does not use is an
@@ -38,13 +38,14 @@ and the same integer sums are taken over those n1 terms instead of N runs
 draw it scores is tie-free.  Values (`moments_from_values`) are sorted
 once, in place, as integer keys that carry each value's arm in bit 0
 (`_moments_from_keys`): if no two neighbours share a key but for that bit,
-every row is tie-free and the sorted arm bits mark the arm-1 ranks.  One
-dataset that ties is still scored off its sorted keys when no value's bits
-end in 1 (integer codes, ±0.0): a run starts wherever key >> 1 changes,
-and its arm-1 members sort last in it.  Anything else takes the run path,
-at once when the first values already show that the sort would fail
-(`_keys_cannot_count`), so this module alone reads float bits and picks a
-dataset's route.
+every row is tie-free and the sorted arm bits mark the arm-1 ranks.
+Values that tie are not key-sorted when the first values already show a
+repeat (`_keys_cannot_count`).  One dataset that ties is then scored off
+its sorted values (`_moments_from_sorted`): a run starts wherever the
+sorted pooled values change, and one `searchsorted` into the sorted arm 1
+counts each run's arm-1 members.  A batch that ties takes the run path.
+Only this module picks a dataset's route, and only the key fold reads
+float bits.
 A batch's keys live in buffers each thread keeps for its next batch
 (`_thread_buffers`), at most 2**20 values each; one dataset's are fresh
 arrays, freed on return.  The moments are bit-identical on every path.
@@ -301,12 +302,12 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
     whose summary holds arrays, or one dataset as (n1,) and (n2,), whose
     summary holds floats.
 
-    Unless its first values already show that the key sort cannot count
-    the ties (`_keys_cannot_count`), the values are first scored from one
-    in-place sort of keys that carry the arm (`_moments_from_keys`).  What
-    it cannot score takes the run path: its tie-run record (`tie_runs`),
-    whose run sizes and arm-1 counts the count kernel sums.  The moments
-    are the same bits either way.
+    Unless the first values already repeat one (`_keys_cannot_count`),
+    tie-free values are scored from one in-place sort of keys that carry
+    the arm (`_moments_from_keys`).  What it does not score, values that
+    tie or N >= EXACT_SUMS_BELOW, is counted by tie run: one dataset off
+    its sorted values (`_moments_from_sorted`), a batch off its tie-run
+    record (`tie_runs`).  The moments are the same bits on every route.
     """
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     n1, n2 = x1.shape[-1], x2.shape[-1]
@@ -314,6 +315,8 @@ def moments_from_values(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
         m = _moments_from_keys(x1, x2)
         if m is not None:
             return m
+    if x1.ndim == 1:
+        return _moments_from_sorted(x1, x2)
     _, sizes, a = tie_runs(x1, x2)
     return moments_from_counts(a, sizes, n1, n2)
 
@@ -333,13 +336,8 @@ def _moments_from_keys(x1: np.ndarray, x2: np.ndarray) -> EffectSummary | None:
     share key >> 1, no two values are equal, sorted position k is pooled
     rank k, and the positions with bit 0 set are the arm-1 ranks
     `_moments_from_ranks` scores.  Otherwise (a tie, or two values one unit
-    apart in the last place) one row is still scored if no value's bits end
-    in 1, as for integers below 2**52 and ±0.0: key >> 1 is then the value,
-    so a tie run starts wherever it changes, and a run's arm-1 members, its
-    keys with bit 0 set, sort last in it (`moments_from_counts`).  A batch
-    of several rows returns None: it comes from continuous laws, whose
-    values end in 1 about half the time.  Values must not be NaN.  The keys
-    and the other int64 temporary come from `_thread_buffers`.
+    apart in the last place) it returns None.  Values must not be NaN.  The
+    keys and the other int64 temporary come from `_thread_buffers`.
     """
     lead, n1 = x1.shape[:-1], x1.shape[-1]
     rows = x1.size // n1
@@ -358,18 +356,7 @@ def _moments_from_keys(x1: np.ndarray, x2: np.ndarray) -> EffectSummary | None:
     gaps = spare.reshape(-1)[: rows * (n - 1)].reshape(rows, n - 1)
     np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=gaps)
     if gaps.view(np.uint64).min() < 2:
-        # a folded key ends in the bit its value's bits end in
-        if rows > 1 or (np.bitwise_or.reduce(x1.view(np.int64), axis=None)
-                        | np.bitwise_or.reduce(x2.view(np.int64), axis=None)) & 1:
-            return None
-        # bounds[r] is where run r starts, and the last bound is n
-        edge = np.ones(n + 1, np.bool_)
-        np.greater_equal(gaps.reshape(-1).view(np.uint64), 2, out=edge[1:-1])
-        bounds = np.flatnonzero(edge)
-        keys = keys.reshape(-1)
-        a = bounds[1:] - np.searchsorted(keys, keys[bounds[:-1]] | 1)
-        sizes = bounds[1:] - bounds[:-1]
-        return moments_from_counts(a.reshape(*lead, -1), sizes.reshape(*lead, -1), n1, n - n1)
+        return None
     from_arm1 = spare.reshape(-1).view(np.bool_)[: rows * n]
     np.bitwise_and(keys.reshape(-1), 1, out=from_arm1, casting="unsafe")
     ranks = np.flatnonzero(from_arm1).reshape(*lead, n1)
@@ -381,23 +368,36 @@ def _moments_from_keys(x1: np.ndarray, x2: np.ndarray) -> EffectSummary | None:
 def _keys_cannot_count(x1: np.ndarray, x2: np.ndarray) -> bool:
     """True if the first values prove that `_moments_from_keys` returns None on these arms.
 
-    Arms are shaped as for `moments_from_values`, and rows are counted as
-    `_moments_from_keys` counts them.  The peek reads the first 32 values
-    of each arm in the first dataset, or in the first 64 // N datasets of
-    N < 64 pooled values each, and applies that function's rule: a row
-    that repeats a value sends a batch of several rows to the run path,
-    and one dataset if a value there also has bits that end in 1 (checked
-    first, as it needs no sort).  A tie the peek does not see pays for a
-    failed key sort; the peek never skips one that scores.
+    Arms are shaped as for `moments_from_values`.  The peek reads the
+    first 32 values of each arm in the first dataset, or in the first
+    64 // N datasets of N < 64 pooled values each: a row that repeats a
+    value there fails the key sort, of one dataset or of a batch.  A tie
+    the peek does not see pays for a failed key sort; the peek never skips
+    one that scores.
     """
     n1, n2 = x1.shape[-1], x2.shape[-1]
     # a batch's first rows, as slices of each lead axis, and each row's first 32 values
     peek = (slice(max(1, 64 // (n1 + n2))),) * (x1.ndim - 1) + (slice(32),)
     head = np.concatenate((x1[peek], x2[peek]), axis=-1)
-    if x1.size == n1 and not np.bitwise_or.reduce(head.view(np.int64), axis=None) & 1:
-        return False
     head.sort(axis=-1)
     return bool((head[..., 1:] == head[..., :-1]).any())
+
+
+def _moments_from_sorted(x1: np.ndarray, x2: np.ndarray) -> EffectSummary:
+    """Moments of one dataset, (n1,) and (n2,) arms, from its sorted pooled values and arm 1.
+
+    A tie run starts wherever the sorted pooled values change.  No arm-1
+    value lies between two neighbouring runs, so a run's arm-1 count is
+    the arm-1 values up to its value less those up to the previous run's
+    value: one `searchsorted` into the sorted arm 1.  Only copies are
+    sorted, so the arms are left as they were.
+    """
+    pooled = np.concatenate((x1, x2))
+    pooled.sort()
+    # bounds[r] is where run r starts, and the last bound is N
+    bounds = np.flatnonzero(np.concatenate(([True], pooled[1:] != pooled[:-1], [True])))
+    upto = np.searchsorted(np.sort(x1), pooled[bounds[:-1]], side="right")
+    return moments_from_counts(np.diff(upto, prepend=0), np.diff(bounds), x1.size, x2.size)
 
 
 # pooled values a thread's scoring buffers hold at most: a Monte Carlo chunk's bound

@@ -48,14 +48,16 @@ def _emit(header: list[str], rows: list[list[str]], fmt: str, out_path: str | No
                  "|" + "|".join(" --- " for _ in header) + "|"]
         lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
         text = "\n".join(lines) + "\n"
-    if out_path:
-        try:
-            with open(out_path, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        # the run is done: its rows go to standard output rather than nowhere
+        sys.stdout.write(text)
+        raise ConfigError(f"cannot write {out_path}: {exc}; the rows went to stdout") from exc
 
 
 def _check_output(out_path: str) -> None:

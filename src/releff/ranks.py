@@ -7,9 +7,9 @@ run label (`run_labels`, which the permutation test relabels), the run
 sizes and each run's arm-1 count (`runs`), off which it also reads the
 plus/minus-ECDF summary Shirahata's general form needs (`plus_minus`).
 `moments` reads the record if one is kept, and otherwise hands the arms to
-`_batch.moments_from_values`, which picks a key sort or a labelling from
-the values themselves, so every estimator and test run on one instance
-shares one sort whichever comes first.  Observations are
+`_batch.moments_from_values`, which picks a key sort or a count off the
+sorted values from the values themselves, so every estimator and test run
+on one instance shares one scoring whichever comes first.  Observations are
 equal iff their floats are equal; ordinal categories must be encoded
 upstream as exactly representable reals (small integers), otherwise tie
 handling silently changes.
@@ -109,9 +109,10 @@ class TwoSamples:
 
         Read off the tie-run record when it is kept (`runs`).  Otherwise
         scored as one dataset by `moments_from_values`, which picks its own
-        route: one in-place sort of keys, off which it reads the ranks or
-        the tie runs, or the run path when the data ties on values whose
-        bits end in 1; those keys and runs, O(N) in size, are not kept.
+        route: one in-place sort of keys, off which it reads the ranks of
+        tie-free data, or, when the data ties, the sorted pooled values and
+        arm 1, off which it counts the tie runs; those sorted copies, O(N)
+        in size, are not kept.
         Computed once per instance and kept.  Each arm needs at least 2
         observations.
         """

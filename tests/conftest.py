@@ -19,7 +19,8 @@ def rng():
 def sorts(monkeypatch):
     """The sorts of pooled data made while a test runs, in order: "label" for a
     `tie_runs` call, under either name it is called by (`ranks` and `_batch`),
-    and "keys" for a key sort (`_batch._moments_from_keys`)."""
+    "keys" for a key sort (`_batch._moments_from_keys`) and "sorted" for one
+    dataset counted off its sorted values (`_batch._moments_from_sorted`)."""
     calls = []
 
     def spy(name, f):
@@ -32,4 +33,5 @@ def sorts(monkeypatch):
     monkeypatch.setattr(_batch, "tie_runs", label)
     monkeypatch.setattr(ranks, "tie_runs", label)
     monkeypatch.setattr(_batch, "_moments_from_keys", spy("keys", _batch._moments_from_keys))
+    monkeypatch.setattr(_batch, "_moments_from_sorted", spy("sorted", _batch._moments_from_sorted))
     return calls

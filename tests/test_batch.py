@@ -122,12 +122,13 @@ def moment_bits(m, r=None):
 
 
 DATASET_KINDS = ("tie_free", "levels", "all_tied", "separated", "signed_zeros", "next_after",
-                 "odd_bits")
+                 "odd_bits", "sparse_int", "late_odd_tie")
 
 
 def dataset_row(rng, kind, n1, n2):
-    """One dataset's pooled values, arm 1 first: integer levels are ties the
-    key sort counts, last-place neighbours and 0.3's ties are not."""
+    """One dataset's pooled values, arm 1 first: ties on integers, zeros and
+    decimals such as 0.3, last-place neighbours, and ties that only values
+    past the first 32 of an arm make (on integers, or on normal values)."""
     n = n1 + n2
     low = int(rng.integers(-10, 3))
     if kind == "tie_free":
@@ -145,27 +146,42 @@ def dataset_row(rng, kind, n1, n2):
         pick = rng.integers(n1, size=n2)
         row[n1:] = np.nextafter(row[pick], np.where(rng.random(n2) < 0.5, -np.inf, np.inf))
         return row
+    if kind == "sparse_int":
+        row = rng.permutation(n) * 3.0 + low
+        # each value past an arm's first 32, and the last one, may repeat an earlier value
+        late = np.r_[32:n1, n1 + 32:n]
+        for k in late[rng.random(late.size) < 0.2].tolist() + [n - 1]:
+            row[k] = row[rng.integers(k)]
+        return row
+    if kind == "late_odd_tie":
+        row = rng.normal(size=n)
+        row[-1] = row[-2]
+        return row
     return rng.choice([0.3, 0.7, 1.1, 2.5], size=n)
 
 
 @given(n1=arm_size, n2=arm_size, kind=st.sampled_from(DATASET_KINDS), swap=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_dataset_moments_equal_count_kernel(n1, n2, kind, swap, seed):
-    """`TwoSamples.moments`, from the key sort or the run path, is the count
-    kernel's row of the same dataset in every field, bit for bit."""
+    """`TwoSamples.moments`, from the key sort or the sorted values, is the
+    count kernel's row of the same dataset in every field, bit for bit, and
+    `moments_from_values` leaves both arms as they were."""
     row = dataset_row(np.random.default_rng(seed), kind, n1, n2)
     x1, x2 = row[:n1], row[n1:]
     if swap:
         x1, x2 = x2, x1
     assert moment_bits(TwoSamples(x1, x2).moments) == moment_bits(
         kernel_from_values(x1[None], x2[None]), 0)
+    before = row.copy()
+    moments_from_values(x1, x2)
+    assert np.array_equal(row.view(np.int64), before.view(np.int64))
 
 
 @pytest.fixture
 def scorer_calls(monkeypatch):
-    """The tie_runs and key-sort calls of `_batch`, by name."""
+    """The tie_runs, key-sort and sorted-value calls of `_batch`, by name."""
     calls = []
-    for name in ("tie_runs", "_moments_from_keys"):
+    for name in ("tie_runs", "_moments_from_keys", "_moments_from_sorted"):
         def spy(*args, _name=name, _f=getattr(_batch, name)):
             calls.append(_name)
             return _f(*args)
@@ -176,30 +192,26 @@ def scorer_calls(monkeypatch):
 
 @pytest.mark.parametrize("kind,want", [
     ("tie_free", ["_moments_from_keys"]),
-    ("levels", ["_moments_from_keys"]),
-    ("signed_zeros", ["_moments_from_keys"]),
-    ("odd_bits", ["tie_runs"]),
+    ("levels", ["_moments_from_sorted"]),
+    ("signed_zeros", ["_moments_from_sorted"]),
+    ("odd_bits", ["_moments_from_sorted"]),
     # a tie that the first 32 values of each arm do not show pays for the failed sort
-    ("late_odd_tie", ["_moments_from_keys", "tie_runs"]),
+    ("late_odd_tie", ["_moments_from_keys", "_moments_from_sorted"]),
+    ("sparse_int", ["_moments_from_keys", "_moments_from_sorted"]),
 ])
 def test_dataset_routing(scorer_calls, kind, want):
-    """Integer-coded ties are counted off the keys, with no tie_runs call;
-    values whose bits end in 1 tied among each arm's first 32 are labelled with no
-    key sort first."""
-    rng = np.random.default_rng(4)
-    if kind == "late_odd_tie":
-        row = rng.normal(size=220)
-        row[-1] = row[-2]
-    else:
-        row = dataset_row(rng, kind, 100, 120)
+    """One dataset never calls tie_runs: ties among each arm's first 32
+    values are counted off the sorted values with no key sort first, and a
+    later tie after one failed key sort."""
+    row = dataset_row(np.random.default_rng(4), kind, 100, 120)
     data = TwoSamples(row[:100], row[100:])
     m = data.moments
     assert scorer_calls == want
     assert moment_bits(m) == moment_bits(kernel_from_values(row[None, :100], row[None, 100:]), 0)
 
 
-# values the route's peek judges: ±0.0 and integers, whose bits end in 0, decimals (0.3's
-# bits end in 1, 0.7's in 0) and each one's one-ulp neighbours, whose last bits differ
+# values the route's peek judges: ±0.0, integers, decimals and each one's one-ulp
+# neighbours, whose keys may share a pair with its key
 _PEEK_BASE = np.array([0.0, -0.0, 1.0, -2.0, 4.0, 0.3, 0.7, 1.1, -2.5])
 PEEK_VALUES = np.concatenate([_PEEK_BASE, np.nextafter(_PEEK_BASE, np.inf),
                               np.nextafter(_PEEK_BASE, -np.inf)]).tolist()
@@ -237,12 +249,12 @@ def test_peek_skips_only_a_key_sort_that_fails(shape, rows, n1, n2, tie_free, ul
     ("tied_batch", ["tie_runs"]),
     ("continuous_batch", ["_moments_from_keys"]),
     # arm 1's values alone would not show the ties: the peek reads both arms
-    ("normal_beside_five_levels", ["tie_runs"]),
+    ("normal_beside_five_levels", ["_moments_from_sorted"]),
 ])
 def test_values_route_key_sorts(scorer_calls, case, want):
-    """A batch of tied integer rows and one dataset of 100 normal values
-    beside 100 five-level values go to the run path with no key sort; a
-    continuous batch is scored by one."""
+    """A batch of tied integer rows goes to the run path and one dataset of
+    100 normal values beside 100 five-level values to its sorted values,
+    with no key sort; a continuous batch is scored by one."""
     rng = np.random.default_rng(12)
     if case == "tied_batch":
         x1, x2 = pooled_values(rng, (40, 9), 5), pooled_values(rng, (40, 12), 5)
@@ -259,15 +271,16 @@ def test_values_route_key_sorts(scorer_calls, case, want):
 
 
 def test_dataset_float_sums_past_the_int64_bound(scorer_calls, monkeypatch):
-    """Past EXACT_SUMS_BELOW a dataset is labelled by tie run and summed in
-    floats, bit for bit as the count kernel sums its one row of runs."""
+    """Past EXACT_SUMS_BELOW a dataset is counted by tie run off its sorted
+    values and summed in floats, bit for bit as the count kernel sums its
+    one row of runs."""
     rng = np.random.default_rng(9)
     monkeypatch.setattr(_batch, "EXACT_SUMS_BELOW", 50)
     for row in (rng.normal(size=300), rng.integers(0, 5, 300).astype(float)):
         data = TwoSamples(row[:140], row[140:])
         scorer_calls.clear()
         m = data.moments
-        assert scorer_calls == ["tie_runs"]
+        assert scorer_calls == ["_moments_from_sorted"]
         assert moment_bits(m) == moment_bits(moments_from_counts(*data.runs(), 140, 160))
 
 
@@ -303,8 +316,7 @@ def test_codes_scorer_equals_values_scorer(n1, n2, n_values, seed, kinds):
 
 def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
     """A batch that ties is labelled by one tie_runs call, a tie-free one by
-    none; one dataset is labelled only if it ties on values whose bits end
-    in 1."""
+    none; one dataset is never labelled."""
     calls = []
     labeller = _batch.tie_runs
 
@@ -317,14 +329,14 @@ def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
     batches.append(rng.choice([0.3, 0.7, 1.1], size=(6, 20)))
     want = [kernel_from_values(b[:, :8], b[:, 8:]) for b in batches]
     monkeypatch.setattr(_batch, "tie_runs", spy)
-    for b, w, labelled, alone in zip(batches, want, (0, 1, 1, 1), (0, 0, 0, 1)):
+    for b, w, labelled in zip(batches, want, (0, 1, 1, 1)):
         calls.clear()
         assert_same(moments_from_values(b[:, :8], b[:, 8:]), w)
         assert calls == [(6, 20)] * labelled
         calls.clear()
         m = moments_from_values(b[0, :8], b[0, 8:])
         assert moment_bits(m) == moment_bits(w, 0)
-        assert calls == [(1, 20)] * alone
+        assert calls == []
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (7, 10), (15, 45), (45, 15), (60, 3)])
@@ -423,15 +435,12 @@ def keys_share_a_pair(pooled):
 
 def assert_keys_or_fallback(x1, x2):
     """The key scorer gives the run path's moments, or None exactly when two
-    keys share a pair in a batch of several rows, or in one row with a value
-    whose bits end in 1."""
+    keys share a pair, in one dataset or a batch."""
     before = x1.copy(), x2.copy()
     m = _batch._moments_from_keys(x1, x2)
     assert np.array_equal(x1, before[0]) and np.array_equal(x2, before[1])
     pooled = np.concatenate([x1, x2], axis=-1)
-    rows = np.atleast_2d(pooled)
-    counted = len(rows) == 1 and not (rows.view(np.int64) & 1).any()
-    assert (m is None) == (keys_share_a_pair(rows) and not counted)
+    assert (m is None) == keys_share_a_pair(np.atleast_2d(pooled))
     if m is None:
         return m
     if pooled.ndim == 1:
@@ -478,14 +487,11 @@ def test_key_scorer_pairs(a, b, falls_back):
 
     So a batch with +0.0 and -0.0 (key 0) falls back, and so does one with
     either zero and the least positive subnormal (key 1), but not with the
-    least negative (-1).  One dataset with a shared pair falls back only if
-    some value's bits end in 1, as 0.3's do; without one (±0.0, ±inf, -2.0
-    among even values) the pair is counted as a tie.
+    least negative (-1).  One dataset, each row alone, falls back as the
+    batch does.
     """
     x1 = np.array([[a, 3.0], [a, -7.0]])
     x2 = np.array([[b, 4.0, 9.0], [-8.0, b, 2.5]])
     assert (assert_keys_or_fallback(x1, x2) is None) == falls_back
     for r in range(2):
-        assert_keys_or_fallback(x1[r], x2[r])
-    x2[0, 2] = 0.3
-    assert (assert_keys_or_fallback(x1[0], x2[0]) is None) == falls_back
+        assert (assert_keys_or_fallback(x1[r], x2[r]) is None) == falls_back

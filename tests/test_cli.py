@@ -461,7 +461,8 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command", ["test", "simulate", "tables"])
 def test_failed_output_write_exits_2(tmp_path, monkeypatch, capsys, command):
     """An output file that cannot be opened after the run, past the checks made
-    before it, is reported as malformed input: exit 2, not a traceback."""
+    before it, is reported as malformed input: exit 2, not a traceback, and
+    the run's rows go to standard output as they would without --output."""
     monkeypatch.setattr(cli, "_check_output", lambda out_path: None)
     data = tmp_path / "d.csv"
     data.write_text(TOY_CSV)
@@ -470,7 +471,11 @@ def test_failed_output_write_exits_2(tmp_path, monkeypatch, capsys, command):
     argv = {"test": ["test", str(data), "--tests", "wmw,bm:df"],
             "simulate": ["simulate", str(cfg)],
             "tables": ["tables", "t1", "--scale", "0.0001"]}[command]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
     out = tmp_path / "missing" / "out.csv"
     assert main([*argv, "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == printed
     assert not out.parent.exists()

@@ -29,8 +29,8 @@ def random_dataset(rng, lo=5, hi=30, tie_free=False):
 
 
 def sort_case(kind, n, seed=5):
-    """Two arms of n values each: tie-free, on five integer levels, or one-decimal
-    values, which tie on floats whose bits end in 1 (0.3 does)."""
+    """Two arms of n values each: tie-free, on five integer levels, or tied
+    one-decimal values such as 0.3."""
     rng = np.random.default_rng(seed)
     if kind == "tie_free":
         pooled = rng.normal(size=2 * n)
