@@ -57,7 +57,7 @@ kernel only.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -81,6 +81,12 @@ class EffectSummary:
     all-tied floor, a pooled-rank invariant.  The degeneracy flags and the
     boundary-adjusted estimate are read off the moments, so they too are
     scalars for one dataset and arrays for a batch.
+
+    No permutation statistic reads ``sigma1/2_given_n_sq`` or
+    ``var_wmw_raw``, so they are computed from the other fields on first
+    read and kept; ``s_wmw``, the run sizes' sum of squared centred
+    mid-ranks that ``var_wmw_raw`` divides, is shared by a batch whose rows
+    share their run sizes.
     """
 
     n1: int
@@ -92,9 +98,27 @@ class EffectSummary:
     tau2_hat: float | np.ndarray
     sigma1_sq: float | np.ndarray
     sigma2_sq: float | np.ndarray
-    sigma1_given_n_sq: float | np.ndarray
-    sigma2_given_n_sq: float | np.ndarray
-    var_wmw_raw: float | np.ndarray
+    s_wmw: int | float | np.ndarray = field(repr=False)
+
+    @cached_property
+    def sigma1_given_n_sq(self):
+        return self._given_n_sq(self.n2, self.tau1_hat)
+
+    @cached_property
+    def sigma2_given_n_sq(self):
+        return self._given_n_sq(self.n1, self.tau2_hat)
+
+    def _given_n_sq(self, n_other: int, tau):
+        p = self.p_hat
+        return ((n_other * tau - 0.5 * self.tau0_hat - (n_other - 0.5) * (p * p))
+                / ((self.n1 - 1) * (self.n2 - 1)))
+
+    @cached_property
+    def var_wmw_raw(self):
+        n1, n2 = self.n1, self.n2
+        n = n1 + n2
+        return np.broadcast_to(self.s_wmw / (4.0 * (n - 1) * n * n1 * n2),
+                               np.shape(self.p_hat))[()]
 
     @property
     def all_tied(self):
@@ -205,48 +229,68 @@ def _run_shape(sizes: np.ndarray, n1: int, n2: int) -> tuple:
 
 
 class RunSums:
-    """The count kernel one run at a time, for rows that share one pooled sample's run sizes.
+    """The count kernel one run at a time, for draws of pooled samples that share n1 and n2.
 
     A row's arm-1 count a in run j and its arm-1 count A in lower runs fix
     run j's terms: with b = size - a and f1 = 2A + a, run j adds b f1 to
     s_p, a g2**2 to s_tau1 (g2 = f1 + 2 (n2 - values below) - size), b f1**2
     to s_tau2 and a b to s_beta, the summands of `moments_from_counts`.
-    `step` adds them to four (rows,) int64 sums as soon as run j's counts
-    are known, so no (rows, runs) matrix is held, and `summary` divides
-    the sums once; s_wmw and each run's g2 shift depend on the run sizes
-    alone and are taken once (`_run_shape`).
-    The pooled sample must be below EXACT_SUMS_BELOW.
+    `step` adds them to four int64 sums as soon as run j's counts are
+    known, so no (rows, runs) matrix is held, and `moments` divides the
+    sums once.  `sizes` holds each sample's run sizes, (samples, runs);
+    s_wmw and each run's g2 shift depend on them alone and are taken once
+    per sample (`_run_shape`).  A row belongs to one sample, and `step`
+    reads its run's size and g2 shift per row.  Every pooled sample must
+    be below EXACT_SUMS_BELOW.
     """
 
     def __init__(self, sizes: np.ndarray, n1: int):
-        sizes = np.asarray(sizes, dtype=np.int64)
-        self.n1, self.n2 = n1, int(sizes.sum()) - n1
-        self.s_wmw, g2_shift = _run_shape(sizes, n1, self.n2)
-        self.sizes, self.g2_shift = sizes.tolist(), g2_shift.tolist()
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.n1, self.n2 = n1, int(self.sizes[0].sum()) - n1
+        self.s_wmw, self.g2_shift = _run_shape(self.sizes, n1, self.n2)
 
-    def step(self, sums: np.ndarray, j: int, a: np.ndarray, placed: np.ndarray) -> None:
-        """Add run j's terms to `sums`, (s_p, s_tau1, s_tau2, s_beta) as (4, rows) int64.
+    def step(self, sums: np.ndarray, j: int, a: np.ndarray, placed: np.ndarray,
+             samples: np.ndarray) -> None:
+        """Add run j's terms to `sums`, (s_p, s_tau1, s_tau2, s_beta) stacked on the rows' shape.
 
         `a` holds each row's arm-1 count in run j and `placed` its arm-1
-        count in lower runs, both (rows,) int64.
+        count in lower runs, int64; `samples` holds each row's sample,
+        shaped to broadcast against them.
         """
         s_p, s_tau1, s_tau2, s_beta = sums
         f1 = placed * 2
         f1 += a
-        b = self.sizes[j] - a
+        b = self.sizes[samples, j] - a
         s_beta += a * b
         b *= f1
         s_p += b
         b *= f1
         s_tau2 += b
-        f1 += self.g2_shift[j]
+        f1 += self.g2_shift[samples, j]
         f1 *= f1
         f1 *= a
         s_tau1 += f1
 
-    def summary(self, sums: np.ndarray) -> EffectSummary:
-        """Moments of the rows whose sums `step` has taken over every run."""
-        return _moments_from_sums(self.s_wmw, *sums, self.n1, self.n2)
+    def moments(self, runs, samples: np.ndarray, n_draws: int) -> EffectSummary:
+        """Moments of n_draws rows of each of `samples`, sample by sample.
+
+        `runs` yields, run by run in order, each row's arm-1 count in the
+        run and in lower runs, (samples, n_draws) int64 each.
+        """
+        sums = np.zeros((4, len(samples), n_draws), dtype=np.int64)
+        rows = sample_rows(samples)
+        for j, (a, placed) in enumerate(runs):
+            self.step(sums, j, a, placed, rows)
+        return _moments_from_sums(np.repeat(self.s_wmw[samples], n_draws), *sums.reshape(4, -1),
+                                  self.n1, self.n2)
+
+
+def sample_rows(samples: np.ndarray):
+    """Each row's sample, to broadcast against (samples, draws) arrays: one sample as a scalar.
+
+    Operands broadcast from a scalar cost less than from a (1, 1) array.
+    """
+    return int(samples[0]) if len(samples) == 1 else samples[:, None]
 
 
 def _moments_from_ranks(ranks: np.ndarray, n1: int, n2: int) -> EffectSummary:
@@ -277,23 +321,17 @@ def _moments_from_ranks(ranks: np.ndarray, n1: int, n2: int) -> EffectSummary:
 
 def _moments_from_sums(s_wmw, s_p, s_tau1, s_tau2, s_beta, n1: int, n2: int) -> EffectSummary:
     """Every moment from the five sums, divided once; the sums are per row or scalars."""
-    n = n1 + n2
     p = s_p / (2 * n1 * n2)
     tau1 = s_tau1 / (4 * n1 * n2 * n2)
     tau2 = s_tau2 / (4 * n1 * n1 * n2)
     beta = s_beta / (n1 * n2)
-    tau0 = p - 0.25 * beta
     p2 = p * p
     # centred placement moments are >= 0 up to rounding; clip so sqrt/df never see -1e-17
     sigma1_sq = n1 / (n1 - 1) * np.maximum(0.0, tau1 - p2)
     sigma2_sq = n2 / (n2 - 1) * np.maximum(0.0, tau2 - p2)
-    denom = (n1 - 1) * (n2 - 1)
     return EffectSummary(
-        n1=n1, n2=n2, p_hat=p, beta_hat=beta, tau0_hat=tau0, tau1_hat=tau1, tau2_hat=tau2,
-        sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq,
-        sigma1_given_n_sq=(n2 * tau1 - 0.5 * tau0 - (n2 - 0.5) * p2) / denom,
-        sigma2_given_n_sq=(n1 * tau2 - 0.5 * tau0 - (n1 - 0.5) * p2) / denom,
-        var_wmw_raw=np.broadcast_to(s_wmw / (4.0 * (n - 1) * n * n1 * n2), p.shape)[()],
+        n1=n1, n2=n2, p_hat=p, beta_hat=beta, tau0_hat=p - 0.25 * beta, tau1_hat=tau1,
+        tau2_hat=tau2, sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, s_wmw=s_wmw,
     )
 
 
@@ -439,19 +477,21 @@ def moments_from_codes(codes1: np.ndarray, codes2: np.ndarray, n_values: int) ->
 
 
 def moments_from_perm(arm1_labels: np.ndarray, sizes: np.ndarray) -> EffectSummary:
-    """Moments for relabellings of one pooled sample, one row of arm-1 run labels each.
+    """Moments for relabellings of pooled samples of one size, one row of arm-1 run labels each.
 
-    `sizes` holds the pooled sample's run sizes (`tie_runs`), as the draw
-    loop's lane holds them; a row of `arm1_labels` holds the run labels of
-    the values one relabelling puts in arm 1.
+    A row of `arm1_labels` holds the run labels of the values one
+    relabelling puts in arm 1.  `sizes` holds the run sizes (`tie_runs`),
+    as the draw loop's lane holds them: (runs,) when every row relabels
+    one pooled sample, or each row's own (rows, runs).
     """
-    n = int(sizes.sum())
+    runs = sizes.shape[-1]
+    n = int(sizes.reshape(-1, runs)[0].sum())
     n1 = arm1_labels.shape[1]
     n2 = n - n1
-    if n < EXACT_SUMS_BELOW and sizes.size == n:
+    if n < EXACT_SUMS_BELOW and runs == n:
         # tie-free: a value's run label is its pooled rank
         # sorted in a C-ordered copy: the relabel hands over a transposed view
         ranks = np.array(arm1_labels, order="C")
         ranks.sort(axis=1)
         return _moments_from_ranks(ranks, n1, n2)
-    return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, n2)
+    return moments_from_counts(arm1_counts(arm1_labels, runs), sizes, n1, n2)

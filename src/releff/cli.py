@@ -132,13 +132,16 @@ def _cmd_test(args) -> int:
     data = _read_two_group_csv(args.data)
     kinds = _parse_test_list(args.tests, args.df)
     header = ["test", "statistic", "df", "p_value", "degenerate"]
+    perms = {}
     if args.n_perm:
         # before the rows, which then read the moments off the tie runs it records, so the
         # data is sorted once; one pass over the draws tallies every non-wmw kind
         tallied = [kind for kind in kinds if kind.family != "wmw"]
         perms = dict(zip(tallied, permutation_tests(data, tallied, n_perm=args.n_perm,
                                                     seed=args.seed, threads=args.threads)))
-    results = [run_test(data, kind, alternative=args.alternative) for kind in kinds]
+    # a two-sided row is the result its permutation test was tallied against
+    results = [perms[kind].observed if kind in perms and args.alternative == "two-sided"
+               else run_test(data, kind, alternative=args.alternative) for kind in kinds]
     rows = [
         [
             kind.label(),

@@ -14,38 +14,49 @@ replications are recorded in one `_batch.tie_runs` call.  A draw
 matters only through how many arm-1 members each run gets, and the moments
 are exact integer sums over those counts (`_batch.moments_from_counts`, or
 run by run as a count lane draws them, `_batch.RunSums`).
-`tally_range`, the one draw loop, builds one lane of one of two kinds for
-the pooled sample, the only description of it its blocks see, and scores
-draws in cache-sized blocks of that lane (`tally_draws`, one `statistics`
-call for all kinds per block, no degrees of freedom); it can stop once a
-decision is settled.  Draw k of a run is row k of the uniform matrix keyed
-by the seed (`rng.uniforms`), so it depends only on (seed, k):
 
-* A count lane (`_CountLane`) serves a sample of few tie runs: at most 16,
+`tally_streams`, the one draw loop, tallies pooled samples of one size,
+each with its own seed: one user dataset (`tally_range`, which
+`permutation_tests` runs once per worker) or the replications of a Monte
+Carlo chunk.  It sorts the samples into lanes (`_lanes`), the only
+description of them its blocks see, and walks each lane in steps.  A step
+stacks the next step of every sample still open into shared blocks of at
+most the lane's block size (`_block_draws`), and one `tally_draws` call
+scores each block: one `statistics` call for all kinds and samples, no
+degrees of freedom, then a count of each sample's rows against its own
+observed statistics.  Given a settle threshold, a sample closes once its
+decision is fixed.  Draw k of a sample is row k of the uniform matrix keyed
+by its seed (`rng.uniforms`), so it depends only on (seed, k):
+
+* A count lane (`_CountLane`) serves samples of few tie runs: at most 16,
   at most a third of n2 and at most 2048 pooled values (`_counts_drawn`,
-  which reads only the data).  Its row has one column per run but the
-  last, and it draws the counts themselves from their exact multivariate
-  hypergeometric law, run by run: run j takes the inverse CDF of its law
-  given the arm-1 members still to place at column j, and the last run
-  takes what is left.  Each conditional CDF row is exact, built from
-  integer weights (`_cdf_row`), kept by the lane once a draw reaches it
-  (`_KeptRows`), and looked up by a binary search.  A run's counts add
-  its terms to four per-draw integer sums as soon as they are drawn.
+  which reads only the data).  A sample's row has one column per run but
+  the last, and it draws the counts themselves from their exact
+  multivariate hypergeometric law, run by run: run j takes the inverse CDF
+  of its law given the arm-1 members still to place at column j, and the
+  last run takes what is left.  Each conditional CDF row is exact, built
+  from integer weights (`_cdf_row`, or many rows at once in float64 where
+  every weight is an exact integer, `_cdf_rows`), cached for the process,
+  kept by the lane once a draw reaches it (`_KeptRows`), and looked up by
+  a binary search.  A run's counts add its terms to four per-draw integer
+  sums as soon as they are drawn.
 * A relabel lane (`_RelabelLane`) serves every other sample, tie-free data
-  included.  Its row has one column per relabelling swap (n2 of them), and
-  it carries the run labels (int32) through the first n2 swaps of a
-  Fisher-Yates shuffle, one scatter per swap, to count the arm-1 labels per
-  run; on tie-free data a run label is a pooled rank, and the same sums are
-  taken over the draw's sorted arm-1 ranks (`_batch.moments_from_perm`).
+  included; tie-free and tied samples take separate lanes, as they are
+  scored apart.  A sample's row has one column per relabelling swap (n2 of
+  them), and the lane carries the run labels (int32) through the first n2
+  swaps of a Fisher-Yates shuffle, one scatter per swap, to count the
+  arm-1 labels per run; a sample of at most 16 runs is then summed run by
+  run as a count lane's is.  On tie-free data a run label is a pooled
+  rank, and the same sums are taken over the draw's sorted arm-1 ranks
+  (`_batch.moments_from_perm`).
 
 Both give a draw's counts the law of a uniformly random relabelling, from
-different streams.  `permutation_tests` runs one lane of whole blocks per
-worker, and the Monte Carlo engine one call per replication.  Tallies are
-integer counts, so results are bit-identical for any lanes or blocking.
-`run_test` scores the observed data through the same kernel and formulas,
-and its statistic is the one the draws are tallied against, so a draw with
-the observed arm-1 multiset reproduces it bit for bit and ties are exact by
-construction.
+different streams.  Tallies are integer counts, and a sample's tallies
+read only its own draws, so results are bit-identical for any lanes,
+blocks, stacking or workers.  `run_test` scores the observed data through
+the same kernel and formulas, and its statistic is the one the draws are
+tallied against, so a draw with the observed arm-1 multiset reproduces it
+bit for bit and ties are exact by construction.
 """
 from __future__ import annotations
 
@@ -55,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._batch import EffectSummary, RunSums, moments_from_perm
+from ._batch import EXACT_SUMS_BELOW, EffectSummary, RunSums, moments_from_perm, sample_rows
 from ._pool import map_tasks, worker_count
 from .errors import InvalidKind
 from .ranks import TwoSamples
@@ -64,11 +75,13 @@ from .stat_tests import TestKind, TestResult, run_test, statistics
 
 __all__ = ["PermutationResult", "permutation_test", "permutation_tests"]
 
-# every array a block holds, together; see `_block_draws`
+# every array a relabel block holds, together; see `_block_draws`
 _BLOCK_BYTES = 5 * 2**20
 _MIN_BLOCK_DRAWS = 128
 _MAX_BLOCK_DRAWS = 2048
-# a settling range is checked after every eighth of its draws, within these bounds
+# a count lane's block
+_COUNT_BLOCK_DRAWS = 8192
+# a settling sample is checked after every eighth of its draws, within these bounds
 _MIN_STEP_DRAWS = 256
 _MAX_STEP_DRAWS = 1024
 # the widest pooled sample drawn as per-run counts, and its most tie runs; see `_counts_drawn`
@@ -77,6 +90,11 @@ _COUNT_MAX_RUNS = 16
 # conditional CDF rows cached for later lanes and calls: every row one lane reaches, and
 # at most 2048 rows of at most 2047 entries, 32 MiB
 _CDF_ROWS = 2048
+# (sample, members left) keys a count lane maps per run, 1 MiB of row starts: it serves at
+# most this many over n1 + 1 samples
+_COUNT_LANE_KEYS = 2**17
+# CDF entries a count lane keeps over all its runs, 16 MiB
+_KEPT_ENTRIES = 2**21
 
 
 @dataclass(frozen=True)
@@ -89,32 +107,35 @@ class PermutationResult:
     seed: int
 
 
-def _counts_drawn(n1: int, n2: int, n_runs: int) -> bool:
+def _counts_drawn(n1: int, n2: int, n_runs):
     """Whether a pooled sample in n_runs tie runs is drawn as per-run counts, not relabelled.
 
-    Per block, a run of counts costs about as much as three relabelling
-    swaps, and a relabel makes one swap per arm-2 value, so counts are
-    drawn when 3 n_runs <= n2.  At that boundary (24/24 on 8 levels, 39/39
-    on 13, 48/48 on 16) a lane took 0.65-0.93 of the relabel's time with
-    its rows cached and about as long with none; on five levels it took
-    0.3 of it cold at 200/200 and 0.55 at 1024/1024.  At most 16 runs and
-    2048 pooled values keep the rows one lane reaches (under a thousand:
-    about nine standard deviations of the members left, per run) inside
-    the row cache, and each row cheap: its exact weights are N-bit
-    integers, so a row costs about N bits per entry.
+    Elementwise for an array of run counts.  Per block, a run of counts
+    costs about as much as three relabelling swaps, and a relabel makes one
+    swap per arm-2 value, so counts are drawn when 3 n_runs <= n2.  At that
+    boundary (24/24 on 8 levels, 39/39 on 13, 48/48 on 16) a lane took
+    0.65-0.93 of the relabel's time with its rows cached and about as long
+    with none; on five levels it took 0.3 of it cold at 200/200 and 0.55 at
+    1024/1024.  At most 16 runs and 2048 pooled values keep the rows one
+    lane reaches (under a thousand per sample: about nine standard
+    deviations of the members left, per run) inside the row cache, and each
+    row cheap: its exact weights are N-bit integers, so a row costs about N
+    bits per entry.
     """
-    return 3 * n_runs <= n2 and n_runs <= _COUNT_MAX_RUNS and n1 + n2 <= _COUNT_MAX_N
+    return (3 * n_runs <= n2) & (n_runs <= _COUNT_MAX_RUNS) & (n1 + n2 <= _COUNT_MAX_N)
 
 
 def _block_draws(n1: int, n2: int, n_runs: int) -> int:
-    """Draws scored per block for n1 + n2 = n pooled values in n_runs tie runs.
+    """Draws scored per block for n1 + n2 = n pooled values in (at most) n_runs tie runs.
 
-    A count lane's block is always the cap, 2048 draws: at most 16 runs
-    hold its footprint to a few hundred bytes per draw (its uniforms, the
-    search state and four int64 sums), and a sweep at 15, 30 and 200
-    per arm found the cost per draw flat from 2048 to 8192 draws and
-    1.3-1.4 times higher at 1024.  A relabelled draw holds 4 n bytes of
-    relabel (int32 run labels), 8 n2 of scatter indices (`flat_j`) and 8
+    A count lane's block is always 8192 draws: at most 16 runs hold its
+    footprint to a few hundred bytes per draw (its uniforms, the search
+    state and four int64 sums), and each block pays about a dozen numpy
+    calls per run whatever its size.  A 10k-draw `pm` test on five levels
+    took 3.09 ms in blocks of 8192 against 3.37 ms in blocks of 2048 at
+    15/15, and 3.39 against 3.58 ms at 200/200 (2-vCPU VM, alternating
+    medians).  A relabelled draw holds 4 n bytes
+    of relabel (int32 run labels), 8 n2 of scatter indices (`flat_j`) and 8
     bytes per uniform (n2 rounded up to a multiple of 4).  Its scorer adds
     12 n1 on tie-free data (the int32 sorted arm-1 ranks and their int64
     counts above) and otherwise 8 n1 of count keys and 32 per run (the
@@ -124,10 +145,12 @@ def _block_draws(n1: int, n2: int, n_runs: int) -> int:
     core's 2 MiB L2 cache.  At 200 and 300 per arm, a block costs the same
     per draw anywhere from about 500 to 1000 draws; fewer pay more
     per-block overhead in the loop of n2 scatters, and more spill the
-    relabel out of cache.  A block is kept within [128, 2048] draws.
+    relabel out of cache.  A relabel block is kept within [128, 2048]
+    draws: a 10k-draw test at 15/15 tie-free took 6.08 ms in one block
+    against 4.42 ms in blocks of 2048.
     """
     if _counts_drawn(n1, n2, n_runs):
-        return _MAX_BLOCK_DRAWS
+        return _COUNT_BLOCK_DRAWS
     n = n1 + n2
     per_draw = 4 * n + 8 * n2 + 32 * -(-n2 // 4)
     per_draw += 12 * n1 if n_runs == n else 8 * n1 + 32 * n_runs
@@ -164,38 +187,76 @@ def _cdf_row(s: int, rest: int, m: int) -> np.ndarray:
     return row
 
 
+def _pascal(n_max: int) -> np.ndarray:
+    """C(n, j) for n <= n_max at [n, _PASCAL_MID + j], 0 for j outside 0..n."""
+    table = np.zeros((n_max + 1, 2 * _PASCAL_MID))
+    for n in range(n_max + 1):
+        table[n, _PASCAL_MID : _PASCAL_MID + n + 1] = [math.comb(n, k) for k in range(n + 1)]
+    return table
+
+
+# binomials of at most 56 values, all below 2**53 (C(56, 28) < 2**53 < C(57, 28)), so exact
+# in float64; a row of a run of at most 56 values is at most 63 entries wide
+_PASCAL_N, _PASCAL_MID = 56, 64
+_PASCAL = _pascal(_PASCAL_N)
+
+
+def _cdf_rows(s: np.ndarray, rest: np.ndarray, m: np.ndarray, width: int) -> np.ndarray:
+    """`_cdf_row(s[i], rest[i], m[i])` for each i, padded with 1.0 to `width` entries.
+
+    Where every s + rest is at most 56, the rows are summed together in
+    float64 from exact binomials: each weight C(s, k) C(rest, m - k) and
+    each partial sum is an integer below 2**53, so exact, and each entry is
+    the correctly rounded quotient `_cdf_row` takes, the same bits.  A row
+    then reads 0 below max(0, m - rest) and 1.0 from min(s, m) on, as
+    `_cdf_row`'s does.  Otherwise each row comes from `_cdf_row`'s cache.
+    """
+    if (s + rest).max() <= _PASCAL_N:
+        k = np.arange(width)
+        s, rest, m = s[:, None], rest[:, None], m[:, None]
+        weights = _PASCAL[s, _PASCAL_MID + k] * _PASCAL[rest, _PASCAL_MID + m - k]
+        return np.cumsum(weights, axis=1) / _PASCAL[s + rest, _PASCAL_MID + m]
+    rows = np.ones((s.size, width))
+    for row, key in zip(rows, zip(s.tolist(), rest.tolist(), m.tolist())):
+        cdf = _cdf_row(*key)
+        row[: cdf.size] = cdf
+    return rows
+
+
 class _KeptRows:
     """One run's conditional CDF rows that a count lane's draws have reached, kept across blocks.
 
-    Row m is P(X <= k) for X ~ Hyp(s, rest, m), k = 0, 1, ... (`_cdf_row`),
-    and m is at most `most`.  The rows are laid end to end in `table` in
-    the order the draws first reached them, and `start[m]` is row m's
-    offset there, or -1 while no draw has reached it.  A block that reaches
-    new m values appends only their rows, so the table holds just the rows
-    reached and asks the row cache for each of them once.
+    Sample i's run holds s[i] values and rest[i] lie in later runs; its row
+    m is P(X <= k) for X ~ Hyp(s[i], rest[i], m), k = 0, 1, ... (`_cdf_row`),
+    padded with 1.0 to the width of the widest sample's row, and m is at
+    most `most`.  Key i * (most + 1) + m names that row.  The rows are laid
+    end to end in `table` in the order the draws first reached them, and
+    `start[key]` is the row's offset there, or -1 while no draw has reached
+    it.  A block that reaches new keys appends only their rows
+    (`_cdf_rows`), so the table holds just the rows reached and builds each
+    of them once, until it would pass `limit` entries: it is then emptied
+    and refilled with the rows of the block at hand.
     """
 
-    def __init__(self, s: int, rest: int, most: int):
-        self.s, self.rest = s, rest
-        self.width = (1 << s.bit_length()) - 1
-        self.start = np.full(most + 1, -1, dtype=np.int64)
+    def __init__(self, s: np.ndarray, rest: np.ndarray, most: int, limit: int):
+        self.s, self.rest, self.most, self.limit = s, rest, most, limit
+        self.width = (1 << int(s.max()).bit_length()) - 1
+        self.start = np.full(s.size * (most + 1), -1, dtype=np.int64)
         self.table = np.empty(0)
+        self.used = 0
 
-    def draw(self, left: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per draw k, the inverse CDF of Hyp(s, rest, left[k]) at u[k].
+    def draw(self, key: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per draw, the inverse CDF of row key[...] at u[...], both of one shape.
 
-        That is how many entries of row left[k] are <= u[k], found by a
-        binary search over the row, one gather per bit of s.
+        That is how many entries of the row are <= u, found by a binary
+        search over the row, one gather per bit of the width.
         """
-        start = self.start[left]
+        start = self.start.take(key)
         if start.min() < 0:
-            new = np.flatnonzero(np.bincount(left[start < 0]))
-            self.start[new] = self.table.size + self.width * np.arange(new.size)
-            self.table = np.concatenate(
-                [self.table, *(_cdf_row(self.s, self.rest, m) for m in new.tolist())])
-            start = self.start[left]
+            self._reach(key, start < 0)
+            start = self.start.take(key)
         at = start.copy()
-        for bit in range(self.s.bit_length() - 1, -1, -1):
+        for bit in range(self.width.bit_length() - 1, -1, -1):
             step = 1 << bit
             # reads entry at + step - 1; `at` is at most width + 1 - 2 * step into its
             # row, so that entry is in the row
@@ -203,116 +264,205 @@ class _KeptRows:
         at -= start
         return at
 
+    def _reach(self, key: np.ndarray, new: np.ndarray) -> None:
+        """Append the rows of the keys marked `new`, emptying a table that would pass its limit."""
+        new = np.flatnonzero(np.bincount(key[new]))
+        if self.used + new.size * self.width > self.limit:
+            self.start.fill(-1)
+            self.used = 0
+            new = np.flatnonzero(np.bincount(key.ravel()))
+        sample, m = np.divmod(new, self.most + 1)
+        rows = _cdf_rows(self.s[sample], self.rest[sample], m, self.width)
+        end = self.used + rows.size
+        if end > self.table.size:
+            grown = np.empty(max(end, min(2 * self.table.size, self.limit)))
+            grown[: self.used] = self.table[: self.used]
+            self.table = grown
+        self.table[self.used : end] = rows.ravel()
+        self.start[new] = self.used + self.width * np.arange(new.size)
+        self.used = end
+
 
 class _CountLane:
-    """A pooled sample with few tie runs, whose draws are its runs' arm-1 counts.
+    """Pooled samples with few tie runs, whose draws are their runs' arm-1 counts.
 
-    Draw k reads row k of the seed's stream with one column per run but the
-    last.  Run j gets the inverse CDF of its law given the arm-1 members
-    still to place, Hyp(sizes[j], values in later runs, members left), at
-    column j, and the last run takes what is left: an exact draw from the
-    multivariate hypergeometric law of a random relabelling's counts.
+    Each sample is drawn from its own seed's stream: its draw k reads row k
+    with one column per run but the last.  Run j gets the inverse CDF of
+    its law given the arm-1 members still to place, Hyp(size of run j,
+    values in later runs, members left), at column j, and the last run
+    takes what is left: an exact draw from the multivariate hypergeometric
+    law of a random relabelling's counts.  A sample with fewer runs than
+    the lane's most is padded in front with empty runs.  An empty run adds
+    nothing to any sum, its rows are all 1.0 and its column reads 0, so it
+    always draws 0, and the sample's own runs read its own columns.
 
-    A block walks the runs once (`_runs`).  Each draw's count in run j is
-    looked up in the CDF rows the lane keeps for run j (`_KeptRows`), and
-    run j's terms go straight into four per-draw sums (`RunSums.step`), so
-    a block holds no (draws, runs) matrix and builds no row table.  The
+    A block holds the same number of draws of each of some samples, as
+    (samples, draws) arrays, and walks the runs once (`_runs`).  Each
+    draw's count in run j is looked up in the CDF rows the lane keeps for
+    run j (`_KeptRows`), and run j's terms go straight into four per-draw
+    sums (`RunSums.step`), so a block holds no (draws, runs) matrix.  The
     kept rows grow as the blocks reach new rows, so a lane belongs to one
     draw loop, as a relabel lane's buffers do.
     """
 
-    def __init__(self, sizes: np.ndarray, n1: int):
+    def __init__(self, sizes: list, n1: int, seeds: list):
+        runs = max(len(s) for s in sizes)
+        padded = np.zeros((len(sizes), runs), dtype=np.int64)
+        for row, s in zip(padded, sizes):
+            row[runs - len(s) :] = s
         self.n1 = n1
-        self.kernel = RunSums(sizes, n1)
-        later = (int(sizes.sum()) - np.cumsum(sizes)).tolist()
-        self.rows = [_KeptRows(s, rest, n1) for s, rest in zip(sizes[:-1].tolist(), later)]
+        self.pad = [runs - len(s) for s in sizes]
+        self.keys = [perm_key(seed) for seed in seeds]
+        self.kernel = RunSums(padded, n1)
+        later = padded.sum(axis=1, keepdims=True) - np.cumsum(padded, axis=1)
+        limit = _KEPT_ENTRIES // max(1, runs - 1)
+        self.rows = [_KeptRows(padded[:, j], later[:, j], n1, limit) for j in range(runs - 1)]
+        self.draws = _COUNT_BLOCK_DRAWS
 
-    def _runs(self, seed: int, first_draw: int, n_draws: int):
-        """Per run, in order: each draw's arm-1 count in it and in lower runs, (n_draws,) each."""
-        # column j of the block as one contiguous row
-        u = np.ascontiguousarray(uniforms(perm_key(seed), first_draw, n_draws, len(self.rows)).T)
-        placed = np.zeros(n_draws, dtype=np.int64)
-        for rows, column in zip(self.rows, u):
-            a = rows.draw(self.n1 - placed, column)
+    def _uniforms(self, samples: np.ndarray, first_draw: int, n_draws: int) -> np.ndarray:
+        """Each sample's columns over the draws, (runs - 1, samples, draws); padding reads 0.
+
+        Column j is one contiguous row: a copy of the strided uniforms costs
+        less than the binary search's strided reads of them.
+        """
+        u = np.empty((len(self.rows), len(samples), n_draws))
+        for i, sample in enumerate(samples.tolist()):
+            pad = self.pad[sample]
+            u[:pad, i] = 0.0
+            u[pad:, i] = uniforms(self.keys[sample], first_draw, n_draws, len(self.rows) - pad).T
+        return u
+
+    def _runs(self, samples: np.ndarray, first_draw: int, n_draws: int):
+        """Per run in order: each draw's arm-1 count in it and in lower runs, (samples, draws)."""
+        u = self._uniforms(samples, first_draw, n_draws)
+        # the key of each sample's row with all n1 members left; a draw's is this less those placed
+        full = sample_rows(samples) * (self.n1 + 1) + self.n1
+        placed = np.zeros((len(samples), n_draws), dtype=np.int64)
+        for j, rows in enumerate(self.rows):
+            a = rows.draw(full - placed, u[j])
             yield a, placed
             placed = placed + a
         yield self.n1 - placed, placed
 
-    def counts(self, seed: int, first_draw: int, n_draws: int) -> np.ndarray:
-        """Each draw's arm-1 count per run, (n_draws, runs)."""
-        return np.column_stack([a for a, _ in self._runs(seed, first_draw, n_draws)])
+    def counts(self, samples: np.ndarray, first_draw: int, n_draws: int) -> np.ndarray:
+        """Each draw's arm-1 count per run, (samples * draws, runs), sample by sample."""
+        return np.column_stack([a.reshape(-1) for a, _ in self._runs(samples, first_draw, n_draws)])
 
-    def moments(self, seed: int, first_draw: int, n_draws: int) -> EffectSummary:
-        """Moments of draws [first_draw, first_draw + n_draws)."""
-        sums = np.zeros((4, n_draws), dtype=np.int64)
-        for j, (a, placed) in enumerate(self._runs(seed, first_draw, n_draws)):
-            self.kernel.step(sums, j, a, placed)
-        return self.kernel.summary(sums)
+    def moments(self, samples: np.ndarray, first_draw: int, n_draws: int) -> EffectSummary:
+        """Moments of draws [first_draw, first_draw + n_draws) of each sample, sample by sample."""
+        return self.kernel.moments(self._runs(samples, first_draw, n_draws), samples, n_draws)
 
 
 class _RelabelLane:
-    """The pooled sample and the relabel's buffers, owned by one draw loop.
+    """Pooled samples of one size, relabelled, and the relabel's buffers, owned by one draw loop.
 
-    `values` holds the pooled sample's tie-run labels (`tie_runs`) as int32,
-    the first n1 of them arm 1, and `sizes` its run sizes; the buffers hold
+    Column i of `values` holds sample i's tie-run labels (`tie_runs`) as
+    int32, the first n1 of them arm 1, and `sizes` the run sizes, given as
+    (samples, runs) and kept as (runs,) when every sample shares them
+    (tie-free, or one sample).  Tied samples of at most 16 runs are scored
+    run by run, as a count lane's are (`RunSums`), from each draw's arm-1
+    count per run; any others by `moments_from_perm`.  The buffers hold
     blocks of up to `draws` relabellings and are reused by each block, so
     whatever a block reads off them must be consumed before the next block
     starts.
     """
 
-    def __init__(self, labels: np.ndarray, sizes: np.ndarray, n1: int, draws: int):
-        n = labels.size
-        self.values = labels.astype(np.int32)
-        self.sizes = sizes
-        self.n1 = n1
+    def __init__(self, labels: np.ndarray, sizes: np.ndarray, n1: int, seeds: list, draws: int):
+        n, runs = labels.shape[1], sizes.shape[1]
+        self.values = labels.T.astype(np.int32)
+        self.sizes = sizes[0] if len(sizes) == 1 or runs == n else sizes
+        self.n1, self.draws = n1, draws
+        self.keys = [perm_key(seed) for seed in seeds]
+        self.kernel = None
+        if runs <= _COUNT_MAX_RUNS and runs < n < EXACT_SUMS_BELOW:
+            self.kernel = RunSums(sizes, n1)
         self.perm = np.empty(n * draws, dtype=np.int32)
         self.flat_j = np.empty((n - n1) * draws, dtype=np.intp)
         self.cols = np.arange(draws)
         # step s of a draw picks among the i + 1 = n - s positions 0..i
         self.bound = np.arange(n, n1, -1)[:, None]
 
-    def moments(self, seed: int, first_draw: int, n_draws: int) -> EffectSummary:
-        """Moments of draws [first_draw, first_draw + n_draws), read off the buffers."""
+    def moments(self, samples: np.ndarray, first_draw: int, n_draws: int) -> EffectSummary:
+        """Moments of draws [first_draw, first_draw + n_draws) of each sample, off the buffers."""
+        n2 = self.values.shape[0] - self.n1
         # nested, so the uniforms are freed once relabelled
-        return moments_from_perm(
-            _batch_permutations(uniforms(perm_key(seed), first_draw, n_draws,
-                                         self.values.size - self.n1), self),
-            self.sizes,
-        )
+        arm1 = _batch_permutations([uniforms(self.keys[i], first_draw, n_draws, n2)
+                                    for i in samples.tolist()], self, samples)
+        if self.kernel is not None:
+            return self.kernel.moments(self._runs(arm1, len(samples), n_draws), samples, n_draws)
+        sizes = self.sizes
+        if sizes.ndim > 1:
+            sizes = np.repeat(sizes[samples], n_draws, axis=0)
+        return moments_from_perm(arm1, sizes)
+
+    def _runs(self, arm1: np.ndarray, n_samples: int, n_draws: int):
+        """Per run in order: each draw's arm-1 count in it and in lower runs, (samples, draws)."""
+        m = n_samples * n_draws
+        # one bincount, run-major: the key of a label in row k is label * m + k
+        keys = arm1.T.astype(np.intp)
+        keys *= m
+        keys += self.cols[:m]
+        counts = np.bincount(keys.reshape(-1), minlength=self.sizes.shape[-1] * m)
+        placed = np.zeros((n_samples, n_draws), dtype=np.int64)
+        for a in counts.reshape(-1, n_samples, n_draws):
+            yield a, placed
+            placed = placed + a
 
 
-def _lane(labels: np.ndarray, sizes: np.ndarray, n1: int,
-          draws: int) -> _CountLane | _RelabelLane:
-    """The lane for one draw loop over a pooled sample's run labels and run sizes.
+def _lanes(labels: np.ndarray, sizes: np.ndarray, n1: int, seeds: list,
+           n_draws: int) -> list:
+    """(members, lane) for pooled samples of one size, each drawn by one lane.
 
-    A relabel lane holds blocks of up to `draws` draws.
+    `labels` holds each sample's run labels and `sizes` its run sizes,
+    padded with empty runs at the end (`tie_runs`).  Samples whose counts
+    are drawn share count lanes of at most `_COUNT_LANE_KEYS // (n1 + 1)`
+    samples, and the others one tie-free and one tied relabel lane, whose
+    buffers hold a block of the lane's size (`_block_draws` at its most
+    runs) or all the draws its samples take, n_draws each, if fewer.
     """
-    if _counts_drawn(n1, labels.size - n1, sizes.size):
-        return _CountLane(sizes, n1)
-    return _RelabelLane(labels, sizes, n1, draws)
+    n = labels.shape[1]
+    runs = np.count_nonzero(sizes, axis=1)
+    counted = _counts_drawn(n1, n - n1, runs)
+    lanes = []
+    members = np.flatnonzero(counted)
+    most = max(1, _COUNT_LANE_KEYS // (n1 + 1))
+    for first in range(0, members.size, most):
+        part = members[first : first + most].tolist()
+        lanes.append((np.array(part), _CountLane([sizes[i, : runs[i]] for i in part], n1,
+                                                 [seeds[i] for i in part])))
+    for part in np.flatnonzero(~counted & (runs == n)), np.flatnonzero(~counted & (runs < n)):
+        if part.size:
+            width = int(runs[part].max())
+            draws = min(_block_draws(n1, n - n1, width), part.size * n_draws)
+            lanes.append((part, _RelabelLane(labels[part], sizes[part, :width], n1,
+                                             [seeds[i] for i in part.tolist()], draws)))
+    return lanes
 
 
-def _batch_permutations(u: np.ndarray, lane: _RelabelLane) -> np.ndarray:
+def _batch_permutations(u: list, lane: _RelabelLane, samples) -> np.ndarray:
     """The labels a row-wise Fisher-Yates shuffle driven by uniform rows puts in arm 1.
 
-    Row k of u holds n - n1 uniforms and makes the first n - n1 swaps of a
-    Fisher-Yates shuffle of `lane.values`, where step s swaps position
-    i = n-1-s with floor(u[s]*(i+1)).  Those swaps settle positions
-    n1..n-1, and the later swaps only reorder arm 1, so row k holds the
-    labels the full shuffle leaves in its first n1 positions, in some order.
-    Position i is never read after step i, so a step only copies position i
-    into the drawn one instead of swapping them.  The shuffle runs in the
-    lane's buffers and the result is a view of them, valid until the lane's
-    next block.
+    u holds one block of d uniform rows per sample in `samples`, and the
+    block's rows are those blocks' rows in turn.  A row holds n - n1
+    uniforms and makes the first n - n1 swaps of a Fisher-Yates shuffle of
+    its sample's labels, where step s swaps position i = n-1-s with
+    floor(u[s]*(i+1)).  Those swaps settle positions n1..n-1, and the later
+    swaps only reorder arm 1, so the row holds the labels the full shuffle
+    leaves in its first n1 positions, in some order.  Position i is never
+    read after step i, so a step only copies position i into the drawn one
+    instead of swapping them.  The shuffle runs in the lane's buffers and
+    the result is a view of them, valid until the lane's next block.
     """
-    m = u.shape[0]
-    n, n1 = lane.values.size, lane.n1
+    d = u[0].shape[0]
+    m = len(u) * d
+    n, n1 = lane.values.shape[0], lane.n1
     # column-major working array: perm[i * m + k] is position i of row k
     perm = lane.perm[: n * m]
-    np.copyto(perm.reshape(n, m), lane.values[:, None])
+    np.copyto(perm.reshape(n, len(u), d), lane.values[:, samples, None])
     # flat_j[step, k] = floor(u[k, step] * (i + 1)) * m + k, built in one array
     flat_j = lane.flat_j[: (n - n1) * m].reshape(n - n1, m)
-    np.multiply(u.T, lane.bound, out=flat_j, casting="unsafe")
+    for i, block in enumerate(u):
+        np.multiply(block.T, lane.bound, out=flat_j[:, i * d : (i + 1) * d], casting="unsafe")
     flat_j *= m
     flat_j += lane.cols[:m]
     for step, i in enumerate(range(n - 1, n1 - 1, -1)):
@@ -320,41 +470,64 @@ def _batch_permutations(u: np.ndarray, lane: _RelabelLane) -> np.ndarray:
     return perm[: n1 * m].reshape(n1, m).T
 
 
-def tally_draws(lane: _CountLane | _RelabelLane, kinds, observed: np.ndarray, seed: int,
-                first_draw: int, n_draws: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of permuted statistics <= / >= the observed one, per kind, over one block.
+def tally_draws(lane: _CountLane | _RelabelLane, kinds, observed: np.ndarray, samples: np.ndarray,
+                first_draw: int, n_draws: int) -> np.ndarray:
+    """Counts of permuted statistics <= / >= the observed ones over one block, (2, kinds, samples).
 
-    The block is draws [first_draw, first_draw + n_draws) of the seed's
-    stream, drawn by the lane (`_lane`); a relabel lane must hold at least
-    n_draws draws.
+    The block is draws [first_draw, first_draw + n_draws) of each of the
+    lane's `samples`, scored in one pass; `observed` holds their observed
+    statistics, (kinds, samples).  A relabel lane must hold the block.
     """
-    stats = np.array(statistics(lane.moments(seed, first_draw, n_draws), kinds))
-    return (np.count_nonzero(stats <= observed[:, None], axis=1),
-            np.count_nonzero(stats >= observed[:, None], axis=1))
+    stats = np.array(statistics(lane.moments(samples, first_draw, n_draws), kinds))
+    stats = stats.reshape(len(kinds), len(samples), n_draws)
+    observed = observed[:, :, None]
+    return np.stack((np.count_nonzero(stats <= observed, axis=2),
+                     np.count_nonzero(stats >= observed, axis=2)))
+
+
+def tally_streams(labels: np.ndarray, sizes: np.ndarray, n1: int, kinds, observed: np.ndarray,
+                  seeds: list, first: int, stop: int,
+                  settle_above: int | None = None) -> np.ndarray:
+    """(n_le, n_ge) per kind and sample over draws [first, stop) of each sample's stream.
+
+    Pooled samples of one size are given by their run labels and run sizes
+    (samples, n) and (samples, runs), as `tie_runs` records them, with their
+    observed statistics (kinds, samples) and one seed each; the result is
+    (2, kinds, samples).  Each lane (`_lanes`) is walked in steps of one
+    block.  With `settle_above`, a step is also an eighth of the range,
+    within [256, 1024], and a sample closes once every kind's
+    min(n_le, n_ge) is above `settle_above`: both tallies only grow, so a
+    decision "min(n_le, n_ge) <= settle_above" can no longer change.  Each
+    step stacks the open samples' next steps into as few blocks of the
+    lane's size as hold them, one `tally_draws` call each.
+    """
+    counts = np.zeros((2, len(kinds), len(seeds)), dtype=np.int64)
+    for members, lane in _lanes(labels, sizes, n1, seeds, stop - first):
+        step = lane.draws
+        if settle_above is not None:
+            step = min(step, _MAX_STEP_DRAWS, max(_MIN_STEP_DRAWS, -(-(stop - first) // 8)))
+        stacked = max(1, lane.draws // step)
+        lane_observed = observed[:, members]
+        tallied = np.zeros((2, len(kinds), members.size), dtype=np.int64)
+        open_ = np.arange(members.size)
+        for a in range(first, stop, step):
+            for i in range(0, open_.size, stacked):
+                block = open_[i : i + stacked]
+                tallied[:, :, block] += tally_draws(lane, kinds, lane_observed[:, block], block, a,
+                                                    min(step, stop - a))
+            if settle_above is not None:
+                open_ = open_[(tallied[:, :, open_].min(axis=0) <= settle_above).any(axis=0)]
+                if not open_.size:
+                    break
+        counts[:, :, members] = tallied
+    return counts
 
 
 def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: int,
-                first: int, stop: int, settle_above: int | None = None) -> np.ndarray:
-    """(n_le, n_ge) per kind over draws [first, stop), one `tally_draws` call per step.
-
-    A step is one cache-sized block (`_block_draws`).  With `settle_above`,
-    a step is also an eighth of the range, within [256, 1024], and the loop
-    stops once every kind's min(n_le, n_ge) is above `settle_above`: both
-    tallies only grow, so a decision "min(n_le, n_ge) <= settle_above" can
-    no longer change.  Every step is drawn by one lane (`_lane`), which
-    reads the run sizes counted here.
-    """
-    sizes = np.bincount(labels)
-    step = _block_draws(n1, labels.size - n1, sizes.size)
-    if settle_above is not None:
-        step = min(step, _MAX_STEP_DRAWS, max(_MIN_STEP_DRAWS, -(-(stop - first) // 8)))
-    lane = _lane(labels, sizes, n1, min(step, stop - first))
-    counts = np.zeros((2, len(kinds)), dtype=np.int64)
-    for a in range(first, stop, step):
-        counts += tally_draws(lane, kinds, observed, seed, a, min(step, stop - a))
-        if settle_above is not None and np.all(counts.min(axis=0) > settle_above):
-            break
-    return counts
+                first: int, stop: int) -> np.ndarray:
+    """(n_le, n_ge) per kind over draws [first, stop) of one pooled sample, by `tally_streams`."""
+    return tally_streams(labels[None], np.bincount(labels)[None], n1, kinds, observed[:, None],
+                         [seed], first, stop)[:, :, 0]
 
 
 def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int = DEFAULT_SEED,

@@ -17,6 +17,8 @@ numbers do not depend on numpy's non-uniform sampling algorithms.
 """
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = [
@@ -37,6 +39,8 @@ _PERM_SALT = 0xD1B54A32D192ED03
 _DATA_TAG = 1 << 60
 # the bit pattern of 1.0: sign 0, exponent 1023, fraction 0
 _ONE_BITS = np.uint64(0x3FF0000000000000)
+# each thread's bit generator, re-keyed by every `uniforms` call
+_held = threading.local()
 
 
 def mix64(x: int) -> int:
@@ -71,11 +75,25 @@ def uniforms(key: tuple[int, int], first_row: int, n_rows: int, n_cols: int) -> 
     """Rows [first_row, first_row + n_rows) of the key's uniform matrix.
 
     A float64 view of the raw words, mapped in place; its rows are strided
-    when n_cols is not a multiple of 4.
+    when n_cols is not a multiple of 4.  The words come from one generator
+    per thread, set to the key with its counter at first_row * b: the state
+    `Philox(key=key).advance(first_row * b)` would reach, without building
+    a generator on every call.
     """
     blocks = -(-n_cols // 4)
-    bg = np.random.Philox(key=np.array([key[0] & _M64, key[1] & _M64], dtype=np.uint64))
-    bg.advance(first_row * blocks)
+    bg = getattr(_held, "philox", None)
+    if bg is None:
+        bg = _held.philox = np.random.Philox(key=0)
+    counter = first_row * blocks
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([counter & _M64, counter >> 64 & _M64, 0, 0], dtype=np.uint64),
+            "key": np.array([key[0] & _M64, key[1] & _M64], dtype=np.uint64),
+        },
+        # no words buffered: the next word opens counter block first_row * b + 1
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     raw = bg.random_raw(n_rows * blocks * 4).reshape(n_rows, blocks * 4)
     return _open_unit(raw)[:, :n_cols]
 

@@ -39,14 +39,15 @@ with c, so a chunk turns alpha into one integer threshold c*
 (`_reject_threshold`) and a test rejects exactly when c <= c*.  A
 permutation chunk records the tie runs of all its replications (values or
 support indices, which sort alike) with one batched `tie_runs` call, reads
-its observed moments off that record (`moments_from_counts`), and
-each replication tallies its draws through `permutation.tally_range` with
-settle_above=c*, which stops once no test's decision can change; a scenario
-with no tests draws none.  Each replication's lane reads its own runs: a
-replication of few runs (`permutation._counts_drawn`: at most 16, at most
-n2 / 3, so five levels from 15 arm-2 values, and at most 2048 pooled values)
-draws its per-run counts from their exact law, and any other relabels its
-pooled sample.  Mean variance
+its observed moments off that record (`moments_from_counts`), and tallies
+all its replications in one `permutation.tally_streams` call with
+settle_above=c*: each replication draws from its own seed's stream and
+closes once no test's decision can change, and the open replications'
+steps share blocks; a scenario with no tests draws none.  A replication of
+few runs (`permutation._counts_drawn`: at most 16, at most n2 / 3, so five
+levels from 15 arm-2 values, and at most 2048 pooled values) draws its
+per-run counts from their exact law, and any other relabels its pooled
+sample.  Mean variance
 estimates accumulate the *raw* (unfloored) estimator values, matching the
 way the reproduction tables report them; `variance_raw` keeps each on the
 chunk's summary, so the statistics read the same computation.
@@ -69,7 +70,7 @@ from .distributions import (DistSpec, discrete_masses, index, is_continuous, par
                             population_variance, sample)
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
-from .permutation import tally_range
+from .permutation import tally_streams
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
 from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays, statistics
 from .variance import VarianceKind, variance_raw
@@ -211,14 +212,12 @@ def _simulate_chunk(sc: Scenario, start: int, stop: int) -> _Tally:
         tally.rejections[:] = [_rejections(stat, df, sc.alpha, z_lo)
                                for stat, df in stat_arrays(m, sc.tests)]
         return tally
-    # each replication's observed statistics are its row of the batch
-    observed_all = np.array(statistics(m, sc.tests))
+    # each replication's observed statistics are its column of the batch
     c_star = _reject_threshold(sc.n_perm, sc.alpha)
-    for i, r in enumerate(range(start, stop)):
-        seed_r = rep_permutation_seed(sc.master_seed, r)
-        n_le, n_ge = tally_range(labels[i], sc.n1, sc.tests, observed_all[:, i], seed_r,
-                                 0, sc.n_perm, settle_above=c_star)
-        tally.rejections += np.minimum(n_le, n_ge) <= c_star
+    seeds = [rep_permutation_seed(sc.master_seed, r) for r in range(start, stop)]
+    n_le, n_ge = tally_streams(labels, sizes, sc.n1, sc.tests, np.array(statistics(m, sc.tests)),
+                               seeds, 0, sc.n_perm, settle_above=c_star)
+    tally.rejections += np.count_nonzero(np.minimum(n_le, n_ge) <= c_star, axis=1)
     return tally
 
 

@@ -1,5 +1,4 @@
 """The batch scorers against the count kernel: equal in every field, bit for bit."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -16,10 +15,9 @@ from releff._batch import (
     tie_runs,
 )
 from releff.distributions import Exponential, Normal, sample
-from releff.permutation import _RelabelLane, _batch_permutations
 from releff.ranks import TwoSamples
 from releff.rng import perm_key, uniforms
-from tests_util import assert_same
+from tests_util import MOMENTS, assert_same, relabel, relabel_lane
 
 arm_size = st.integers(min_value=2, max_value=60)
 ROW_KINDS = ("tie_free", "levels", "all_tied", "signed_zeros", "cross_arm_duplicate")
@@ -44,7 +42,7 @@ def perm_block(pooled, n1, seed, first, draws):
     """The run labels of the pooled sample and of the arm-1 values of a block of draws."""
     labels = tie_runs(pooled[:n1], pooled[n1:])[0]
     u = uniforms(perm_key(seed), first, draws, pooled.size - n1)
-    return labels, _batch_permutations(u, _RelabelLane(labels, np.bincount(labels), n1, draws))
+    return labels, relabel(u, relabel_lane(labels, n1, draws))
 
 
 def kernel_from_perm(arm1_labels, labels):
@@ -114,9 +112,9 @@ def test_values_scorer_equals_count_kernel(n1, n2, kinds, seed):
 def moment_bits(m, r=None):
     """Every moment of one dataset's summary, or of row r of a batch's, as int64 bits."""
     bits = []
-    for field in dataclasses.fields(m)[2:]:
-        value = np.asarray(getattr(m, field.name))
-        assert value.ndim == (r is not None), field.name
+    for name in MOMENTS:
+        value = np.asarray(getattr(m, name))
+        assert value.ndim == (r is not None), name
         bits.append(int((value if r is None else value[r]).view(np.int64)))
     return [m.n1, m.n2] + bits
 
@@ -362,9 +360,8 @@ def test_one_tied_row_sends_the_batch_to_the_kernel(rank_calls, tied_row):
     assert_same(batch, kernel_from_values(x1, x2))
     for r in range(len(pooled)):
         alone = moments_from_values(x1[r : r + 1], x2[r : r + 1])
-        for field in dataclasses.fields(alone):
-            if field.name not in ("n1", "n2"):
-                assert getattr(batch, field.name)[r] == getattr(alone, field.name)[0], field.name
+        for name in MOMENTS:
+            assert getattr(batch, name)[r] == getattr(alone, name)[0], name
     # every row but the tied one scored alone through the rank scorer
     assert len(rank_calls) == len(pooled) - 1
 

@@ -167,9 +167,9 @@ class TestCmdTest:
     def test_permutation_column_is_one_pass_over_the_draws(self, tmp_path, monkeypatch, tied):
         """Every kind's perm_p_value equals its own `permutation_test`, at any
         thread count, and each block of draws is tallied once for all kinds.
-        The draws span several blocks: 2048 each when drawn as counts (five
+        The draws span several blocks: 8192 each when drawn as counts (five
         levels), fewer when relabelled."""
-        n_perm = 5000 if tied else 2000
+        n_perm = 10_000 if tied else 2000
         rng = np.random.default_rng(71)
         pooled = rng.integers(1, 6, size=300) if tied else rng.normal(size=300).round(6)
         x1, x2 = pooled[:150].tolist(), pooled[150:].tolist()
@@ -181,9 +181,9 @@ class TestCmdTest:
         blocks = []
         tally_draws = permutation.tally_draws
 
-        def spy(lane, kinds, observed, seed, first_draw, n_draws):
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
             blocks.append((first_draw, n_draws))
-            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
 
         for threads in (1, 2):
             want = [
@@ -201,6 +201,37 @@ class TestCmdTest:
                 # the blocks tile the draws once, not once per kind
                 assert [a for a, _ in blocks] == [0] + list(np.cumsum([n for _, n in blocks[:-1]]))
                 assert sum(n for _, n in blocks) == n_perm and len(blocks) > 1
+
+    @pytest.mark.parametrize("alternative", ["two-sided", "greater"])
+    def test_n_perm_scores_each_kind_once(self, tmp_path, monkeypatch, alternative):
+        """A two-sided row is the result its permutation test was tallied
+        against, so `run_test` runs once per kind; a one-sided row scores its
+        own tail."""
+        calls = []
+
+        def spy(run):
+            def counted(data, kind, *args, **kwargs):
+                calls.append(kind.label())
+                return run(data, kind, *args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(cli, "run_test", spy(cli.run_test))
+        monkeypatch.setattr(permutation, "run_test", spy(permutation.run_test))
+        x1, x2 = [1, 2, 3, 5, 8, 9], [2, 3, 4, 6, 7, 10]
+        path = tmp_path / "data.csv"
+        path.write_text("group,value\n" + "".join(f"1,{v}\n" for v in x1)
+                        + "".join(f"2,{v}\n" for v in x2))
+        code, out = run_cli(["test", str(path), "--n-perm", "50", "--alternative", alternative])
+        assert code == 0
+        battery = [kind.label() for kind in DEFAULT_BATTERY]
+        tallied = [label for label in battery if label != "wmw"]
+        want = battery if alternative == "two-sided" else battery + tallied
+        assert sorted(calls) == sorted(want)
+        monkeypatch.undo()
+        rows = parse_csv(out)
+        for kind, row in zip(DEFAULT_BATTERY, rows):
+            res = run_test(TwoSamples(x1, x2), kind, alternative=alternative)
+            assert row["p_value"] == format(res.p_value, ".12g")
 
     @pytest.mark.parametrize("case", SORT_CASES)
     def test_n_perm_sorts_the_data_once(self, tmp_path, sorts, case):

@@ -1,5 +1,4 @@
 """The count lane: per-run arm-1 counts drawn from their exact law, checked against `Fraction`s."""
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -12,16 +11,27 @@ from scipy.stats import chi2
 from releff import TwoSamples, permutation_test, run_test
 from releff import permutation
 from releff._batch import moments_from_counts
-from releff.permutation import (_CountLane, _KeptRows, _RelabelLane, _cdf_row, _lane,
-                                tally_draws)
+from releff.permutation import _CountLane, _KeptRows, _RelabelLane, _cdf_row, _cdf_rows
 from releff.stat_tests import statistics
 from releff.tables import PERM_BATTERY
 from oracles import hypergeometric_law
+from tests_util import MOMENTS, ONE, count_lane, tally_one
 
 # (s, rest, m) rows: every one at s + rest <= 9, and rows a 200/200 lane reaches
 SMALL_ROWS = [(s, rest, m) for s in range(1, 10) for rest in range(0, 10 - s)
               for m in range(s + rest + 1)]
 WIDE_ROWS = [(154, 246, 200), (80, 166, 120), (40, 360, 200), (160, 80, 130)]
+
+
+def kept_rows(s, rest, most):
+    """The kept rows of one run of one sample."""
+    return _KeptRows(np.array([s]), np.array([rest]), most, 2**21)
+
+
+def loop_lane(labels, n1, seed=0):
+    """The lane the draw loop builds for one pooled sample."""
+    [(_, lane)] = permutation._lanes(labels[None], np.bincount(labels)[None], n1, [seed], 2048)
+    return lane
 
 
 def exact_cdf(s, rest, m):
@@ -55,7 +65,7 @@ class TestConditionalRows:
             row = _cdf_row(s, rest, m)
             inside = row[(row > 0.0) & (row < 1.0)]
             u = np.concatenate([inside, np.nextafter(inside, 0.0), [2.0**-53, 1 - 2.0**-53]])
-            got = _KeptRows(s, rest, m).draw(np.full(u.size, m), u)
+            got = kept_rows(s, rest, m).draw(np.full(u.size, m), u)
             assert np.array_equal(got, np.searchsorted(row, u, side="right")), (s, rest, m)
 
     def test_rows_of_many_draws_are_each_draws_own(self):
@@ -63,10 +73,23 @@ class TestConditionalRows:
         rng = np.random.default_rng(5)
         left = rng.integers(100, 140, size=3000)
         u = rng.random(3000)
-        got = _KeptRows(40, 360, 139).draw(left, u)
+        got = kept_rows(40, 360, 139).draw(left, u)
         want = [np.searchsorted(_cdf_row(40, 360, int(v)), x, side="right")
                 for v, x in zip(left, u)]
         assert got.tolist() == want
+
+    def test_summed_rows_are_the_exact_rows(self):
+        """Rows summed in float64 from binomials, for runs and later values
+        of at most 56, are `_cdf_row`'s bits, padded with 1.0; so are the
+        wider ones it hands to `_cdf_row`."""
+        for n in (*range(1, 57), 57, 60, 100):
+            s, m = (a.ravel() for a in np.meshgrid(np.arange(n + 1), np.arange(n + 1)))
+            width = (1 << n.bit_length()) - 1
+            rows = _cdf_rows(s, n - s, m, width)
+            for i in range(s.size):
+                row = _cdf_row(int(s[i]), int(n - s[i]), int(m[i]))
+                assert np.array_equal(rows[i, : row.size], row), (n, s[i], m[i])
+                assert np.all(rows[i, row.size :] == 1.0)
 
 
 def compositions(n, runs):
@@ -115,7 +138,7 @@ def test_chi_square_against_the_exact_law(n1):
     pooled)."""
     sizes = np.array([6, 12, 24, 12, 6])
     n_draws = 100_000
-    drawn = _CountLane(sizes, n1).counts(20261019, 0, n_draws)
+    drawn = count_lane(sizes, n1, 20261019).counts(ONE, 0, n_draws)
     assert np.all(drawn.sum(axis=1) == n1) and np.all((drawn >= 0) & (drawn <= sizes))
     law = hypergeometric_law(tuple(sizes.tolist()), n1)
     vectors, counts = np.unique(drawn, axis=0, return_counts=True)
@@ -144,24 +167,24 @@ class TestCountLane:
     ])
     def test_lane_kind(self, n1, n2, runs, counts):
         labels = np.arange(n1 + n2) % runs
-        assert isinstance(_lane(labels, np.bincount(labels), n1, 128), _CountLane) == counts
-        assert isinstance(_lane(labels, np.bincount(labels), n1, 128), _RelabelLane) != counts
+        assert isinstance(loop_lane(labels, n1), _CountLane) == counts
+        assert isinstance(loop_lane(labels, n1), _RelabelLane) != counts
 
     def test_observed_counts_reproduce_run_test(self):
         """A draw whose counts are the observed ones scores every
         statistic to the bits `run_test` gives, and counts in both tallies."""
         d = levels(15, 45, 7)
         labels, sizes = d.run_labels()
-        lane = _lane(labels, np.bincount(labels), d.n1, 2**15)
+        lane = loop_lane(labels, d.n1, seed=3)
         assert isinstance(lane, _CountLane)
-        a = lane.counts(3, 0, 2**15)
+        a = lane.counts(ONE, 0, 2**15)
         same = np.all(a == d.runs()[0], axis=1)
         assert same.sum() >= 10
         observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
         stats = statistics(moments_from_counts(a, sizes, d.n1, d.n2), PERM_BATTERY)
         for kind, want, got in zip(PERM_BATTERY, observed, stats):
             assert np.all(got[same] == want), kind.label()
-        n_le, n_ge = tally_draws(lane, PERM_BATTERY, observed, 3, 0, 2**15)
+        n_le, n_ge = tally_one(lane, PERM_BATTERY, observed, 0, 2**15)
         assert np.all(n_le + n_ge - 2**15 >= same.sum())
 
     @pytest.mark.parametrize("n_perm", [50, 1])
@@ -187,11 +210,11 @@ class TestCountLane:
         d = levels(40, 60, 11)
         labels, sizes = d.run_labels()
         observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
-        assert isinstance(_lane(labels, np.bincount(labels), d.n1, 2048), _CountLane)
-        whole = tally_draws(_CountLane(sizes, d.n1), PERM_BATTERY, observed, 9, 0, 7000)
+        assert isinstance(loop_lane(labels, d.n1), _CountLane)
+        whole = tally_one(count_lane(sizes, d.n1, 9), PERM_BATTERY, observed, 0, 7000)
         parts = np.zeros((2, len(PERM_BATTERY)), dtype=np.int64)
         for a, b in [(0, 1), (1, 2048), (2048, 2049), (2049, 5500), (5500, 7000)]:
-            parts += tally_draws(_CountLane(sizes, d.n1), PERM_BATTERY, observed, 9, a, b - a)
+            parts += tally_one(count_lane(sizes, d.n1, 9), PERM_BATTERY, observed, a, b - a)
         assert np.array_equal(parts, np.array(whole))
         results = [permutation.permutation_tests(d, PERM_BATTERY, 7000, seed=9, threads=t)
                    for t in (1, 2)]
@@ -211,9 +234,9 @@ def count_samples(draw):
 
 
 def field_bits(m):
-    """Every field of a summary as int64 bits."""
-    return {f.name: np.asarray(getattr(m, f.name)).view(np.int64).tolist()
-            for f in dataclasses.fields(m)}
+    """n1, n2 and every moment of a summary as int64 bits."""
+    return {name: np.asarray(getattr(m, name)).view(np.int64).tolist()
+            for name in ("n1", "n2", *MOMENTS)}
 
 
 @given(sample=count_samples(), seed=st.integers(0, 2**32 - 1), first=st.integers(0, 10**6),
@@ -227,9 +250,8 @@ def test_run_sums_equal_the_count_kernel(sample, seed, first, n_draws):
     count kernel's vectorized reduction over its counts, bit for bit."""
     sizes, n1 = sample
     sizes = np.array(sizes)
-    lane = _CountLane(sizes, n1)
-    got = lane.moments(seed, first, n_draws)
-    a = _CountLane(sizes, n1).counts(seed, first, n_draws)
+    got = count_lane(sizes, n1, seed).moments(ONE, first, n_draws)
+    a = count_lane(sizes, n1, seed).counts(ONE, first, n_draws)
     assert a.shape == (n_draws, sizes.size) and np.all(a.sum(axis=1) == n1)
     assert field_bits(got) == field_bits(moments_from_counts(a, sizes, n1, sizes.sum() - n1))
 
@@ -250,19 +272,34 @@ class TestKeptRows:
         d = levels(200, 200, 21)
         _, sizes = d.run_labels()
         observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
-        lane = _CountLane(sizes, d.n1)
+        lane = count_lane(sizes, d.n1, 8)
         bounds = [0, 128, 2176, 4224, 6272]
         reached = set()
         for a, b in zip(bounds[:-1], bounds[1:]):
-            counts = _CountLane(sizes, d.n1).counts(8, a, b - a)
+            counts = count_lane(sizes, d.n1, 8).counts(ONE, a, b - a)
             rows = run_rows(sizes, d.n1, counts)
             if a:
                 assert rows - reached, "no new row reached"
             reached |= rows
-            got = tally_draws(lane, PERM_BATTERY, observed, 8, a, b - a)
-            want = tally_draws(_CountLane(sizes, d.n1), PERM_BATTERY, observed, 8, a, b - a)
+            got = tally_one(lane, PERM_BATTERY, observed, a, b - a)
+            want = tally_one(count_lane(sizes, d.n1, 8), PERM_BATTERY, observed, a, b - a)
             assert np.array_equal(got, want), (a, b)
         assert sum((kept.start >= 0).sum() for kept in lane.rows) == len(reached)
+
+    def test_emptied_table_tallies_as_a_kept_one(self, monkeypatch):
+        """A lane whose kept rows would pass their limit empties its table and
+        refills it with the block's rows; the tallies do not change."""
+        d = levels(200, 200, 23)
+        _, sizes = d.run_labels()
+        observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
+        want = tally_one(count_lane(sizes, d.n1, 5), PERM_BATTERY, observed, 0, 6000)
+        monkeypatch.setattr(permutation, "_KEPT_ENTRIES", 4 * 2000)
+        lane = count_lane(sizes, d.n1, 5)
+        got = sum(tally_one(lane, PERM_BATTERY, observed, a, 1000) for a in range(0, 6000, 1000))
+        assert np.array_equal(got, want)
+        reached = run_rows(sizes, d.n1, count_lane(sizes, d.n1, 5).counts(ONE, 0, 6000))
+        assert sum((kept.start >= 0).sum() for kept in lane.rows) < len(reached)
+        assert all(kept.used <= max(kept.limit, 1000 * kept.width) for kept in lane.rows)
 
     def test_cold_lane_builds_each_reached_row_once(self, monkeypatch):
         """With the row cache cleared, a draw loop over several blocks asks
@@ -271,7 +308,7 @@ class TestKeptRows:
         d = levels(200, 200, 22)
         labels, sizes = d.run_labels()
         n_draws = 3 * 2048 + 500
-        reached = run_rows(sizes, d.n1, _CountLane(sizes, d.n1).counts(6, 0, n_draws))
+        reached = run_rows(sizes, d.n1, count_lane(sizes, d.n1, 6).counts(ONE, 0, n_draws))
         asked = []
 
         def spy(s, rest, m):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from releff import (InvalidKind, ShirahataForm, ShirahataKind, TwoSamples, permutation_test,
@@ -12,13 +14,15 @@ from releff import (InvalidKind, ShirahataForm, ShirahataKind, TwoSamples, permu
 from releff import TestKind as TK
 from releff import permutation, stat_tests
 from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm, tie_runs
-from releff.permutation import _CountLane, _RelabelLane, _batch_permutations, _lane, tally_draws
+from releff.permutation import _CountLane, _RelabelLane, _batch_permutations, tally_draws
 from releff.rng import perm_key, uniforms
-from releff.stat_tests import stat_arrays
+from releff.simulate import _reject_threshold
+from releff.stat_tests import stat_arrays, statistics
 from releff.tables import PERM_BATTERY, build_table
 from releff.variance import VarianceKind, variance_raw
 from oracles import shuffle
-from tests_util import SORT_CASES, random_dataset, sort_case
+from tests_util import (MOMENTS, ONE, SORT_CASES, count_lane, index_lane, one_lane, random_dataset,
+                        relabel, relabel_lane, sort_case, tally_one)
 
 KINDS = [TK.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")]
 
@@ -27,11 +31,6 @@ def run_labels(pooled):
     """The tie-run label of each pooled value."""
     pooled = np.asarray(pooled, dtype=float)
     return tie_runs(pooled[:1], pooled[1:])[0]
-
-
-def index_lane(n, n1, draws):
-    """A relabel lane over the pooled indices 0..n-1, whose shuffles return indices."""
-    return _RelabelLane(np.arange(n), np.ones(n, np.int64), n1, draws)
 
 
 def observed_stats(labels, n1, kinds):
@@ -49,16 +48,16 @@ class TestShuffle:
         the stream `tally_draws` reads."""
         drawn = []
 
-        def spy(u, lane):
-            arm1 = _batch_permutations(u, lane)
+        def spy(u, lane, samples):
+            arm1 = _batch_permutations(u, lane, samples)
             drawn.append(np.sort(arm1, axis=1))
             return arm1
 
         monkeypatch.setattr(permutation, "_batch_permutations", spy)
         n_draws = 60_000
         labels = run_labels(np.arange(6.0))
-        tally_draws(_RelabelLane(labels, np.bincount(labels), 3, n_draws), [TK.parse("n_logit")],
-                    np.zeros(1), 99, 0, n_draws)
+        tally_one(relabel_lane(labels, 3, n_draws, seed=99), [TK.parse("n_logit")], np.zeros(1),
+                  0, n_draws)
         arm1 = np.concatenate(drawn)
         assert arm1.shape == (n_draws, 3)
         subsets, counts = np.unique(arm1, axis=0, return_counts=True)
@@ -75,7 +74,7 @@ class TestShuffle:
         values = np.arange(float(n))
         scalar = [shuffle(values, u[k]) for k in range(20)]
         for n1 in range(1, n):
-            batch = _batch_permutations(u[:, : n - n1], index_lane(n, n1, 20))
+            batch = relabel(u[:, : n - n1], index_lane(n, n1, 20))
             for k in range(20):
                 assert set(values[batch[k]]) == set(scalar[k][:n1])
 
@@ -86,9 +85,9 @@ class TestShuffle:
         n = 14
         labels = run_labels([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7]).astype(np.int32)
         u = uniforms(perm_key(8), 0, 300, n - n1)
-        carried = _batch_permutations(u, _RelabelLane(labels, np.bincount(labels), n1, 300))
+        carried = relabel(u, relabel_lane(labels, n1, 300))
         assert carried.dtype == np.int32
-        indices = _batch_permutations(u, index_lane(n, n1, 300))
+        indices = relabel(u, index_lane(n, n1, 300))
         assert np.array_equal(carried, labels[indices])
 
     def test_draw_streams_tile_the_sequential_run(self):
@@ -141,8 +140,9 @@ class TestPermutationTest:
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_cache_sized_blocks_reproduce_one_tally(self, monkeypatch, tied):
         """At 300/300 a lane is scored in blocks: under 2048 draws when it
-        relabels, 2048 when it draws counts (five levels).  The tallies equal
-        one tally over all the draws, at any thread count."""
+        relabels, one block of all 5000 when it draws counts (five levels, in
+        blocks of up to 8192).  The tallies equal one tally over all the
+        draws, at any thread count."""
         rng = np.random.default_rng(300)
         if tied:
             pooled = rng.choice(5, size=600, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
@@ -152,22 +152,22 @@ class TestPermutationTest:
         pm = TK.parse("pm")
         labels = run_labels(d.pooled())
         block = permutation._block_draws(300, 300, int(labels.max()) + 1)
-        lane = _lane(labels, np.bincount(labels), 300, 5000)
+        lane = one_lane(labels, 300, 6, 5000)
         assert isinstance(lane, _CountLane) == tied
-        assert block == 2048 if tied else block < 2048
+        assert block == 8192 if tied else block < 2048
         observed = np.array([run_test(d, pm).statistic])
-        n_le, n_ge = tally_draws(lane, [pm], observed, 6, 0, 5000)
+        n_le, n_ge = tally_one(lane, [pm], observed, 0, 5000)
         blocks = []
 
-        def spy(lane, kinds, observed, seed, first_draw, n_draws):
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
             blocks.append(n_draws)
-            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         for threads in (1, 2):
             res = permutation_test(d, pm, n_perm=5000, seed=6, threads=threads)
             assert (res.p1, res.p2) == (n_le[0] / 5000, n_ge[0] / 5000)
-        assert max(blocks) == block and sum(blocks) >= 5000
+        assert max(blocks) == min(block, 5000) and sum(blocks) >= 5000
 
     def test_threads_below_one_rejected(self):
         d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
@@ -219,9 +219,9 @@ class TestPermutationTest:
             for kind in PERM_BATTERY:
                 seen.clear()
                 res = permutation_test(d, kind, n_perm=1, seed=i)
-                observed, = seen
-                assert res.observed.statistic == observed[0], kind.label()
-                assert observed_stats(labels, n1, [kind])[0] == observed[0], kind.label()
+                [[observed]], = seen
+                assert res.observed.statistic == observed, kind.label()
+                assert observed_stats(labels, n1, [kind])[0] == observed, kind.label()
 
     def test_observed_result_matches_run_test(self, rng):
         x1, x2 = random_dataset(rng)
@@ -254,18 +254,19 @@ class TestLaneBuffers:
 
         def fresh_lane(draws):
             if tied:
-                return _CountLane(np.bincount(labels), n1)
-            return _RelabelLane(labels, np.bincount(labels), n1, draws)
+                return count_lane(np.bincount(labels), n1, seed)
+            return relabel_lane(labels, n1, draws, seed)
 
         def record(drawn, mm):
-            fields = {f.name: np.array(getattr(mm, f.name)) for f in dataclasses.fields(mm)}
+            fields = {name: np.array(getattr(mm, name)) for name in MOMENTS}
             scored.append((drawn.copy(), mm, fields))
             return mm
 
         if tied:
-            summary = permutation.RunSums.summary
-            monkeypatch.setattr(permutation.RunSums, "summary",
-                                lambda self, sums: record(sums, summary(self, sums)))
+            moments = permutation.RunSums.moments
+            monkeypatch.setattr(permutation.RunSums, "moments",
+                                lambda self, runs, samples, n: record(
+                                    np.empty((4, n)), moments(self, runs, samples, n)))
         else:
             monkeypatch.setattr(permutation, "moments_from_perm",
                                 lambda drawn, sizes: record(drawn, moments_from_perm(drawn, sizes)))
@@ -278,15 +279,15 @@ class TestLaneBuffers:
         for k, ((drawn, mm, fields), n) in enumerate(zip(scored, sizes)):
             lane = fresh_lane(n)
             if tied:
-                fresh = lane.moments(seed, k * block, n)
+                fresh = lane.moments(ONE, k * block, n)
                 for name, value in fields.items():
                     assert np.array_equal(getattr(fresh, name), value), (k, name)
             else:
                 u = uniforms(perm_key(seed), k * block, n, 200)
-                assert np.array_equal(drawn, _batch_permutations(u, lane))
+                assert np.array_equal(drawn, relabel(u, lane))
             for name, value in fields.items():
                 assert np.array_equal(getattr(mm, name), value), (k, name)
-            want += tally_draws(fresh_lane(n), [pm], observed, seed, k * block, n)
+            want += tally_one(fresh_lane(n), [pm], observed, k * block, n)
         assert np.array_equal(counts, want)
 
 
@@ -298,7 +299,7 @@ class TestBatchStatisticPath:
             d = TwoSamples(x1, x2)
             pooled = d.pooled()
             u = uniforms(perm_key(17), 0, 6, d.n2)
-            arm1_sets = _batch_permutations(u, index_lane(d.n, d.n1, 6))
+            arm1_sets = relabel(u, index_lane(d.n, d.n1, 6))
             labels = run_labels(pooled)
             mm = moments_from_perm(labels[arm1_sets], np.bincount(labels))
             for kind, (stats, _) in zip(KINDS, stat_arrays(mm, KINDS)):
@@ -321,8 +322,7 @@ class TestBatchStatisticPath:
             return variance_raw(m, kind)
 
         monkeypatch.setattr(stat_tests, "variance_raw", spy)
-        tally_draws(_RelabelLane(labels, np.bincount(labels), 15, 512), PERM_BATTERY, observed,
-                    3, 0, 512)
+        tally_one(relabel_lane(labels, 15, 512, seed=3), PERM_BATTERY, observed, 0, 512)
         assert sorted(calls) == sorted([VarianceKind.N, VarianceKind.BM, VarianceKind.PM])
 
     def test_observed_stats_match_scalar(self, rng):
@@ -342,12 +342,10 @@ class TestBatchStatisticPath:
         labels = run_labels(pooled)
         observed = observed_stats(labels, n1, KINDS)
         # the draws tally_draws makes: row k of its stream, n2 swaps each
-        arm1 = _batch_permutations(uniforms(perm_key(seed), 0, n_draws, n2),
-                                   index_lane(n, n1, n_draws))
+        arm1 = relabel(uniforms(perm_key(seed), 0, n_draws, n2), index_lane(n, n1, n_draws))
         same = np.all(np.sort(pooled[arm1], axis=1) == np.sort(pooled[:n1]), axis=1)
         assert same.sum() > 0
-        n_le, n_ge = tally_draws(_RelabelLane(labels, np.bincount(labels), n1, n_draws), KINDS,
-                                 observed, seed, 0, n_draws)
+        n_le, n_ge = tally_one(relabel_lane(labels, n1, n_draws, seed), KINDS, observed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
         mm = moments_from_perm(labels[arm1], np.bincount(labels))
         for idx, (kind, (stats, _)) in enumerate(zip(KINDS, stat_arrays(mm, KINDS))):
@@ -382,17 +380,136 @@ class TestBatchStatisticPath:
         d = TwoSamples(x1, x2)
         labels = run_labels(d.pooled())
         obs = observed_stats(labels, d.n1, KINDS)
-        sizes = np.bincount(labels)
-        full_le, full_ge = tally_draws(_lane(labels, sizes, d.n1, 777), KINDS, obs, seed=4,
-                                       first_draw=0, n_draws=777)
+        full_le, full_ge = tally_one(one_lane(labels, d.n1, 4, 777), KINDS, obs, 0, 777)
         le = np.zeros_like(full_le)
         ge = np.zeros_like(full_ge)
         for a, b in [(0, 123), (123, 500), (500, 777)]:
-            part_le, part_ge = tally_draws(_lane(labels, sizes, d.n1, b - a), KINDS, obs, seed=4,
-                                           first_draw=a, n_draws=b - a)
+            part_le, part_ge = tally_one(one_lane(labels, d.n1, 4, b - a), KINDS, obs, a, b - a)
             le += part_le
             ge += part_ge
         assert np.array_equal(le, full_le) and np.array_equal(ge, full_ge)
+
+
+def sample_values(rng, kind, n):
+    """n pooled values: tie-free, on 2, 5 or 20 levels."""
+    if kind == "tie_free":
+        return rng.normal(size=n)
+    return rng.integers(0, {"levels2": 2, "levels5": 5, "levels20": 20}[kind], size=n) * 1.0
+
+
+@st.composite
+def stream_sets(draw):
+    """Pooled samples of one size, each with a data kind and how its observed statistics are set."""
+    n1, n2 = draw(st.integers(4, 20)), draw(st.integers(4, 24))
+    kinds = draw(st.lists(st.sampled_from(["tie_free", "levels2", "levels5", "levels20"]),
+                          min_size=1, max_size=6))
+    # the data's own statistics, 0 (settles in its first step) or +inf (never settles)
+    observe = draw(st.lists(st.sampled_from(["data", "zero", "never"]), min_size=len(kinds),
+                            max_size=len(kinds)))
+    return n1, n2, kinds, observe, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 2500))
+
+
+class TestSharedBlocks:
+    """A Monte Carlo chunk's replications share blocks, and each tallies as it would alone."""
+
+    @given(case=stream_sets())
+    @example(case=(15, 20, ["levels5", "levels2", "tie_free", "levels20"],
+                   ["data", "zero", "never", "data"], 7, 2000))   # every lane kind in one chunk
+    @example(case=(7, 7, ["levels5"] * 5, ["zero", "never", "data", "zero", "data"], 3, 3000))
+    def test_each_sample_tallies_as_one_stream(self, case):
+        """Each sample's decision equals its full tally's, and its tallies
+        equal a lone `tally_range` over the draws it took, which its blocks
+        tile from 0 in steps."""
+        n1, n2, kinds, observe, seed, n_perm = case
+        rng = np.random.default_rng(seed)
+        pooled = np.stack([sample_values(rng, kind, n1 + n2) for kind in kinds])
+        labels, sizes, a = tie_runs(pooled[:, :n1], pooled[:, n1:])
+        observed = np.array(statistics(moments_from_counts(a, sizes, n1, n2), PERM_BATTERY))
+        observed[:, [o == "zero" for o in observe]] = 0.0
+        observed[:, [o == "never" for o in observe]] = np.inf
+        seeds = [seed + 11 * i for i in range(len(kinds))]
+        c_star = _reject_threshold(n_perm, 0.05)
+        served = {}
+
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
+            assert len(samples) * n_draws <= lane.draws
+            for i in samples.tolist():
+                served.setdefault(lane.keys[i], []).append((first_draw, n_draws))
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permutation, "tally_draws", spy)
+            got = permutation.tally_streams(labels, sizes, n1, PERM_BATTERY, observed, seeds,
+                                            0, n_perm, settle_above=c_star)
+        for i, seed_i in enumerate(seeds):
+            steps = served[perm_key(seed_i)]
+            drawn = steps[-1][0] + steps[-1][1]
+            assert [first for first, _ in steps] == [0, *np.cumsum([n for _, n in steps[:-1]])]
+            alone = permutation.tally_range(labels[i], n1, PERM_BATTERY, observed[:, i], seed_i,
+                                            0, drawn)
+            assert np.array_equal(got[:, :, i], alone), i
+            full = permutation.tally_range(labels[i], n1, PERM_BATTERY, observed[:, i], seed_i,
+                                           0, n_perm)
+            assert np.array_equal(got[:, :, i].min(axis=0) <= c_star, full.min(axis=0) <= c_star), i
+            if observe[i] == "never":
+                assert drawn == n_perm
+            if observe[i] == "zero":
+                assert drawn == steps[0][1]
+
+    def test_open_samples_share_blocks(self, monkeypatch):
+        """Five-level samples at 15/20 that stay open share each block, up to its size."""
+        rng = np.random.default_rng(4)
+        pooled = np.stack([sample_values(rng, "levels5", 35) for _ in range(12)])
+        labels, sizes, _ = tie_runs(pooled[:, :15], pooled[:, 15:])
+        observed = np.full((len(PERM_BATTERY), 12), np.inf)
+        blocks = []
+
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
+            blocks.append((type(lane), len(samples), n_draws))
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
+
+        monkeypatch.setattr(permutation, "tally_draws", spy)
+        permutation.tally_streams(labels, sizes, 15, PERM_BATTERY, observed, list(range(12)),
+                                  0, 10_000, settle_above=250)
+        # 12 samples of 1024-draw steps: blocks of 8 and of 4 samples, ten steps
+        assert blocks[:2] == [(_CountLane, 8, 1024), (_CountLane, 4, 1024)]
+        assert len(blocks) == 20 and blocks[-1] == (_CountLane, 4, 784)
+
+    def test_count_lanes_hold_at_most_their_keys(self, monkeypatch):
+        """Count-drawn samples are split over lanes of at most
+        `_COUNT_LANE_KEYS // (n1 + 1)` samples, and tally as in one lane."""
+        rng = np.random.default_rng(12)
+        pooled = np.stack([sample_values(rng, "levels5", 40) for _ in range(7)])
+        labels, sizes, a = tie_runs(pooled[:, :20], pooled[:, 20:])
+        observed = np.array(statistics(moments_from_counts(a, sizes, 20, 20), PERM_BATTERY))
+        seeds = list(range(7))
+        want = permutation.tally_streams(labels, sizes, 20, PERM_BATTERY, observed, seeds, 0, 3000,
+                                         settle_above=60)
+        monkeypatch.setattr(permutation, "_COUNT_LANE_KEYS", 3 * 21)
+        lanes = permutation._lanes(labels, sizes, 20, seeds, 3000)
+        assert [members.tolist() for members, _ in lanes] == [[0, 1, 2], [3, 4, 5], [6]]
+        got = permutation.tally_streams(labels, sizes, 20, PERM_BATTERY, observed, seeds, 0, 3000,
+                                        settle_above=60)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["levels5", "levels20"])
+    def test_samples_of_fewer_runs_are_padded(self, kind):
+        """A lane whose samples hold different run counts scores each sample's
+        draws to the bits a lane of that sample alone gives."""
+        rng = np.random.default_rng(9)
+        n1, n2 = 10, 40
+        pooled = np.stack([sample_values(rng, k, n1 + n2) for k in (kind, "levels2", kind)])
+        labels, sizes, _ = tie_runs(pooled[:, :n1], pooled[:, n1:])
+        lanes = permutation._lanes(labels, sizes, n1, [1, 2, 3], 500)
+        for members, lane in lanes:
+            together = lane.moments(np.arange(members.size), 100, 500)
+            for column, i in enumerate(members.tolist()):
+                alone = one_lane(labels[i], n1, i + 1, 500).moments(ONE, 100, 500)
+                for name in MOMENTS:
+                    got = np.asarray(getattr(together, name)).reshape(members.size, -1)
+                    assert np.array_equal(got[column], getattr(alone, name)), (i, name)
+        assert {type(lane) for _, lane in lanes} == ({_CountLane} if kind == "levels5"
+                                                     else {_CountLane, _RelabelLane})
 
 
 # recorded from an earlier version of the engine:

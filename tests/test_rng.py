@@ -49,6 +49,18 @@ class TestUniforms:
         raw = bg.random_raw(8 * 7).reshape(7, 8)[:, :6]
         assert np.array_equal(uniforms(key, 0, 7, 6), ((raw >> 12) + 0.5) * 2.0**-52)
 
+    @pytest.mark.parametrize("first,n_cols", [(0, 4), (3, 7), (10**6 + 1, 13), (2**62, 9)])
+    def test_rows_are_those_of_an_advanced_generator(self, first, n_cols):
+        """The thread's re-keyed generator gives what a fresh one advanced to
+        the first row gives, whatever the calls before it read."""
+        blocks = -(-n_cols // 4)
+        for key in (perm_key(3), data_key(2**64 - 1), (0, 0)):
+            uniforms(perm_key(8), 5, 3, 5)
+            bg = np.random.Philox(key=np.array([key[0] & M64, key[1] & M64], dtype=np.uint64))
+            bg.advance(first * blocks)
+            raw = bg.random_raw(6 * blocks * 4).reshape(6, blocks * 4)[:, :n_cols]
+            assert np.array_equal(uniforms(key, first, 6, n_cols), float_formula(raw))
+
     def test_keys_give_different_streams(self):
         a = uniforms(data_key(1), 0, 4, 8)
         b = uniforms(data_key(2), 0, 4, 8)

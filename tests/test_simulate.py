@@ -34,15 +34,15 @@ from releff import TestKind as TK
 from releff import (DfKind, _batch, degrees_of_freedom, discrete_masses, permutation,
                     simulate, stat_tests, variance)
 from releff._batch import arm1_counts, moments_from_values, tie_runs
-from releff.permutation import _lane, tally_draws
-from releff.rng import rep_permutation_seed
+from releff.permutation import tally_draws
+from releff.rng import perm_key, rep_permutation_seed
 from releff.stat_tests import p_value_arrays, stat_arrays
 from releff.simulate import (_chunk_arms, _draw_chunk, _score_chunk, _simulate_chunk,
                              scenario_from_dict)
 from releff.variance import VarianceKind
 from releff.tables import PERM_BATTERY
 from oracles import pairwise_moments
-from tests_util import assert_same, random_dataset
+from tests_util import assert_same, one_lane, random_dataset, tally_one
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BATTERY = tuple(TK.parse(s) for s in ("wmw", "n:df2", "bm:df2", "pm:df2", "n_logit"))
@@ -279,20 +279,24 @@ class TestPermutationObserved:
     ], ids=["tie_free", "tied"])
     def test_observed_statistics_equal_run_test(self, monkeypatch, dist1, dist2, n1, n2, tied):
         """The statistics a permutation chunk tallies against, read off its
-        batch of moments, are each replication's `run_test` statistics."""
-        seen = []
+        batch of moments, are each replication's `run_test` statistics: a
+        block's column for a replication's stream is that replication's."""
+        seen = {}
 
-        def spy(lane, kinds, observed, *args):
-            seen.append(observed.copy())
-            return tally_draws(lane, kinds, observed, *args)
+        def spy(lane, kinds, observed, samples, *args):
+            for column, i in enumerate(samples.tolist()):
+                seen[lane.keys[i]] = observed[:, column].copy()
+            return tally_draws(lane, kinds, observed, samples, *args)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         sc = Scenario(dist1, dist2, n1, n2, n_reps=80, tests=PERM_BATTERY,
                       n_perm=1, master_seed=21)
         _simulate_chunk(sc, 0, sc.n_reps)
         x1, x2 = _draw_chunk(sc, 0, sc.n_reps)
-        assert len(seen) == sc.n_reps
-        for i, observed in enumerate(seen):
+        keys = [perm_key(rep_permutation_seed(sc.master_seed, r)) for r in range(sc.n_reps)]
+        assert set(seen) == set(keys)
+        for i, key in enumerate(keys):
+            observed = seen[key]
             d = TwoSamples(x1[i], x2[i])
             assert (np.unique(d.pooled()).size < d.n) == tied
             for idx, kind in enumerate(PERM_BATTERY):
@@ -322,13 +326,14 @@ class TestCurtailedPermutation:
 
     @staticmethod
     def scripted_tally(le, ge, served):
-        """A `tally_draws` stand-in: draw k is <= / >= the observed statistic
-        of test t iff le[k, t] / ge[k, t]."""
+        """A `tally_draws` stand-in: draw k of every replication's stream is
+        <= / >= the observed statistic of test t iff le[k, t] / ge[k, t]."""
 
-        def fake(lane, kinds, observed, seed, first_draw, n_draws):
+        def fake(lane, kinds, observed, samples, first_draw, n_draws):
             served.append((first_draw, n_draws))
             window = slice(first_draw, first_draw + n_draws)
-            return le[window].sum(axis=0), ge[window].sum(axis=0)
+            counts = np.stack((le[window].sum(axis=0), ge[window].sum(axis=0)))
+            return np.repeat(counts[:, :, None], len(samples), axis=2)
 
         return fake
 
@@ -381,14 +386,14 @@ class TestCurtailedPermutation:
         for r in range(n_reps):
             labels = tie_runs(x1[r], x2[r])[0]
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            n_le, n_ge = tally_draws(_lane(labels, np.bincount(labels), n1, n_perm), PERM_BATTERY,
-                                     observed_all[:, r], seed_r, 0, n_perm)
+            n_le, n_ge = tally_one(one_lane(labels, n1, seed_r, n_perm), PERM_BATTERY,
+                                   observed_all[:, r], 0, n_perm)
             reference += self.full_decision(n_le[None, :], n_ge[None, :], n_perm, sc.alpha)
         drawn = []
 
-        def spy(lane, kinds, observed, seed, first_draw, n_draws):
-            drawn.append(n_draws)
-            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
+            drawn.append(len(samples) * n_draws)
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         # below n_perm / 2, so a replication settled in its first step shows
@@ -401,7 +406,7 @@ class TestCurtailedPermutation:
 
     def test_step_capped_at_the_cache_sized_block(self, monkeypatch):
         """At 150/150 tie-free the block is below the default step; every
-        tally stays within it and the decisions equal one full tally."""
+        block stays within it and the decisions equal one full tally."""
         n_reps, n_perm = 4, 10_000
         sc = Scenario(Normal(0, 1), Normal(0.25, 1), 150, 150, n_reps=n_reps,
                       tests=PERM_BATTERY, n_perm=n_perm, master_seed=29)
@@ -413,14 +418,14 @@ class TestCurtailedPermutation:
         labels = tie_runs(x1, x2)[0]
         drawn = []
 
-        def spy(lane, kinds, observed, seed, first_draw, n_draws):
-            drawn.append(n_draws)
-            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
+            drawn.append(len(samples) * n_draws)
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
 
         for r in range(n_reps):
             seed_r = rep_permutation_seed(sc.master_seed, r)
-            lane = _lane(labels[r], np.bincount(labels[r]), 150, n_perm)
-            n_le, n_ge = tally_draws(lane, PERM_BATTERY, observed_all[:, r], seed_r, 0, n_perm)
+            lane = one_lane(labels[r], 150, seed_r, n_perm)
+            n_le, n_ge = tally_one(lane, PERM_BATTERY, observed_all[:, r], 0, n_perm)
             with monkeypatch.context() as mp:
                 mp.setattr(permutation, "tally_draws", spy)
                 got = _simulate_chunk(sc, r, r + 1).rejections
@@ -432,15 +437,16 @@ class TestCurtailedPermutation:
         n_reps, n_perm = 64, 2000
         sc = Scenario(Normal(0, 1), Normal(0, 3), 7, 7, n_reps=n_reps, tests=PERM_BATTERY,
                       n_perm=n_perm, master_seed=17)
-        drawn = []
+        steps, drawn = [], []
 
-        def spy(lane, kinds, observed, seed, first_draw, n_draws):
-            drawn.append(n_draws)
-            return tally_draws(lane, kinds, observed, seed, first_draw, n_draws)
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
+            steps.append(n_draws)
+            drawn.append(len(samples) * n_draws)
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         run_scenario(sc)
-        assert max(drawn) == 256
+        assert max(steps) == 256
         assert sum(drawn) / n_reps < n_perm / 2
 
 

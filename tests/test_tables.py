@@ -104,3 +104,14 @@ class TestPinnedTables:
         header, rows = build_table(table_id, scale=2 / BASE_REPS[table_id], seed=42, n_perm=50)
         text = "\n".join(",".join(row) for row in [header, *rows])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("table_id,digest", [
+        ("perm2", "c00fb416633c765059f85c9cd0944592b5379345d4b149ae0d35e458f2eacfff"),
+        ("power_p07", "79842dd36ca88dc370a4a444ec9ee13b1c9071719b863998eb10835a74ea9912"),
+    ])
+    def test_settling_table_digest(self, table_id, digest):
+        """Ten replications per row and 2000 draws each: a chunk's replications
+        share blocks, and settle after one step or several."""
+        header, rows = build_table(table_id, scale=0.001, n_perm=2000)
+        text = "\n".join(",".join(row) for row in [header, *rows])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

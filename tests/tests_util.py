@@ -1,14 +1,58 @@
 """Shared helpers for the test suite."""
-import dataclasses
-
 import numpy as np
+
+from releff import permutation
+
+
+# every moment an effect summary holds, the ones computed on first read too
+MOMENTS = ("p_hat", "beta_hat", "tau0_hat", "tau1_hat", "tau2_hat", "sigma1_sq", "sigma2_sq",
+           "sigma1_given_n_sq", "sigma2_given_n_sq", "var_wmw_raw")
 
 
 def assert_same(got, want):
-    """Two effect summaries equal in every field, bit for bit."""
-    for field in dataclasses.fields(want):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        assert np.array_equal(g, w), field.name
+    """Two effect summaries equal in n1, n2 and every moment, bit for bit."""
+    for name in ("n1", "n2", *MOMENTS):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(g, w), name
+
+
+def relabel_lane(labels, n1, draws, seed=0, sizes=None):
+    """A relabel lane over one pooled sample's labels, drawing from one seed's stream."""
+    labels = np.asarray(labels)
+    sizes = np.bincount(labels) if sizes is None else np.asarray(sizes)
+    return permutation._RelabelLane(labels[None], sizes[None], n1, [seed], draws)
+
+
+def index_lane(n, n1, draws):
+    """A relabel lane over the pooled indices 0..n-1, whose shuffles return indices."""
+    return relabel_lane(np.arange(n), n1, draws)
+
+
+def relabel(u, lane):
+    """The arm-1 labels the lane's one sample gets from uniform rows u."""
+    return permutation._batch_permutations([u], lane, np.zeros(1, np.intp))
+
+
+def count_lane(sizes, n1, seed=0):
+    """A count lane over one pooled sample's run sizes, drawing from one seed's stream."""
+    return permutation._CountLane([np.asarray(sizes)], n1, [seed])
+
+
+def one_lane(labels, n1, seed, draws):
+    """The kind of lane the draw loop builds for one pooled sample; a relabel lane holds `draws`."""
+    sizes = np.bincount(labels)
+    if permutation._counts_drawn(n1, len(labels) - n1, sizes.size):
+        return count_lane(sizes, n1, seed)
+    return relabel_lane(labels, n1, draws, seed, sizes)
+
+
+ONE = np.zeros(1, np.intp)
+
+
+def tally_one(lane, kinds, observed, first_draw, n_draws):
+    """(n_le, n_ge) per kind over one block of the lane's one sample."""
+    observed = np.asarray(observed)[:, None]
+    return permutation.tally_draws(lane, kinds, observed, ONE, first_draw, n_draws)[:, :, 0]
 
 
 def random_dataset(rng, lo=5, hi=30, tie_free=False):
