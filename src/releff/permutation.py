@@ -279,7 +279,7 @@ class _KeptRows:
             grown[: self.used] = self.table[: self.used]
             self.table = grown
         self.table[self.used : end] = rows.ravel()
-        self.start[new] = self.used + self.width * np.arange(new.size)
+        self.start[new] = np.arange(self.used, end, self.width)
         self.used = end
 
 
@@ -481,8 +481,7 @@ def tally_draws(lane: _CountLane | _RelabelLane, kinds, observed: np.ndarray, sa
     stats = np.array(statistics(lane.moments(samples, first_draw, n_draws), kinds))
     stats = stats.reshape(len(kinds), len(samples), n_draws)
     observed = observed[:, :, None]
-    return np.stack((np.count_nonzero(stats <= observed, axis=2),
-                     np.count_nonzero(stats >= observed, axis=2)))
+    return np.array(((stats <= observed).sum(axis=2), (stats >= observed).sum(axis=2)))
 
 
 def tally_streams(labels: np.ndarray, sizes: np.ndarray, n1: int, kinds, observed: np.ndarray,
@@ -516,7 +515,8 @@ def tally_streams(labels: np.ndarray, sizes: np.ndarray, n1: int, kinds, observe
                 tallied[:, :, block] += tally_draws(lane, kinds, lane_observed[:, block], block, a,
                                                     min(step, stop - a))
             if settle_above is not None:
-                open_ = open_[(tallied[:, :, open_].min(axis=0) <= settle_above).any(axis=0)]
+                # a closed sample's tallies stay above the threshold, so it stays closed
+                open_ = np.flatnonzero((tallied.min(axis=0) <= settle_above).any(axis=0))
                 if not open_.size:
                     break
         counts[:, :, members] = tallied
