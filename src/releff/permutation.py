@@ -538,7 +538,7 @@ def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int =
     equals `permutation_test` for its kind alone.  The dataset's tie-run
     record is asked for before its observed statistics, so `data.moments`
     reads it and a fresh dataset is sorted once.  `threads` workers (>= 1)
-    each tally one contiguous lane of whole blocks, so the pool never has
+    each tally one contiguous range of whole blocks, so the pool never has
     more workers than blocks or CPUs.
     """
     kinds = list(kinds)
@@ -553,8 +553,8 @@ def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int =
     statistics = np.array([res.statistic for res in observed])
     block = _block_draws(data.n1, data.n2, sizes.size)
     n_blocks = -(-n_perm // block)
-    lanes = worker_count(threads, n_blocks)
-    bounds = [min(n_perm, n_blocks * i // lanes * block) for i in range(lanes + 1)]
+    workers = worker_count(threads, n_blocks)
+    bounds = [min(n_perm, n_blocks * i // workers * block) for i in range(workers + 1)]
     tasks = [(labels, data.n1, kinds, statistics, seed, a, b)
              for a, b in zip(bounds[:-1], bounds[1:])]
     p1s, p2s = (np.sum(map_tasks(tally_range, tasks, threads), axis=0) / n_perm).tolist()
