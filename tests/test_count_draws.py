@@ -211,16 +211,17 @@ class TestCountLane:
         labels, sizes = d.run_labels()
         observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
         assert isinstance(loop_lane(labels, d.n1), _CountLane)
-        whole = tally_one(count_lane(sizes, d.n1, 9), PERM_BATTERY, observed, 0, 7000)
+        whole = tally_one(count_lane(sizes, d.n1, 9), PERM_BATTERY, observed, 0, 20_000)
         parts = np.zeros((2, len(PERM_BATTERY)), dtype=np.int64)
-        for a, b in [(0, 1), (1, 2048), (2048, 2049), (2049, 5500), (5500, 7000)]:
+        for a, b in [(0, 1), (1, 2048), (2048, 2049), (2049, 8192),
+                     (8192, 8193), (8193, 17_000), (17_000, 20_000)]:
             parts += tally_one(count_lane(sizes, d.n1, 9), PERM_BATTERY, observed, a, b - a)
         assert np.array_equal(parts, np.array(whole))
-        results = [permutation.permutation_tests(d, PERM_BATTERY, 7000, seed=9, threads=t)
+        results = [permutation.permutation_tests(d, PERM_BATTERY, 20_000, seed=9, threads=t)
                    for t in (1, 2)]
         assert results[0] == results[1]
         assert [(r.p1, r.p2) for r in results[0]] == [
-            (le / 7000, ge / 7000) for le, ge in zip(*whole)]
+            (le / 20_000, ge / 20_000) for le, ge in zip(*whole)]
 
 
 @st.composite
@@ -307,7 +308,7 @@ class TestKeptRows:
         other row."""
         d = levels(200, 200, 22)
         labels, sizes = d.run_labels()
-        n_draws = 3 * 2048 + 500
+        n_draws = 3 * 8192 + 500
         reached = run_rows(sizes, d.n1, count_lane(sizes, d.n1, 6).counts(ONE, 0, n_draws))
         asked = []
 

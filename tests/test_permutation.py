@@ -140,9 +140,8 @@ class TestPermutationTest:
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_cache_sized_blocks_reproduce_one_tally(self, monkeypatch, tied):
         """At 300/300 a lane is scored in blocks: under 2048 draws when it
-        relabels, one block of all 5000 when it draws counts (five levels, in
-        blocks of up to 8192).  The tallies equal one tally over all the
-        draws, at any thread count."""
+        relabels, 8192 when it draws counts (five levels).  The tallies equal
+        one tally over all the draws, at any thread count."""
         rng = np.random.default_rng(300)
         if tied:
             pooled = rng.choice(5, size=600, p=[0.1, 0.2, 0.4, 0.2, 0.1]).astype(float)
@@ -152,11 +151,11 @@ class TestPermutationTest:
         pm = TK.parse("pm")
         labels = run_labels(d.pooled())
         block = permutation._block_draws(300, 300, int(labels.max()) + 1)
-        lane = one_lane(labels, 300, 6, 5000)
+        lane = one_lane(labels, 300, 6, 20_000)
         assert isinstance(lane, _CountLane) == tied
         assert block == 8192 if tied else block < 2048
         observed = np.array([run_test(d, pm).statistic])
-        n_le, n_ge = tally_one(lane, [pm], observed, 0, 5000)
+        n_le, n_ge = tally_one(lane, [pm], observed, 0, 20_000)
         blocks = []
 
         def spy(lane, kinds, observed, samples, first_draw, n_draws):
@@ -165,9 +164,9 @@ class TestPermutationTest:
 
         monkeypatch.setattr(permutation, "tally_draws", spy)
         for threads in (1, 2):
-            res = permutation_test(d, pm, n_perm=5000, seed=6, threads=threads)
-            assert (res.p1, res.p2) == (n_le[0] / 5000, n_ge[0] / 5000)
-        assert max(blocks) == min(block, 5000) and sum(blocks) >= 5000
+            res = permutation_test(d, pm, n_perm=20_000, seed=6, threads=threads)
+            assert (res.p1, res.p2) == (n_le[0] / 20_000, n_ge[0] / 20_000)
+        assert max(blocks) == block and sum(blocks) >= 20_000
 
     def test_threads_below_one_rejected(self):
         d = TwoSamples([1, 2, 5, 7], [3, 4, 6, 8])
@@ -475,6 +474,25 @@ class TestSharedBlocks:
         assert blocks[:2] == [(_CountLane, 8, 1024), (_CountLane, 4, 1024)]
         assert len(blocks) == 20 and blocks[-1] == (_CountLane, 4, 784)
 
+    def test_short_range_is_one_step(self, monkeypatch):
+        """Ten tie-free samples at 15/20 that settle over 100 draws, fewer
+        than a step's 256, take one step, all in one block."""
+        rng = np.random.default_rng(5)
+        pooled = np.stack([sample_values(rng, "tie_free", 35) for _ in range(10)])
+        labels, sizes, _ = tie_runs(pooled[:, :15], pooled[:, 15:])
+        observed = np.full((len(PERM_BATTERY), 10), np.inf)
+        blocks = []
+
+        def spy(lane, kinds, observed, samples, first_draw, n_draws):
+            blocks.append((type(lane), len(samples), first_draw, n_draws))
+            return tally_draws(lane, kinds, observed, samples, first_draw, n_draws)
+
+        monkeypatch.setattr(permutation, "tally_draws", spy)
+        got = permutation.tally_streams(labels, sizes, 15, PERM_BATTERY, observed, list(range(10)),
+                                        0, 100, settle_above=2)
+        assert blocks == [(_RelabelLane, 10, 0, 100)]
+        assert np.array_equal(got[0], np.full((len(PERM_BATTERY), 10), 100))
+
     def test_count_lanes_hold_at_most_their_keys(self, monkeypatch):
         """Count-drawn samples are split over lanes of at most
         `_COUNT_LANE_KEYS // (n1 + 1)` samples, and tally as in one lane."""
@@ -563,7 +581,7 @@ class TestPinnedStream:
     ], ids=["tie_free_pm", "tie_free_n_logit", "tied_pm", "tied_n_logit", "tied_counts_pm",
             "tied_counts_n_logit"])
     def test_permutation_test_tallies(self, data, label, n_le, n_ge):
-        # 3000 draws span a whole 2048-draw block and a partial one
+        # 3000 draws: a relabel lane's whole 2048-draw block and a partial one, one count block
         res = permutation_test(data, TK.parse(label), n_perm=3000, seed=2024)
         assert (res.p1, res.p2) == (n_le / 3000, n_ge / 3000)
 
