@@ -16,10 +16,10 @@ are exact integer sums over those counts (`_batch.moments_from_counts`, or
 run by run as a count lane draws them, `_batch.RunSums`).
 
 `tally_streams`, the one draw loop, tallies pooled samples of one size,
-each with its own seed: one user dataset (`tally_range`, which
-`permutation_tests` runs once per worker) or the replications of a Monte
-Carlo chunk.  It sorts the samples into lanes (`_lanes`), the only
-description of them its blocks see, and walks each lane in steps.  A step
+each with its own seed: one user dataset (a range of draws per
+`permutation_tests` worker) or the replications of a Monte Carlo chunk.
+It sorts the samples into lanes (`_lanes`), the only description of them
+its blocks see, and walks each lane in steps.  A step
 stacks the next step of every sample still open into shared blocks of at
 most the lane's block size (`_block_draws`), and one `tally_draws` call
 scores each block: one `statistics` call for all kinds and samples, no
@@ -29,17 +29,17 @@ decision is fixed.  Draw k of a sample is row k of the uniform matrix keyed
 by its seed (`rng.uniforms`), so it depends only on (seed, k):
 
 * A count lane (`_CountLane`) serves samples of few tie runs: at most 16,
-  at most a third of n2 and at most 2048 pooled values (`_counts_drawn`,
-  which reads only the data).  A sample's row has one column per run but
-  the last, and it draws the counts themselves from their exact
-  multivariate hypergeometric law, run by run: run j takes the inverse CDF
-  of its law given the arm-1 members still to place at column j, and the
-  last run takes what is left.  Each conditional CDF row is exact, built
-  from integer weights (`_cdf_row`, or many rows at once in float64 where
-  every weight is an exact integer, `_cdf_rows`), cached for the process,
-  kept by the lane once a draw reaches it (`_KeptRows`), and looked up by
-  a binary search.  A run's counts add its terms to four per-draw integer
-  sums as soon as they are drawn.
+  at most a third of n2 and fewer than 2**21 pooled values
+  (`_counts_drawn`, which reads only the data).  A sample's row has one
+  column per run but the last, and it draws the counts themselves from
+  their exact multivariate hypergeometric law, run by run: run j takes the
+  inverse CDF of its law given the arm-1 members still to place at column
+  j, and the last run takes what is left.  Each conditional CDF row is
+  built in float64 from its mode outward, many rows in one pass, as the
+  window of entries a uniform can fall between (`_cdf_windows`), kept by
+  the lane once a draw reaches it (`_KeptRows`), and looked up by a binary
+  search.  A run's counts add its terms to four per-draw integer sums as
+  soon as they are drawn.
 * A relabel lane (`_RelabelLane`) serves every other sample, tie-free data
   included; tie-free and tied samples take separate lanes, as they are
   scored apart.  A sample's row has one column per relabelling swap (n2 of
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,14 +83,10 @@ _COUNT_BLOCK_DRAWS = 8192
 # a settling sample is checked after every eighth of its draws, within these bounds
 _MIN_STEP_DRAWS = 256
 _MAX_STEP_DRAWS = 1024
-# the widest pooled sample drawn as per-run counts, and its most tie runs; see `_counts_drawn`
-_COUNT_MAX_N = 2048
+# the most tie runs of a pooled sample drawn as per-run counts; see `_counts_drawn`
 _COUNT_MAX_RUNS = 16
-# conditional CDF rows cached for later lanes and calls: every row one lane reaches, and
-# at most 2048 rows of at most 2047 entries, 32 MiB
-_CDF_ROWS = 2048
-# (sample, members left) keys a count lane maps per run, 1 MiB of row starts: it serves at
-# most this many over n1 + 1 samples
+# (sample, members left) keys a count lane maps per run, 1 MiB of row starts and offsets: it
+# serves at most this many over n1 + 1 samples
 _COUNT_LANE_KEYS = 2**17
 # CDF entries a count lane keeps over all its runs, 16 MiB
 _KEPT_ENTRIES = 2**21
@@ -113,16 +108,14 @@ def _counts_drawn(n1: int, n2: int, n_runs):
     Elementwise for an array of run counts.  Per block, a run of counts
     costs about as much as three relabelling swaps, and a relabel makes one
     swap per arm-2 value, so counts are drawn when 3 n_runs <= n2.  At that
-    boundary (24/24 on 8 levels, 39/39 on 13, 48/48 on 16) a lane took
-    0.65-0.93 of the relabel's time with its rows cached and about as long
-    with none; on five levels it took 0.3 of it cold at 200/200 and 0.55 at
-    1024/1024.  At most 16 runs and 2048 pooled values keep the rows one
-    lane reaches (under a thousand per sample: about nine standard
-    deviations of the members left, per run) inside the row cache, and each
-    row cheap: its exact weights are N-bit integers, so a row costs about N
-    bits per entry.
+    boundary (24/24 on 8 levels, 39/39 on 13, 48/48 on 16) a 10k-draw `pm`
+    test took 0.64-0.69 of the relabel's time, and on five levels 0.08 of
+    it at 200/200 and 0.02 at 1024/1024 (2-vCPU VM, medians of 9).  At most
+    16 runs keep the kept rows (`_KeptRows`) and the block's footprint
+    small, and `RunSums`' int64 sums are exact only below EXACT_SUMS_BELOW
+    pooled values.
     """
-    return (3 * n_runs <= n2) & (n_runs <= _COUNT_MAX_RUNS) & (n1 + n2 <= _COUNT_MAX_N)
+    return (3 * n_runs <= n2) & (n_runs <= _COUNT_MAX_RUNS) & (n1 + n2 < EXACT_SUMS_BELOW)
 
 
 def _block_draws(n1: int, n2: int, n_runs: int) -> int:
@@ -157,133 +150,140 @@ def _block_draws(n1: int, n2: int, n_runs: int) -> int:
     return min(_MAX_BLOCK_DRAWS, max(_MIN_BLOCK_DRAWS, _BLOCK_BYTES // per_draw))
 
 
-@lru_cache(maxsize=_CDF_ROWS)
-def _cdf_row(s: int, rest: int, m: int) -> np.ndarray:
-    """P(X <= k) for k = 0, 1, ..., X ~ Hyp(s, rest, m), padded with 1.0 to 2**b - 1 entries.
+def _half_span(s: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """How far from its mode a row of a run of s values, rest later, is summed.
 
-    X is the number of arm-1 members a run of s values gets when m of the
-    s + rest values still to place go to arm 1, and b is s's bit length.
-    The weights C(s, k) C(rest, m - k) are exact Python ints, stepped by
-    their integer ratio and summed; each entry is one int / int division,
-    so it is the float nearest the exact probability.  Entries past
-    min(s, m) are exactly 1.0, and so is every entry once one rounds to it.
+    X ~ Hyp(s, rest, m) counts arm-1 members among the s run values, drawn
+    without replacement from the n = s + rest still to place, and m - X
+    among the rest.  By Serfling's bound, such a count strays t past its
+    mean with probability at most exp(-2 t**2 / v), v = e (n + 1 - e) / n
+    for e = min(s, rest); the mode is within 1 of the mean, so each tail
+    past h = 1 + ceil(sqrt(30 ln 2 v)) of it holds under 2**-60, for any m.
     """
-    lo, hi = max(0, m - rest), min(s, m)
-    total = math.comb(s + rest, m)
-    w = math.comb(s, lo) * math.comb(rest, m - lo)
-    row = np.ones((1 << s.bit_length()) - 1)
-    cum = 0
-    entries = []
-    for k in range(lo, hi):
-        cum += w
-        entry = cum / total
-        if entry == 1.0:
-            break
-        entries.append(entry)
-        w = w * ((s - k) * (m - k)) // ((k + 1) * (rest - m + k + 1))
-    row[:lo] = 0.0
-    row[lo : lo + len(entries)] = entries
-    row.flags.writeable = False
-    return row
+    n, e = s + rest, np.minimum(s, rest)
+    return 1 + np.ceil(np.sqrt(30 * math.log(2) * e * (n + 1 - e) / n)).astype(np.int64)
 
 
-def _pascal(n_max: int) -> np.ndarray:
-    """C(n, j) for n <= n_max at [n, _PASCAL_MID + j], 0 for j outside 0..n."""
-    table = np.zeros((n_max + 1, 2 * _PASCAL_MID))
-    for n in range(n_max + 1):
-        table[n, _PASCAL_MID : _PASCAL_MID + n + 1] = [math.comb(n, k) for k in range(n + 1)]
-    return table
+def _cdf_windows(s: np.ndarray, rest: np.ndarray, m: np.ndarray, h: np.ndarray, width: int):
+    """Each row's offset and window of P(X <= k), X ~ Hyp(s[i], rest[i], m[i]), in one pass.
 
-
-# binomials of at most 56 values, all below 2**53 (C(56, 28) < 2**53 < C(57, 28)), so exact
-# in float64; a row of a run of at most 56 values is at most 63 entries wide
-_PASCAL_N, _PASCAL_MID = 56, 64
-_PASCAL = _pascal(_PASCAL_N)
-
-
-def _cdf_rows(s: np.ndarray, rest: np.ndarray, m: np.ndarray, width: int) -> np.ndarray:
-    """`_cdf_row(s[i], rest[i], m[i])` for each i, padded with 1.0 to `width` entries.
-
-    Where every s + rest is at most 56, the rows are summed together in
-    float64 from exact binomials: each weight C(s, k) C(rest, m - k) and
-    each partial sum is an integer below 2**53, so exact, and each entry is
-    the correctly rounded quotient `_cdf_row` takes, the same bits.  A row
-    then reads 0 below max(0, m - rest) and 1.0 from min(s, m) on, as
-    `_cdf_row`'s does.  Otherwise each row comes from `_cdf_row`'s cache.
-    A `perm2` build at `--scale 0.0002 --n-perm 10000` (about 46 ms) spent
-    1.8-2.0 ms here, against 4.4-5.1 ms building every row through the
-    cache (2-vCPU VM, same process, 20 builds).
+    A row's weights, relative to its mode's, step outward from the mode by
+    the exact ratio of neighbouring probabilities,
+    (s - k)(m - k) / ((k + 1)(rest - m + k + 1)) from k to k + 1, each
+    factor an integer below 2**53, so each ratio is one rounding, and 0
+    from the support's edge on; they are multiplied out and summed in
+    order by `cumprod` and `cumsum`, over h[i] (`_half_span`) of the mode
+    on either side, and divided by their total.  A row thus depends only
+    on its own (s, rest, m), whatever rows share its pass.  Its entries
+    from the first at or above 2**-53 on, `width` of them padded with 1.0,
+    are its window, and the number before that first one is its offset: a
+    uniform of `rng.uniforms` lies in [2**-53, 1 - 2**-53], so the offset
+    entries are all <= it, and entries past the window, 1.0 each, none.
+    Returns the offsets (rows,) and windows (rows, width).
     """
-    if (s + rest).max() <= _PASCAL_N:
-        k = np.arange(width)
-        s, rest, m = s[:, None], rest[:, None], m[:, None]
-        weights = _PASCAL[s, _PASCAL_MID + k] * _PASCAL[rest, _PASCAL_MID + m - k]
-        return np.cumsum(weights, axis=1) / _PASCAL[s + rest, _PASCAL_MID + m]
-    rows = np.ones((s.size, width))
-    for row, key in zip(rows, zip(s.tolist(), rest.tolist(), m.tolist())):
-        cdf = _cdf_row(*key)
-        row[: cdf.size] = cdf
-    return rows
+    mode = (m + 1) * (s + 1) // (s + rest + 2)
+    span = int(min(h.max(), s.max()))
+    # column span + i is k = mode + i, and its ratio P(k + 1) / P(k) above the mode, its
+    # inverse below; each factor is an integer below 2**53, so exact in float64
+    i = np.arange(-span, span, dtype=float)
+    k = mode[:, None] + i
+    ratio = (s[:, None] - k) * (m[:, None] - k)
+    k += 1
+    k *= k + (rest - m)[:, None]
+    np.divide(k[:, :span], ratio[:, :span], out=ratio[:, :span])
+    ratio[:, span:] /= k[:, span:]
+    # a ratio is 0 at the support's edge, and the factors change sign past it
+    np.maximum(ratio, 0.0, out=ratio)
+    ratio *= np.abs(i + 0.5) < h[:, None]
+    cdf = np.ones((len(s), 2 * span + 1))
+    ratio[:, :span][:, ::-1].cumprod(axis=1, out=cdf[:, :span][:, ::-1])
+    ratio[:, span:].cumprod(axis=1, out=cdf[:, span + 1 :])
+    cdf.cumsum(axis=1, out=cdf)
+    cdf /= cdf[:, -1:]
+    below = (cdf < 2.0**-53).sum(axis=1)
+    # past the span, a window reads its row's last entry, 1.0
+    at = np.minimum(below[:, None] + np.arange(width), 2 * span)
+    at += np.arange(0, cdf.size, 2 * span + 1)[:, None]
+    return mode - span + below, cdf.take(at)
 
 
 class _KeptRows:
     """One run's conditional CDF rows that a count lane's draws have reached, kept across blocks.
 
     Sample i's run holds s[i] values and rest[i] lie in later runs; its row
-    m is P(X <= k) for X ~ Hyp(s[i], rest[i], m), k = 0, 1, ... (`_cdf_row`),
-    padded with 1.0 to the width of the widest sample's row, and m is at
-    most `most`.  Key i * (most + 1) + m names that row.  The rows are laid
-    end to end in `table` in the order the draws first reached them, and
-    `start[key]` is the row's offset there, or -1 while no draw has reached
-    it.  A block that reaches new keys appends only their rows
-    (`_cdf_rows`), so the table holds just the rows reached and builds each
-    of them once, until it would pass `limit` entries: it is then emptied
-    and refilled with the rows of the block at hand.
+    m is P(X <= k) for X ~ Hyp(s[i], rest[i], m), kept as an offset and a
+    window of `width` entries (`_cdf_windows`), and m is at most `most`.
+    Key i * (most + 1) + m names that row.  The windows are laid end to end
+    in `table`, at most `fit` of them (the limit's worth, and at least
+    one), in the order the draws first reached them; `start[key]` is the
+    row's place there, or -1 while no draw has reached it, and
+    `shift[key]` its offset less that place.  A block builds only the rows
+    of new keys, in one pass.  One whose new rows would pass `fit` empties
+    the table and searches its draws in groups of keys, in key order, each
+    group's rows built in one pass in place of the last group's.
     """
 
     def __init__(self, s: np.ndarray, rest: np.ndarray, most: int, limit: int):
-        self.s, self.rest, self.most, self.limit = s, rest, most, limit
-        self.width = (1 << int(s.max()).bit_length()) - 1
-        self.start = np.full(s.size * (most + 1), -1, dtype=np.int64)
+        self.s, self.rest, self.most = s, rest, most
+        self.h = _half_span(s, rest)
+        # a row's entries strictly between 0 and 1 lie in its span and support, at most
+        # min(s, 2 h) of them; 2**b - 1 of them take a search of b steps
+        self.width = (1 << int(np.minimum(s, 2 * self.h).max()).bit_length()) - 1
+        self.fit = max(1, limit // max(1, self.width))
+        # int32: a place is below the limit plus a width, an offset at most `most`
+        self.start = np.full(s.size * (most + 1), -1, dtype=np.int32)
+        self.shift = np.empty_like(self.start)
+        self.keys = np.empty(0, dtype=np.int64)
         self.table = np.empty(0)
-        self.used = 0
 
     def draw(self, key: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per draw, the inverse CDF of row key[...] at u[...], both of one shape.
-
-        That is how many entries of the row are <= u, found by a binary
-        search over the row, one gather per bit of the width.
-        """
+        """Per draw, the inverse CDF of row key[...] at u[...], both of one shape."""
         start = self.start.take(key)
-        if start.min() < 0:
-            self._reach(key, start < 0)
-            start = self.start.take(key)
-        at = start.copy()
+        if start.min() >= 0:
+            return self._search(key, start, u)
+        reached = np.flatnonzero(np.bincount(key.ravel()))
+        new = reached[self.start[reached] < 0]
+        if self.keys.size + new.size <= self.fit:
+            self._keep(new)
+            return self._search(key, self.start.take(key), u)
+        order = np.argsort(key, axis=None, kind="stable")
+        key, got = key.ravel()[order], np.empty(key.shape, dtype=np.int64)
+        cuts = [*np.searchsorted(key, reached[:: self.fit]).tolist(), key.size]
+        for first, a, b in zip(range(0, reached.size, self.fit), cuts, cuts[1:]):
+            self.start[self.keys] = -1
+            self.keys = self.keys[:0]
+            self._keep(reached[first : first + self.fit])
+            part = key[a:b]
+            got.flat[order[a:b]] = self._search(part, self.start.take(part), u.take(order[a:b]))
+        return got
+
+    def _search(self, key: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each row's offset plus its window's entries <= u, by a binary search, a gather a bit."""
+        at = start.astype(np.int64)
         for bit in range(self.width.bit_length() - 1, -1, -1):
             step = 1 << bit
             # reads entry at + step - 1; `at` is at most width + 1 - 2 * step into its
             # row, so that entry is in the row
             at += (self.table[step - 1 :].take(at) <= u) * step
-        at -= start
+        at += self.shift.take(key)
         return at
 
-    def _reach(self, key: np.ndarray, new: np.ndarray) -> None:
-        """Append the rows of the keys marked `new`, emptying a table that would pass its limit."""
-        new = np.flatnonzero(np.bincount(key[new]))
-        if self.used + new.size * self.width > self.limit:
-            self.start.fill(-1)
-            self.used = 0
-            new = np.flatnonzero(np.bincount(key.ravel()))
+    def _keep(self, new: np.ndarray) -> None:
+        """Build the rows of the keys `new` in one pass and keep them after the table's rows."""
         sample, m = np.divmod(new, self.most + 1)
-        rows = _cdf_rows(self.s[sample], self.rest[sample], m, self.width)
-        end = self.used + rows.size
+        offset, rows = _cdf_windows(self.s[sample], self.rest[sample], m, self.h[sample],
+                                    self.width)
+        kept = self.keys.size * self.width
+        end = kept + rows.size
         if end > self.table.size:
-            grown = np.empty(max(end, min(2 * self.table.size, self.limit)))
-            grown[: self.used] = self.table[: self.used]
+            grown = np.empty(max(end, min(2 * kept, self.fit * self.width)))
+            grown[:kept] = self.table[:kept]
             self.table = grown
-        self.table[self.used : end] = rows.ravel()
-        self.start[new] = np.arange(self.used, end, self.width)
-        self.used = end
+        self.table[kept:end] = rows.ravel()
+        start = kept + self.width * np.arange(new.size)
+        self.start[new] = start
+        self.shift[new] = offset - start
+        self.keys = np.concatenate([self.keys, new])
 
 
 class _CountLane:
@@ -529,13 +529,6 @@ def tally_streams(labels: np.ndarray, sizes: np.ndarray, n1: int, kinds, observe
     return counts
 
 
-def tally_range(labels: np.ndarray, n1: int, kinds, observed: np.ndarray, seed: int,
-                first: int, stop: int) -> np.ndarray:
-    """(n_le, n_ge) per kind over draws [first, stop) of one pooled sample, by `tally_streams`."""
-    return tally_streams(labels[None], np.bincount(labels)[None], n1, kinds, observed[:, None],
-                         [seed], first, stop)[:, :, 0]
-
-
 def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int = DEFAULT_SEED,
                       threads: int = 1) -> list[PermutationResult]:
     """Studentized permutation tests for several statistics, one per kind.
@@ -561,9 +554,9 @@ def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int =
     n_blocks = -(-n_perm // block)
     workers = worker_count(threads, n_blocks)
     bounds = [min(n_perm, n_blocks * i // workers * block) for i in range(workers + 1)]
-    tasks = [(labels, data.n1, kinds, statistics, seed, a, b)
+    tasks = [(labels[None], sizes[None], data.n1, kinds, statistics[:, None], [seed], a, b)
              for a, b in zip(bounds[:-1], bounds[1:])]
-    p1s, p2s = (np.sum(map_tasks(tally_range, tasks, threads), axis=0) / n_perm).tolist()
+    p1s, p2s = (np.sum(map_tasks(tally_streams, tasks, threads), axis=0)[:, :, 0] / n_perm).tolist()
     return [PermutationResult(observed=res, p1=p1, p2=p2, p_value=min(1.0, 2.0 * min(p1, p2)),
                               n_perm=n_perm, seed=seed)
             for res, p1, p2 in zip(observed, p1s, p2s)]

@@ -45,7 +45,7 @@ settle_above=c*: each replication draws from its own seed's stream and
 closes once no test's decision can change, and the open replications'
 steps share blocks; a scenario with no tests draws none.  A replication of
 few runs (`permutation._counts_drawn`: at most 16, at most n2 / 3, so five
-levels from 15 arm-2 values, and at most 2048 pooled values) draws its
+levels from 15 arm-2 values, and fewer than 2**21 pooled values) draws its
 per-run counts from their exact law, and any other relabels its pooled
 sample.  Mean variance
 estimates accumulate the *raw* (unfloored) estimator values, matching the

@@ -7,7 +7,9 @@ The count functions, ECDF flavours, mid-ranks, the rank form of the effect
 and the scalar Fisher-Yates `shuffle` are the textbook definitions the
 estimators and the permutation relabel are checked against, and
 `hypergeometric_law` is the exact law, as `Fraction`s, that the drawn
-per-run counts of a permutation draw must follow.  `statistic`
+per-run counts of a permutation draw must follow, and `cdf_row` the
+conditional CDF row a count lane draws one run's count from, built from
+exact integer weights.  `statistic`
 scores one test kind alone, from the library's variance formulas; the
 battery scorer, which shares sds and numerators across kinds, must
 reproduce it bit for bit.
@@ -111,11 +113,35 @@ def hypergeometric_law(sizes, n1) -> dict:
     prod_j C(sizes[j], a[j]) / C(N, n1), as an exact `Fraction`.
     """
     total = math.comb(sum(sizes), n1)
-    return {
-        a: Fraction(math.prod(math.comb(s, k) for s, k in zip(sizes, a)), total)
-        for a in itertools.product(*(range(min(s, n1) + 1) for s in sizes))
-        if sum(a) == n1
-    }
+    *head, last = sizes
+    law = {}
+    # the last run holds what the others leave
+    for a in itertools.product(*(range(min(s, n1) + 1) for s in head)):
+        if 0 <= n1 - sum(a) <= last:
+            a = (*a, n1 - sum(a))
+            law[a] = Fraction(math.prod(math.comb(s, k) for s, k in zip(sizes, a)), total)
+    return law
+
+
+def cdf_row(s: int, rest: int, m: int) -> list:
+    """P(X <= k) for k = 0, 1, ..., min(s, m) - 1, X ~ Hyp(s, rest, m), each the nearest float.
+
+    X is the number of arm-1 members a run of s values gets when m of the
+    s + rest values still to place go to arm 1.  The weights
+    C(s, k) C(rest, m - k) are exact Python ints, stepped by their integer
+    ratio and summed; each entry is one int / int division, so it is the
+    float nearest the exact probability.  Entries from min(s, m) on are 1.
+    """
+    lo, hi = max(0, m - rest), min(s, m)
+    total = math.comb(s + rest, m)
+    w = math.comb(s, lo) * math.comb(rest, m - lo)
+    row = [0.0] * lo
+    cum = 0
+    for k in range(lo, hi):
+        cum += w
+        row.append(cum / total)
+        w = w * ((s - k) * (m - k)) // ((k + 1) * (rest - m + k + 1))
+    return row
 
 
 def statistic(m, kind):

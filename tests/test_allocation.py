@@ -3,7 +3,8 @@
 At 1000 observations per arm such a matrix of float64 is 8 MB; the tie-run
 count kernel needs O(n1 + n2) memory, well under the 1 MB budget here.  At
 10**5 per arm a fresh dataset is scored in fewer than 40 bytes per pooled
-value, and scoring it keeps no memory past the call.
+value, and scoring it keeps no memory past the call.  A five-level
+permutation test at 10**5 per arm keeps its CDF rows within a bound.
 """
 import threading
 import tracemalloc
@@ -11,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from releff import _batch
-from releff import ShirahataForm, ShirahataKind, TwoSamples, estimate_effect, run_test, var_shirahata
+from releff import _batch, permutation
+from releff import (ShirahataForm, ShirahataKind, TwoSamples, estimate_effect, permutation_test,
+                    run_test, var_shirahata)
 from releff import TestKind as TK
 
 BUDGET = 1_000_000  # bytes
@@ -59,6 +61,23 @@ def test_cold_estimate_effect_below_40_bytes_per_value(tied):
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 * n, f"traced peak {peak / (2 * n):.1f} bytes per pooled value"
+
+
+def test_count_lane_at_1e5_per_arm_keeps_its_rows_bounded():
+    """A 10k-draw `pm` test on five levels at 10**5 per arm draws per-run
+    counts, and its blocks reach more rows than its tables keep: the rows
+    stay within 16 MiB plus one group's pass, under 48 MiB traced in all."""
+    rng = np.random.default_rng(9)
+    x1, x2 = rng.integers(1, 6, size=(2, 10**5)).astype(float)
+    data = TwoSamples(x1, x2)
+    assert permutation._counts_drawn(data.n1, data.n2, 5)
+    tracemalloc.start()
+    try:
+        permutation_test(data, TK.parse("pm"), n_perm=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_one_row_leaves_the_thread_buffers():

@@ -249,7 +249,7 @@ class TestCmdTest:
 
     @pytest.mark.parametrize("kind,digest", [
         ("tie_free", "9f7f7a2d303a2846658e876c18782252472757358fdc92e0f9b079c373fdc22d"),
-        ("five_levels", "4bcd273f75fa97a076b1b872678628825710269ae2787560588c4424fb660577"),
+        ("five_levels", "5e4317ec52ac571a140fa1f621695ba6228abc0a9704e3c48bd64898488aca7f"),
         ("odd_bit_decimals", "8ffd3291e5c420943484674d6cf31aa3fb7e8a677197eaaec2deff436e83076b"),
     ])
     def test_output_digest(self, tmp_path, kind, digest):

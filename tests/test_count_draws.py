@@ -1,6 +1,6 @@
 """The count lane: per-run arm-1 counts drawn from their exact law, checked against `Fraction`s."""
 import itertools
-from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,17 +10,39 @@ from scipy.stats import chi2
 
 from releff import TwoSamples, permutation_test, run_test
 from releff import permutation
-from releff._batch import moments_from_counts
-from releff.permutation import _CountLane, _KeptRows, _RelabelLane, _cdf_row, _cdf_rows
+from releff._batch import EXACT_SUMS_BELOW, moments_from_counts
+from releff.permutation import _CountLane, _KeptRows, _RelabelLane, _cdf_windows
 from releff.stat_tests import statistics
 from releff.tables import PERM_BATTERY
-from oracles import hypergeometric_law
-from tests_util import MOMENTS, ONE, count_lane, tally_one
+from oracles import cdf_row, hypergeometric_law
+from tests_util import MOMENTS, ONE, count_lane, tally_one, tally_sample
 
 # (s, rest, m) rows: every one at s + rest <= 9, and rows a 200/200 lane reaches
 SMALL_ROWS = [(s, rest, m) for s in range(1, 10) for rest in range(0, 10 - s)
               for m in range(s + rest + 1)]
 WIDE_ROWS = [(154, 246, 200), (80, 166, 120), (40, 360, 200), (160, 80, 130)]
+# rows up to 2 * 10**4 pooled values: runs of one value, a fifth, half and all but one
+LARGE_ROWS = [(s, n - s, m) for n in (57, 300, 2049, 5000, 20_000)
+              for s in (1, n // 5, n // 2, n - 1) for m in (1, n // 3, n // 2, n - 2)]
+# a row entry's bound against the oracle: 64 units of 2**-53
+ENTRY_ERROR = 64 * 2.0**-53
+
+
+def built(s, rest, m, width=None):
+    """One row built alone: its offset and window, by default at the width its run keeps."""
+    kept = kept_rows(s, rest, m)
+    offset, window = _cdf_windows(np.array([s]), np.array([rest]), np.array([m]), kept.h,
+                                  kept.width if width is None else width)
+    return int(offset[0]), window[0]
+
+
+def full_row(s, rest, m):
+    """A built row as P(X <= k) for k = 0..s - 1: 0 before its window and 1.0 past it."""
+    offset, window = built(s, rest, m)
+    row = np.ones(max(s, offset + window.size))
+    row[:offset] = 0.0
+    row[offset : offset + window.size] = window
+    return row[:s]
 
 
 def kept_rows(s, rest, most):
@@ -34,35 +56,45 @@ def loop_lane(labels, n1, seed=0):
     return lane
 
 
-def exact_cdf(s, rest, m):
-    """P(X <= k) for k = 0..s - 1, X the arm-1 count of a run of s, as `Fraction`s."""
-    law = hypergeometric_law((s, rest), m)
-    return list(itertools.accumulate(law.get((k, m - k), Fraction(0)) for k in range(s)))
-
-
-def nearest(x: float, exact: Fraction) -> bool:
-    """Whether no float lies closer to `exact` than x does."""
-    gap = abs(Fraction(x) - exact)
-    return all(gap <= abs(Fraction(float(y)) - exact)
-               for y in (np.nextafter(x, -np.inf), np.nextafter(x, np.inf)))
-
-
 class TestConditionalRows:
-    @pytest.mark.parametrize("rows", [SMALL_ROWS, WIDE_ROWS], ids=["small", "wide"])
-    def test_every_entry_is_the_nearest_float(self, rows):
+    @pytest.mark.parametrize("rows", [SMALL_ROWS, WIDE_ROWS, LARGE_ROWS],
+                             ids=["small", "wide", "large"])
+    def test_every_entry_is_within_its_bound_of_the_oracle(self, rows):
+        """Each window entry lies within 64 * 2**-53 of the exact row's
+        nearest float; the entries before it are below 2**-53 and those past
+        it above 1 - 2**-53, up to that bound, so no uniform of
+        `rng.uniforms` reads them differently by more than it.  A window
+        twice as wide holds nothing past the width its run keeps but 1.0."""
         for s, rest, m in rows:
-            row = _cdf_row(s, rest, m)
-            assert row.size == (1 << s.bit_length()) - 1
-            for k, want in enumerate(exact_cdf(s, rest, m)):
-                assert nearest(float(row[k]), want), (s, rest, m, k)
-            assert np.all(row[s:] == 1.0)
+            offset, window = built(s, rest, m)
+            exact = np.ones(max(s, offset + window.size))
+            exact[: min(s, m)] = cdf_row(s, rest, m)
+            wide = built(s, rest, m, 2 * window.size + 1)
+            assert wide[0] == offset and np.all(wide[1][window.size :] == 1.0)
+            assert np.all(np.diff(window) >= 0.0) and np.all(window >= 2.0**-53)
+            assert np.all(exact[:offset] < 2.0**-53 + ENTRY_ERROR), (s, rest, m)
+            err = np.abs(window - exact[offset : offset + window.size])
+            assert err.max(initial=0.0) <= ENTRY_ERROR, (s, rest, m, err.max() / 2.0**-53)
+            assert np.all(exact[offset + window.size :] > 1.0 - 2.0**-53 - ENTRY_ERROR)
+
+    def test_a_row_does_not_depend_on_its_pass(self):
+        """A row built among others, of any width, is bit for bit the row built alone."""
+        rows = np.array(WIDE_ROWS + LARGE_ROWS[::3] + SMALL_ROWS[::7])
+        s, rest, m = rows.T
+        kept = _KeptRows(s, rest, 1, 2**21)
+        offset, windows = _cdf_windows(s, rest, m, kept.h, kept.width)
+        for i, (si, ri, mi) in enumerate(rows.tolist()):
+            alone_offset, alone = built(si, ri, mi)
+            assert offset[i] == alone_offset
+            assert np.array_equal(windows[i, : alone.size], alone), (si, ri, mi)
+            assert np.all(windows[i, alone.size :] == 1.0)
 
     @pytest.mark.parametrize("rows", [SMALL_ROWS, WIDE_ROWS], ids=["small", "wide"])
     def test_lookup_counts_the_entries_at_or_below_u(self, rows):
         """At each entry, and just below it, the binary search gives the
         number of row entries <= u: it switches exactly at the entries."""
         for s, rest, m in rows:
-            row = _cdf_row(s, rest, m)
+            row = full_row(s, rest, m)
             inside = row[(row > 0.0) & (row < 1.0)]
             u = np.concatenate([inside, np.nextafter(inside, 0.0), [2.0**-53, 1 - 2.0**-53]])
             got = kept_rows(s, rest, m).draw(np.full(u.size, m), u)
@@ -74,22 +106,9 @@ class TestConditionalRows:
         left = rng.integers(100, 140, size=3000)
         u = rng.random(3000)
         got = kept_rows(40, 360, 139).draw(left, u)
-        want = [np.searchsorted(_cdf_row(40, 360, int(v)), x, side="right")
+        want = [np.searchsorted(full_row(40, 360, int(v)), x, side="right")
                 for v, x in zip(left, u)]
         assert got.tolist() == want
-
-    def test_summed_rows_are_the_exact_rows(self):
-        """Rows summed in float64 from binomials, for runs and later values
-        of at most 56, are `_cdf_row`'s bits, padded with 1.0; so are the
-        wider ones it hands to `_cdf_row`."""
-        for n in (*range(1, 57), 57, 60, 100):
-            s, m = (a.ravel() for a in np.meshgrid(np.arange(n + 1), np.arange(n + 1)))
-            width = (1 << n.bit_length()) - 1
-            rows = _cdf_rows(s, n - s, m, width)
-            for i in range(s.size):
-                row = _cdf_row(int(s[i]), int(n - s[i]), int(m[i]))
-                assert np.array_equal(rows[i, : row.size], row), (n, s[i], m[i])
-                assert np.all(rows[i, row.size :] == 1.0)
 
 
 def compositions(n, runs):
@@ -102,12 +121,14 @@ def compositions(n, runs):
 def test_implied_law_is_the_multivariate_hypergeometric():
     """At N <= 12 with 1-5 runs and every n1, the probability the sampler
     gives each count vector, a product of steps of its CDF rows, matches
-    the exact law within 1e-15, and the vectors it can give are the law's."""
+    the exact law within 1e-13 (an entry is within 65 * 2**-53 of its
+    exact value, a step within twice that, and a vector is a product of at
+    most four steps), and the vectors it can give are the law's."""
     rows = {}
 
     def step(s, rest, m, k):
         if (s, rest, m) not in rows:
-            rows[s, rest, m] = [0.0, *_cdf_row(s, rest, m).tolist(), 1.0]
+            rows[s, rest, m] = [0.0, *full_row(s, rest, m).tolist(), 1.0]
         row = rows[s, rest, m]
         return row[min(k, s) + 1] - row[k]
 
@@ -124,19 +145,22 @@ def test_implied_law_is_the_multivariate_hypergeometric():
                         for s, rest, k in zip(sizes[:-1], later, a):
                             p *= step(s, rest, left, k)
                             left -= k
-                        assert abs(p - float(exact)) <= 1e-15, (sizes, n1, a)
+                        assert abs(p - float(exact)) <= 1e-13, (sizes, n1, a)
                         support.add(a)
                         checked += 1
                     assert sum(law.values()) == 1 and len(support) == len(law)
     assert checked > 250_000
 
 
-@pytest.mark.parametrize("n1", [15, 45])
-def test_chi_square_against_the_exact_law(n1):
-    """10**5 drawn count vectors on five levels at 15/45 and 45/15 follow
-    the multivariate hypergeometric law (bins of expected count below 5
-    pooled)."""
-    sizes = np.array([6, 12, 24, 12, 6])
+@pytest.mark.parametrize("sizes,n1", [
+    ([6, 12, 24, 12, 6], 15), ([6, 12, 24, 12, 6], 45),
+    ([6, 12, 12, 6, 2964], 1500),   # 3000 pooled values
+], ids=["15", "45", "1500"])
+def test_chi_square_against_the_exact_law(sizes, n1):
+    """10**5 drawn count vectors on five levels at 15/45, 45/15 and
+    1500/1500 follow the multivariate hypergeometric law (bins of expected
+    count below 5 pooled)."""
+    sizes = np.array(sizes)
     n_draws = 100_000
     drawn = count_lane(sizes, n1, 20261019).counts(ONE, 0, n_draws)
     assert np.all(drawn.sum(axis=1) == n1) and np.all((drawn >= 0) & (drawn <= sizes))
@@ -152,6 +176,22 @@ def test_chi_square_against_the_exact_law(n1):
     assert ((got - expected) ** 2 / expected).sum() < chi2.ppf(0.999, df=len(big))
 
 
+def test_chi_square_of_each_run_at_1500_per_arm():
+    """On five levels of 600 at 1500/1500, wide rows past 2048 pooled values,
+    each run's drawn count follows its exact marginal law Hyp(600, 2400,
+    1500) (bins of expected count below 5 pooled)."""
+    n_draws = 100_000
+    drawn = count_lane(np.full(5, 600), 1500, 20261021).counts(ONE, 0, n_draws)
+    law = {a[0]: p for a, p in hypergeometric_law((600, 2400), 1500).items()}
+    big = [k for k, p in law.items() if p * n_draws >= 5]
+    expected = np.array([float(law[k]) * n_draws for k in big])
+    expected = np.append(expected, n_draws - expected.sum())
+    for run in drawn.T:
+        got = np.bincount(run, minlength=601)[big]
+        got = np.append(got, n_draws - got.sum())
+        assert ((got - expected) ** 2 / expected).sum() < chi2.ppf(1 - 0.001 / 5, df=len(big))
+
+
 def levels(n1, n2, seed):
     """Arms of n1 and n2 values on five levels."""
     pooled = np.random.default_rng(seed).choice(5, size=n1 + n2, p=[0.1, 0.2, 0.4, 0.2, 0.1])
@@ -162,13 +202,28 @@ class TestCountLane:
     @pytest.mark.parametrize("n1,n2,runs,counts", [
         (9, 15, 5, True), (9, 14, 5, False),   # 3 runs <= n2, and one arm-2 value short
         (300, 48, 16, True), (300, 51, 17, False),   # at most 16 runs
-        (1024, 1024, 5, True), (1025, 1024, 5, False),   # at most 2048 pooled values
+        (1025, 1024, 5, True),   # past 2048 pooled values
         (40, 40, 80, False),   # tie-free
     ])
     def test_lane_kind(self, n1, n2, runs, counts):
         labels = np.arange(n1 + n2) % runs
         assert isinstance(loop_lane(labels, n1), _CountLane) == counts
         assert isinstance(loop_lane(labels, n1), _RelabelLane) != counts
+
+    def test_counts_are_drawn_below_the_exact_sums_bound(self):
+        """Counts are drawn up to 2**21 - 1 pooled values, where `RunSums`'
+        int64 sums stay exact, and not at 2**21; the rule reads only the
+        sizes, so it allocates no array, only the ints of its sums."""
+        assert EXACT_SUMS_BELOW == 2**21
+        tracemalloc.start()
+        try:
+            below = permutation._counts_drawn(2**20, 2**20 - 1, 5)
+            at = permutation._counts_drawn(2**20, 2**20, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert below and not at
+        assert peak < 1000
 
     def test_observed_counts_reproduce_run_test(self):
         """A draw whose counts are the observed ones scores every
@@ -257,6 +312,12 @@ def test_run_sums_equal_the_count_kernel(sample, seed, first, n_draws):
     assert field_bits(got) == field_bits(moments_from_counts(a, sizes, n1, sizes.sum() - n1))
 
 
+def reached_left(sizes, n1, a):
+    """Per run but the last, the members left that the draws with counts `a` reach."""
+    left = n1 - np.cumsum(a, axis=1) + a
+    return [left[:, j] for j in range(sizes.size - 1)]
+
+
 def run_rows(sizes, n1, a):
     """The (s, rest, members left) rows the draws with counts `a` reach, every run but the last."""
     later = sizes.sum() - np.cumsum(sizes)
@@ -287,39 +348,45 @@ class TestKeptRows:
             assert np.array_equal(got, want), (a, b)
         assert sum((kept.start >= 0).sum() for kept in lane.rows) == len(reached)
 
-    def test_emptied_table_tallies_as_a_kept_one(self, monkeypatch):
+    def test_grouped_blocks_tally_as_a_kept_table(self, monkeypatch):
         """A lane whose kept rows would pass their limit empties its table and
-        refills it with the block's rows; the tallies do not change."""
+        searches the block's draws in groups of keys, each group's rows in
+        place of the last's; the tallies do not change, and no table holds
+        more rows than it fits."""
         d = levels(200, 200, 23)
         _, sizes = d.run_labels()
         observed = np.array([run_test(d, kind).statistic for kind in PERM_BATTERY])
         want = tally_one(count_lane(sizes, d.n1, 5), PERM_BATTERY, observed, 0, 6000)
-        monkeypatch.setattr(permutation, "_KEPT_ENTRIES", 4 * 2000)
+        monkeypatch.setattr(permutation, "_KEPT_ENTRIES", 4 * 1000)
         lane = count_lane(sizes, d.n1, 5)
+        built = []
+        windows = permutation._cdf_windows
+        monkeypatch.setattr(permutation, "_cdf_windows",
+                            lambda s, *rest: built.append(s.size) or windows(s, *rest))
         got = sum(tally_one(lane, PERM_BATTERY, observed, a, 1000) for a in range(0, 6000, 1000))
         assert np.array_equal(got, want)
         reached = run_rows(sizes, d.n1, count_lane(sizes, d.n1, 5).counts(ONE, 0, 6000))
         assert sum((kept.start >= 0).sum() for kept in lane.rows) < len(reached)
-        assert all(kept.used <= max(kept.limit, 1000 * kept.width) for kept in lane.rows)
+        fit = max(kept.fit for kept in lane.rows)
+        assert max(built) <= fit < max(len(np.unique(left)) for left in reached_left(
+            sizes, d.n1, count_lane(sizes, d.n1, 5).counts(ONE, 0, 1000)))
+        assert all(kept.keys.size <= kept.fit and kept.table.size <= kept.fit * kept.width
+                   for kept in lane.rows)
 
     def test_cold_lane_builds_each_reached_row_once(self, monkeypatch):
-        """With the row cache cleared, a draw loop over several blocks asks
-        for each (run, members left) row its draws reach once, and for no
-        other row."""
+        """A draw loop over several blocks builds each (run, members left)
+        row its draws reach once, and no other row."""
         d = levels(200, 200, 22)
         labels, sizes = d.run_labels()
         n_draws = 3 * 8192 + 500
         reached = run_rows(sizes, d.n1, count_lane(sizes, d.n1, 6).counts(ONE, 0, n_draws))
         asked = []
+        windows = permutation._cdf_windows
 
-        def spy(s, rest, m):
-            asked.append((s, rest, m))
-            return cdf_row(s, rest, m)
+        def spy(s, rest, m, h, width):
+            asked.extend(zip(s.tolist(), rest.tolist(), m.tolist()))
+            return windows(s, rest, m, h, width)
 
-        cdf_row = permutation._cdf_row
-        cdf_row.cache_clear()
-        monkeypatch.setattr(permutation, "_cdf_row", spy)
-        permutation.tally_range(labels, d.n1, PERM_BATTERY, np.zeros(len(PERM_BATTERY)), 6, 0,
-                                n_draws)
+        monkeypatch.setattr(permutation, "_cdf_windows", spy)
+        tally_sample(labels, d.n1, PERM_BATTERY, np.zeros(len(PERM_BATTERY)), 6, 0, n_draws)
         assert len(asked) == len(set(asked)) and set(asked) == reached
-        assert cdf_row.cache_info().misses == len(reached)

@@ -22,7 +22,7 @@ from releff.tables import PERM_BATTERY, build_table
 from releff.variance import VarianceKind, variance_raw
 from oracles import shuffle
 from tests_util import (MOMENTS, ONE, SORT_CASES, count_lane, index_lane, one_lane, random_dataset,
-                        relabel, relabel_lane, sort_case, tally_one)
+                        relabel, relabel_lane, sort_case, tally_one, tally_sample)
 
 KINDS = [TK.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")]
 
@@ -125,7 +125,7 @@ class TestPermutationTest:
         lanes = []
 
         def spy(fn, tasks, threads):
-            lanes.extend((t[5], t[6]) for t in tasks)
+            lanes.extend((t[-2], t[-1]) for t in tasks)
             return [fn(*t) for t in tasks]
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -269,7 +269,7 @@ class TestLaneBuffers:
         else:
             monkeypatch.setattr(permutation, "moments_from_perm",
                                 lambda drawn, sizes: record(drawn, moments_from_perm(drawn, sizes)))
-        counts = permutation.tally_range(labels, n1, [pm], observed, seed, 0, stop)
+        counts = tally_sample(labels, n1, [pm], observed, seed, 0, stop)
         monkeypatch.undo()
         # a block's sums are (4, draws), its relabel (draws, n1)
         sizes = [drawn.shape[-1 if tied else 0] for drawn, _, _ in scored]
@@ -417,7 +417,7 @@ class TestSharedBlocks:
     @example(case=(7, 7, ["levels5"] * 5, ["zero", "never", "data", "zero", "data"], 3, 3000))
     def test_each_sample_tallies_as_one_stream(self, case):
         """Each sample's decision equals its full tally's, and its tallies
-        equal a lone `tally_range` over the draws it took, which its blocks
+        equal a lone tally of its stream over the draws it took, which its blocks
         tile from 0 in steps."""
         n1, n2, kinds, observe, seed, n_perm = case
         rng = np.random.default_rng(seed)
@@ -444,10 +444,10 @@ class TestSharedBlocks:
             steps = served[perm_key(seed_i)]
             drawn = steps[-1][0] + steps[-1][1]
             assert [first for first, _ in steps] == [0, *np.cumsum([n for _, n in steps[:-1]])]
-            alone = permutation.tally_range(labels[i], n1, PERM_BATTERY, observed[:, i], seed_i,
+            alone = tally_sample(labels[i], n1, PERM_BATTERY, observed[:, i], seed_i,
                                             0, drawn)
             assert np.array_equal(got[:, :, i], alone), i
-            full = permutation.tally_range(labels[i], n1, PERM_BATTERY, observed[:, i], seed_i,
+            full = tally_sample(labels[i], n1, PERM_BATTERY, observed[:, i], seed_i,
                                            0, n_perm)
             assert np.array_equal(got[:, :, i].min(axis=0) <= c_star, full.min(axis=0) <= c_star), i
             if observe[i] == "never":

@@ -55,6 +55,13 @@ def tally_one(lane, kinds, observed, first_draw, n_draws):
     return permutation.tally_draws(lane, kinds, observed, ONE, first_draw, n_draws)[:, :, 0]
 
 
+def tally_sample(labels, n1, kinds, observed, seed, first, stop):
+    """(n_le, n_ge) per kind over draws [first, stop) of one pooled sample's stream."""
+    labels = np.asarray(labels)
+    return permutation.tally_streams(labels[None], np.bincount(labels)[None], n1, kinds,
+                                     np.asarray(observed)[:, None], [seed], first, stop)[:, :, 0]
+
+
 def random_dataset(rng, lo=5, hi=30, tie_free=False):
     """Random pair of arms with sizes in [lo, hi]; tied unless tie_free."""
     n1 = int(rng.integers(lo, hi + 1))
