@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     InvalidKind,
     NoBracket,
+    SizeTooLarge,
     SizeTooSmall,
     TiesInReducedForm,
     UnsupportedPair,

@@ -22,23 +22,20 @@ and its members are counted per arm; a value a row does not use is an
 empty run, which adds 0 to every sum.  Datasets with the same runs and
 counts get bit-identical moments whichever entry point produced them: a
 simulated batch (`moments_from_values` or `moments_from_codes`),
-permutation draws (`moments_from_perm`) or one user dataset
-(`moments_from_values`, or `moments_from_counts` on the record a
-`TwoSamples` keeps).  A permutation draw
-arrives as the run labels of its arm-1 values, which the relabel carries
-through the shuffle in place of indices, so its counts are one `bincount`
-with no gather.  A batch's summary holds one row per dataset in each
-field; one dataset's holds floats, equal to the row the same dataset would
-fill in a batch.
+permutation draws, which `permutation._RelabelLane` scores with this
+module's kernels, or one user dataset (`moments_from_values`, or
+`moments_from_counts` on the record a `TwoSamples` keeps).  A batch's
+summary holds one row per dataset in each field; one dataset's holds
+floats, equal to the row the same dataset would fill in a batch.
 
 On tie-free data every run holds one value and its label is the value's
 pooled rank, so a dataset is fully described by its n1 sorted arm-1 ranks,
 and the same integer sums are taken over those n1 terms instead of N runs
-(`_moments_from_ranks`).  `moments_from_perm` takes that path whenever every
-draw it scores is tie-free.  Values (`moments_from_values`) are sorted
-once, in place, as integer keys that carry each value's arm in bit 0
-(`_moments_from_keys`): if no two neighbours share a key but for that bit,
-every row is tie-free and the sorted arm bits mark the arm-1 ranks.
+(`_moments_from_ranks`), as a tie-free permutation draw is scored.
+Values (`moments_from_values`) are sorted once, in place, as integer keys
+that carry each value's arm in bit 0 (`_moments_from_keys`): if no two
+neighbours share a key but for that bit, every row is tie-free and the
+sorted arm bits mark the arm-1 ranks.
 Values that tie are not key-sorted when the first values already show a
 repeat (`_keys_cannot_count`).  One dataset that ties is then scored off
 its sorted values (`_moments_from_sorted`): a run starts wherever the
@@ -51,8 +48,10 @@ A batch's keys live in buffers each thread keeps for its next batch
 arrays, freed on return.  The moments are bit-identical on every path.
 
 Every sum is below N**3 for N pooled values, so it is exact in int64 while
-N < 2**21; larger samples accumulate in float64 instead, through the count
-kernel only.
+N < 2**21 (EXACT_SUMS_BELOW); one larger dataset accumulates in float64
+instead, through the count kernel only.  Permutation draws are refused from
+that size on (`permutation.check_pooled_size`), so their sums are always
+exact.
 """
 from __future__ import annotations
 
@@ -63,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["EffectSummary", "tie_runs", "arm1_counts", "moments_from_counts", "RunSums",
-           "moments_from_values", "moments_from_codes", "moments_from_perm"]
+           "moments_from_values", "moments_from_codes"]
 
 # pooled size from which int64 sums (bounded by N**3) could overflow
 EXACT_SUMS_BELOW = 2**21
@@ -240,8 +239,9 @@ class RunSums:
     sums once.  `sizes` holds each sample's run sizes, (samples, runs);
     s_wmw and each run's g2 shift depend on them alone and are taken once
     per sample (`_run_shape`).  A row belongs to one sample, and `step`
-    reads its run's size and g2 shift per row.  Every pooled sample must
-    be below EXACT_SUMS_BELOW.
+    reads its run's size and g2 shift per row.  The sums are exact because
+    permutation draws are refused from EXACT_SUMS_BELOW pooled values on
+    (`permutation.check_pooled_size`).
     """
 
     def __init__(self, sizes: np.ndarray, n1: int):
@@ -475,23 +475,3 @@ def moments_from_codes(codes1: np.ndarray, codes2: np.ndarray, n_values: int) ->
     a = arm1_counts(codes1, n_values)
     return moments_from_counts(a, a + arm1_counts(codes2, n_values), n1, n2)
 
-
-def moments_from_perm(arm1_labels: np.ndarray, sizes: np.ndarray) -> EffectSummary:
-    """Moments for relabellings of pooled samples of one size, one row of arm-1 run labels each.
-
-    A row of `arm1_labels` holds the run labels of the values one
-    relabelling puts in arm 1.  `sizes` holds the run sizes (`tie_runs`),
-    as the draw loop's lane holds them: (runs,) when every row relabels
-    one pooled sample, or each row's own (rows, runs).
-    """
-    runs = sizes.shape[-1]
-    n = int(sizes.reshape(-1, runs)[0].sum())
-    n1 = arm1_labels.shape[1]
-    n2 = n - n1
-    if n < EXACT_SUMS_BELOW and runs == n:
-        # tie-free: a value's run label is its pooled rank
-        # sorted in a C-ordered copy: the relabel hands over a transposed view
-        ranks = np.array(arm1_labels, order="C")
-        ranks.sort(axis=1)
-        return _moments_from_ranks(ranks, n1, n2)
-    return moments_from_counts(arm1_counts(arm1_labels, runs), sizes, n1, n2)

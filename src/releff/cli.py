@@ -9,7 +9,8 @@ Three subcommands:
 * ``releff tables t1``          -- reproduce a published table layout at a
   chosen scale.
 
-Exit codes: 0 success, 2 malformed input (CSV/scenario file/table id),
+Exit codes: 0 success, 2 malformed input (CSV/scenario file/table id) or
+a sample too large for permutation draws (2**21 or more pooled values),
 3 samples too small for the requested estimators.
 """
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 from .distributions import dist_label
 from .dof import DfKind
-from .errors import ConfigError, SizeTooSmall
+from .errors import ConfigError, SizeTooLarge, SizeTooSmall
 from .permutation import permutation_tests
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_tables(args)
-    except ConfigError as exc:
+    except (ConfigError, SizeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeTooSmall as exc:

@@ -83,6 +83,9 @@ class Binomial:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.prob < 1.0:
             raise ValueError("prob must lie in (0, 1)")
+        # `binom` overflows past about 1030 trials, first at its peak k = trials // 2
+        if not np.isfinite(binom(self.trials, self.trials // 2)):
+            raise ValueError(f"{dist_label(self)} has masses that overflow float64")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ class SizeTooSmall(ValueError):
     """A sample is too small for the requested estimator."""
 
 
+class SizeTooLarge(ValueError):
+    """A sample is too large for the requested computation."""
+
+
 class InvalidKind(ValueError):
     """The requested test/estimator kind is not valid in this context."""
 

@@ -28,35 +28,37 @@ observed statistics.  Given a settle threshold, a sample closes once its
 decision is fixed.  Draw k of a sample is row k of the uniform matrix keyed
 by its seed (`rng.uniforms`), so it depends only on (seed, k):
 
-* A count lane (`_CountLane`) serves samples of few tie runs: at most 16,
-  at most a third of n2 and fewer than 2**21 pooled values
-  (`_counts_drawn`, which reads only the data).  A sample's row has one
-  column per run but the last, and it draws the counts themselves from
-  their exact multivariate hypergeometric law, run by run: run j takes the
-  inverse CDF of its law given the arm-1 members still to place at column
-  j, and the last run takes what is left.  Each conditional CDF row is
-  built in float64 from its mode outward, many rows in one pass, as the
-  window of entries a uniform can fall between (`_cdf_windows`), kept by
-  the lane once a draw reaches it (`_KeptRows`), and looked up by a binary
-  search.  A run's counts add its terms to four per-draw integer sums as
-  soon as they are drawn.
-* A relabel lane (`_RelabelLane`) serves every other sample, tie-free data
-  included; tie-free and tied samples take separate lanes, as they are
-  scored apart.  A sample's row has one column per relabelling swap (n2 of
-  them), and the lane carries the run labels (int32) through the first n2
-  swaps of a Fisher-Yates shuffle, one scatter per swap, to count the
-  arm-1 labels per run; a sample of at most 16 runs is then summed run by
-  run as a count lane's is.  On tie-free data a run label is a pooled
-  rank, and the same sums are taken over the draw's sorted arm-1 ranks
-  (`_batch.moments_from_perm`).
+* A count lane (`_CountLane`) serves samples of few tie runs: at most 16
+  and at most a third of n2 (`_counts_drawn`, which reads only the data).
+  A sample's row has one column per run but the last, and it draws the
+  counts themselves from their exact multivariate hypergeometric law, run
+  by run: run j takes the inverse CDF of its law given the arm-1 members
+  still to place at column j, and the last run takes what is left.  Each
+  conditional CDF row is built in float64 from its mode outward, many rows
+  in one pass, as the window of entries a uniform can fall between
+  (`_cdf_windows`), kept by the lane once a draw reaches it (`_KeptRows`),
+  and looked up by a binary search.  A run's counts add its terms to four
+  per-draw integer sums as soon as they are drawn.
+* A relabel lane (`_RelabelLane`), the only scorer of relabelled draws,
+  serves every other sample, tie-free data included; tie-free and tied
+  samples take separate lanes, as they are scored apart.  A sample's row
+  has one column per relabelling swap (n2 of them), and the lane carries
+  the run labels (int32) through the first n2 swaps of a Fisher-Yates
+  shuffle, one scatter per swap, to count the arm-1 labels per run; a
+  sample of at most 16 runs is then summed run by run as a count lane's
+  is, and any other by the count kernel.  On tie-free data a run label is
+  a pooled rank, and the same sums are taken over the draw's sorted arm-1
+  ranks (`_batch._moments_from_ranks`).
 
 Both give a draw's counts the law of a uniformly random relabelling, from
-different streams.  Tallies are integer counts, and a sample's tallies
-read only its own draws, so results are bit-identical for any lanes,
-blocks, stacking or workers.  `run_test` scores the observed data through
-the same kernel and formulas, and its statistic is the one the draws are
-tallied against, so a draw with the observed arm-1 multiset reproduces it
-bit for bit and ties are exact by construction.
+different streams.  Samples of 2**21 (EXACT_SUMS_BELOW) or more pooled
+values are refused where they enter (`check_pooled_size`), so every sum is
+exact in int64.  Tallies are integer counts, and a sample's tallies read
+only its own draws, so results are bit-identical for any lanes, blocks,
+stacking or workers.  `run_test` scores the observed data through the same
+kernel and formulas, and its statistic is the one the draws are tallied
+against, so a draw with the observed arm-1 multiset reproduces it bit for
+bit and ties are exact by construction.
 """
 from __future__ import annotations
 
@@ -65,9 +67,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batch import EXACT_SUMS_BELOW, EffectSummary, RunSums, moments_from_perm, sample_rows
+from ._batch import (EXACT_SUMS_BELOW, EffectSummary, RunSums, _moments_from_ranks, arm1_counts,
+                     moments_from_counts, sample_rows)
 from ._pool import map_tasks, worker_count
-from .errors import InvalidKind
+from .errors import InvalidKind, SizeTooLarge
 from .ranks import TwoSamples
 from .rng import DEFAULT_SEED, perm_key, uniforms
 from .stat_tests import TestKind, TestResult, run_test, statistics
@@ -102,7 +105,18 @@ class PermutationResult:
     seed: int
 
 
-def _counts_drawn(n1: int, n2: int, n_runs):
+def check_pooled_size(n: int) -> None:
+    """Refuse permutation draws over n pooled values if their int64 sums could overflow.
+
+    Every sum of a draw is below n**3, so it is exact in int64 while
+    n < EXACT_SUMS_BELOW; `run_test` alone scores larger samples, in float64.
+    """
+    if n >= EXACT_SUMS_BELOW:
+        raise SizeTooLarge(f"permutation tests take fewer than {EXACT_SUMS_BELOW} pooled values, "
+                           f"got {n}")
+
+
+def _counts_drawn(n2: int, n_runs):
     """Whether a pooled sample in n_runs tie runs is drawn as per-run counts, not relabelled.
 
     Elementwise for an array of run counts.  Per block, a run of counts
@@ -112,10 +126,9 @@ def _counts_drawn(n1: int, n2: int, n_runs):
     test took 0.64-0.69 of the relabel's time, and on five levels 0.08 of
     it at 200/200 and 0.02 at 1024/1024 (2-vCPU VM, medians of 9).  At most
     16 runs keep the kept rows (`_KeptRows`) and the block's footprint
-    small, and `RunSums`' int64 sums are exact only below EXACT_SUMS_BELOW
-    pooled values.
+    small.
     """
-    return (3 * n_runs <= n2) & (n_runs <= _COUNT_MAX_RUNS) & (n1 + n2 < EXACT_SUMS_BELOW)
+    return (3 * n_runs <= n2) & (n_runs <= _COUNT_MAX_RUNS)
 
 
 def _block_draws(n1: int, n2: int, n_runs: int) -> int:
@@ -142,7 +155,7 @@ def _block_draws(n1: int, n2: int, n_runs: int) -> int:
     draws: a 10k-draw test at 15/15 tie-free took 6.08 ms in one block
     against 4.42 ms in blocks of 2048.
     """
-    if _counts_drawn(n1, n2, n_runs):
+    if _counts_drawn(n2, n_runs):
         return _COUNT_BLOCK_DRAWS
     n = n1 + n2
     per_draw = 4 * n + 8 * n2 + 32 * -(-n2 // 4)
@@ -362,12 +375,14 @@ class _RelabelLane:
     Column i of `values` holds sample i's tie-run labels (`tie_runs`) as
     int32, the first n1 of them arm 1, and `sizes` the run sizes, given as
     (samples, runs) and kept as (runs,) when every sample shares them
-    (tie-free, or one sample).  Tied samples of at most 16 runs are scored
-    run by run, as a count lane's are (`RunSums`), from each draw's arm-1
-    count per run; any others by `moments_from_perm`.  The buffers hold
-    blocks of up to `draws` relabellings and are reused by each block, so
-    whatever a block reads off them must be consumed before the next block
-    starts.
+    (tie-free, or one sample).  The lane's scorer is fixed when it is
+    built: a tie-free lane scores each draw's sorted arm-1 labels, which
+    are its pooled ranks (`_moments_from_ranks`); tied samples of at most
+    16 runs are summed run by run, as a count lane's are (`RunSums`), from
+    each draw's arm-1 count per run; any others take the count kernel over
+    those counts (`moments_from_counts`).  The buffers hold blocks of up to
+    `draws` relabellings and are reused by each block, so whatever a block
+    reads off them must be consumed before the next block starts.
     """
 
     def __init__(self, labels: np.ndarray, sizes: np.ndarray, n1: int, seeds: list, draws: int):
@@ -376,9 +391,8 @@ class _RelabelLane:
         self.sizes = sizes[0] if len(sizes) == 1 or runs == n else sizes
         self.n1, self.draws = n1, draws
         self.keys = [perm_key(seed) for seed in seeds]
-        self.kernel = None
-        if runs <= _COUNT_MAX_RUNS and runs < n < EXACT_SUMS_BELOW:
-            self.kernel = RunSums(sizes, n1)
+        self.tie_free = runs == n
+        self.kernel = RunSums(sizes, n1) if runs < n and runs <= _COUNT_MAX_RUNS else None
         self.perm = np.empty(n * draws, dtype=np.int32)
         self.flat_j = np.empty((n - n1) * draws, dtype=np.intp)
         self.cols = np.arange(draws)
@@ -391,12 +405,17 @@ class _RelabelLane:
         # nested, so the uniforms are freed once relabelled
         arm1 = _batch_permutations([uniforms(self.keys[i], first_draw, n_draws, n2)
                                     for i in samples.tolist()], self, samples)
+        if self.tie_free:
+            # sorted in a C-ordered copy: the relabel hands over a transposed view
+            ranks = np.array(arm1, order="C")
+            ranks.sort(axis=1)
+            return _moments_from_ranks(ranks, self.n1, n2)
         if self.kernel is not None:
             return self.kernel.moments(self._runs(arm1, len(samples), n_draws), samples, n_draws)
         sizes = self.sizes
         if sizes.ndim > 1:
             sizes = np.repeat(sizes[samples], n_draws, axis=0)
-        return moments_from_perm(arm1, sizes)
+        return moments_from_counts(arm1_counts(arm1, sizes.shape[-1]), sizes, self.n1, n2)
 
     def _runs(self, arm1: np.ndarray, n_samples: int, n_draws: int):
         """Per run in order: each draw's arm-1 count in it and in lower runs, (samples, draws)."""
@@ -425,7 +444,7 @@ def _lanes(labels: np.ndarray, sizes: np.ndarray, n1: int, seeds: list,
     """
     n = labels.shape[1]
     runs = np.count_nonzero(sizes, axis=1)
-    counted = _counts_drawn(n1, n - n1, runs)
+    counted = _counts_drawn(n - n1, runs)
     lanes = []
     members = np.flatnonzero(counted)
     most = max(1, _COUNT_LANE_KEYS // (n1 + 1))
@@ -536,7 +555,9 @@ def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int =
     Every kind is tallied over the same draws in one pass, so each result
     equals `permutation_test` for its kind alone.  The dataset's tie-run
     record is asked for before its observed statistics, so `data.moments`
-    reads it and a fresh dataset is sorted once.  `threads` workers (>= 1)
+    reads it and a fresh dataset is sorted once; before that, a dataset of
+    2**21 or more pooled values is refused (`check_pooled_size`, which
+    raises `SizeTooLarge`).  `threads` workers (>= 1)
     each tally one contiguous range of whole blocks, so the pool never has
     more workers than blocks or CPUs.
     """
@@ -547,6 +568,7 @@ def permutation_tests(data: TwoSamples, kinds, n_perm: int = 10_000, seed: int =
         raise ValueError("n_perm must be >= 1")
     if not kinds:
         return []
+    check_pooled_size(data.n1 + data.n2)
     labels, sizes = data.run_labels()
     observed = [run_test(data, kind) for kind in kinds]
     statistics = np.array([res.statistic for res in observed])

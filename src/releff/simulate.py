@@ -45,9 +45,10 @@ settle_above=c*: each replication draws from its own seed's stream and
 closes once no test's decision can change, and the open replications'
 steps share blocks; a scenario with no tests draws none.  A replication of
 few runs (`permutation._counts_drawn`: at most 16, at most n2 / 3, so five
-levels from 15 arm-2 values, and fewer than 2**21 pooled values) draws its
-per-run counts from their exact law, and any other relabels its pooled
-sample.  Mean variance
+levels from 15 arm-2 values) draws its per-run counts from their exact
+law, and any other relabels its pooled sample.  A scenario with draws is
+refused at 2**21 or more pooled values (`permutation.check_pooled_size`),
+where a draw's int64 sums could overflow.  Mean variance
 estimates accumulate the *raw* (unfloored) estimator values, matching the
 way the reproduction tables report them; `variance_raw` keeps each on the
 chunk's summary, so the statistics read the same computation.
@@ -70,7 +71,7 @@ from .distributions import (DistSpec, discrete_masses, index, is_continuous, par
                             population_variance, sample)
 from .dof import MIN_ARM_SIZE
 from .errors import ConfigError, InvalidKind, SizeTooSmall, UnsupportedPair
-from .permutation import tally_streams
+from .permutation import check_pooled_size, tally_streams
 from .rng import DEFAULT_SEED, data_key, rep_permutation_seed, uniforms
 from .stat_tests import DEFAULT_BATTERY, TestKind, p_value_arrays, stat_arrays, statistics
 from .variance import VarianceKind, variance_raw
@@ -104,8 +105,10 @@ class Scenario:
             raise ValueError("n_reps must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.n_perm is not None and self.n_perm < 1:
-            raise ValueError("n_perm must be >= 1")
+        if self.n_perm is not None:
+            if self.n_perm < 1:
+                raise ValueError("n_perm must be >= 1")
+            check_pooled_size(self.n1 + self.n2)
         if min(self.n1, self.n2) < 2:
             raise SizeTooSmall("scenarios need at least 2 observations per arm")
         for kind in self.tests:

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from releff import _batch
+from releff import _batch, permutation
 from releff._batch import (
     arm1_counts,
     moments_from_codes,
     moments_from_counts,
-    moments_from_perm,
     moments_from_values,
     tie_runs,
 )
 from releff.distributions import Exponential, Normal, sample
 from releff.ranks import TwoSamples
 from releff.rng import perm_key, uniforms
-from tests_util import MOMENTS, assert_same, relabel, relabel_lane
+from tests_util import MOMENTS, ONE, assert_same, kernel_from_perm, relabel, relabel_lane
 
 arm_size = st.integers(min_value=2, max_value=60)
 ROW_KINDS = ("tie_free", "levels", "all_tied", "signed_zeros", "cross_arm_duplicate")
@@ -45,12 +44,6 @@ def perm_block(pooled, n1, seed, first, draws):
     return labels, relabel(u, relabel_lane(labels, n1, draws))
 
 
-def kernel_from_perm(arm1_labels, labels):
-    sizes = np.bincount(labels)
-    n1 = arm1_labels.shape[1]
-    return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, labels.size - n1)
-
-
 def kernel_from_values(x1, x2):
     labels, sizes, _ = tie_runs(x1, x2)
     n1 = x1.shape[1]
@@ -75,7 +68,7 @@ def mixed_row(rng, kind, n1, n2):
 
 @pytest.fixture
 def rank_calls(monkeypatch):
-    """Every call the entry points make to the tie-free rank scorer."""
+    """Every call the entry points and the relabel lane make to the tie-free rank scorer."""
     calls = []
     scorer = _batch._moments_from_ranks
 
@@ -84,15 +77,19 @@ def rank_calls(monkeypatch):
         return scorer(ranks, n1, n2)
 
     monkeypatch.setattr(_batch, "_moments_from_ranks", spy)
+    monkeypatch.setattr(permutation, "_moments_from_ranks", spy)
     return calls
 
 
-@given(n1=arm_size, n2=arm_size, levels=st.sampled_from([None, 1, 2, 5, 8]),
+@given(n1=arm_size, n2=arm_size, levels=st.sampled_from([None, 1, 2, 5, 8, 24]),
        seed=st.integers(0, 2**32 - 1), first=st.integers(0, 10**6), draws=st.integers(1, 64))
 def test_perm_scorer_equals_count_kernel(n1, n2, levels, seed, first, draws):
+    """A relabel lane scores its draws as the count kernel does: tie-free (rank
+    sums), up to 16 runs (run by run) and more runs (the kernel itself)."""
     pooled = pooled_values(np.random.default_rng(seed), n1 + n2, levels)
     labels, arm1 = perm_block(pooled, n1, seed, first, draws)
-    assert_same(moments_from_perm(arm1, np.bincount(labels)), kernel_from_perm(arm1, labels))
+    lane = relabel_lane(labels, n1, draws, seed)
+    assert_same(lane.moments(ONE, first, draws), kernel_from_perm(arm1, labels))
 
 
 @given(n1=arm_size, n2=arm_size, seed=st.integers(0, 2**32 - 1), kinds=batches_of(ROW_KINDS))
@@ -340,8 +337,8 @@ def test_values_scorer_labels_a_tied_batch_once(monkeypatch):
 @pytest.mark.parametrize("n1,n2", [(2, 2), (7, 10), (15, 45), (45, 15), (60, 3)])
 def test_tie_free_inputs_take_the_rank_scorer(rank_calls, n1, n2):
     rng = np.random.default_rng(n1 * 100 + n2)
-    labels, arm1 = perm_block(pooled_values(rng, n1 + n2, None), n1, 5, 0, 30)
-    moments_from_perm(arm1, np.bincount(labels))
+    labels = perm_block(pooled_values(rng, n1 + n2, None), n1, 5, 0, 30)[0]
+    relabel_lane(labels, n1, 30, 5).moments(ONE, 0, 30)
     pooled = pooled_values(rng, (12, n1 + n2), None)
     moments_from_values(pooled[:, :n1], pooled[:, n1:])
     assert rank_calls == [(30, n1), (12, n1)]
@@ -367,23 +364,20 @@ def test_one_tied_row_sends_the_batch_to_the_kernel(rank_calls, tied_row):
 
 
 def test_rank_scorer_stays_below_the_int64_bound(rank_calls, monkeypatch):
-    """Past EXACT_SUMS_BELOW tie-free inputs take the kernel's float sums, and agree with it."""
+    """Past EXACT_SUMS_BELOW tie-free values take the kernel's float sums, and agree with it."""
     n1, n2 = 11, 13
     rng = np.random.default_rng(3)
-    labels, arm1 = perm_block(pooled_values(rng, n1 + n2, None), n1, 8, 0, 50)
     pooled = pooled_values(rng, (25, n1 + n2), None)
     x1, x2 = pooled[:, :n1], pooled[:, n1:]
-    exact = moments_from_perm(arm1, np.bincount(labels)), moments_from_values(x1, x2)
-    assert len(rank_calls) == 2
+    exact = moments_from_values(x1, x2)
+    assert len(rank_calls) == 1
     rank_calls.clear()
     monkeypatch.setattr(_batch, "EXACT_SUMS_BELOW", n1 + n2)
-    got = moments_from_perm(arm1, np.bincount(labels)), moments_from_values(x1, x2)
+    got = moments_from_values(x1, x2)
     assert rank_calls == []
-    assert_same(got[0], kernel_from_perm(arm1, labels))
-    assert_same(got[1], kernel_from_values(x1, x2))
-    for g, e in zip(got, exact):
-        assert np.allclose(g.p_hat, e.p_hat, rtol=1e-15, atol=0)
-        assert np.allclose(g.sigma1_sq, e.sigma1_sq, rtol=1e-12, atol=0)
+    assert_same(got, kernel_from_values(x1, x2))
+    assert np.allclose(got.p_hat, exact.p_hat, rtol=1e-15, atol=0)
+    assert np.allclose(got.sigma1_sq, exact.sigma1_sq, rtol=1e-12, atol=0)
 
 
 KEY_ROW_KINDS = ("continuous", "negative", "cross_arm_tie", "within_arm_tie", "next_up",

@@ -291,6 +291,22 @@ class TestCmdTest:
             assert code == 2 and out == ""
             assert "--n-perm" in capsys.readouterr().err
 
+    def test_n_perm_at_the_exact_sums_bound_exits_2(self, tmp_path, monkeypatch, capsys):
+        """With the bound lowered to the toy CSV's 6 pooled values, as 2**21
+        would be met: `--n-perm` exits 2 with a message and no rows, and the
+        rows without it, or one value below the bound, print as before."""
+        path = tmp_path / "toy.csv"
+        path.write_text(TOY_CSV)
+        argv = ["test", str(path), "--tests", "pm_logit"]
+        want = run_cli(argv + ["--n-perm", "100"])
+        monkeypatch.setattr(permutation, "EXACT_SUMS_BELOW", 6)
+        code, out = run_cli(argv + ["--n-perm", "100"])
+        assert code == 2 and out == ""
+        assert "fewer than 6 pooled values, got 6" in capsys.readouterr().err
+        assert run_cli(argv)[0] == 0
+        monkeypatch.setattr(permutation, "EXACT_SUMS_BELOW", 7)
+        assert run_cli(argv + ["--n-perm", "100"]) == want
+
     def test_markdown_format(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text(TOY_CSV)
@@ -396,6 +412,9 @@ class TestCmdSimulate:
         # a misspelled field is refused, not ignored (alpha would stay 0.05)
         pytest.param([{**GOOD_ENTRY, "n_perm": 100, "alhpa": 0.01}], "alhpa",
                      id="misspelled_field"),
+        # binom overflows past about 1030 trials: the rates would all read 0
+        pytest.param([{**GOOD_ENTRY, "dist1": "B(1100,0.5)", "dist2": "B(1100,0.5)",
+                       "n1": 15, "n2": 15}], None, id="overflowing_binomial"),
     ])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, payload, field):
         cfg = tmp_path / "bad.cfg"
@@ -415,6 +434,19 @@ class TestCmdSimulate:
         code, out = run_cli(["simulate", str(cfg)])
         assert code == 3 and out == ""
         assert "error" in capsys.readouterr().err
+
+    def test_permutation_scenario_at_the_exact_sums_bound_exits_2(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        """With the bound lowered to 7/7's 14 pooled values: a scenario with
+        draws exits 2 with a message, one without them runs."""
+        monkeypatch.setattr(permutation, "EXACT_SUMS_BELOW", 14)
+        cfg = tmp_path / "perm.cfg"
+        cfg.write_text(json.dumps([{**GOOD_ENTRY, "tests": ["pm"], "n_perm": 50}]))
+        code, out = run_cli(["simulate", str(cfg)])
+        assert code == 2 and out == ""
+        assert "fewer than 14 pooled values" in capsys.readouterr().err
+        cfg.write_text(json.dumps([{**GOOD_ENTRY, "tests": ["pm"]}]))
+        assert run_cli(["simulate", str(cfg)])[0] == 0
 
     def test_permutation_entry_without_tests_runs(self, tmp_path):
         cfg = tmp_path / "one.cfg"

@@ -211,18 +211,22 @@ class TestCountLane:
         assert isinstance(loop_lane(labels, n1), _RelabelLane) != counts
 
     def test_counts_are_drawn_below_the_exact_sums_bound(self):
-        """Counts are drawn up to 2**21 - 1 pooled values, where `RunSums`'
-        int64 sums stay exact, and not at 2**21; the rule reads only the
-        sizes, so it allocates no array, only the ints of its sums."""
-        assert EXACT_SUMS_BELOW == 2**21
+        """At 2**21 - 1 pooled values, the most a permutation test takes, the
+        rule still decides by runs alone: 5 runs draw counts in 8192-draw
+        blocks, 17 relabel.  It reads only the sizes, so it allocates no
+        array, only the ints of its sums."""
+        n1, n2 = 2**20, 2**20 - 1
+        assert n1 + n2 == EXACT_SUMS_BELOW - 1
         tracemalloc.start()
         try:
-            below = permutation._counts_drawn(2**20, 2**20 - 1, 5)
-            at = permutation._counts_drawn(2**20, 2**20, 5)
+            few = permutation._counts_drawn(n2, 5)
+            many = permutation._counts_drawn(n2, 17)
+            block = permutation._block_draws(n1, n2, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert below and not at
+        assert few and not many
+        assert block == permutation._COUNT_BLOCK_DRAWS
         assert peak < 1000
 
     def test_observed_counts_reproduce_run_test(self):

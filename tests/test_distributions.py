@@ -209,6 +209,27 @@ class TestDiscreteMasses:
             np.testing.assert_allclose(probs, expected, rtol=1e-14, atol=0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("prob", [0.5, 0.9])
+    def test_overflowing_binomial_is_refused(self, prob):
+        """At 1100 trials `binom` overflows, so masses would be inf or nan: the
+        spec is refused when it is built, from its label too, and 10**12
+        trials are refused without building their masses."""
+        with pytest.raises(ValueError, match="overflow"):
+            Binomial(1100, prob)
+        with pytest.raises(ValueError, match="overflow"):
+            Binomial(10**12, prob)
+        with pytest.raises(ValueError, match="overflow"):
+            parse_dist(f"B(1100,{prob})")
+
+    def test_large_finite_binomial_keeps_its_masses(self):
+        """B(1000, 0.5) is still built, with the formula's bits, summing to 1 within 5e-13."""
+        from scipy.special import binom
+
+        _, probs = discrete_masses(Binomial(1000, 0.5))
+        k = np.arange(1001)
+        assert np.array_equal(probs, binom(1000, k) * 0.5**k * 0.5 ** (1000 - k))
+        assert abs(probs.sum() - 1.0) < 5e-13
+
 
 class TestExactEffect:
     def test_equal_specs_give_half(self):

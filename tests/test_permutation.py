@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from releff import (InvalidKind, ShirahataForm, ShirahataKind, TwoSamples, permutation_test,
-                    run_test, var_shirahata)
+from releff import (InvalidKind, ShirahataForm, ShirahataKind, SizeTooLarge, TwoSamples,
+                    permutation_test, run_test, var_shirahata)
 from releff import TestKind as TK
 from releff import permutation, stat_tests
-from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, moments_from_perm, tie_runs
+from releff._batch import EXACT_SUMS_BELOW, moments_from_counts, tie_runs
 from releff.permutation import _CountLane, _RelabelLane, _batch_permutations, tally_draws
 from releff.rng import perm_key, uniforms
 from releff.simulate import _reject_threshold
@@ -21,8 +22,9 @@ from releff.stat_tests import stat_arrays, statistics
 from releff.tables import PERM_BATTERY, build_table
 from releff.variance import VarianceKind, variance_raw
 from oracles import shuffle
-from tests_util import (MOMENTS, ONE, SORT_CASES, count_lane, index_lane, one_lane, random_dataset,
-                        relabel, relabel_lane, sort_case, tally_one, tally_sample)
+from tests_util import (MOMENTS, ONE, SORT_CASES, count_lane, index_lane, kernel_from_perm,
+                        one_lane, random_dataset, relabel, relabel_lane, sort_case, tally_one,
+                        tally_sample)
 
 KINDS = [TK.parse(s) for s in ("n", "bm", "pm", "n_logit", "bm_logit", "pm_logit")]
 
@@ -35,7 +37,7 @@ def run_labels(pooled):
 
 def observed_stats(labels, n1, kinds):
     """The kernel's statistics for the observed relabelling (arm 1 = pooled[:n1])."""
-    mm = moments_from_perm(labels[None, :n1], np.bincount(labels))
+    mm = kernel_from_perm(labels[None, :n1], labels)
     return np.array([stat[0] for stat, _ in stat_arrays(mm, kinds)])
 
 
@@ -229,13 +231,46 @@ class TestPermutationTest:
         assert dataclasses.asdict(res.observed) == dataclasses.asdict(run_test(d, TK.parse("pm")))
 
 
+class TestExactSumsBound:
+    """Permutation draws are refused from EXACT_SUMS_BELOW pooled values on."""
+
+    def test_refused_before_the_tie_runs(self, monkeypatch):
+        """At 2**21 pooled values the test is refused before the dataset is
+        labelled, and allocates next to nothing once the dataset is built."""
+        data = TwoSamples(np.zeros(2**20), np.ones(2**20))
+
+        def labelled(self):
+            raise AssertionError("the dataset was labelled")
+
+        monkeypatch.setattr(TwoSamples, "run_labels", labelled)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeTooLarge, match="got 2097152"):
+                permutation_test(data, TK.parse("pm"), n_perm=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_one_value_below_the_bound_runs_as_before(self, monkeypatch):
+        """With the bound lowered to 30, 29 pooled values give the result they
+        give under the real bound, and 30 are refused."""
+        pooled = np.random.default_rng(8).integers(0, 5, size=30).astype(float)
+        below, at = TwoSamples(pooled[:14], pooled[14:29]), TwoSamples(pooled[:15], pooled[15:])
+        want = permutation_test(below, TK.parse("pm"), n_perm=500, seed=3)
+        monkeypatch.setattr(permutation, "EXACT_SUMS_BELOW", 30)
+        assert permutation_test(below, TK.parse("pm"), n_perm=500, seed=3) == want
+        with pytest.raises(SizeTooLarge):
+            permutation_test(at, TK.parse("pm"), n_perm=500, seed=3)
+
+
 class TestLaneBuffers:
     """One lane serves every block of a draw loop."""
 
     @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "five_levels"])
     def test_blocks_keep_what_fresh_buffers_give(self, monkeypatch, tied):
         """At 200/200, each block scores what a fresh lane gives for its
-        draws: the arm-1 labels of a relabel (tie-free) or the per-run sums
+        draws: the sorted arm-1 ranks of a relabel (tie-free) or the per-run sums
         of the count kernel (five levels).  The moments a block makes stay
         unchanged while the lane's later blocks (a short last one too) are
         drawn, and the range tallies what fresh single-block calls tally."""
@@ -267,8 +302,9 @@ class TestLaneBuffers:
                                 lambda self, runs, samples, n: record(
                                     np.empty((4, n)), moments(self, runs, samples, n)))
         else:
-            monkeypatch.setattr(permutation, "moments_from_perm",
-                                lambda drawn, sizes: record(drawn, moments_from_perm(drawn, sizes)))
+            ranks_scorer = permutation._moments_from_ranks
+            monkeypatch.setattr(permutation, "_moments_from_ranks",
+                                lambda ranks, n1, n2: record(ranks, ranks_scorer(ranks, n1, n2)))
         counts = tally_sample(labels, n1, [pm], observed, seed, 0, stop)
         monkeypatch.undo()
         # a block's sums are (4, draws), its relabel (draws, n1)
@@ -283,7 +319,7 @@ class TestLaneBuffers:
                     assert np.array_equal(getattr(fresh, name), value), (k, name)
             else:
                 u = uniforms(perm_key(seed), k * block, n, 200)
-                assert np.array_equal(drawn, relabel(u, lane))
+                assert np.array_equal(drawn, np.sort(relabel(u, lane), axis=1))
             for name, value in fields.items():
                 assert np.array_equal(getattr(mm, name), value), (k, name)
             want += tally_one(fresh_lane(n), [pm], observed, k * block, n)
@@ -300,7 +336,7 @@ class TestBatchStatisticPath:
             u = uniforms(perm_key(17), 0, 6, d.n2)
             arm1_sets = relabel(u, index_lane(d.n, d.n1, 6))
             labels = run_labels(pooled)
-            mm = moments_from_perm(labels[arm1_sets], np.bincount(labels))
+            mm = kernel_from_perm(labels[arm1_sets], labels)
             for kind, (stats, _) in zip(KINDS, stat_arrays(mm, KINDS)):
                 for row, arm1 in enumerate(arm1_sets):
                     in_arm1 = np.zeros(d.n, dtype=bool)
@@ -346,7 +382,7 @@ class TestBatchStatisticPath:
         assert same.sum() > 0
         n_le, n_ge = tally_one(relabel_lane(labels, n1, n_draws, seed), KINDS, observed, 0, n_draws)
         assert np.all(n_le + n_ge - n_draws >= same.sum())
-        mm = moments_from_perm(labels[arm1], np.bincount(labels))
+        mm = kernel_from_perm(labels[arm1], labels)
         for idx, (kind, (stats, _)) in enumerate(zip(KINDS, stat_arrays(mm, KINDS))):
             assert np.all(stats[same] == observed[idx]), kind.label()
 

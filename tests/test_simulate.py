@@ -739,6 +739,16 @@ class TestScenarioConfig:
                 scenario_from_dict({"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 9, "n2": 9,
                                     "n_reps": 10, "tests": ["pm"], "n_perm": n_perm})
 
+    def test_permutation_scenario_at_the_exact_sums_bound_is_refused(self):
+        """A scenario with draws is refused at 2**21 pooled values, where a
+        draw's int64 sums could overflow; one value fewer, or no draws, builds."""
+        entry = {"dist1": "N(0,1)", "dist2": "N(0,1)", "n1": 2**20, "n2": 2**20,
+                 "n_reps": 10, "tests": ["pm"], "n_perm": 100}
+        with pytest.raises(ConfigError, match="2097152 pooled values"):
+            scenario_from_dict(entry)
+        assert scenario_from_dict({**entry, "n2": 2**20 - 1}).n_perm == 100
+        assert scenario_from_dict({**entry, "n_perm": None}).n2 == 2**20
+
     def test_permutation_scenario_without_tests_draws_nothing(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("a scenario without tests drew permutations")

@@ -2,6 +2,7 @@
 import numpy as np
 
 from releff import permutation
+from releff._batch import arm1_counts, moments_from_counts
 
 
 # every moment an effect summary holds, the ones computed on first read too
@@ -14,6 +15,13 @@ def assert_same(got, want):
     for name in ("n1", "n2", *MOMENTS):
         g, w = getattr(got, name), getattr(want, name)
         assert np.array_equal(g, w), name
+
+
+def kernel_from_perm(arm1_labels, labels):
+    """The count kernel's moments of draws, rows of arm-1 run labels of one pooled sample."""
+    sizes = np.bincount(labels)
+    n1 = arm1_labels.shape[1]
+    return moments_from_counts(arm1_counts(arm1_labels, sizes.size), sizes, n1, labels.size - n1)
 
 
 def relabel_lane(labels, n1, draws, seed=0, sizes=None):
@@ -41,7 +49,7 @@ def count_lane(sizes, n1, seed=0):
 def one_lane(labels, n1, seed, draws):
     """The kind of lane the draw loop builds for one pooled sample; a relabel lane holds `draws`."""
     sizes = np.bincount(labels)
-    if permutation._counts_drawn(n1, len(labels) - n1, sizes.size):
+    if permutation._counts_drawn(len(labels) - n1, sizes.size):
         return count_lane(sizes, n1, seed)
     return relabel_lane(labels, n1, draws, seed, sizes)
 
